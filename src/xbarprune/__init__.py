@@ -6,10 +6,6 @@ circuit   exact parasitic-network model of one crossbar tile
 mapping   weight <-> conductance conversion, tiling, column rearrangement
 pruning   structured sparsity masks, compaction transforms, compression rate
 nn        minimal trainable CNN with prune-at-init and WCT
-config    experiment configuration, defaults and hashing
-modelio   model / dataset directory formats
-runner    sweep orchestration and CSV reports
-cli       command line entry points
 """
 
 __version__ = "0.1.0"
@@ -21,10 +17,8 @@ from .circuit import (
     SolveResult,
     apply_device_variation,
     default_params,
-    extract_effective_conductance,
     ideal_mac,
     nonideality_factor,
-    solve_crossbar,
 )
 
 __all__ = [
@@ -34,9 +28,7 @@ __all__ = [
     "SolveResult",
     "apply_device_variation",
     "default_params",
-    "extract_effective_conductance",
     "ideal_mac",
     "nonideality_factor",
-    "solve_crossbar",
     "__version__",
 ]

@@ -70,11 +70,6 @@ class CrossbarParams:
     def on_off_ratio(self) -> float:
         return self.g_max / self.g_min
 
-    def with_size(self, n_rows: int, n_cols: int | None = None) -> "CrossbarParams":
-        """Same circuit/device values on a different tile geometry."""
-        from dataclasses import replace
-        return replace(self, n_rows=n_rows, n_cols=n_cols if n_cols is not None else n_rows)
-
 
 def default_params(n_rows: int, n_cols: int | None = None, **overrides) -> CrossbarParams:
     return CrossbarParams(n_rows, n_cols if n_cols is not None else n_rows, **overrides)
@@ -314,7 +309,7 @@ class CrossbarSystem:
         m = self._m
         if self._lu is None:
             # every node pinned: the network is ideal on both sides
-            return (self.g * p.v_read) / p.v_read
+            return self.g.copy()
         basis = np.eye(m) * p.v_read
         X = self._lu.solve(self._inject @ basis)
         if X.ndim == 1:
@@ -348,16 +343,6 @@ class CrossbarSystem:
             return 0.0
         denom = np.maximum(scale[free], np.finfo(float).tiny)
         return float(np.max(np.abs(net[free]) / denom))
-
-
-def solve_crossbar(g: np.ndarray, params: CrossbarParams, v: np.ndarray) -> SolveResult:
-    """One-shot parasitic solve; build a CrossbarSystem to reuse the
-    factorization across inputs."""
-    return CrossbarSystem(g, params).solve(v)
-
-
-def extract_effective_conductance(g: np.ndarray, params: CrossbarParams) -> np.ndarray:
-    return CrossbarSystem(g, params).effective_conductance()
 
 
 def apply_device_variation(g: np.ndarray, sigma_dev: float,

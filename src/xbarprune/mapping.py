@@ -16,7 +16,7 @@ decode back to exactly zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,10 +48,7 @@ class MappingRecord:
     """Bookkeeping needed to invert a layer mapping exactly."""
 
     w_scale: float
-    signs: np.ndarray                      # sign matrix of the tiled matrix
     assembled_shape: tuple[int, int]
-    row_pad: int
-    col_pad: int
     tile_placements: list[TilePlacement]
     column_permutation: np.ndarray | None = None
     pruning_compaction: object | None = None   # CfCompaction | SegmentPacking
@@ -64,7 +61,6 @@ class LayerNfReport:
     per_tile_mean: np.ndarray              # NaN where a tile had no valid column
     per_column: np.ndarray                 # all defined per-column NFs, concatenated
     mean_nf: float | None                  # mean of defined per-tile means
-    tile_reports: list[NfReport] = field(default_factory=list)
 
 
 @dataclass
@@ -132,10 +128,7 @@ def partition(w: np.ndarray, n: int):
             ))
     record = MappingRecord(
         w_scale=float(np.max(np.abs(w))),
-        signs=np.sign(w),
         assembled_shape=(rows, cols),
-        row_pad=rb * n - rows,
-        col_pad=cb * n - cols,
         tile_placements=placements,
     )
     return [_gather_tile(w, pl, n) for pl in placements], record
@@ -163,15 +156,8 @@ def recombine(tiles: list[np.ndarray], record: MappingRecord) -> np.ndarray:
 # --------------------------------------------------------- rearrangement
 
 
-def column_metric(column: np.ndarray) -> float:
-    """sqrt(mean(|w|) * population_std(|w|)) of one column."""
-    a = np.abs(np.asarray(column, dtype=float))
-    if a.size == 0:
-        raise ValueError("empty column")
-    return float(np.sqrt(a.mean() * a.std()))
-
-
 def column_metrics(w: np.ndarray) -> np.ndarray:
+    """sqrt(mean(|w|) * population_std(|w|)) of every column."""
     a = np.abs(np.asarray(w, dtype=float))
     return np.sqrt(a.mean(axis=0) * a.std(axis=0))
 
@@ -182,8 +168,9 @@ def rearrange_columns(w: np.ndarray, order: str = "ascending"):
     order="center_out". Returns the rearranged matrix and the permutation
     p with new[:, k] = old[:, p[k]]."""
     w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[1] == 0:
-        raise ValueError("need a matrix with at least one column")
+    if w.ndim != 2 or w.size == 0:
+        raise ValueError(f"need a matrix with at least one row and one column, "
+                         f"got shape {w.shape}")
     if order not in REARRANGE_ORDERS:
         raise ValueError(f"order must be one of {REARRANGE_ORDERS}, got {order!r}")
     ascending = np.argsort(column_metrics(w), kind="stable")
@@ -214,11 +201,12 @@ def aggregate_nf(reports: list[NfReport]) -> LayerNfReport:
         per_tile_mean=per_tile,
         per_column=np.concatenate(columns) if columns else np.empty(0),
         mean_nf=float(defined.mean()) if defined.size else None,
-        tile_reports=reports,
     )
 
 
 def _prepare(w, params, rearrange, rearrange_order, compaction):
+    """Validate, apply T and R, and gather the padded n x n tiles.
+    Returns (tiles, record)."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.size == 0:
         raise ValueError(f"need a nonempty 2-D weight matrix, got shape {w.shape}")
@@ -243,47 +231,49 @@ def _prepare(w, params, rearrange, rearrange_order, compaction):
             raise ValueError(f"packing tile size {compaction.n} != crossbar size {n}")
         placements = [TilePlacement(br, bc, rows, cols)
                       for br, bc, rows, cols in compaction.tiles]
-        record = MappingRecord(
-            w_scale=w_scale, signs=np.sign(w), assembled_shape=w.shape,
-            row_pad=0, col_pad=0, tile_placements=placements,
-            pruning_compaction=compaction,
-        )
-        return w, record, n
+        record = MappingRecord(w_scale=w_scale, assembled_shape=w.shape,
+                               tile_placements=placements,
+                               pruning_compaction=compaction)
+        return [_gather_tile(w, pl, n) for pl in placements], record
 
     mat = compaction.apply(w) if isinstance(compaction, CfCompaction) else w
     perm = None
     if rearrange:
         mat, perm = rearrange_columns(mat, rearrange_order)
-    _, record = partition(mat, n)
+    tiles, record = partition(mat, n)
     record.w_scale = w_scale
     record.column_permutation = perm
     record.pruning_compaction = compaction
-    return mat, record, n
+    return tiles, record
+
+
+def _simulate_tiles(tiles, record, params, master_seed, layer_index):
+    """Per tile: encode -> device variation -> parasitic network -> NF from
+    all-ones inputs. Yields (system, signs, NfReport)."""
+    ones = np.full(params.n_rows, params.v_read)
+    for tile, pl in zip(tiles, record.tile_placements):
+        g, signs = weights_to_conductances(tile, record.w_scale, params)
+        g_var = apply_device_variation(g, params.sigma_dev,
+                                       _tile_rng(master_seed, layer_index, pl))
+        system = CrossbarSystem(g_var, params)
+        yield system, signs, nonideality_factor(ideal_mac(g, ones),
+                                                system.solve(ones).currents)
 
 
 def simulate_layer(w: np.ndarray, params: CrossbarParams, *,
                    rearrange: bool = False, rearrange_order: str = "ascending",
                    compaction: object | None = None, master_seed: int = 0,
-                   layer_index: int = 0,
-                   nf_epsilon: float = 1e-12) -> LayerSimResult:
+                   layer_index: int = 0) -> LayerSimResult:
     """Full per-layer pipeline: T -> R -> partition -> encode -> device
     variation -> effective conductances -> decode -> recombine (R^-1, T^-1),
     with an NF report from all-ones inputs on every tile."""
-    mat, record, n = _prepare(w, params, rearrange, rearrange_order, compaction)
-    ones = np.full(n, params.v_read)
+    tiles, record = _prepare(w, params, rearrange, rearrange_order, compaction)
     out_tiles, reports = [], []
-    for pl in record.tile_placements:
-        g, signs = weights_to_conductances(_gather_tile(mat, pl, n),
-                                           record.w_scale, params)
-        g_var = apply_device_variation(g, params.sigma_dev,
-                                       _tile_rng(master_seed, layer_index, pl))
-        system = CrossbarSystem(g_var, params)
-        g_eff = system.effective_conductance()
-        out_tiles.append(conductances_to_weights(g_eff, signs,
-                                                 record.w_scale, params))
-        reports.append(nonideality_factor(ideal_mac(g, ones),
-                                          system.solve(ones).currents,
-                                          nf_epsilon))
+    for system, signs, report in _simulate_tiles(tiles, record, params,
+                                                 master_seed, layer_index):
+        out_tiles.append(conductances_to_weights(system.effective_conductance(),
+                                                 signs, record.w_scale, params))
+        reports.append(report)
     return LayerSimResult(
         w_nonideal=recombine(out_tiles, record),
         nf=aggregate_nf(reports),
@@ -294,19 +284,9 @@ def simulate_layer(w: np.ndarray, params: CrossbarParams, *,
 def layer_nf(w: np.ndarray, params: CrossbarParams, *,
              rearrange: bool = False, rearrange_order: str = "ascending",
              compaction: object | None = None, master_seed: int = 0,
-             layer_index: int = 0, nf_epsilon: float = 1e-12) -> LayerNfReport:
-    """NF report only: same tile preparation as simulate_layer but skips the
-    per-row extraction and decode, so it is roughly n_rows times cheaper."""
-    mat, record, n = _prepare(w, params, rearrange, rearrange_order, compaction)
-    ones = np.full(n, params.v_read)
-    reports = []
-    for pl in record.tile_placements:
-        g, _ = weights_to_conductances(_gather_tile(mat, pl, n),
-                                       record.w_scale, params)
-        g_var = apply_device_variation(g, params.sigma_dev,
-                                       _tile_rng(master_seed, layer_index, pl))
-        reports.append(nonideality_factor(
-            ideal_mac(g, ones),
-            CrossbarSystem(g_var, params).solve(ones).currents,
-            nf_epsilon))
-    return aggregate_nf(reports)
+             layer_index: int = 0) -> LayerNfReport:
+    """NF report only: same tiles as simulate_layer but skips the per-row
+    extraction and decode, so it is roughly n_rows times cheaper."""
+    tiles, record = _prepare(w, params, rearrange, rearrange_order, compaction)
+    return aggregate_nf([report for _, _, report in
+                         _simulate_tiles(tiles, record, params, master_seed, layer_index)])

@@ -194,26 +194,21 @@ def tiny_model_spec(init_seed: int = 0) -> ModelSpec:
 # ------------------------------------------------------------ unrolling
 
 
-@dataclass(frozen=True)
-class UnrollInfo:
-    conv_shape: tuple[int, int, int, int]   # (out_ch, in_ch, k, k)
-
-
-def unroll_conv(w: np.ndarray):
+def unroll_conv(w: np.ndarray) -> np.ndarray:
     """(out_ch, in_ch, k, k) -> (in_ch*k*k, out_ch) matrix, rows ordered
     in_channel-major then kernel row then kernel column."""
     out_ch, in_ch, k, k2 = w.shape
     if k != k2:
         raise ValueError(f"kernels must be square, got {w.shape}")
-    mat = w.transpose(1, 2, 3, 0).reshape(in_ch * k * k, out_ch)
-    return mat, UnrollInfo(w.shape)
+    return w.transpose(1, 2, 3, 0).reshape(in_ch * k * k, out_ch)
 
 
-def reroll_conv(mat: np.ndarray, info: UnrollInfo) -> np.ndarray:
-    out_ch, in_ch, k, _ = info.conv_shape
+def reroll_conv(mat: np.ndarray, conv_shape: tuple[int, int, int, int]) -> np.ndarray:
+    """Inverse of unroll_conv for a conv weight of shape (out_ch, in_ch, k, k)."""
+    out_ch, in_ch, k, _ = conv_shape
     if mat.shape != (in_ch * k * k, out_ch):
         raise ValueError(f"matrix shape {mat.shape} does not re-roll to "
-                         f"{info.conv_shape}")
+                         f"{conv_shape}")
     return mat.reshape(in_ch, k, k, out_ch).transpose(3, 0, 1, 2).copy()
 
 
@@ -257,8 +252,7 @@ class Conv2d:
     def forward(self, x):
         k, s, p = self.spec.kernel, self.spec.stride, self.spec.pad()
         cols, ho, wo = im2col(x, k, s, p)
-        wmat, _ = unroll_conv(self.w)
-        out = cols @ wmat
+        out = cols @ unroll_conv(self.w)
         self._cache = (cols, x.shape, ho, wo)
         n = x.shape[0]
         return out.reshape(n, ho, wo, self.spec.out_ch).transpose(0, 3, 1, 2)
@@ -268,8 +262,8 @@ class Conv2d:
         k, s, p = self.spec.kernel, self.spec.stride, self.spec.pad()
         dmat = dout.transpose(0, 2, 3, 1).reshape(-1, self.spec.out_ch)
         grad_mat = cols.T @ dmat
-        self.grad_w = reroll_conv(grad_mat, UnrollInfo(self.w.shape))
-        dcols = dmat @ unroll_conv(self.w)[0].T
+        self.grad_w = reroll_conv(grad_mat, self.w.shape)
+        dcols = dmat @ unroll_conv(self.w).T
         return col2im(dcols, x_shape, k, s, p, ho, wo)
 
 
@@ -366,9 +360,6 @@ class Network:
                 self.layers.append(ReLU())
             elif isinstance(layer_spec, PoolSpec):
                 self.layers.append(MaxPool2())
-        self._unroll_infos = {name: UnrollInfo(layer.w.shape)
-                              for name, layer in self.trainable
-                              if layer.kind == "conv"}
 
     def forward(self, x):
         for layer in self.layers:
@@ -386,7 +377,7 @@ class Network:
     def unrolled_weights(self) -> dict[str, np.ndarray]:
         out = {}
         for name, layer in self.trainable:
-            out[name] = unroll_conv(layer.w)[0] if layer.kind == "conv" else layer.w.copy()
+            out[name] = unroll_conv(layer.w) if layer.kind == "conv" else layer.w.copy()
         return out
 
     def set_unrolled_weights(self, matrices: dict[str, np.ndarray]):
@@ -395,7 +386,7 @@ class Network:
                 raise ValueError(f"missing weights for layer {name}")
             mat = np.asarray(matrices[name], dtype=float)
             if layer.kind == "conv":
-                layer.w = reroll_conv(mat, self._unroll_infos[name])
+                layer.w = reroll_conv(mat, layer.w.shape)
             else:
                 if mat.shape != layer.w.shape:
                     raise ValueError(f"{name}: shape {mat.shape} != {layer.w.shape}")
@@ -463,7 +454,7 @@ def _masks_4d(model: Network, pattern) -> dict[str, np.ndarray]:
             continue
         mask = np.asarray(pattern.masks[name], dtype=float)
         if layer.kind == "conv":
-            out[name] = reroll_conv(mask, UnrollInfo(layer.w.shape))
+            out[name] = reroll_conv(mask, layer.w.shape)
         else:
             if mask.shape != layer.w.shape:
                 raise ValueError(f"mask for {name} has shape {mask.shape}, "
@@ -509,23 +500,15 @@ def train(model: Network, dataset: Dataset, config: TrainConfig):
     return model, losses
 
 
-def wct_cutoff(model: Network, percentile: float, per_layer: bool = False):
-    """Nearest-rank percentile of |w| pooled over all trainable weights
-    (or per layer with per_layer=True)."""
+def wct_cutoff(model: Network, percentile: float) -> float:
+    """Nearest-rank percentile of |w| pooled over all trainable weights."""
     if not 0 < percentile <= 100:
         raise ValueError(f"percentile must be in (0, 100], got {percentile}")
     if not model.trainable:
         raise ValueError("model has no trainable layers")
-
-    def nearest_rank(values):
-        v = np.sort(np.abs(values.ravel()))
-        rank = math.ceil(percentile / 100.0 * v.size)
-        return float(v[rank - 1])
-
-    if per_layer:
-        return {name: nearest_rank(layer.w) for name, layer in model.trainable}
-    pooled = np.concatenate([layer.w.ravel() for _, layer in model.trainable])
-    return nearest_rank(pooled)
+    v = np.sort(np.abs(np.concatenate([layer.w.ravel() for _, layer in model.trainable])))
+    rank = math.ceil(percentile / 100.0 * v.size)
+    return float(v[rank - 1])
 
 
 def wct_clamp(w: np.ndarray, w_cut: float) -> np.ndarray:

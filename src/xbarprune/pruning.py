@@ -177,41 +177,6 @@ def cf_compaction(mask: np.ndarray) -> CfCompaction:
     )
 
 
-def compact_cf(w_l: np.ndarray, w_next: np.ndarray,
-               mask_l: np.ndarray | None = None,
-               mask_next: np.ndarray | None = None):
-    """Remove the all-zero columns of layer l and the matching unrolled row
-    groups of layer l+1.
-
-    Returns (compacted w_l, compacted w_next, (descriptor_l, descriptor_next)).
-    Masks default to the nonzero structure of the matrices themselves.
-    """
-    w_l = np.asarray(w_l, dtype=float)
-    w_next = np.asarray(w_next, dtype=float)
-    mask_l = (w_l != 0) if mask_l is None else np.asarray(mask_l).astype(bool)
-    mask_next = (w_next != 0) if mask_next is None else np.asarray(mask_next).astype(bool)
-    if mask_l.shape != w_l.shape or mask_next.shape != w_next.shape:
-        raise ValueError("mask shapes do not match the weight matrices")
-
-    zero_cols = np.flatnonzero(~mask_l.any(axis=0))
-    if w_next.shape[0] % w_l.shape[1] != 0:
-        raise ValueError(f"next-layer rows {w_next.shape[0]} are not grouped by "
-                         f"{w_l.shape[1]} output channels")
-    rpc = w_next.shape[0] // w_l.shape[1]
-    expected_rows = np.sort(np.concatenate(
-        [np.arange(c * rpc, (c + 1) * rpc) for c in zero_cols])) if zero_cols.size else np.array([], dtype=int)
-    zero_rows = np.flatnonzero(~mask_next.any(axis=1))
-    if not np.array_equal(zero_rows, expected_rows):
-        raise ValueError("inconsistent masks: zero columns of layer l do not "
-                         "match zero row groups of layer l+1")
-
-    desc_l = CfCompaction(w_l.shape, kept_rows=np.arange(w_l.shape[0]),
-                          kept_cols=np.flatnonzero(mask_l.any(axis=0)))
-    desc_next = CfCompaction(w_next.shape, kept_rows=np.flatnonzero(mask_next.any(axis=1)),
-                             kept_cols=np.arange(w_next.shape[1]))
-    return desc_l.apply(w_l), desc_next.apply(w_next), (desc_l, desc_next)
-
-
 def _segment_packing(mask: np.ndarray, n: int, kind: str) -> SegmentPacking:
     rows, cols = mask.shape
     tiles = []

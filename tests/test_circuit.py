@@ -9,10 +9,9 @@ from xbarprune.circuit import (
     CrossbarParams,
     CrossbarSystem,
     apply_device_variation,
-    extract_effective_conductance,
+    default_params,
     ideal_mac,
     nonideality_factor,
-    solve_crossbar,
 )
 
 IDEAL = dict(r_driver=0.0, r_wire_row=0.0, r_wire_col=0.0, r_sense=0.0)
@@ -29,7 +28,8 @@ def test_params_defaults_and_ratio():
     p = CrossbarParams(16, 16)
     assert p.g_max > p.g_min > 0
     assert p.on_off_ratio == pytest.approx(10.0)
-    assert p.with_size(64).n_rows == 64
+    sized = default_params(64)
+    assert (sized.n_rows, sized.n_cols) == (64, 64)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -68,20 +68,20 @@ def test_ideal_mac_dimension_mismatch():
         ideal_mac(np.ones((2, 2)), np.ones(3))
 
 
-# --------------------------------------------------------- solve_crossbar
+# ------------------------------------------------- CrossbarSystem.solve
 
 
 def test_solve_one_cell_series_resistances():
     # 10 kOhm device + 1 kOhm driver + 1 kOhm sense in series
     p = CrossbarParams(1, 1, r_driver=1e3, r_wire_row=0, r_wire_col=0, r_sense=1e3)
-    res = solve_crossbar(np.array([[1e-4]]), p, np.array([1.0]))
+    res = CrossbarSystem(np.array([[1e-4]]), p).solve(np.array([1.0]))
     assert res.currents[0] == pytest.approx(1.0 / 12000.0, rel=1e-12)
 
 
 def test_solve_ideal_limit_matches_ideal_mac():
     g = random_tile(8, 6, seed=1)
     v = np.random.default_rng(2).uniform(0, 1, 8)
-    res = solve_crossbar(g, ideal_params(8, 6), v)
+    res = CrossbarSystem(g, ideal_params(8, 6)).solve(v)
     np.testing.assert_allclose(res.currents, ideal_mac(g, v), rtol=1e-9)
     # the fully merged network takes the exact dot-product path
     assert np.array_equal(res.currents, ideal_mac(g, v))
@@ -91,7 +91,7 @@ def test_solve_matches_dense_oracle_2x2():
     g = np.full((2, 2), 1e-4)
     p = CrossbarParams(2, 2, r_driver=1e3, r_wire_row=100.0, r_wire_col=100.0, r_sense=1e3)
     v = np.ones(2)
-    ours = solve_crossbar(g, p, v).currents
+    ours = CrossbarSystem(g, p).solve(v).currents
     ref = dense_mna_currents(g, 1e3, 100.0, 100.0, 1e3, v)
     np.testing.assert_allclose(ours, ref, rtol=1e-9)
 
@@ -103,7 +103,7 @@ def test_solve_matches_dense_oracle_random(m, n):
     rd, rr, rc, rs = rng.uniform(1.0, 2e3, 4)
     p = CrossbarParams(m, n, r_driver=rd, r_wire_row=rr, r_wire_col=rc, r_sense=rs)
     v = rng.uniform(-1, 1, m)
-    ours = solve_crossbar(g, p, v).currents
+    ours = CrossbarSystem(g, p).solve(v).currents
     ref = dense_mna_currents(g, rd, rr, rc, rs, v)
     np.testing.assert_allclose(ours, ref, rtol=1e-9)
 
@@ -115,23 +115,23 @@ def test_solve_single_zero_parasitic_consistent_with_near_zero(zero):
     g = random_tile(4, 5, seed=3)
     base = dict(r_driver=500.0, r_wire_row=20.0, r_wire_col=20.0, r_sense=500.0)
     v = np.random.default_rng(4).uniform(0, 1, 4)
-    exact = solve_crossbar(g, CrossbarParams(4, 5, **{**base, zero: 0.0}), v).currents
-    tiny = solve_crossbar(g, CrossbarParams(4, 5, **{**base, zero: 1e-5}), v).currents
+    exact = CrossbarSystem(g, CrossbarParams(4, 5, **{**base, zero: 0.0})).solve(v).currents
+    tiny = CrossbarSystem(g, CrossbarParams(4, 5, **{**base, zero: 1e-5})).solve(v).currents
     np.testing.assert_allclose(exact, tiny, rtol=1e-6)
 
 
 def test_solve_rejects_nonfinite_input():
     p = CrossbarParams(2, 2)
     with pytest.raises(ValueError):
-        solve_crossbar(np.full((2, 2), 1e-5), p, np.array([1.0, np.nan]))
+        CrossbarSystem(np.full((2, 2), 1e-5), p).solve(np.array([1.0, np.nan]))
 
 
 def test_solve_rejects_dimension_mismatch():
     p = CrossbarParams(2, 2)
     with pytest.raises(ValueError):
-        solve_crossbar(np.full((2, 3), 1e-5), p, np.ones(2))
+        CrossbarSystem(np.full((2, 3), 1e-5), p).solve(np.ones(2))
     with pytest.raises(ValueError):
-        solve_crossbar(np.full((2, 2), 1e-5), p, np.ones(3))
+        CrossbarSystem(np.full((2, 2), 1e-5), p).solve(np.ones(3))
 
 
 def test_solve_linearity():
@@ -166,7 +166,7 @@ def test_empirical_passivity_nonnegative_inputs():
         g = rng.uniform(5e-6, 5e-5, (m, n))
         v = rng.uniform(0, 1, m)
         p = CrossbarParams(m, n)
-        nonideal = solve_crossbar(g, p, v).currents
+        nonideal = CrossbarSystem(g, p).solve(v).currents
         ideal = ideal_mac(g, v)
         assert np.all(nonideal <= ideal + 1e-12)
         hits += 1
@@ -180,24 +180,31 @@ def test_solve_oracle_property(m, n, seed):
     g = rng.uniform(1e-6, 1e-4, (m, n))
     rd, rr, rc, rs = rng.uniform(0.5, 5e3, 4)
     v = rng.uniform(-2, 2, m)
-    ours = solve_crossbar(g, CrossbarParams(m, n, r_driver=rd, r_wire_row=rr,
-                                            r_wire_col=rc, r_sense=rs), v).currents
+    ours = CrossbarSystem(g, CrossbarParams(m, n, r_driver=rd, r_wire_row=rr,
+                                            r_wire_col=rc, r_sense=rs)).solve(v).currents
     ref = dense_mna_currents(g, rd, rr, rc, rs, v)
     np.testing.assert_allclose(ours, ref, rtol=1e-9, atol=1e-18)
 
 
-# --------------------------------------------- extract_effective_conductance
+# ------------------------------------- CrossbarSystem.effective_conductance
 
 
 def test_effective_conductance_ideal_limit():
     g = random_tile(6, 4, seed=7)
-    g_eff = extract_effective_conductance(g, ideal_params(6, 4))
+    g_eff = CrossbarSystem(g, ideal_params(6, 4)).effective_conductance()
     np.testing.assert_allclose(g_eff, g, rtol=1e-9)
+
+
+@pytest.mark.parametrize("v_read", [0.3, 0.7])
+def test_effective_conductance_ideal_limit_bitwise_for_any_read_voltage(v_read):
+    g = random_tile(32, 32, seed=14)
+    p = CrossbarParams(32, 32, sigma_dev=0.0, v_read=v_read, **IDEAL)
+    assert np.array_equal(CrossbarSystem(g, p).effective_conductance(), g)
 
 
 def test_effective_conductance_one_cell_series_formula():
     p = CrossbarParams(1, 1, r_driver=1e3, r_wire_row=0, r_wire_col=0, r_sense=1e3)
-    g_eff = extract_effective_conductance(np.array([[1e-4]]), p)
+    g_eff = CrossbarSystem(np.array([[1e-4]]), p).effective_conductance()
     assert g_eff[0, 0] == pytest.approx(1.0 / 12000.0, rel=1e-12)
 
 
@@ -225,7 +232,7 @@ def test_effective_conductance_64x64_runtime():
     import time
     g = random_tile(64, 64, seed=11)
     t0 = time.perf_counter()
-    g_eff = extract_effective_conductance(g, CrossbarParams(64, 64))
+    g_eff = CrossbarSystem(g, CrossbarParams(64, 64)).effective_conductance()
     elapsed = time.perf_counter() - t0
     assert g_eff.shape == (64, 64)
     assert elapsed < 2.0
@@ -314,7 +321,7 @@ def test_nf_grows_with_tile_size_smoke():
             g = random_tile(size, size, seed=200 + seed)
             p = CrossbarParams(size, size, sigma_dev=0.0)
             ideal = ideal_mac(g, np.ones(size))
-            non = solve_crossbar(g, p, np.ones(size)).currents
+            non = CrossbarSystem(g, p).solve(np.ones(size)).currents
             per_seed.append(nonideality_factor(ideal, non).mean_nf)
         means[size] = np.mean(per_seed)
     assert means[32] > means[16] > means[8] > 0
@@ -331,7 +338,7 @@ def test_nf_drops_with_low_conductance_fraction_smoke():
             mask = rng.random((16, 16)) < frac
             g[mask] = p.g_min
             ideal = ideal_mac(g, np.ones(16))
-            non = solve_crossbar(g, p, np.ones(16)).currents
+            non = CrossbarSystem(g, p).solve(np.ones(16)).currents
             per_seed.append(nonideality_factor(ideal, non).mean_nf)
         means.append(np.mean(per_seed))
     assert all(a > b for a, b in zip(means, means[1:]))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from xbarprune.circuit import (
     nonideality_factor,
 )
 from xbarprune.mapping import (
-    column_metric,
     column_metrics,
     conductances_to_weights,
     partition,
@@ -117,7 +118,7 @@ def test_partition_4x6_into_2x2_tiles():
     w = np.arange(24, dtype=float).reshape(4, 6)
     tiles, record = partition(w, 2)
     assert len(tiles) == 6
-    assert record.row_pad == 0 and record.col_pad == 0
+    assert all(pl.rows.size == 2 and pl.cols.size == 2 for pl in record.tile_placements)
     blocks = [(pl.row_block, pl.col_block) for pl in record.tile_placements]
     assert blocks == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
 
@@ -126,7 +127,9 @@ def test_partition_5x5_into_4x4_tiles_with_padding():
     w = np.ones((5, 5))
     tiles, record = partition(w, 4)
     assert len(tiles) == 4
-    assert record.row_pad == 3 and record.col_pad == 3
+    # real rows/cols per tile; the rest of each 4 x 4 tile is padding
+    assert [(pl.rows.size, pl.cols.size) for pl in record.tile_placements] == \
+        [(4, 4), (4, 1), (1, 4), (1, 1)]
     assert all(t.shape == (4, 4) for t in tiles)
     # edge tile carries a single real value
     assert tiles[-1][0, 0] == 1.0 and tiles[-1][1:, :].sum() == 0.0
@@ -136,7 +139,8 @@ def test_partition_64x64_single_tile():
     w = np.random.default_rng(1).normal(size=(64, 64))
     tiles, record = partition(w, 64)
     assert len(tiles) == 1
-    assert record.row_pad == 0 and record.col_pad == 0
+    pl = record.tile_placements[0]
+    assert pl.rows.size == 64 and pl.cols.size == 64
     np.testing.assert_array_equal(tiles[0], w)
 
 
@@ -190,12 +194,20 @@ def test_partition_recombine_property(rows, cols, n, seed):
 # ----------------------------------------------------------- rearrangement
 
 
-def test_column_metric_hand_values():
-    assert column_metric(np.array([0.2, 0.2])) == 0.0
-    assert column_metric(np.array([0.1, 0.3])) == pytest.approx(np.sqrt(0.02))
-    assert column_metric(np.array([0.9, 0.7])) == pytest.approx(np.sqrt(0.08))
-    with pytest.raises(ValueError):
-        column_metric(np.array([]))
+def test_column_metrics_hand_values():
+    metrics = column_metrics(np.array([[0.2, 0.1, 0.9],
+                                       [0.2, 0.3, 0.7]]))
+    assert metrics[0] == 0.0
+    assert metrics[1] == pytest.approx(np.sqrt(0.02))
+    assert metrics[2] == pytest.approx(np.sqrt(0.08))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_rearrange_rejects_empty(shape):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            rearrange_columns(np.empty(shape))
 
 
 def test_rearrange_orders_by_metric():

@@ -1,0 +1,46 @@
+"""The package's advertised surface: documented modules, ``__all__`` and
+console scripts all resolve to code that exists."""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+import xbarprune
+
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+
+
+def documented_modules():
+    lines = xbarprune.__doc__.split("Modules\n-------\n", 1)[1].splitlines()
+    names = []
+    for line in lines:
+        if not line.strip():
+            break
+        names.append(line.split()[0])
+    return names
+
+
+def test_docstring_lists_every_module():
+    package_dir = Path(xbarprune.__file__).parent
+    on_disk = {p.stem for p in package_dir.glob("*.py") if p.stem != "__init__"}
+    assert set(documented_modules()) == on_disk
+
+
+@pytest.mark.parametrize("name", documented_modules())
+def test_documented_module_imports(name):
+    importlib.import_module(f"xbarprune.{name}")
+
+
+def test_all_names_resolve():
+    for name in xbarprune.__all__:
+        assert hasattr(xbarprune, name), name
+
+
+def test_console_scripts_resolve():
+    tomllib = pytest.importorskip("tomllib")
+    with open(PYPROJECT, "rb") as fh:
+        scripts = tomllib.load(fh)["project"].get("scripts", {})
+    for script, target in scripts.items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), script

@@ -10,7 +10,6 @@ from xbarprune.pruning import (
     SparsityPattern,
     apply_mask,
     cf_compaction,
-    compact_cf,
     compact_xcs,
     compact_xrs,
     compression_rate,
@@ -136,12 +135,13 @@ def test_cf_mask_fraction_property(s, seed):
 # -------------------------------------------------------------- compaction
 
 
-def test_compact_cf_basic_example():
+def test_cf_compaction_basic_example():
     w_l = np.arange(12, dtype=float).reshape(3, 4)
     w_l[:, [1, 3]] = 0.0
     w_next = np.arange(8.0).reshape(4, 2) + 1.0
     w_next[[1, 3], :] = 0.0
-    wlc, wnc, (desc_l, desc_next) = compact_cf(w_l, w_next)
+    desc_l, desc_next = cf_compaction(w_l != 0), cf_compaction(w_next != 0)
+    wlc, wnc = desc_l.apply(w_l), desc_next.apply(w_next)
     assert wlc.shape == (3, 2)
     np.testing.assert_array_equal(wlc, w_l[:, [0, 2]])
     assert wnc.shape == (2, 2)
@@ -150,28 +150,23 @@ def test_compact_cf_basic_example():
     np.testing.assert_array_equal(desc_next.invert(wnc), w_next)
 
 
-def test_compact_cf_identity_without_zero_columns():
+def test_cf_compaction_identity_without_zero_columns():
     w_l = np.ones((3, 4))
     w_next = np.ones((4, 2))
-    wlc, wnc, _ = compact_cf(w_l, w_next)
-    np.testing.assert_array_equal(wlc, w_l)
-    np.testing.assert_array_equal(wnc, w_next)
+    np.testing.assert_array_equal(cf_compaction(w_l != 0).apply(w_l), w_l)
+    np.testing.assert_array_equal(cf_compaction(w_next != 0).apply(w_next), w_next)
 
 
-def test_compact_cf_rejects_inconsistent_masks():
-    w_l = np.ones((3, 4))
-    w_l[:, 1] = 0.0
-    w_next = np.ones((8, 2))   # rows grouped in pairs; rows 2,3 should be zero
-    with pytest.raises(ValueError):
-        compact_cf(w_l, w_next)
-
-
-def test_compact_cf_roundtrip_on_generated_masks():
+def test_cf_compaction_roundtrip_on_generated_masks():
     pat = gen_mask_cf(two_conv_model(), 0.5, seed=11)
     rng = np.random.default_rng(0)
     w1 = rng.normal(size=(9, 8)) * pat.masks["conv1"]
     w2 = rng.normal(size=(72, 16)) * pat.masks["conv2"]
-    wlc, wnc, (d1, d2) = compact_cf(w1, w2, pat.masks["conv1"], pat.masks["conv2"])
+    d1, d2 = cf_compaction(pat.masks["conv1"]), cf_compaction(pat.masks["conv2"])
+    wlc, wnc = d1.apply(w1), d2.apply(w2)
+    # the filters dropped from conv1 are exactly the row groups dropped from conv2
+    assert wnc.shape[0] == 9 * wlc.shape[1]
+    np.testing.assert_array_equal(d2.kept_rows // 9, np.repeat(d1.kept_cols, 9))
     np.testing.assert_array_equal(d1.invert(wlc), w1)
     np.testing.assert_array_equal(d2.invert(wnc), w2)
 
