@@ -285,8 +285,9 @@ def layer_nf(w: np.ndarray, params: CrossbarParams, *,
              rearrange: bool = False, rearrange_order: str = "ascending",
              compaction: object | None = None, master_seed: int = 0,
              layer_index: int = 0) -> LayerNfReport:
-    """NF report only: same tiles as simulate_layer but skips the per-row
-    extraction and decode, so it is roughly n_rows times cheaper."""
+    """NF report only: same tiles as simulate_layer without G_eff, decode
+    and recombine. G_eff costs less than the solve both run per tile, so
+    the saving is small; the factorization dominates either way."""
     tiles, record = _prepare(w, params, rearrange, rearrange_order, compaction)
     return aggregate_nf([report for _, _, report in
                          _simulate_tiles(tiles, record, params, master_seed, layer_index)])

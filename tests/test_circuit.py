@@ -1,13 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_tile
 from oracles import dense_mna_currents
+from xbarprune import circuit
 from xbarprune.circuit import (
     CrossbarParams,
     CrossbarSystem,
+    _topology,
     apply_device_variation,
     default_params,
     ideal_mac,
@@ -180,10 +185,12 @@ def test_solve_oracle_property(m, n, seed):
     g = rng.uniform(1e-6, 1e-4, (m, n))
     rd, rr, rc, rs = rng.uniform(0.5, 5e3, 4)
     v = rng.uniform(-2, 2, m)
-    ours = CrossbarSystem(g, CrossbarParams(m, n, r_driver=rd, r_wire_row=rr,
-                                            r_wire_col=rc, r_sense=rs)).solve(v).currents
+    system = CrossbarSystem(g, CrossbarParams(m, n, r_driver=rd, r_wire_row=rr,
+                                              r_wire_col=rc, r_sense=rs))
     ref = dense_mna_currents(g, rd, rr, rc, rs, v)
-    np.testing.assert_allclose(ours, ref, rtol=1e-9, atol=1e-18)
+    np.testing.assert_allclose(system.solve(v).currents, ref, rtol=1e-9, atol=1e-18)
+    np.testing.assert_allclose(system.effective_conductance().T @ v, ref,
+                               rtol=1e-9, atol=1e-18)
 
 
 # ------------------------------------- CrossbarSystem.effective_conductance
@@ -226,6 +233,66 @@ def test_effective_conductance_zero_sense_path():
     g_eff = sys_.effective_conductance()
     v = np.array([0.3, -0.2, 0.9])
     np.testing.assert_allclose(sys_.solve(v).currents, g_eff.T @ v, rtol=1e-9)
+
+
+ZERO_OHM_NAMES = ("r_driver", "r_wire_row", "r_wire_col", "r_sense")
+
+
+@pytest.mark.parametrize("zeros", range(16), ids=lambda z: "zero:" + "+".join(
+    name for bit, name in enumerate(ZERO_OHM_NAMES) if z >> bit & 1) or "none")
+def test_effective_conductance_every_zero_ohm_pattern(zeros):
+    # 0 S devices, including a whole row and a whole column: each of these
+    # reaches ground only through the tie of its source or sense terminal
+    positive = dict(r_driver=300.0, r_wire_row=7.0, r_wire_col=9.0, r_sense=500.0)
+    p = CrossbarParams(5, 7, **{name: 0.0 if zeros >> bit & 1 else positive[name]
+                                for bit, name in enumerate(ZERO_OHM_NAMES)})
+    rng = np.random.default_rng(19)
+    g = random_tile(5, 7, seed=20)
+    g[rng.random((5, 7)) < 0.3] = 0.0
+    g[2, :] = 0.0
+    g[:, 4] = 0.0
+    system = CrossbarSystem(g, p)
+    v = rng.uniform(0.1, 1.0, 5)
+    np.testing.assert_allclose(system.effective_conductance().T @ v,
+                               system.solve(v).currents, rtol=1e-12, atol=0)
+
+
+def test_topology_cache_does_not_change_results():
+    _topology.cache_clear()
+    p = CrossbarParams(6, 5)
+    g = random_tile(6, 5, seed=21)
+    v = np.random.default_rng(22).uniform(0, 1, 6)
+    cold = CrossbarSystem(g, p)
+    cold_g_eff, cold_res = cold.effective_conductance(), cold.solve(v)
+    CrossbarSystem(random_tile(4, 9, seed=23), CrossbarParams(4, 9))
+    CrossbarSystem(random_tile(6, 5, seed=24), CrossbarParams(6, 5, r_sense=0.0))
+    warm = CrossbarSystem(g, p)
+    assert _topology.cache_info().hits >= 1
+    assert np.array_equal(warm.effective_conductance(), cold_g_eff)
+    warm_res = warm.solve(v)
+    for name in ("currents", "v_row", "v_col"):
+        assert np.array_equal(getattr(warm_res, name), getattr(cold_res, name))
+
+
+@pytest.mark.parametrize("overrides", [{}, dict(r_sense=0.0),
+                                       dict(r_driver=0.0, r_wire_row=0.0)],
+                         ids=["default", "zero_sense", "ideal_rows"])
+def test_effective_conductance_allocates_only_port_sized_arrays(overrides):
+    m, n = 48, 40
+    system = CrossbarSystem(random_tile(m, n, seed=25), CrossbarParams(m, n, **overrides))
+    tracemalloc.start()
+    try:
+        system.effective_conductance()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (m + n) ** 2
+
+
+def test_factorization_must_eliminate_ports_last(monkeypatch):
+    monkeypatch.setattr(circuit, "splu", lambda A, **_: spla.splu(A, permc_spec="COLAMD"))
+    with pytest.raises(RuntimeError, match="ports last"):
+        CrossbarSystem(random_tile(8, 8, seed=26), CrossbarParams(8, 8))
 
 
 def test_effective_conductance_64x64_runtime():
