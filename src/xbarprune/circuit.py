@@ -322,8 +322,12 @@ class CrossbarSystem:
         return -self._port_y[:self.params.n_cols].T
 
     def kcl_residual(self, v: np.ndarray, result: SolveResult) -> float:
-        """Worst relative KCL violation over the interior supernodes,
-        recomputed from individual branch currents."""
+        """Worst, over the interior supernodes, of the net current into the
+        node over the sum of g * (|V_a| + |V_b|) over its branches: the
+        componentwise (Oettli-Prager) backward error of the node voltages,
+        recomputed from individual branch currents. A node that carries no
+        current, such as one under a row of 0 S devices, reads the rounding
+        of its voltages, not 1."""
         topo = self._topo
         mn = self.g.size
         pot = np.zeros(topo.root.size)
@@ -331,13 +335,15 @@ class CrossbarSystem:
         pot[1:2 * mn:2] = result.v_col.ravel()
         pot[2 * mn:2 * mn + self.params.n_rows] = np.asarray(v, dtype=float)
         a, b = topo.branch_a, topo.branch_b
-        cur = np.concatenate([self.g.ravel(), topo.fixed_g]) * (pot[a] - pot[b])
+        g = np.concatenate([self.g.ravel(), topo.fixed_g])
+        cur = g * (pot[a] - pot[b])
+        mag = g * (np.abs(pot[a]) + np.abs(pot[b]))
         net = np.zeros(pot.size)
         scale = np.zeros(pot.size)
         np.add.at(net, topo.root[a], -cur)
         np.add.at(net, topo.root[b], cur)
-        np.add.at(scale, topo.root[a], np.abs(cur))
-        np.add.at(scale, topo.root[b], np.abs(cur))
+        np.add.at(scale, topo.root[a], mag)
+        np.add.at(scale, topo.root[b], mag)
         free = topo.interior
         if free.size == 0:
             return 0.0

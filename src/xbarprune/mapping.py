@@ -1,11 +1,11 @@
 """Layer weights to crossbar tiles and back.
 
-The forward path is compaction T (optional) -> column rearrangement R
-(optional) -> partition into padded n x n tiles -> conductance encoding;
-after the circuit has been simulated the non-ideal conductances are
-decoded and the inverse transforms R^-1, T^-1 reassemble a full-size
-non-ideal weight matrix. A MappingRecord carries everything needed for
-the exact inversion.
+Every layout is a list of TilePlacements: the rows and columns of the
+original weight matrix that fill each padded n x n tile. C/F compaction T
+and column rearrangement R only choose those indices, and XCS/XRS
+segment packing lists them directly, so after the tiles are encoded,
+simulated and decoded one scatter reassembles the non-ideal weight
+matrix; no transform has to be inverted.
 
 Signed weights are encoded as magnitude-to-conductance with a digitally
 tracked sign applied at decode time, so a single crossbar per tile
@@ -28,30 +28,19 @@ from .circuit import (
     ideal_mac,
     nonideality_factor,
 )
-from .pruning import CfCompaction, SegmentPacking
+from .pruning import CfCompaction, SegmentPacking, TilePlacement
 
 REARRANGE_ORDERS = ("ascending", "center_out")
 
 
 @dataclass
-class TilePlacement:
-    """Where one padded tile's real content lives in the source matrix."""
-
-    row_block: int
-    col_block: int
-    rows: np.ndarray      # source row indices, length <= n
-    cols: np.ndarray      # source column indices, length <= n
-
-
-@dataclass
 class MappingRecord:
-    """Bookkeeping needed to invert a layer mapping exactly."""
+    """A layer's encoding scale, shape and tile placements; the placements
+    index the original matrix, so recombine is one scatter."""
 
     w_scale: float
     assembled_shape: tuple[int, int]
     tile_placements: list[TilePlacement]
-    column_permutation: np.ndarray | None = None
-    pruning_compaction: object | None = None   # CfCompaction | SegmentPacking
 
 
 @dataclass
@@ -109,6 +98,14 @@ def _gather_tile(mat: np.ndarray, pl: TilePlacement, n: int) -> np.ndarray:
     return tile
 
 
+def _grid(rows: np.ndarray, cols: np.ndarray, n: int) -> list[TilePlacement]:
+    """Cut the source row and column indices into n-sized chunks: one
+    placement per (row chunk, column chunk), row-major."""
+    return [TilePlacement(i, j, rows[i * n:(i + 1) * n], cols[j * n:(j + 1) * n])
+            for i in range(math.ceil(rows.size / n))
+            for j in range(math.ceil(cols.size / n))]
+
+
 def partition(w: np.ndarray, n: int):
     """Split into ceil(rows/n) x ceil(cols/n) zero-padded n x n tiles."""
     w = np.asarray(w, dtype=float)
@@ -116,26 +113,14 @@ def partition(w: np.ndarray, n: int):
         raise ValueError(f"cannot partition matrix of shape {w.shape}")
     if n < 1:
         raise ValueError(f"tile size must be >= 1, got {n}")
-    rows, cols = w.shape
-    rb, cb = math.ceil(rows / n), math.ceil(cols / n)
-    placements = []
-    for i in range(rb):
-        for j in range(cb):
-            placements.append(TilePlacement(
-                row_block=i, col_block=j,
-                rows=np.arange(i * n, min(rows, (i + 1) * n)),
-                cols=np.arange(j * n, min(cols, (j + 1) * n)),
-            ))
-    record = MappingRecord(
-        w_scale=float(np.max(np.abs(w))),
-        assembled_shape=(rows, cols),
-        tile_placements=placements,
-    )
+    placements = _grid(np.arange(w.shape[0]), np.arange(w.shape[1]), n)
+    record = MappingRecord(float(np.max(np.abs(w))), w.shape, placements)
     return [_gather_tile(w, pl, n) for pl in placements], record
 
 
 def recombine(tiles: list[np.ndarray], record: MappingRecord) -> np.ndarray:
-    """Strip padding, scatter tiles back, undo R and T."""
+    """Strip padding and scatter every tile to its recorded source indices;
+    entries no tile covers (pruned rows and columns) come back zero."""
     if len(tiles) != len(record.tile_placements):
         raise ValueError(f"{len(tiles)} tiles for {len(record.tile_placements)} "
                          "recorded placements")
@@ -144,12 +129,6 @@ def recombine(tiles: list[np.ndarray], record: MappingRecord) -> np.ndarray:
         if tile.shape[0] < pl.rows.size or tile.shape[1] < pl.cols.size:
             raise ValueError("tile smaller than its recorded placement")
         out[np.ix_(pl.rows, pl.cols)] = tile[:pl.rows.size, :pl.cols.size]
-    if record.column_permutation is not None:
-        restored = np.empty_like(out)
-        restored[:, record.column_permutation] = out
-        out = restored
-    if isinstance(record.pruning_compaction, CfCompaction):
-        out = record.pruning_compaction.invert(out)
     return out
 
 
@@ -205,7 +184,8 @@ def aggregate_nf(reports: list[NfReport]) -> LayerNfReport:
 
 
 def _prepare(w, params, rearrange, rearrange_order, compaction):
-    """Validate, apply T and R, and gather the padded n x n tiles.
+    """Validate, place every tile in the original matrix (T and R choose
+    the source indices) and gather the padded n x n tiles.
     Returns (tiles, record)."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.size == 0:
@@ -220,31 +200,29 @@ def _prepare(w, params, rearrange, rearrange_order, compaction):
     if w_scale <= 0:
         raise ValueError("layer weights are all zero; nothing to map")
 
+    if (isinstance(compaction, (CfCompaction, SegmentPacking))
+            and compaction.orig_shape != w.shape):
+        raise ValueError(f"compaction was built for {compaction.orig_shape}, "
+                         f"matrix is {w.shape}")
     if isinstance(compaction, SegmentPacking):
         if rearrange:
             raise ValueError("column rearrangement needs a matrix-form layout; "
                              "it cannot follow XCS/XRS segment packing")
-        if compaction.orig_shape != w.shape:
-            raise ValueError(f"packing was built for {compaction.orig_shape}, "
-                             f"matrix is {w.shape}")
         if compaction.n != n:
             raise ValueError(f"packing tile size {compaction.n} != crossbar size {n}")
-        placements = [TilePlacement(br, bc, rows, cols)
-                      for br, bc, rows, cols in compaction.tiles]
-        record = MappingRecord(w_scale=w_scale, assembled_shape=w.shape,
-                               tile_placements=placements,
-                               pruning_compaction=compaction)
-        return [_gather_tile(w, pl, n) for pl in placements], record
-
-    mat = compaction.apply(w) if isinstance(compaction, CfCompaction) else w
-    perm = None
-    if rearrange:
-        mat, perm = rearrange_columns(mat, rearrange_order)
-    tiles, record = partition(mat, n)
-    record.w_scale = w_scale
-    record.column_permutation = perm
-    record.pruning_compaction = compaction
-    return tiles, record
+        placements = list(compaction.tiles)
+    else:
+        rows, cols = np.arange(w.shape[0]), np.arange(w.shape[1])
+        if isinstance(compaction, CfCompaction):
+            rows, cols = compaction.kept_rows, compaction.kept_cols
+        if rows.size == 0 or cols.size == 0:
+            raise ValueError("compaction keeps no rows or no columns")
+        if rearrange:
+            _, perm = rearrange_columns(w[np.ix_(rows, cols)], rearrange_order)
+            cols = cols[perm]
+        placements = _grid(rows, cols, n)
+    record = MappingRecord(w_scale, w.shape, placements)
+    return [_gather_tile(w, pl, n) for pl in placements], record
 
 
 def _simulate_tiles(tiles, record, params, master_seed, layer_index):
@@ -264,9 +242,10 @@ def simulate_layer(w: np.ndarray, params: CrossbarParams, *,
                    rearrange: bool = False, rearrange_order: str = "ascending",
                    compaction: object | None = None, master_seed: int = 0,
                    layer_index: int = 0) -> LayerSimResult:
-    """Full per-layer pipeline: T -> R -> partition -> encode -> device
-    variation -> effective conductances -> decode -> recombine (R^-1, T^-1),
-    with an NF report from all-ones inputs on every tile."""
+    """Full per-layer pipeline: place tiles (T and R choose the source
+    indices) -> gather -> encode -> device variation -> effective
+    conductances -> decode -> recombine (one scatter back to the original
+    matrix), with an NF report from all-ones inputs on every tile."""
     tiles, record = _prepare(w, params, rearrange, rearrange_order, compaction)
     out_tiles, reports = [], []
     for system, signs, report in _simulate_tiles(tiles, record, params,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,9 +46,18 @@ class SparsityPattern:
             raise ValueError(f"sparsity ratio must be in [0, 1), got {self.s}")
 
 
+class TilePlacement(NamedTuple):
+    """Where one padded tile's real content lives in the original matrix."""
+
+    row_block: int
+    col_block: int
+    rows: np.ndarray      # source row indices, length <= n
+    cols: np.ndarray      # source column indices, length <= n
+
+
 @dataclass
 class CfCompaction:
-    """Rows/columns surviving C/F pruning for one layer; exactly invertible."""
+    """Rows/columns surviving C/F pruning for one layer."""
 
     orig_shape: tuple[int, int]
     kept_rows: np.ndarray
@@ -59,25 +69,20 @@ class CfCompaction:
                              f"{self.orig_shape}")
         return w[np.ix_(self.kept_rows, self.kept_cols)]
 
-    def invert(self, compacted: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.orig_shape, dtype=compacted.dtype)
-        out[np.ix_(self.kept_rows, self.kept_cols)] = compacted
-        return out
-
 
 @dataclass
 class SegmentPacking:
     """Placement of surviving XCS/XRS segments into dense crossbar tiles.
 
-    ``tiles`` holds one (block_r, block_c, row_indices, col_indices) tuple
-    per packed tile, with indices referring to the original matrix, so the
-    scatter back is the exact inverse transform.
+    ``tiles`` holds one TilePlacement per packed tile. Its indices refer to
+    the original matrix, like those of every other layout, so one scatter
+    reassembles the layer.
     """
 
     kind: str                         # "xcs" | "xrs"
     n: int
     orig_shape: tuple[int, int]
-    tiles: list[tuple[int, int, np.ndarray, np.ndarray]]
+    tiles: list[TilePlacement]
 
 
 def _layer_rng(seed: int, layer_index: int) -> np.random.Generator:
@@ -185,13 +190,13 @@ def _segment_packing(mask: np.ndarray, n: int, kind: str) -> SegmentPacking:
             r0, r1 = rb * n, min(rows, (rb + 1) * n)
             surv = np.flatnonzero(mask[r0:r1, :].any(axis=0))
             for t in range(math.ceil(surv.size / n)):
-                tiles.append((rb, t, np.arange(r0, r1), surv[t * n:(t + 1) * n]))
+                tiles.append(TilePlacement(rb, t, np.arange(r0, r1), surv[t * n:(t + 1) * n]))
     else:
         for cb in range(math.ceil(cols / n)):
             c0, c1 = cb * n, min(cols, (cb + 1) * n)
             surv = np.flatnonzero(mask[:, c0:c1].any(axis=1))
             for t in range(math.ceil(surv.size / n)):
-                tiles.append((t, cb, surv[t * n:(t + 1) * n], np.arange(c0, c1)))
+                tiles.append(TilePlacement(t, cb, surv[t * n:(t + 1) * n], np.arange(c0, c1)))
     return SegmentPacking(kind, n, (rows, cols), tiles)
 
 

@@ -161,6 +161,17 @@ def test_kcl_residual_small_everywhere():
         assert sys_.kcl_residual(v, res) <= 1e-9
 
 
+def test_kcl_residual_sees_a_perturbed_voltage():
+    # beside an all-zero device row, which carries no current
+    g = random_tile(5, 7, seed=20)
+    g[2, :] = 0.0
+    v = np.random.default_rng(19).uniform(0.1, 1.0, 5)
+    system = CrossbarSystem(g, CrossbarParams(5, 7))
+    result = system.solve(v)
+    result.v_col[3, 1] += 1e-6
+    assert system.kcl_residual(v, result) > 1e-8
+
+
 def test_empirical_passivity_nonnegative_inputs():
     # IR drop can only lose current for nonnegative inputs
     hits = 0
@@ -242,7 +253,8 @@ ZERO_OHM_NAMES = ("r_driver", "r_wire_row", "r_wire_col", "r_sense")
     name for bit, name in enumerate(ZERO_OHM_NAMES) if z >> bit & 1) or "none")
 def test_effective_conductance_every_zero_ohm_pattern(zeros):
     # 0 S devices, including a whole row and a whole column: each of these
-    # reaches ground only through the tie of its source or sense terminal
+    # reaches ground only through the tie of its source or sense terminal,
+    # and their nodes carry no current, so KCL is measured against voltages
     positive = dict(r_driver=300.0, r_wire_row=7.0, r_wire_col=9.0, r_sense=500.0)
     p = CrossbarParams(5, 7, **{name: 0.0 if zeros >> bit & 1 else positive[name]
                                 for bit, name in enumerate(ZERO_OHM_NAMES)})
@@ -253,8 +265,10 @@ def test_effective_conductance_every_zero_ohm_pattern(zeros):
     g[:, 4] = 0.0
     system = CrossbarSystem(g, p)
     v = rng.uniform(0.1, 1.0, 5)
+    result = system.solve(v)
     np.testing.assert_allclose(system.effective_conductance().T @ v,
-                               system.solve(v).currents, rtol=1e-12, atol=0)
+                               result.currents, rtol=1e-12, atol=0)
+    assert system.kcl_residual(v, result) <= 1e-12
 
 
 def test_topology_cache_does_not_change_results():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xbarprune import mapping
 from xbarprune.circuit import (
     CrossbarParams,
     CrossbarSystem,
@@ -22,7 +23,7 @@ from xbarprune.mapping import (
     layer_nf,
     weights_to_conductances,
 )
-from xbarprune.pruning import cf_compaction, compact_xcs
+from xbarprune.pruning import CfCompaction, cf_compaction, compact_xcs, compact_xrs
 
 IDEAL = dict(r_driver=0.0, r_wire_row=0.0, r_wire_col=0.0, r_sense=0.0, sigma_dev=0.0)
 
@@ -155,23 +156,40 @@ def test_recombine_round_trip_bitwise():
     np.testing.assert_array_equal(recombine(tiles, record), w)
 
 
-def test_recombine_with_permutation_round_trip():
-    w = np.random.default_rng(3).normal(size=(6, 9))
-    permuted, perm = rearrange_columns(w)
-    tiles, record = partition(permuted, 4)
-    record.column_permutation = perm
+LAYOUTS = [("dense", None), ("dense", "ascending"), ("cf", None), ("cf", "ascending"),
+           ("cf", "center_out"), ("xcs", None), ("xrs", None)]
+
+
+@pytest.mark.parametrize("layout,order", LAYOUTS)
+def test_every_layout_recombines_to_the_masked_matrix(layout, order):
+    # 21 x 19 at n = 8: every layout has padded edge tiles
+    n, mask = 8, np.ones((21, 19))
+    if layout == "cf":
+        mask[[2, 9, 10], :] = 0.0
+        mask[:, [0, 5, 17]] = 0.0
+    elif layout == "xcs":
+        mask[:8, [1, 4, 11]] = 0.0
+        mask[8:16, [0, 2, 9, 18]] = 0.0
+    elif layout == "xrs":
+        mask[[1, 4, 5, 11, 12, 20], :8] = 0.0
+        mask[[0, 3, 7], 8:16] = 0.0
+    w = np.random.default_rng(13).normal(size=mask.shape) * mask
+    compaction = None
+    if layout == "cf":
+        compaction = cf_compaction(mask)
+    elif layout in ("xcs", "xrs"):
+        compaction = (compact_xcs if layout == "xcs" else compact_xrs)(w, n, mask=mask)
+    tiles, record = mapping._prepare(w, CrossbarParams(n, n), order is not None,
+                                     order or "ascending", compaction)
+    assert all(t.shape == (n, n) for t in tiles)
     np.testing.assert_array_equal(recombine(tiles, record), w)
-
-
-def test_recombine_with_cf_compaction_round_trip():
-    mask = np.outer([1, 1, 0, 1], [1, 0, 1, 1, 0]).astype(float)
-    w = np.random.default_rng(4).normal(size=(4, 5)) * mask
-    comp = cf_compaction(mask)
-    tiles, record = partition(comp.apply(w), 2)
-    record.pruning_compaction = comp
-    out = recombine(tiles, record)
-    np.testing.assert_array_equal(out, w)
-    assert np.all(out[2, :] == 0.0)
+    if layout in ("dense", "cf"):
+        # the tiles are those of the compacted (T), rearranged (R) matrix
+        mat = w if compaction is None else compaction.apply(w)
+        if order is not None:
+            mat, _ = rearrange_columns(mat, order)
+        for tile, expected in zip(tiles, partition(mat, n)[0], strict=True):
+            np.testing.assert_array_equal(tile, expected)
 
 
 def test_recombine_rejects_mismatched_tiles():
@@ -320,13 +338,20 @@ def test_layer_nf_agrees_with_simulate_layer():
     np.testing.assert_array_equal(full.nf.per_tile_mean, nf_only.per_tile_mean)
 
 
-def test_simulate_layer_xcs_packing_round_trip_ideal():
+@pytest.mark.parametrize("kind", ["xcs", "xrs"])
+def test_simulate_layer_xcs_packing_round_trip_ideal(kind):
     mask = np.ones((24, 10))
-    mask[:8, [1, 4]] = 0.0
-    mask[8:16, [0, 2, 9]] = 0.0
+    if kind == "xcs":
+        mask[:8, [1, 4]] = 0.0
+        mask[8:16, [0, 2, 9]] = 0.0
+        compact = compact_xcs
+    else:
+        mask[[1, 4, 5, 11, 12, 17, 20, 23], :8] = 0.0
+        mask[[0, 2, 9], 8:] = 0.0
+        compact = compact_xrs
     w = np.random.default_rng(10).normal(size=(24, 10)) * mask
     p = CrossbarParams(8, 8, **IDEAL)
-    packing = compact_xcs(w, 8, mask=mask)
+    packing = compact(w, 8, mask=mask)
     res = simulate_layer(w, p, compaction=packing)
     np.testing.assert_allclose(res.w_nonideal, w, rtol=1e-9, atol=1e-18)
 
@@ -337,6 +362,19 @@ def test_simulate_layer_rejects_rearrange_with_packing():
     packing = compact_xcs(w, 8)
     with pytest.raises(ValueError):
         simulate_layer(w, p, compaction=packing, rearrange=True)
+
+
+@pytest.mark.parametrize("rearrange", [False, True])
+@pytest.mark.parametrize("compaction", [
+    cf_compaction(np.ones((12, 9))),
+    CfCompaction((12, 10), np.empty(0, dtype=int), np.arange(10)),
+    CfCompaction((12, 10), np.arange(12), np.empty(0, dtype=int)),
+], ids=["other_shape", "no_rows", "no_cols"])
+def test_simulate_layer_rejects_bad_cf_compaction(compaction, rearrange):
+    w = np.random.default_rng(14).normal(size=(12, 10))
+    with pytest.raises(ValueError):
+        simulate_layer(w, CrossbarParams(8, 8), compaction=compaction,
+                       rearrange=rearrange)
 
 
 def test_simulate_layer_rejects_all_zero_and_nonfinite():

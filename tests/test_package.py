@@ -2,13 +2,15 @@
 console scripts all resolve to code that exists."""
 
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
 
 import xbarprune
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def documented_modules():
@@ -44,3 +46,14 @@ def test_console_scripts_resolve():
     for script, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), script
+
+
+def test_benchmark_hooks_resolve():
+    # perfbench wraps these callables by name; its own tests are not in the
+    # default test run, so a rename would otherwise break the benchmark
+    # without a failing test
+    if str(ROOT) not in sys.path:
+        sys.path.insert(0, str(ROOT))
+    tracing = importlib.import_module("perfbench.tracing")
+    for owner, attr, name, _ in tracing.TARGETS:
+        assert callable(getattr(owner, attr, None)), (name, attr)
