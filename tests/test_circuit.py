@@ -51,6 +51,15 @@ def test_params_rejects_bad_values(kwargs):
         CrossbarParams(**kwargs)
 
 
+def test_params_tile_size_bound():
+    # 256 is the largest side measured to fit the per-tile memory budget
+    # documented at circuit.MAX_TILE_DIM; only the validator runs here.
+    assert CrossbarParams(256, 256).n_rows == 256
+    for shape in ((257, 1), (1, 257)):
+        with pytest.raises(ValueError, match="1..256"):
+            CrossbarParams(*shape)
+
+
 # ------------------------------------------------------------- ideal_mac
 
 

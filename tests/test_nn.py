@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import direct_conv2d, numeric_gradient
+from oracles import direct_conv2d, network_forward, numeric_gradient
 from xbarprune.nn import (
     Conv2d,
     ConvSpec,
     Dense,
     DenseSpec,
+    MaxPool2,
     ModelSpec,
     Network,
     PoolSpec,
@@ -34,6 +35,22 @@ def small_data(seed=0):
     return gen_synthetic_dataset(seed, 64, 16)
 
 
+# odd, non-square maps: the pool drops a row and a column, and a (4, 2, 1)
+# map is flattened into a dense -> dense tail
+ODD_SPEC = ModelSpec((ConvSpec(2, 3, 3), ReluSpec(), PoolSpec(),
+                      ConvSpec(3, 4, 3, stride=2, padding=1), ReluSpec(),
+                      DenseSpec(8, 5), ReluSpec(), DenseSpec(5, 3)),
+                     input_shape=(2, 7, 5), init_seed=7)
+
+
+def nhwc(x):
+    return x.transpose(0, 2, 3, 1)
+
+
+def nchw(x):
+    return x.transpose(0, 3, 1, 2)
+
+
 # ------------------------------------------------------------ forward pass
 
 
@@ -42,10 +59,55 @@ def test_conv_forward_matches_direct_conv(spec):
     rng = np.random.default_rng(spec.in_ch * 10 + spec.stride)
     layer = Conv2d(spec, rng)
     x = rng.normal(size=(2, spec.in_ch, 7, 6))
-    out = layer.forward(x)
+    out = nchw(layer.forward(nhwc(x)))
     ref = direct_conv2d(x, layer.w, stride=spec.stride, padding=spec.pad())
     assert out.shape == ref.shape
     np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("spec", [
+    reference_model_spec(init_seed=5),
+    tiny_model_spec(init_seed=6),
+    ODD_SPEC,
+], ids=["reference", "tiny", "odd"])
+def test_network_forward_matches_looped_oracle(spec):
+    net = Network(spec)
+    x = np.random.default_rng(8).normal(size=(3, *spec.input_shape))
+    ref = network_forward(spec.layers, list(net.weights().values()), x)
+    np.testing.assert_allclose(net.forward(x), ref, rtol=1e-12, atol=1e-13)
+
+
+def test_network_forward_runs_float32_images_in_float64():
+    # a pool first sees the images themselves
+    net = Network(ModelSpec((PoolSpec(), ConvSpec(1, 2, 3), DenseSpec(32, 2))))
+    x = np.random.default_rng(3).random((3, 1, 8, 8)).astype(np.float32)
+    logits = net.forward(x)
+    assert logits.dtype == np.float64
+    assert logits.tobytes() == net.forward(x.astype(np.float64)).tobytes()
+
+
+@pytest.mark.parametrize("window, first", [
+    ([[2.0, 2.0], [2.0, 2.0]], (0, 0)),
+    ([[1.0, 3.0], [3.0, 3.0]], (0, 1)),
+    ([[1.0, 0.0], [4.0, 4.0]], (1, 0)),
+    ([[-0.0, 0.0], [0.0, -1.0]], (0, 0)),
+    ([[1.0, 2.0], [0.0, 5.0]], (1, 1)),
+    ([[1.0, 7.0], [np.nan, np.nan]], (1, 0)),
+    ([[np.nan, 7.0], [np.nan, 9.0]], (0, 0)),
+])
+def test_max_pool_tie_sends_gradient_to_first_entry(window, first):
+    # the entry argmax picks (the first maximum, or the first NaN) of the one
+    # 2x2 window of a 3x3 map, whose last row and column are dropped
+    x = np.full((1, 3, 3, 1), 9.0)
+    x[0, :2, :2, 0] = window
+    pool = MaxPool2()
+    out = pool.forward(x)
+    assert out.shape == (1, 1, 1, 1)
+    assert out.tobytes() == np.float64(window[first[0]][first[1]]).tobytes()
+    dx = pool.backward(np.full((1, 1, 1, 1), 5.0))
+    expected = np.zeros((1, 3, 3, 1))
+    expected[0, first[0], first[1], 0] = 5.0
+    assert dx.tobytes() == expected.tobytes()
 
 
 # --------------------------------------------------------------- gradients
@@ -55,7 +117,7 @@ def test_conv_forward_matches_direct_conv(spec):
 def test_conv_grad_w_matches_numeric_gradient(spec):
     rng = np.random.default_rng(7)
     layer = Conv2d(spec, rng)
-    x = rng.normal(size=(2, spec.in_ch, 6, 6))
+    x = nhwc(rng.normal(size=(2, spec.in_ch, 6, 6)))
     probe = rng.normal(size=layer.forward(x).shape)
     layer.backward(probe)
     idx = rng.choice(layer.w.size, size=min(12, layer.w.size), replace=False)
@@ -79,12 +141,7 @@ def test_dense_grad_w_matches_numeric_gradient():
                                rtol=1e-6, atol=1e-9)
 
 
-def test_network_backprop_matches_numeric_gradient():
-    # cross-entropy through conv, ReLU, max pooling and dense
-    net = Network(tiny_model_spec(init_seed=3))
-    data, _ = small_data(seed=3)
-    x, labels = data.images[:8], data.labels[:8]
-
+def assert_backprop_matches_numeric_gradient(net, x, labels):
     def loss():
         return softmax_cross_entropy(net.forward(x), labels)[0]
 
@@ -96,6 +153,22 @@ def test_network_backprop_matches_numeric_gradient():
         analytic = layer.grad_w.reshape(-1)[idx].copy()
         np.testing.assert_allclose(analytic, numeric_gradient(loss, layer.w, idx),
                                    rtol=1e-5, atol=1e-8)
+
+
+def test_network_backprop_matches_numeric_gradient():
+    # cross-entropy through conv, ReLU, max pooling and dense
+    data, _ = small_data(seed=3)
+    assert_backprop_matches_numeric_gradient(
+        Network(tiny_model_spec(init_seed=3)), data.images[:8], data.labels[:8])
+
+
+def test_two_conv_network_backprop_matches_numeric_gradient():
+    # the second conv's input gradient (col2im), pooling over an odd map and
+    # the flatten feed every gradient of the first conv
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(4, *ODD_SPEC.input_shape))
+    assert_backprop_matches_numeric_gradient(Network(ODD_SPEC), x,
+                                             rng.integers(0, 3, size=4))
 
 
 # ------------------------------------------------------ masks and WCT
@@ -131,6 +204,33 @@ def test_wct_keeps_every_weight_within_cutoff():
         assert np.all(np.abs(w) <= w_cut)
 
 
+# ---------------------------------------------------------------- copy
+
+
+def _arrays(layer):
+    """(attribute, array) for every ndarray a layer holds, also in tuples."""
+    for name, value in vars(layer).items():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                yield name, item
+
+
+def test_copy_after_forward_holds_only_the_weights():
+    net = Network(reference_model_spec(init_seed=1))
+    data, _ = small_data(seed=1)
+    logits = net.forward(data.images[:16])
+    dup = net.copy()
+    held = [(i, name) for i, layer in enumerate(dup.layers) for name, _ in _arrays(layer)]
+    assert held == [(net.layers.index(layer), "w") for _, layer in net.trainable]
+    originals = [a for layer in net.layers for _, a in _arrays(layer)]
+    for layer in dup.layers:
+        for _, a in _arrays(layer):
+            assert not any(np.shares_memory(a, b) for b in originals)
+    for name, w in dup.weights().items():
+        assert w.tobytes() == net.weights()[name].tobytes()
+    assert dup.forward(data.images[:16]).tobytes() == logits.tobytes()
+
+
 # ------------------------------------------------------------ model spec
 
 
@@ -142,6 +242,28 @@ def test_wct_keeps_every_weight_within_cutoff():
 ])
 def test_model_spec_dict_round_trip(spec):
     assert ModelSpec.from_dict(spec.to_dict()) == spec
+
+
+@pytest.mark.parametrize("build, reason", [
+    (lambda: ModelSpec((DenseSpec(64, 16), PoolSpec())), "needs a \\(C, H, W\\) input"),
+    (lambda: ModelSpec((DenseSpec(64, 16), ConvSpec(1, 2, 3))), "needs a \\(C, H, W\\) input"),
+    (lambda: ModelSpec((ConvSpec(1, 0, 3), DenseSpec(1, 2))), "out_ch must be >= 1"),
+    (lambda: ModelSpec((ConvSpec(0, 2, 3),), input_shape=(0, 8, 8)), "in_ch must be >= 1"),
+    (lambda: ModelSpec((ConvSpec(1, 2, 0),)), "kernel must be >= 1"),
+    (lambda: ModelSpec((ConvSpec(1, 2, -3),)), "kernel must be >= 1"),
+    (lambda: ModelSpec((ConvSpec(1, 2, 3, stride=0),)), "stride must be >= 1"),
+    (lambda: ModelSpec((DenseSpec(64, 0),)), "dense sizes must be >= 1"),
+    (lambda: ModelSpec((ConvSpec(1, 2, 3),), input_shape=(1, 0, 8)), "input_shape"),
+    (lambda: ModelSpec((ConvSpec(1, 2, 3), PoolSpec(), PoolSpec(), PoolSpec(),
+                        DenseSpec(2, 4)), input_shape=(1, 4, 4)), "empty output shape"),
+    (lambda: ModelSpec((ConvSpec(1, 2, 5, padding=0), DenseSpec(2, 4)),
+                       input_shape=(1, 3, 3)), "empty output shape"),
+], ids=["pool-after-dense", "conv-after-dense", "zero-out-channels", "zero-in-channels",
+        "zero-kernel", "negative-kernel", "zero-stride", "zero-dense-outputs",
+        "empty-input", "pools-to-0x0", "kernel-wider-than-input"])
+def test_model_spec_rejects_shapes_it_cannot_run(build, reason):
+    with pytest.raises(ValueError, match=reason):
+        build()
 
 
 # ------------------------------------------------------------ determinism
