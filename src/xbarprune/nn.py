@@ -14,18 +14,29 @@ training seed): initialization draws from one seeded generator in layer
 order, batch order comes from the training seed, and no threading touches
 the update order. Every GEMM sees its operands in one fixed K order (that
 of `unroll_conv`), and every scattered sum adds its terms in one fixed
-order. Sparsity masks are re-applied after every update so pruned weights
-stay exactly zero, and weight-constrained training projects weights into
-[-w_cut, w_cut] after every step.
+order.
+
+A channel/filter (C/F) pruned net is a narrower dense net, and `train` and
+`wct_train` run it as one: they gather the surviving rows and columns of
+every unrolled matrix into a compacted `Network`, train that, and scatter
+its weights back to the same indices, so pruned weights come back exactly
+zero and everything downstream stays indexed by the original matrices.
+XCS/XRS masks do not compact; those nets train at full width with the
+masks re-applied after every update. Weight-constrained training projects
+weights into [-w_cut, w_cut] after every step, with w_cut taken over the
+full-width weights, pruned zeros included.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from . import pruning
 
 # ---------------------------------------------------------------- specs
 
@@ -477,6 +488,14 @@ class Network:
             theirs.w = mine.w.copy()
         return out
 
+    def _drop_activations(self):
+        """Forget what the last forward pass kept in every layer for
+        backward (the underscored attributes)."""
+        for layer in self.layers:
+            for name in vars(layer):
+                if name.startswith("_"):
+                    setattr(layer, name, None)
+
 
 # ------------------------------------------------------------- training
 
@@ -499,7 +518,9 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 15
     seed: int = 0
-    pattern: object | None = None          # SparsityPattern (needs .masks)
+    # SparsityPattern (needs .method and .masks): a "cf" net trains
+    # compacted, an "xcs"/"xrs" net at full width with its masks re-applied
+    pattern: object | None = None
     wct: WctConfig | None = None
 
     def __post_init__(self):
@@ -545,7 +566,77 @@ def _masks_4d(model: Network, pattern) -> dict[str, np.ndarray]:
     return out
 
 
+@contextmanager
+def _cf_compacted(model: Network, pattern):
+    """Yield the dense sub-network that a C/F pattern leaves of `model`, its
+    weights gathered from the kept rows and columns of every unrolled
+    matrix; on exit, scatter them back into `model` at the same indices and
+    zero everywhere else.
+
+    The pattern must compact: every mask (a missing one keeps everything)
+    must be the outer product of its kept rows and columns, its kept rows
+    must be exactly the row groups of the channels the layer before keeps,
+    the first layer must keep every input and the last every output.
+    Anything else raises ValueError before `model` is touched."""
+    infos = model.spec.unrolled_layers()
+    comps = {}
+    channels = np.arange(infos[0].in_channels)
+    for info in infos:
+        shape = (info.rows, info.cols)
+        mask = np.asarray(pattern.masks.get(info.name, np.ones(shape)), dtype=float)
+        if mask.shape != shape:
+            raise ValueError(f"mask for {info.name} has shape {mask.shape}, "
+                             f"weights are {shape}")
+        comp = pruning.cf_compaction(mask)
+        block = np.zeros(shape)
+        block[np.ix_(comp.kept_rows, comp.kept_cols)] = 1.0
+        if not np.array_equal(mask, block):
+            raise ValueError(f"C/F mask for {info.name} is not whole rows "
+                             f"and columns of ones")
+        rpc = info.rows_per_channel
+        if not np.array_equal(comp.kept_rows,
+                              (channels[:, None] * rpc + np.arange(rpc)).ravel()):
+            raise ValueError(f"C/F mask for {info.name} keeps other row groups "
+                             f"than the channels the layer before keeps")
+        channels = comp.kept_cols
+        comps[info.name] = comp
+    if channels.size != infos[-1].cols:
+        raise ValueError(f"C/F mask for {infos[-1].name} prunes outputs of "
+                         f"the last layer")
+
+    sizes = iter(comps.values())
+    layers = []
+    for spec in model.spec.layers:
+        if isinstance(spec, (ConvSpec, DenseSpec)):
+            comp = next(sizes)
+            rows, cols = comp.kept_rows.size, comp.kept_cols.size
+            spec = (replace(spec, in_ch=rows // spec.kernel ** 2, out_ch=cols)
+                    if isinstance(spec, ConvSpec) else DenseSpec(rows, cols))
+        layers.append(spec)
+    sub = Network(replace(model.spec, layers=tuple(layers)))
+    full = model.unrolled_weights()
+    sub.set_unrolled_weights({name: comp.apply(full[name])
+                              for name, comp in comps.items()})
+    yield sub
+    for name, w in sub.unrolled_weights().items():
+        comp = comps[name]
+        full[name] = np.zeros(comp.orig_shape)
+        full[name][np.ix_(comp.kept_rows, comp.kept_cols)] = w
+    model.set_unrolled_weights(full)
+
+
+def _project(model, masks, w_cut):
+    """Clamp every weight into [-w_cut, w_cut] (unless w_cut is None), then
+    zero the masked ones."""
+    for name, layer in model.trainable:
+        if w_cut is not None:
+            layer.w = wct_clamp(layer.w, w_cut)
+        if name in masks:
+            layer.w *= masks[name]
+
+
 def _sgd_epochs(model, dataset, config, epochs, masks, w_cut, rng):
+    _project(model, masks, w_cut)
     losses = []
     n = len(dataset)
     for _ in range(epochs):
@@ -558,28 +649,36 @@ def _sgd_epochs(model, dataset, config, epochs, masks, w_cut, rng):
             if not np.isfinite(loss):
                 raise FloatingPointError(f"training diverged: loss = {loss}")
             model.backward(dlogits)
-            for name, layer in model.trainable:
+            for _, layer in model.trainable:
                 layer.w -= config.lr * layer.grad_w
-                if w_cut is not None:
-                    layer.w = wct_clamp(layer.w, w_cut)
-                if name in masks:
-                    layer.w *= masks[name]
+            _project(model, masks, w_cut)
             total += loss * idx.size
             seen += idx.size
         losses.append(total / seen)
     return losses
 
 
+def _fit(model, dataset, config, epochs, w_cut, rng):
+    """`epochs` of SGD on `model` under `config.pattern`, weights clamped to
+    [-w_cut, w_cut] unless w_cut is None; returns the per-epoch losses. A
+    C/F pattern trains the compacted sub-network; any other pattern trains
+    the full net with its masks re-applied after every update."""
+    pattern = config.pattern
+    if pattern is not None and pattern.method == "cf":
+        with _cf_compacted(model, pattern) as sub:
+            return _sgd_epochs(sub, dataset, config, epochs, {}, w_cut, rng)
+    masks = _masks_4d(model, pattern) if pattern is not None else {}
+    return _sgd_epochs(model, dataset, config, epochs, masks, w_cut, rng)
+
+
 def train(model: Network, dataset: Dataset, config: TrainConfig):
-    """Minibatch SGD with cross-entropy; pruned weights stay exactly zero.
-    Returns (model, per-epoch mean loss)."""
-    masks = _masks_4d(model, config.pattern) if config.pattern is not None else {}
-    for name, layer in model.trainable:
-        if name in masks:
-            layer.w = layer.w * masks[name]
+    """Minibatch SGD with cross-entropy for `config.epochs` epochs; returns
+    (model, per-epoch mean loss). Under a C/F pattern the compacted
+    sub-network trains and its weights are scattered back; under an XCS/XRS
+    pattern the full net trains with the masks re-applied after every
+    update. Either way pruned weights end exactly zero."""
     rng = np.random.default_rng(config.seed)
-    losses = _sgd_epochs(model, dataset, config, config.epochs, masks, None, rng)
-    return model, losses
+    return model, _fit(model, dataset, config, config.epochs, None, rng)
 
 
 def wct_cutoff(model: Network, percentile: float) -> float:
@@ -603,17 +702,14 @@ def wct_clamp(w: np.ndarray, w_cut: float) -> np.ndarray:
 def wct_train(model: Network, dataset: Dataset, config: TrainConfig,
               w_cut: float | None = None):
     """Short retraining with weights projected into [-w_cut, w_cut] after
-    every step (and masks re-applied); returns (model, w_cut)."""
+    every step, compacted or masked as in `train`; returns (model, w_cut).
+    Unless given, w_cut is `wct_cutoff` of the full-width weights, pruned
+    zeros included, even when a C/F net retrains compacted."""
     wct = config.wct if config.wct is not None else WctConfig()
     if w_cut is None:
         w_cut = wct_cutoff(model, wct.percentile)
-    masks = _masks_4d(model, config.pattern) if config.pattern is not None else {}
-    for name, layer in model.trainable:
-        layer.w = wct_clamp(layer.w, w_cut)
-        if name in masks:
-            layer.w = layer.w * masks[name]
     rng = np.random.default_rng([config.seed, 1])
-    _sgd_epochs(model, dataset, config, wct.epochs, masks, w_cut, rng)
+    _fit(model, dataset, config, wct.epochs, w_cut, rng)
     return model, w_cut
 
 
@@ -627,6 +723,7 @@ def evaluate(model: Network, dataset: Dataset, batch_size: int = 256) -> float:
         logits = model.forward(dataset.images[start:start + batch_size])
         correct += int((logits.argmax(axis=1)
                         == dataset.labels[start:start + batch_size]).sum())
+    model._drop_activations()
     return correct / n
 
 

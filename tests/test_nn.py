@@ -5,6 +5,7 @@ from oracles import direct_conv2d, network_forward, numeric_gradient
 from xbarprune.nn import (
     Conv2d,
     ConvSpec,
+    Dataset,
     Dense,
     DenseSpec,
     MaxPool2,
@@ -14,6 +15,7 @@ from xbarprune.nn import (
     ReluSpec,
     TrainConfig,
     WctConfig,
+    evaluate,
     gen_synthetic_dataset,
     reference_model_spec,
     softmax_cross_entropy,
@@ -21,7 +23,7 @@ from xbarprune.nn import (
     train,
     wct_train,
 )
-from xbarprune.pruning import gen_mask_cf, gen_mask_xcs
+from xbarprune.pruning import SparsityPattern, gen_mask_cf, gen_mask_xcs
 
 CONV_SPECS = [
     ConvSpec(2, 3, 3),                        # default padding kernel // 2
@@ -193,6 +195,144 @@ def test_mask_zeros_survive_train_and_wct(make_pattern):
         assert np.all(w[pattern.masks[name] == 0] == 0.0)
 
 
+# ------------------------------------------------------ compacted C/F
+
+
+def masked_loop(pattern):
+    """The same masks under a method that trains at full width, masked."""
+    return SparsityPattern("xcs", pattern.s, pattern.seed, 8, pattern.masks)
+
+
+def odd_data(n=24, seed=5):
+    rng = np.random.default_rng(seed)
+    return Dataset(rng.random((n, *ODD_SPEC.input_shape)), rng.integers(0, 3, size=n))
+
+
+def assert_weights_match(a: Network, b: Network, rtol=1e-12):
+    for (name, wa), wb in zip(a.unrolled_weights().items(), b.unrolled_weights().values()):
+        assert np.array_equal(wa == 0, wb == 0), name
+        assert np.abs(wa - wb).max() <= rtol * np.abs(wb).max(), name
+
+
+@pytest.mark.parametrize("spec", [reference_model_spec(init_seed=3), ODD_SPEC],
+                         ids=["reference", "odd"])
+@pytest.mark.parametrize("wct", [False, True], ids=["sgd", "wct"])
+def test_cf_sgd_step_matches_the_masked_loop(spec, wct):
+    # one batch, one epoch: a single step from the same weights, whose
+    # pruned entries are not zero yet
+    data = odd_data() if spec is ODD_SPEC else small_data(seed=4)[0]
+    pattern = gen_mask_cf(spec, 0.5, seed=3)
+    nets = {}
+    for label, pat in (("compacted", pattern), ("masked", masked_loop(pattern))):
+        net = Network(spec)
+        config = TrainConfig(epochs=1, batch_size=len(data), seed=1, pattern=pat,
+                             wct=WctConfig(epochs=1))
+        if wct:
+            wct_train(net, data, config, w_cut=0.05)
+        else:
+            train(net, data, config)
+        nets[label] = net
+    assert_weights_match(nets["compacted"], nets["masked"])
+
+
+def test_cf_train_and_wct_match_the_masked_loop():
+    spec = tiny_model_spec(init_seed=4)
+    pattern = gen_mask_cf(spec, 0.5, seed=4)
+    train_set, _ = small_data(seed=2)
+    runs = {}
+    for label, pat in (("compacted", pattern), ("masked", masked_loop(pattern))):
+        net = Network(spec)
+        config = TrainConfig(epochs=3, seed=4, pattern=pat, wct=WctConfig(epochs=2))
+        _, losses = train(net, train_set, config)
+        trained = net.copy()
+        _, w_cut = wct_train(net, train_set, config)
+        runs[label] = losses, trained, w_cut, net
+    (loss_c, trained_c, cut_c, net_c), (loss_m, trained_m, cut_m, net_m) = runs.values()
+    np.testing.assert_allclose(loss_c, loss_m, rtol=1e-12, atol=0)
+    assert_weights_match(trained_c, trained_m)
+    assert cut_c == cut_m
+    assert_weights_match(net_c, net_m)
+
+
+def test_cf_train_runs_the_compacted_widths(monkeypatch):
+    spec = reference_model_spec(init_seed=2)
+    pattern = gen_mask_cf(spec, 0.5, seed=2)
+    seen = set()
+    for cls in (Conv2d, Dense):
+        def spy(self, x, forward=cls.forward):
+            seen.add(self.w.shape)
+            return forward(self, x)
+        monkeypatch.setattr(cls, "forward", spy)
+    train_set, _ = small_data()
+    config = TrainConfig(epochs=1, seed=2, pattern=pattern, wct=WctConfig(epochs=1))
+    train(Network(spec), train_set, config)
+    wct_train(Network(spec), train_set, config)
+    assert seen == {(32, 1, 3, 3), (64, 32, 3, 3), (64, 64, 3, 3), (256, 4)}
+
+
+def tiny_cf_masks(drop_filters=(1, 5), drop_groups=(1, 5)):
+    """Hand-built C/F masks for tiny_model_spec: conv1 (9 x 8) drops
+    `drop_filters`, dense1 (128 x 4, 16 rows per channel) the row groups of
+    `drop_groups`."""
+    cols = np.ones(8)
+    cols[list(drop_filters)] = 0
+    rows = np.ones((8, 16))
+    rows[list(drop_groups)] = 0
+    return {"conv1": np.outer(np.ones(9), cols),
+            "dense1": np.outer(rows.ravel(), np.ones(4))}
+
+
+def test_cf_hand_built_pattern_that_compacts_trains():
+    spec = tiny_model_spec(init_seed=8)
+    train_set, _ = small_data()
+    pattern = SparsityPattern("cf", 0.25, 0, None, tiny_cf_masks())
+    nets = []
+    for pat in (pattern, masked_loop(pattern)):
+        nets.append(train(Network(spec), train_set, TrainConfig(epochs=1, pattern=pat))[0])
+    assert_weights_match(*nets)
+
+
+def _break_extra_zero(masks):
+    masks["conv1"][4, 0] = 0.0
+
+
+def _break_other_groups(masks):
+    masks["dense1"] = tiny_cf_masks(drop_groups=(1, 6))["dense1"]
+
+
+def _break_missing_mask(masks):
+    del masks["dense1"]
+
+
+def _break_input(masks):
+    masks["conv1"][:, :] = 0.0
+
+
+def _break_head(masks):
+    masks["dense1"][:, 2] = 0.0
+
+
+@pytest.mark.parametrize("breaks, reason", [
+    (_break_extra_zero, "not whole rows and columns"),
+    (_break_other_groups, "other row groups"),
+    (_break_missing_mask, "other row groups"),
+    (_break_input, "other row groups"),
+    (_break_head, "outputs of the last layer"),
+], ids=["extra-zero", "other-row-groups", "missing-next-mask", "pruned-input",
+        "pruned-head-output"])
+@pytest.mark.parametrize("run", [train, wct_train], ids=["train", "wct"])
+def test_cf_rejects_patterns_that_do_not_compact(breaks, reason, run):
+    masks = tiny_cf_masks()
+    breaks(masks)
+    net = Network(tiny_model_spec(init_seed=8))
+    before = {k: w.copy() for k, w in net.weights().items()}
+    config = TrainConfig(epochs=1, pattern=SparsityPattern("cf", 0.25, 0, None, masks))
+    with pytest.raises(ValueError, match=reason):
+        run(net, small_data()[0], config)
+    for name, w in net.weights().items():
+        assert w.tobytes() == before[name].tobytes()
+
+
 def test_wct_keeps_every_weight_within_cutoff():
     net = Network(tiny_model_spec(init_seed=2))
     train_set, _ = small_data()
@@ -229,6 +369,14 @@ def test_copy_after_forward_holds_only_the_weights():
     for name, w in dup.weights().items():
         assert w.tobytes() == net.weights()[name].tobytes()
     assert dup.forward(data.images[:16]).tobytes() == logits.tobytes()
+
+
+def test_evaluate_leaves_only_the_weights():
+    net = Network(reference_model_spec(init_seed=1))
+    _, test_set = gen_synthetic_dataset(1, 8, 300)
+    evaluate(net, test_set)
+    held = [(i, name) for i, layer in enumerate(net.layers) for name, _ in _arrays(layer)]
+    assert held == [(net.layers.index(layer), "w") for _, layer in net.trainable]
 
 
 # ------------------------------------------------------------ model spec
