@@ -664,6 +664,10 @@ def _fit(model, dataset, config, epochs, w_cut, rng):
     C/F pattern trains the compacted sub-network; any other pattern trains
     the full net with its masks re-applied after every update."""
     pattern = config.pattern
+    if pattern is not None:
+        unknown = sorted(set(pattern.masks) - {name for name, _ in model.trainable})
+        if unknown:
+            raise ValueError(f"masks for layers the model lacks: {unknown}")
     if pattern is not None and pattern.method == "cf":
         with _cf_compacted(model, pattern) as sub:
             return _sgd_epochs(sub, dataset, config, epochs, {}, w_cut, rng)
@@ -715,6 +719,8 @@ def wct_train(model: Network, dataset: Dataset, config: TrainConfig,
 
 def evaluate(model: Network, dataset: Dataset, batch_size: int = 256) -> float:
     """Fraction of argmax-correct predictions."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n = len(dataset)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")

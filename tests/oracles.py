@@ -17,12 +17,13 @@ def dense_mna_currents(g, r_driver, r_wire_row, r_wire_col, r_sense, v):
     """Column sense currents of the parasitic crossbar, solved densely.
 
     Unknowns are all row nodes, all column nodes, the source terminal of
-    each row, and one branch current per ideal voltage source. Requires
-    strictly positive parasitics (no node merging here on purpose).
+    each row, and one branch current per ideal voltage source. A zero-ohm
+    parasitic is a 0 V source with a branch current of its own, as in
+    textbook MNA (no node merging here on purpose).
     """
     g = np.asarray(g, dtype=float)
     m, n = g.shape
-    assert min(r_driver, r_wire_row, r_wire_col, r_sense) > 0
+    assert min(r_driver, r_wire_row, r_wire_col, r_sense) >= 0
 
     def rnode(i, j):
         return i * n + j
@@ -34,30 +35,37 @@ def dense_mna_currents(g, r_driver, r_wire_row, r_wire_col, r_sense, v):
         return 2 * m * n + i
 
     n_nodes = 2 * m * n + m
-    n_unknowns = n_nodes + m  # plus one current unknown per source
-    A = np.zeros((n_unknowns, n_unknowns))
-    rhs = np.zeros(n_unknowns)
-
-    def stamp(a, b, resistance):
-        cond = 1.0 / resistance
-        A[a, a] += cond
-        A[b, b] += cond
-        A[a, b] -= cond
-        A[b, a] -= cond
-
-    def stamp_to_ground(a, resistance):
-        A[a, a] += 1.0 / resistance
-
+    GROUND = -1
+    branches = []       # (a, b, resistance); b may be GROUND
     for i in range(m):
         for j in range(n):
-            stamp(rnode(i, j), cnode(i, j), 1.0 / g[i, j])
+            branches.append((rnode(i, j), cnode(i, j), 1.0 / g[i, j]))
             if j + 1 < n:
-                stamp(rnode(i, j), rnode(i, j + 1), r_wire_row)
+                branches.append((rnode(i, j), rnode(i, j + 1), r_wire_row))
             if i + 1 < m:
-                stamp(cnode(i, j), cnode(i + 1, j), r_wire_col)
-        stamp(snode(i), rnode(i, 0), r_driver)
-    for j in range(n):
-        stamp_to_ground(cnode(m - 1, j), r_sense)
+                branches.append((cnode(i, j), cnode(i + 1, j), r_wire_col))
+        branches.append((snode(i), rnode(i, 0), r_driver))
+    sense = [len(branches) + j for j in range(n)]
+    branches += [(cnode(m - 1, j), GROUND, r_sense) for j in range(n)]
+    n_shorts = sum(r == 0 for _, _, r in branches)
+
+    # one current unknown per ideal source: m inputs, then the 0 V shorts
+    n_unknowns = n_nodes + m + n_shorts
+    A = np.zeros((n_unknowns, n_unknowns))
+    rhs = np.zeros(n_unknowns)
+    extra = {}
+    for k, (a, b, r) in enumerate(branches):
+        ends = [(a, 1.0)] + ([(b, -1.0)] if b != GROUND else [])
+        if r == 0:
+            # current x[u] flows a -> b through the short, and V_a - V_b = 0
+            u = extra[k] = n_nodes + m + len(extra)
+            for node, sign in ends:
+                A[node, u] += sign
+                A[u, node] += sign
+        else:
+            for p, sp in ends:
+                for q, sq in ends:
+                    A[p, q] += sp * sq / r
 
     # ideal source fixing each source terminal: extra current unknown plus
     # the V(s_i) = v_i constraint row
@@ -68,7 +76,8 @@ def dense_mna_currents(g, r_driver, r_wire_row, r_wire_col, r_sense, v):
         rhs[k] = v[i]
 
     x = np.linalg.solve(A, rhs)
-    return np.array([x[cnode(m - 1, j)] / r_sense for j in range(n)])
+    return np.array([x[extra[k]] if r_sense == 0 else x[cnode(m - 1, j)] / r_sense
+                     for j, k in enumerate(sense)])
 
 
 def direct_conv2d(x, w, stride=1, padding=0):

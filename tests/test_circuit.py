@@ -256,17 +256,24 @@ def test_effective_conductance_zero_sense_path():
 
 
 ZERO_OHM_NAMES = ("r_driver", "r_wire_row", "r_wire_col", "r_sense")
+ZERO_OHM_PATTERNS = pytest.mark.parametrize(
+    "zeros", range(16), ids=lambda z: "zero:" + "+".join(
+        name for bit, name in enumerate(ZERO_OHM_NAMES) if z >> bit & 1) or "none")
 
 
-@pytest.mark.parametrize("zeros", range(16), ids=lambda z: "zero:" + "+".join(
-    name for bit, name in enumerate(ZERO_OHM_NAMES) if z >> bit & 1) or "none")
+def zero_ohm_parasitics(zeros):
+    """The parasitics whose bit is set in `zeros` at 0 ohm, the rest positive."""
+    positive = dict(r_driver=300.0, r_wire_row=7.0, r_wire_col=9.0, r_sense=500.0)
+    return {name: 0.0 if zeros >> bit & 1 else positive[name]
+            for bit, name in enumerate(ZERO_OHM_NAMES)}
+
+
+@ZERO_OHM_PATTERNS
 def test_effective_conductance_every_zero_ohm_pattern(zeros):
     # 0 S devices, including a whole row and a whole column: each of these
     # reaches ground only through the tie of its source or sense terminal,
     # and their nodes carry no current, so KCL is measured against voltages
-    positive = dict(r_driver=300.0, r_wire_row=7.0, r_wire_col=9.0, r_sense=500.0)
-    p = CrossbarParams(5, 7, **{name: 0.0 if zeros >> bit & 1 else positive[name]
-                                for bit, name in enumerate(ZERO_OHM_NAMES)})
+    p = CrossbarParams(5, 7, **zero_ohm_parasitics(zeros))
     rng = np.random.default_rng(19)
     g = random_tile(5, 7, seed=20)
     g[rng.random((5, 7)) < 0.3] = 0.0
@@ -278,6 +285,36 @@ def test_effective_conductance_every_zero_ohm_pattern(zeros):
     np.testing.assert_allclose(system.effective_conductance().T @ v,
                                result.currents, rtol=1e-12, atol=0)
     assert system.kcl_residual(v, result) <= 1e-12
+
+
+@pytest.mark.parametrize("m,n", [(1, 7), (7, 1), (5, 8), (8, 5), (6, 6)])
+@ZERO_OHM_PATTERNS
+def test_elimination_order_covers_every_interior_root_once(m, n, zeros):
+    parasitics = zero_ohm_parasitics(zeros)
+    p = CrossbarParams(m, n, **parasitics)
+    topo = _topology(p)
+    roots = topo.root[:2 * m * n]           # cell nodes, row and column interleaved
+    ids = np.stack([topo.row_unknown, topo.col_unknown], axis=-1).ravel()
+    interior = roots < 2 * m * n            # not merged into a port
+    n_int = np.unique(roots[interior]).size
+    assert topo.indptr.size - 1 == n_int + m + n
+    assert np.array_equal(np.sort(topo.interior), np.unique(roots[interior]))
+    # one unknown per root and one root per unknown; the ports' ids come last
+    assert (np.unique(np.stack([roots, ids]), axis=1).shape[1]
+            == np.unique(roots).size == np.unique(ids).size)
+    assert np.array_equal(np.unique(ids[interior]), np.arange(n_int))
+    assert np.all(ids[~interior] >= n_int)
+    g = random_tile(m, n, seed=27)
+    ref = np.array([dense_mna_currents(g, v=v, **parasitics) for v in np.eye(m)])
+    np.testing.assert_allclose(CrossbarSystem(g, p).effective_conductance(), ref,
+                               rtol=1e-9, atol=0)
+
+
+def test_factorization_fill_of_a_64x64_tile():
+    # nested dissection leaves 296,998 LU non-zeros here; SuperLU's minimum
+    # degree order (MMD_AT_PLUS_A) left 374,050
+    system = CrossbarSystem(random_tile(64, 64, seed=11), CrossbarParams(64, 64))
+    assert system._lu.L.nnz + system._lu.U.nnz <= 1.01 * 296_998
 
 
 def test_topology_cache_does_not_change_results():

@@ -333,6 +333,18 @@ def test_cf_rejects_patterns_that_do_not_compact(breaks, reason, run):
         assert w.tobytes() == before[name].tobytes()
 
 
+@pytest.mark.parametrize("method", ["xcs", "cf"])
+@pytest.mark.parametrize("run", [train, wct_train], ids=["train", "wct"])
+def test_masks_for_layers_the_model_lacks_are_rejected(method, run):
+    net = Network(tiny_model_spec(init_seed=8))
+    before = {k: w.copy() for k, w in net.weights().items()}
+    pattern = SparsityPattern(method, 0.5, 0, 8, {"conv_1": np.zeros((9, 8))})
+    with pytest.raises(ValueError, match="conv_1"):
+        run(net, small_data()[0], TrainConfig(epochs=1, pattern=pattern))
+    for name, w in net.weights().items():
+        assert w.tobytes() == before[name].tobytes()
+
+
 def test_wct_keeps_every_weight_within_cutoff():
     net = Network(tiny_model_spec(init_seed=2))
     train_set, _ = small_data()
@@ -377,6 +389,13 @@ def test_evaluate_leaves_only_the_weights():
     evaluate(net, test_set)
     held = [(i, name) for i, layer in enumerate(net.layers) for name, _ in _arrays(layer)]
     assert held == [(net.layers.index(layer), "w") for _, layer in net.trainable]
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_evaluate_rejects_batch_size_below_one(batch_size):
+    _, test_set = gen_synthetic_dataset(1, 8, 16)
+    with pytest.raises(ValueError, match="batch_size"):
+        evaluate(Network(tiny_model_spec(init_seed=1)), test_set, batch_size=batch_size)
 
 
 # ------------------------------------------------------------ model spec
