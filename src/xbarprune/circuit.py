@@ -71,8 +71,9 @@ class CrossbarParams:
             r = getattr(self, name)
             if not (np.isfinite(r) and r >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {r}")
-        if not (0 < self.g_min < self.g_max):
-            raise ValueError(f"need g_max > g_min > 0, got g_min={self.g_min}, g_max={self.g_max}")
+        if not (0 < self.g_min < self.g_max < np.inf):
+            raise ValueError(f"need finite g_max > g_min > 0, got g_min={self.g_min}, "
+                             f"g_max={self.g_max}")
         if not (0 <= self.sigma_dev < 1.0 / 3.0):
             raise ValueError(f"sigma_dev must be in [0, 1/3), got {self.sigma_dev}")
         if not (np.isfinite(self.v_read) and self.v_read > 0):

@@ -1,11 +1,12 @@
 """Layer weights to crossbar tiles and back.
 
-Every layout is a list of TilePlacements: the rows and columns of the
-original weight matrix that fill each padded n x n tile. C/F compaction T
-and column rearrangement R only choose those indices, and XCS/XRS
-segment packing lists them directly, so after the tiles are encoded,
-simulated and decoded one scatter reassembles the non-ideal weight
-matrix; no transform has to be inverted.
+``partition`` is the one placement step. It turns every layout into a
+list of TilePlacements: the rows and columns of the original weight
+matrix that fill each padded n x n tile. C/F compaction T and column
+rearrangement R only choose those indices, and XCS/XRS segment packing
+lists them directly, so after the tiles are encoded, simulated and
+decoded one scatter reassembles the non-ideal weight matrix; no
+transform has to be inverted.
 
 Signed weights are encoded as magnitude-to-conductance with a digitally
 tracked sign applied at decode time, so a single crossbar per tile
@@ -106,15 +107,46 @@ def _grid(rows: np.ndarray, cols: np.ndarray, n: int) -> list[TilePlacement]:
             for j in range(math.ceil(cols.size / n))]
 
 
-def partition(w: np.ndarray, n: int):
-    """Split into ceil(rows/n) x ceil(cols/n) zero-padded n x n tiles."""
+def partition(w: np.ndarray, n: int, *, order: str | None = None,
+              compaction: object | None = None):
+    """Place every tile in the original matrix and gather the zero-padded
+    n x n tiles; returns (tiles, record). The tiles cut the matrix, or the
+    rows and columns a CfCompaction keeps, row-major after rearranging the
+    columns into ``order``; a SegmentPacking lists its tiles itself."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.size == 0:
-        raise ValueError(f"cannot partition matrix of shape {w.shape}")
+        raise ValueError(f"need a nonempty 2-D weight matrix, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weight matrix contains non-finite entries")
+    w_scale = float(np.max(np.abs(w)))
+    if w_scale <= 0:
+        raise ValueError("layer weights are all zero; nothing to map")
     if n < 1:
         raise ValueError(f"tile size must be >= 1, got {n}")
-    placements = _grid(np.arange(w.shape[0]), np.arange(w.shape[1]), n)
-    record = MappingRecord(float(np.max(np.abs(w))), w.shape, placements)
+    if not isinstance(compaction, (type(None), CfCompaction, SegmentPacking)):
+        raise TypeError("compaction must be None, a CfCompaction or a "
+                        f"SegmentPacking, got {type(compaction).__name__}")
+    if compaction is not None and compaction.orig_shape != w.shape:
+        raise ValueError(f"compaction was built for {compaction.orig_shape}, "
+                         f"matrix is {w.shape}")
+    if isinstance(compaction, SegmentPacking):
+        if order is not None:
+            raise ValueError("column rearrangement needs a matrix-form layout; "
+                             "it cannot follow XCS/XRS segment packing")
+        if compaction.n != n:
+            raise ValueError(f"packing tile size {compaction.n} != tile size {n}")
+        placements = list(compaction.tiles)
+    else:
+        rows, cols = np.arange(w.shape[0]), np.arange(w.shape[1])
+        if compaction is not None:
+            rows, cols = compaction.kept_rows, compaction.kept_cols
+        if rows.size == 0 or cols.size == 0:
+            raise ValueError("compaction keeps no rows or no columns")
+        if order is not None:
+            _, perm = rearrange_columns(w[np.ix_(rows, cols)], order)
+            cols = cols[perm]
+        placements = _grid(rows, cols, n)
+    record = MappingRecord(w_scale, w.shape, placements)
     return [_gather_tile(w, pl, n) for pl in placements], record
 
 
@@ -183,46 +215,16 @@ def aggregate_nf(reports: list[NfReport]) -> LayerNfReport:
     )
 
 
-def _prepare(w, params, rearrange, rearrange_order, compaction):
-    """Validate, place every tile in the original matrix (T and R choose
-    the source indices) and gather the padded n x n tiles.
-    Returns (tiles, record)."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.size == 0:
-        raise ValueError(f"need a nonempty 2-D weight matrix, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weight matrix contains non-finite entries")
+def _layer_tiles(w, params, rearrange, rearrange_order, compaction):
+    """The placement simulate_layer and layer_nf share: square tiles."""
     if params.n_rows != params.n_cols:
         raise ValueError("layer simulation uses square tiles; params must have "
                          "n_rows == n_cols")
-    n = params.n_rows
-    w_scale = float(np.max(np.abs(w)))
-    if w_scale <= 0:
-        raise ValueError("layer weights are all zero; nothing to map")
-
-    if (isinstance(compaction, (CfCompaction, SegmentPacking))
-            and compaction.orig_shape != w.shape):
-        raise ValueError(f"compaction was built for {compaction.orig_shape}, "
-                         f"matrix is {w.shape}")
-    if isinstance(compaction, SegmentPacking):
-        if rearrange:
-            raise ValueError("column rearrangement needs a matrix-form layout; "
-                             "it cannot follow XCS/XRS segment packing")
-        if compaction.n != n:
-            raise ValueError(f"packing tile size {compaction.n} != crossbar size {n}")
-        placements = list(compaction.tiles)
-    else:
-        rows, cols = np.arange(w.shape[0]), np.arange(w.shape[1])
-        if isinstance(compaction, CfCompaction):
-            rows, cols = compaction.kept_rows, compaction.kept_cols
-        if rows.size == 0 or cols.size == 0:
-            raise ValueError("compaction keeps no rows or no columns")
-        if rearrange:
-            _, perm = rearrange_columns(w[np.ix_(rows, cols)], rearrange_order)
-            cols = cols[perm]
-        placements = _grid(rows, cols, n)
-    record = MappingRecord(w_scale, w.shape, placements)
-    return [_gather_tile(w, pl, n) for pl in placements], record
+    if rearrange_order not in REARRANGE_ORDERS:
+        raise ValueError(f"rearrange_order must be one of {REARRANGE_ORDERS}, "
+                         f"got {rearrange_order!r}")
+    return partition(w, params.n_rows, order=rearrange_order if rearrange else None,
+                     compaction=compaction)
 
 
 def _simulate_tiles(tiles, record, params, master_seed, layer_index):
@@ -246,7 +248,7 @@ def simulate_layer(w: np.ndarray, params: CrossbarParams, *,
     indices) -> gather -> encode -> device variation -> effective
     conductances -> decode -> recombine (one scatter back to the original
     matrix), with an NF report from all-ones inputs on every tile."""
-    tiles, record = _prepare(w, params, rearrange, rearrange_order, compaction)
+    tiles, record = _layer_tiles(w, params, rearrange, rearrange_order, compaction)
     out_tiles, reports = [], []
     for system, signs, report in _simulate_tiles(tiles, record, params,
                                                  master_seed, layer_index):
@@ -267,6 +269,6 @@ def layer_nf(w: np.ndarray, params: CrossbarParams, *,
     """NF report only: same tiles as simulate_layer without G_eff, decode
     and recombine. G_eff costs less than the solve both run per tile, so
     the saving is small; the factorization dominates either way."""
-    tiles, record = _prepare(w, params, rearrange, rearrange_order, compaction)
+    tiles, record = _layer_tiles(w, params, rearrange, rearrange_order, compaction)
     return aggregate_nf([report for _, _, report in
                          _simulate_tiles(tiles, record, params, master_seed, layer_index)])

@@ -422,22 +422,20 @@ class Network:
         rng = np.random.default_rng(spec.init_seed)
         self.layers = []
         self.trainable: list[tuple[str, object]] = []
-        counts = {"conv": 0, "dense": 0}
+        names = iter(info.name for info in spec.unrolled_layers())
         flat = False
         for layer_spec, incoming in spec.shape_walk():
             if isinstance(layer_spec, ConvSpec):
-                counts["conv"] += 1
                 layer = Conv2d(layer_spec, rng)
                 self.layers.append(layer)
-                self.trainable.append((f"conv{counts['conv']}", layer))
+                self.trainable.append((next(names), layer))
             elif isinstance(layer_spec, DenseSpec):
                 if not flat and isinstance(incoming, tuple):
                     self.layers.append(Flatten())
                     flat = True
-                counts["dense"] += 1
                 layer = Dense(layer_spec, rng)
                 self.layers.append(layer)
-                self.trainable.append((f"dense{counts['dense']}", layer))
+                self.trainable.append((next(names), layer))
             elif isinstance(layer_spec, ReluSpec):
                 self.layers.append(ReLU())
             elif isinstance(layer_spec, PoolSpec):

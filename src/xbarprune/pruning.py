@@ -11,6 +11,10 @@ Three mask styles are supported on a layer's unrolled weight matrix
 * crossbar-row segments ("xrs"): tile-aligned length-n runs within
   single rows.
 
+XRS is XCS on the transpose: both draw from one grid of segments and
+differ only in the axis the segments run along, and an XRS packing is the
+XCS packing of the transposed mask with each tile's axes swapped.
+
 Mask generators take any object exposing ``unrolled_layers()`` that
 yields per-layer records with ``name``, ``rows``, ``cols``,
 ``rows_per_channel`` and ``in_channels`` fields (see nn.ModelSpec).
@@ -94,8 +98,7 @@ def gen_mask_cf(model_spec, s: float, seed: int) -> SparsityPattern:
     layer except the classifier head, zeroing their columns plus the
     matching row groups of the next layer. First-layer inputs and final
     outputs are never pruned."""
-    if not 0 <= s < 1:
-        raise ValueError(f"sparsity ratio must be in [0, 1), got {s}")
+    pattern = SparsityPattern("cf", s, seed, None)
     infos = list(model_spec.unrolled_layers())
     if not infos:
         raise ValueError("model has no trainable layers")
@@ -109,7 +112,6 @@ def gen_mask_cf(model_spec, s: float, seed: int) -> SparsityPattern:
         chosen = _layer_rng(seed, idx).choice(info.cols, size=k, replace=False)
         pruned[idx] = np.sort(chosen)
 
-    masks = {}
     for idx, info in enumerate(infos):
         keep_cols = np.ones(info.cols, dtype=bool)
         if idx in pruned:
@@ -122,41 +124,33 @@ def gen_mask_cf(model_spec, s: float, seed: int) -> SparsityPattern:
                                  f"{infos[idx - 1].name} for C/F pruning")
             for c in pruned[idx - 1]:
                 keep_rows[c * rpc:(c + 1) * rpc] = False
-        masks[info.name] = np.outer(keep_rows, keep_cols).astype(float)
-    return SparsityPattern("cf", s, seed, None, masks)
+        pattern.masks[info.name] = np.outer(keep_rows, keep_cols).astype(float)
+    return pattern
 
 
 def _gen_mask_segments(model_spec, s, n, seed, kind) -> SparsityPattern:
-    if not 0 <= s < 1:
-        raise ValueError(f"sparsity ratio must be in [0, 1), got {s}")
+    """Zero floor(s * count) length-n segments, drawn from the row-major
+    keep-grid of segments: XCS segments run down the rows (axis 0), XRS
+    segments along the columns (axis 1)."""
+    pattern = SparsityPattern(kind, s, seed, n)
     if n < 1:
         raise ValueError(f"segment length must be >= 1, got {n}")
     infos = list(model_spec.unrolled_layers())
     if not infos:
         raise ValueError("model has no trainable layers")
-    masks = {}
+    axis = 0 if kind == "xcs" else 1
     for idx, info in enumerate(infos):
-        rows, cols = info.rows, info.cols
-        mask = np.ones((rows, cols))
-        if kind == "xcs":
-            n_blocks = math.ceil(rows / n)
-            count = n_blocks * cols
-        else:
-            n_blocks = math.ceil(cols / n)
-            count = rows * n_blocks
+        grid = [info.rows, info.cols]
+        grid[axis] = math.ceil(grid[axis] / n)
+        count = grid[0] * grid[1]
         k = math.floor(s * count)
         if k >= count:
             raise ValueError(f"s={s} would prune every segment of layer {info.name}")
-        chosen = _layer_rng(seed, idx).choice(count, size=k, replace=False)
-        for seg in chosen:
-            if kind == "xcs":
-                rb, col = divmod(int(seg), cols)
-                mask[rb * n:min(rows, (rb + 1) * n), col] = 0.0
-            else:
-                row, cb = divmod(int(seg), n_blocks)
-                mask[row, cb * n:min(cols, (cb + 1) * n)] = 0.0
-        masks[info.name] = mask
-    return SparsityPattern(kind, s, seed, n, masks)
+        keep = np.ones(count)
+        keep[_layer_rng(seed, idx).choice(count, size=k, replace=False)] = 0.0
+        pattern.masks[info.name] = np.repeat(keep.reshape(grid), n,
+                                             axis=axis)[:info.rows, :info.cols]
+    return pattern
 
 
 def gen_mask_xcs(model_spec, s: float, n: int, seed: int) -> SparsityPattern:
@@ -182,43 +176,40 @@ def cf_compaction(mask: np.ndarray) -> CfCompaction:
     )
 
 
-def _segment_packing(mask: np.ndarray, n: int, kind: str) -> SegmentPacking:
-    rows, cols = mask.shape
+def _segment_packing(w: np.ndarray, n: int, kind: str,
+                     mask: np.ndarray | None = None) -> SegmentPacking:
+    """Pack the surviving column segments of each row block left to right
+    into tiles of n columns. An XRS packing is the XCS packing of the
+    transposed mask with each tile's row and column fields swapped."""
+    w = np.asarray(w)
+    mask = (w != 0) if mask is None else np.asarray(mask).astype(bool)
+    if mask.shape != w.shape:
+        raise ValueError("mask shape does not match the weight matrix")
+    if kind == "xrs":
+        tiles = _segment_packing(mask.T, n, "xcs").tiles
+        return SegmentPacking(kind, n, mask.shape,
+                              [TilePlacement(c, r, cs, rs) for r, c, rs, cs in tiles])
+    rows = mask.shape[0]
     tiles = []
-    if kind == "xcs":
-        for rb in range(math.ceil(rows / n)):
-            r0, r1 = rb * n, min(rows, (rb + 1) * n)
-            surv = np.flatnonzero(mask[r0:r1, :].any(axis=0))
-            for t in range(math.ceil(surv.size / n)):
-                tiles.append(TilePlacement(rb, t, np.arange(r0, r1), surv[t * n:(t + 1) * n]))
-    else:
-        for cb in range(math.ceil(cols / n)):
-            c0, c1 = cb * n, min(cols, (cb + 1) * n)
-            surv = np.flatnonzero(mask[:, c0:c1].any(axis=1))
-            for t in range(math.ceil(surv.size / n)):
-                tiles.append(TilePlacement(t, cb, surv[t * n:(t + 1) * n], np.arange(c0, c1)))
-    return SegmentPacking(kind, n, (rows, cols), tiles)
+    for rb in range(math.ceil(rows / n)):
+        r0, r1 = rb * n, min(rows, (rb + 1) * n)
+        surv = np.flatnonzero(mask[r0:r1, :].any(axis=0))
+        for t in range(math.ceil(surv.size / n)):
+            tiles.append(TilePlacement(rb, t, np.arange(r0, r1), surv[t * n:(t + 1) * n]))
+    return SegmentPacking(kind, n, mask.shape, tiles)
 
 
 def compact_xcs(w: np.ndarray, n: int, mask: np.ndarray | None = None) -> SegmentPacking:
     """Pack the surviving column segments of each row block left to right
     into ceil(count/n) tiles of n columns. The returned descriptor lists
     every packed tile's source indices."""
-    w = np.asarray(w)
-    mask = (w != 0) if mask is None else np.asarray(mask).astype(bool)
-    if mask.shape != w.shape:
-        raise ValueError("mask shape does not match the weight matrix")
-    return _segment_packing(mask, n, "xcs")
+    return _segment_packing(w, n, "xcs", mask)
 
 
 def compact_xrs(w: np.ndarray, n: int, mask: np.ndarray | None = None) -> SegmentPacking:
     """Row-segment analog of compact_xcs: pack surviving row segments of
     each column block top to bottom."""
-    w = np.asarray(w)
-    mask = (w != 0) if mask is None else np.asarray(mask).astype(bool)
-    if mask.shape != w.shape:
-        raise ValueError("mask shape does not match the weight matrix")
-    return _segment_packing(mask, n, "xrs")
+    return _segment_packing(w, n, "xrs", mask)
 
 
 def tile_count_unpruned(rows: int, cols: int, n: int) -> int:
@@ -227,19 +218,21 @@ def tile_count_unpruned(rows: int, cols: int, n: int) -> int:
 
 def compression_rate(model_spec, pattern: SparsityPattern | None, n: int) -> float:
     """Crossbar tiles needed for the unpruned model divided by tiles after
-    compaction, both at tile size n."""
+    compaction, both at tile size n. A layer with no mask is unpruned."""
     infos = list(model_spec.unrolled_layers())
     unpruned = sum(tile_count_unpruned(i.rows, i.cols, n) for i in infos)
     if pattern is None:
         return 1.0
     total = 0
     for info in infos:
-        mask = pattern.masks[info.name]
-        if pattern.method == "cf":
+        mask = pattern.masks.get(info.name)
+        if mask is None:
+            total += tile_count_unpruned(info.rows, info.cols, n)
+        elif pattern.method == "cf":
             comp = cf_compaction(mask)
             total += tile_count_unpruned(comp.kept_rows.size, comp.kept_cols.size, n)
         else:
-            total += len(_segment_packing(mask.astype(bool), n, pattern.method).tiles)
+            total += len(_segment_packing(mask, n, pattern.method).tiles)
     if total == 0:
         raise ValueError("compacted model needs zero tiles; pattern is degenerate")
     return unpruned / total

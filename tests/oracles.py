@@ -5,10 +5,13 @@ internals: the circuit oracle builds the full dense modified-nodal-analysis
 system with explicit voltage-source rows and solves it by direct
 elimination, the convolution oracle slides kernels with plain loops, and
 the network oracle runs a model spec layer by layer on NCHW arrays with
-those loops.
+those loops. The segment oracles zero and pack XCS and XRS segments one
+at a time, each kind on its own grid.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -146,3 +149,40 @@ def numeric_gradient(loss_fn, w, indices, h=1e-6):
         flat[idx] = orig
         grads[pos] = (up - down) / (2 * h)
     return grads
+
+
+def segment_mask(rows, cols, n, s, rng, kind):
+    """Zero floor(s * count) length-n segments drawn by rng. Segments are
+    numbered row-major on the kind's own grid: (row block, column) for
+    "xcs", (row, column block) for "xrs"."""
+    mask = np.ones((rows, cols))
+    grid_cols = cols if kind == "xcs" else math.ceil(cols / n)
+    count = (math.ceil(rows / n) if kind == "xcs" else rows) * grid_cols
+    for seg in rng.choice(count, size=math.floor(s * count), replace=False):
+        i, j = divmod(int(seg), grid_cols)
+        if kind == "xcs":
+            mask[i * n:(i + 1) * n, j] = 0.0
+        else:
+            mask[i, j * n:(j + 1) * n] = 0.0
+    return mask
+
+
+def segment_packing(mask, n, kind):
+    """(row_block, col_block, rows, cols) of every packed tile: "xcs" packs
+    the surviving columns of each row block left to right, "xrs" the
+    surviving rows of each column block top to bottom."""
+    rows, cols = mask.shape
+    tiles = []
+    if kind == "xcs":
+        for rb in range(math.ceil(rows / n)):
+            block = np.arange(rb * n, min(rows, (rb + 1) * n))
+            surv = [c for c in range(cols) if mask[block, c].any()]
+            for t in range(math.ceil(len(surv) / n)):
+                tiles.append((rb, t, block, np.array(surv[t * n:(t + 1) * n])))
+    else:
+        for cb in range(math.ceil(cols / n)):
+            block = np.arange(cb * n, min(cols, (cb + 1) * n))
+            surv = [r for r in range(rows) if mask[r, block].any()]
+            for t in range(math.ceil(len(surv) / n)):
+                tiles.append((t, cb, np.array(surv[t * n:(t + 1) * n]), block))
+    return tiles

@@ -43,6 +43,9 @@ def test_params_defaults_and_ratio():
     dict(n_rows=4, n_cols=4, r_driver=-1.0),
     dict(n_rows=4, n_cols=4, g_min=0.0),
     dict(n_rows=4, n_cols=4, g_min=2e-5, g_max=1e-5),
+    dict(n_rows=4, n_cols=4, g_max=np.inf),
+    dict(n_rows=4, n_cols=4, g_max=np.nan),
+    dict(n_rows=4, n_cols=4, g_min=np.inf, g_max=np.inf),
     dict(n_rows=4, n_cols=4, sigma_dev=0.4),
     dict(n_rows=4, n_cols=4, v_read=0.0),
 ])

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xbarprune import mapping
 from xbarprune.circuit import (
     CrossbarParams,
     CrossbarSystem,
@@ -23,7 +22,13 @@ from xbarprune.mapping import (
     layer_nf,
     weights_to_conductances,
 )
-from xbarprune.pruning import CfCompaction, cf_compaction, compact_xcs, compact_xrs
+from xbarprune.pruning import (
+    CfCompaction,
+    SparsityPattern,
+    cf_compaction,
+    compact_xcs,
+    compact_xrs,
+)
 
 IDEAL = dict(r_driver=0.0, r_wire_row=0.0, r_wire_col=0.0, r_sense=0.0, sigma_dev=0.0)
 
@@ -179,8 +184,7 @@ def test_every_layout_recombines_to_the_masked_matrix(layout, order):
         compaction = cf_compaction(mask)
     elif layout in ("xcs", "xrs"):
         compaction = (compact_xcs if layout == "xcs" else compact_xrs)(w, n, mask=mask)
-    tiles, record = mapping._prepare(w, CrossbarParams(n, n), order is not None,
-                                     order or "ascending", compaction)
+    tiles, record = partition(w, n, order=order, compaction=compaction)
     assert all(t.shape == (n, n) for t in tiles)
     np.testing.assert_array_equal(recombine(tiles, record), w)
     if layout in ("dense", "cf"):
@@ -385,6 +389,46 @@ def test_simulate_layer_rejects_all_zero_and_nonfinite():
     bad[0, 0] = np.inf
     with pytest.raises(ValueError):
         simulate_layer(bad, p)
+
+
+NOT_A_LAYOUT = [
+    "cf",
+    {"kept_rows": np.arange(8), "kept_cols": np.arange(4)},
+    SparsityPattern("cf", 0.5, 0, None, {"conv1": np.ones((8, 8))}),
+]
+
+
+@pytest.mark.parametrize("compaction", NOT_A_LAYOUT, ids=["str", "dict", "pattern"])
+@pytest.mark.parametrize("run", [partition, simulate_layer, layer_nf])
+def test_a_compaction_of_another_type_is_rejected(run, compaction):
+    # each of these would otherwise be ignored and the dense matrix mapped
+    w = np.random.default_rng(15).normal(size=(8, 8))
+    arg = 8 if run is partition else CrossbarParams(8, 8)
+    with pytest.raises(TypeError, match="compaction must be"):
+        run(w, arg, compaction=compaction)
+
+
+@pytest.mark.parametrize("run", [simulate_layer, layer_nf])
+def test_an_unknown_order_is_rejected_without_rearrangement(run):
+    w = np.random.default_rng(16).normal(size=(8, 8))
+    with pytest.raises(ValueError, match="bogus"):
+        run(w, CrossbarParams(8, 8), rearrange=False, rearrange_order="bogus")
+
+
+@pytest.mark.parametrize("compaction", [None, "cf", "xcs"])
+def test_partition_rejects_an_unknown_order(compaction):
+    mask = np.ones((8, 8))
+    mask[:, 3] = 0.0
+    w = np.random.default_rng(17).normal(size=(8, 8)) * mask
+    layout = {None: None, "cf": cf_compaction(mask), "xcs": compact_xcs(w, 4, mask)}
+    with pytest.raises(ValueError, match="bogus|cannot follow"):
+        partition(w, 4, order="bogus", compaction=layout[compaction])
+
+
+def test_partition_rejects_a_packing_for_another_tile_size():
+    w = np.random.default_rng(18).normal(size=(8, 8))
+    with pytest.raises(ValueError, match="packing tile size"):
+        partition(w, 8, compaction=compact_xcs(w, 4))
 
 
 def test_rearrangement_effect_on_crafted_matrices():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import segment_mask, segment_packing
 from xbarprune.pruning import (
     SparsityPattern,
     apply_mask,
@@ -122,6 +123,47 @@ def test_segment_masks_deterministic():
     a = gen_mask_xcs(model, 0.3, n=16, seed=9)
     b = gen_mask_xcs(model, 0.3, n=16, seed=9)
     assert np.array_equal(a.masks["fc"], b.masks["fc"])
+
+
+@pytest.mark.parametrize("gen", [
+    gen_mask_cf,
+    lambda model, s, seed: gen_mask_xcs(model, s, 4, seed),
+    lambda model, s, seed: gen_mask_xrs(model, s, 4, seed),
+], ids=["cf", "xcs", "xrs"])
+@pytest.mark.parametrize("s", [-0.1, 1.0, np.nan])
+def test_mask_generators_reject_a_ratio_outside_0_1(gen, s):
+    with pytest.raises(ValueError, match="sparsity ratio"):
+        gen(two_conv_model(), s, 0)
+
+
+ODD_LAYERS = FakeModel([
+    FakeLayer("a", rows=9, cols=8, rows_per_channel=9, in_channels=1),
+    FakeLayer("b", rows=72, cols=16, rows_per_channel=9, in_channels=8),
+    FakeLayer("c", rows=20, cols=13, rows_per_channel=1, in_channels=20),
+    FakeLayer("d", rows=64, cols=5, rows_per_channel=1, in_channels=64),
+])
+
+
+@pytest.mark.parametrize("kind", ["xcs", "xrs"])
+@pytest.mark.parametrize("n", [1, 3, 8, 32])
+def test_segment_masks_and_packings_match_the_looped_oracle(kind, n):
+    gen, compact = (gen_mask_xcs, compact_xcs) if kind == "xcs" else (gen_mask_xrs, compact_xrs)
+    for s in (0.0, 0.3, 0.5, 0.9):
+        for seed in (0, 1):
+            pat = gen(ODD_LAYERS, s, n, seed)
+            for idx, info in enumerate(ODD_LAYERS.unrolled_layers()):
+                mask = pat.masks[info.name]
+                expected = segment_mask(info.rows, info.cols, n, s,
+                                        np.random.default_rng([seed, idx]), kind)
+                np.testing.assert_array_equal(mask, expected)
+                packing = compact(mask, n)
+                assert packing.orig_shape == mask.shape
+                oracle = segment_packing(mask, n, kind)
+                assert len(packing.tiles) == len(oracle)
+                for got, want in zip(packing.tiles, oracle):
+                    assert got[:2] == want[:2]
+                    np.testing.assert_array_equal(got.rows, want[2])
+                    np.testing.assert_array_equal(got.cols, want[3])
 
 
 @settings(max_examples=30, deadline=None)
@@ -248,6 +290,20 @@ def test_compression_rate_xcs_75_percent():
     pat = SparsityPattern("xcs", 0.75, 0, 32, {"fc": mask})
     # 4 unpruned tiles vs ceil(16/32) per row block = 2 packed tiles
     assert compression_rate(model, pat, 32) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("method", ["cf", "xcs", "xrs"])
+def test_compression_rate_counts_a_layer_without_mask_as_unpruned(method):
+    # training treats a layer the pattern has no mask for as unpruned
+    model = FakeModel([
+        FakeLayer("fc", rows=64, cols=64, rows_per_channel=1, in_channels=64),
+        FakeLayer("dense1", rows=64, cols=8, rows_per_channel=1, in_channels=64),
+    ])
+    mask = np.ones((64, 64))
+    mask[:, 16:] = 0.0       # every method packs fc into 2 tiles of 32
+    pat = SparsityPattern(method, 0.75, 0, None if method == "cf" else 32, {"fc": mask})
+    # (4 + 2) unpruned tiles against 2 for fc plus 2 for the unmasked dense1
+    assert compression_rate(model, pat, 32) == pytest.approx(1.5)
 
 
 def test_compression_ordering_cf_beats_segment_styles():
