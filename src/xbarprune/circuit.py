@@ -64,6 +64,10 @@ class CrossbarParams:
     v_read: float = DEFAULT_V_READ
 
     def __post_init__(self):
+        for name in ("n_rows", "n_cols"):
+            side = getattr(self, name)
+            if not isinstance(side, (int, np.integer)) or isinstance(side, bool):
+                raise ValueError(f"{name} must be an integer, got {side!r}")
         if not (1 <= self.n_rows <= MAX_TILE_DIM and 1 <= self.n_cols <= MAX_TILE_DIM):
             raise ValueError(f"tile dimensions must be in 1..{MAX_TILE_DIM}, "
                              f"got {self.n_rows}x{self.n_cols}")

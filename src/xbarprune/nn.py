@@ -25,6 +25,14 @@ XCS/XRS masks do not compact; those nets train at full width with the
 masks re-applied after every update. Weight-constrained training projects
 weights into [-w_cut, w_cut] after every step, with w_cut taken over the
 full-width weights, pruned zeros included.
+
+`evaluate` runs the live channels only: it reads the weights, drops every
+channel whose producing column or consuming row group is all zero, and
+forwards through that narrower net, built by the same helper as the
+compacted training net. A C/F-pruned net, and the non-ideal copy of one
+that `inject_nonideal_weights` makes, evaluates at its compacted widths
+with no pattern passed; XCS/XRS nets lose the channels their segments
+happen to prune whole.
 """
 
 from __future__ import annotations
@@ -486,16 +494,13 @@ class Network:
             theirs.w = mine.w.copy()
         return out
 
-    def _drop_activations(self):
-        """Forget what the last forward pass kept in every layer for
-        backward (the underscored attributes)."""
-        for layer in self.layers:
-            for name in vars(layer):
-                if name.startswith("_"):
-                    setattr(layer, name, None)
-
 
 # ------------------------------------------------------------- training
+
+
+def _is_int(value) -> bool:
+    """A Python or NumPy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -506,8 +511,8 @@ class WctConfig:
     def __post_init__(self):
         if not 0 < self.percentile <= 100:
             raise ValueError(f"percentile must be in (0, 100], got {self.percentile}")
-        if self.epochs < 1:
-            raise ValueError("wct epochs must be >= 1")
+        if not _is_int(self.epochs) or self.epochs < 1:
+            raise ValueError(f"wct epochs must be an integer >= 1, got {self.epochs!r}")
 
 
 @dataclass
@@ -522,8 +527,12 @@ class TrainConfig:
     wct: WctConfig | None = None
 
     def __post_init__(self):
-        if self.lr <= 0 or self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("hyperparameters must be positive")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not _is_int(self.batch_size) or self.batch_size < 1:
+            raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
+        if not _is_int(self.epochs) or self.epochs < 0:
+            raise ValueError(f"epochs must be an integer >= 0, got {self.epochs!r}")
 
 
 @dataclass
@@ -564,6 +573,53 @@ def _masks_4d(model: Network, pattern) -> dict[str, np.ndarray]:
     return out
 
 
+def _row_groups(channels: np.ndarray, rows_per_channel: int) -> np.ndarray:
+    """Unrolled rows of the given input channels, in channel-major order."""
+    return (channels[:, None] * rows_per_channel + np.arange(rows_per_channel)).ravel()
+
+
+def _narrowed(spec: ModelSpec, full: dict[str, np.ndarray], channels):
+    """The dense sub-network of the net `spec` with unrolled weights `full`
+    that keeps `channels[i]`, the input channels of its i-th trainable
+    layer (the last entry: the outputs of the last layer). Returns a fresh
+    `Network` whose weights are gathered from the kept rows and columns of
+    every unrolled matrix, and the `CfCompaction` of every layer."""
+    infos = spec.unrolled_layers()
+    comps = {info.name: pruning.CfCompaction(
+                 (info.rows, info.cols), _row_groups(ins, info.rows_per_channel), outs)
+             for info, ins, outs in zip(infos, channels, channels[1:])}
+    sizes = iter(comps.values())
+    layers = []
+    for layer in spec.layers:
+        if isinstance(layer, (ConvSpec, DenseSpec)):
+            comp = next(sizes)
+            rows, cols = comp.kept_rows.size, comp.kept_cols.size
+            layer = (replace(layer, in_ch=rows // layer.kernel ** 2, out_ch=cols)
+                     if isinstance(layer, ConvSpec) else DenseSpec(rows, cols))
+        layers.append(layer)
+    sub = Network(replace(spec, layers=tuple(layers)))
+    sub.set_unrolled_weights({name: comp.apply(full[name])
+                              for name, comp in comps.items()})
+    return sub, comps
+
+
+def _live_channels(spec: ModelSpec, full: dict[str, np.ndarray]) -> list[np.ndarray]:
+    """Per `_narrowed`, the channels that reach the logits: every input of
+    the first layer, every output of the last, and between two layers each
+    channel whose producing column and consuming row group both hold a
+    non-zero (or NaN) weight. Where no channel is live, the logits are all
+    zero whichever one is kept, so the lowest-index one is."""
+    infos = spec.unrolled_layers()
+    mats = [full[info.name] for info in infos]
+    channels = [np.arange(infos[0].in_channels)]
+    for w, nxt, info in zip(mats, mats[1:], infos[1:]):
+        live = np.flatnonzero(w.any(axis=0)
+                              & nxt.reshape(info.in_channels, -1).any(axis=1))
+        channels.append(live if live.size else np.zeros(1, dtype=int))
+    channels.append(np.arange(infos[-1].cols))
+    return channels
+
+
 @contextmanager
 def _cf_compacted(model: Network, pattern):
     """Yield the dense sub-network that a C/F pattern leaves of `model`, its
@@ -577,8 +633,7 @@ def _cf_compacted(model: Network, pattern):
     the first layer must keep every input and the last every output.
     Anything else raises ValueError before `model` is touched."""
     infos = model.spec.unrolled_layers()
-    comps = {}
-    channels = np.arange(infos[0].in_channels)
+    channels = [np.arange(infos[0].in_channels)]
     for info in infos:
         shape = (info.rows, info.cols)
         mask = np.asarray(pattern.masks.get(info.name, np.ones(shape)), dtype=float)
@@ -591,30 +646,17 @@ def _cf_compacted(model: Network, pattern):
         if not np.array_equal(mask, block):
             raise ValueError(f"C/F mask for {info.name} is not whole rows "
                              f"and columns of ones")
-        rpc = info.rows_per_channel
         if not np.array_equal(comp.kept_rows,
-                              (channels[:, None] * rpc + np.arange(rpc)).ravel()):
+                              _row_groups(channels[-1], info.rows_per_channel)):
             raise ValueError(f"C/F mask for {info.name} keeps other row groups "
                              f"than the channels the layer before keeps")
-        channels = comp.kept_cols
-        comps[info.name] = comp
-    if channels.size != infos[-1].cols:
+        channels.append(comp.kept_cols)
+    if channels[-1].size != infos[-1].cols:
         raise ValueError(f"C/F mask for {infos[-1].name} prunes outputs of "
                          f"the last layer")
 
-    sizes = iter(comps.values())
-    layers = []
-    for spec in model.spec.layers:
-        if isinstance(spec, (ConvSpec, DenseSpec)):
-            comp = next(sizes)
-            rows, cols = comp.kept_rows.size, comp.kept_cols.size
-            spec = (replace(spec, in_ch=rows // spec.kernel ** 2, out_ch=cols)
-                    if isinstance(spec, ConvSpec) else DenseSpec(rows, cols))
-        layers.append(spec)
-    sub = Network(replace(model.spec, layers=tuple(layers)))
     full = model.unrolled_weights()
-    sub.set_unrolled_weights({name: comp.apply(full[name])
-                              for name, comp in comps.items()})
+    sub, comps = _narrowed(model.spec, full, channels)
     yield sub
     for name, w in sub.unrolled_weights().items():
         comp = comps[name]
@@ -694,10 +736,14 @@ def wct_cutoff(model: Network, percentile: float) -> float:
     return float(v[rank - 1])
 
 
+def _check_w_cut(w_cut: float):
+    if not (np.isfinite(w_cut) and w_cut > 0):
+        raise ValueError(f"w_cut must be finite and > 0, got {w_cut}")
+
+
 def wct_clamp(w: np.ndarray, w_cut: float) -> np.ndarray:
     """min(|W|, w_cut) * sign(W); the result lies in [-w_cut, w_cut]."""
-    if w_cut <= 0:
-        raise ValueError(f"w_cut must be positive, got {w_cut}")
+    _check_w_cut(w_cut)
     return np.minimum(np.abs(w), w_cut) * np.sign(w)
 
 
@@ -710,24 +756,33 @@ def wct_train(model: Network, dataset: Dataset, config: TrainConfig,
     wct = config.wct if config.wct is not None else WctConfig()
     if w_cut is None:
         w_cut = wct_cutoff(model, wct.percentile)
+    _check_w_cut(w_cut)
     rng = np.random.default_rng([config.seed, 1])
     _fit(model, dataset, config, wct.epochs, w_cut, rng)
     return model, w_cut
 
 
 def evaluate(model: Network, dataset: Dataset, batch_size: int = 256) -> float:
-    """Fraction of argmax-correct predictions."""
+    """Fraction of argmax-correct predictions.
+
+    The forward pass runs a fresh network of the live channels only (see
+    `_live_channels`), so a C/F-pruned net, or the non-ideal copy of one,
+    evaluates at its compacted widths. The layers have no biases, so a
+    dead channel adds exactly zero to the logits and dropping it changes
+    them only by the rounding of a shorter GEMM. `model` is not run and
+    keeps no activations."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n = len(dataset)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    full = model.unrolled_weights()
+    sub, _ = _narrowed(model.spec, full, _live_channels(model.spec, full))
     correct = 0
     for start in range(0, n, batch_size):
-        logits = model.forward(dataset.images[start:start + batch_size])
+        logits = sub.forward(dataset.images[start:start + batch_size])
         correct += int((logits.argmax(axis=1)
                         == dataset.labels[start:start + batch_size]).sum())
-    model._drop_activations()
     return correct / n
 
 

@@ -35,10 +35,14 @@ def test_params_defaults_and_ratio():
     assert p.on_off_ratio == pytest.approx(10.0)
     sized = default_params(64)
     assert (sized.n_rows, sized.n_cols) == (64, 64)
+    assert default_params(np.int64(8)).n_cols == 8
 
 
 @pytest.mark.parametrize("kwargs", [
     dict(n_rows=0, n_cols=4),
+    dict(n_rows=4.0, n_cols=4),
+    dict(n_rows=4, n_cols=np.float64(4)),
+    dict(n_rows=True, n_cols=4),
     dict(n_rows=4, n_cols=2000),
     dict(n_rows=4, n_cols=4, r_driver=-1.0),
     dict(n_rows=4, n_cols=4, g_min=0.0),

@@ -21,8 +21,10 @@ from xbarprune.nn import (
     softmax_cross_entropy,
     tiny_model_spec,
     train,
+    wct_clamp,
     wct_train,
 )
+from xbarprune.nn import _live_channels, _narrowed
 from xbarprune.pruning import SparsityPattern, gen_mask_cf, gen_mask_xcs
 
 CONV_SPECS = [
@@ -254,15 +256,21 @@ def test_cf_train_and_wct_match_the_masked_loop():
     assert_weights_match(net_c, net_m)
 
 
-def test_cf_train_runs_the_compacted_widths(monkeypatch):
-    spec = reference_model_spec(init_seed=2)
-    pattern = gen_mask_cf(spec, 0.5, seed=2)
+def spy_widths(monkeypatch):
+    """The weight shapes of every conv and dense forward from now on."""
     seen = set()
     for cls in (Conv2d, Dense):
         def spy(self, x, forward=cls.forward):
             seen.add(self.w.shape)
             return forward(self, x)
         monkeypatch.setattr(cls, "forward", spy)
+    return seen
+
+
+def test_cf_train_runs_the_compacted_widths(monkeypatch):
+    spec = reference_model_spec(init_seed=2)
+    pattern = gen_mask_cf(spec, 0.5, seed=2)
+    seen = spy_widths(monkeypatch)
     train_set, _ = small_data()
     config = TrainConfig(epochs=1, seed=2, pattern=pattern, wct=WctConfig(epochs=1))
     train(Network(spec), train_set, config)
@@ -356,6 +364,52 @@ def test_wct_keeps_every_weight_within_cutoff():
         assert np.all(np.abs(w) <= w_cut)
 
 
+@pytest.mark.parametrize("w_cut", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+def test_wct_clamp_rejects_a_cutoff_that_is_not_finite_and_positive(w_cut):
+    with pytest.raises(ValueError, match="w_cut"):
+        wct_clamp(np.ones(3), w_cut)
+
+
+@pytest.mark.parametrize("w_cut", [np.nan, np.inf, 0.0])
+@pytest.mark.parametrize("make_pattern", [
+    lambda spec: gen_mask_cf(spec, 0.5, seed=3),
+    lambda spec: gen_mask_xcs(spec, 0.5, 8, seed=3),
+    lambda spec: None,
+], ids=["cf", "xcs", "dense"])
+def test_wct_train_rejects_a_cutoff_that_is_not_finite_and_positive(w_cut, make_pattern):
+    spec = tiny_model_spec(init_seed=3)
+    pattern = make_pattern(spec)
+    net = Network(spec)
+    before = {k: w.copy() for k, w in net.weights().items()}
+    with pytest.raises(ValueError, match="w_cut"):
+        wct_train(net, small_data()[0], TrainConfig(epochs=1, pattern=pattern), w_cut=w_cut)
+    for name, w in net.weights().items():
+        assert w.tobytes() == before[name].tobytes()
+
+
+@pytest.mark.parametrize("kwargs, reason", [
+    (dict(lr=np.nan), "lr"),
+    (dict(lr=np.inf), "lr"),
+    (dict(lr=0.0), "lr"),
+    (dict(batch_size=2.5), "batch_size"),
+    (dict(batch_size=32.0), "batch_size"),
+    (dict(batch_size=0), "batch_size"),
+    (dict(epochs=1.5), "epochs"),
+    (dict(epochs=-1), "epochs"),
+])
+def test_train_config_rejects_bad_hyperparameters(kwargs, reason):
+    with pytest.raises(ValueError, match=reason):
+        TrainConfig(**kwargs)
+
+
+def test_train_config_takes_numpy_integers():
+    config = TrainConfig(batch_size=np.int64(16), epochs=np.int32(0))
+    assert (config.batch_size, config.epochs) == (16, 0)
+    assert WctConfig(epochs=np.int64(2)).epochs == 2
+    with pytest.raises(ValueError, match="epochs"):
+        WctConfig(epochs=1.5)
+
+
 # ---------------------------------------------------------------- copy
 
 
@@ -389,6 +443,88 @@ def test_evaluate_leaves_only_the_weights():
     evaluate(net, test_set)
     held = [(i, name) for i, layer in enumerate(net.layers) for name, _ in _arrays(layer)]
     assert held == [(net.layers.index(layer), "w") for _, layer in net.trainable]
+
+
+# ----------------------------------------------- live-channel evaluation
+
+
+def masked_net(spec, pattern):
+    net = Network(spec)
+    net.set_unrolled_weights({name: w * pattern.masks[name]
+                              for name, w in net.unrolled_weights().items()})
+    return net
+
+
+@pytest.mark.parametrize("make_net, widths", [
+    # cf@0.5 keeps half the filters of every layer but the head
+    (lambda spec: masked_net(spec, gen_mask_cf(spec, 0.5, seed=2)),
+     {(32, 1, 3, 3), (64, 32, 3, 3), (64, 64, 3, 3), (256, 4)}),
+    # conv1's 9-row columns are single 32-row segments, so xcs@0.5 prunes
+    # half its filters whole; at this seed every later channel stays live
+    (lambda spec: masked_net(spec, gen_mask_xcs(spec, 0.5, 32, seed=0)),
+     {(32, 1, 3, 3), (128, 32, 3, 3), (128, 128, 3, 3), (512, 4)}),
+    (Network, {(64, 1, 3, 3), (128, 64, 3, 3), (128, 128, 3, 3), (512, 4)}),
+], ids=["cf", "xcs", "dense"])
+def test_evaluate_runs_the_live_widths(monkeypatch, make_net, widths):
+    net = make_net(reference_model_spec(init_seed=2))
+    seen = spy_widths(monkeypatch)
+    evaluate(net, gen_synthetic_dataset(2, 8, 40)[1])
+    assert seen == widths
+
+
+def _zero_column(net, layer, index):
+    mats = net.unrolled_weights()
+    mats[layer][:, index] = 0.0
+    net.set_unrolled_weights(mats)
+
+
+def _zero_row_group(net, layer, index):
+    mats = net.unrolled_weights()
+    rpc = {info.name: info.rows_per_channel for info in net.spec.unrolled_layers()}[layer]
+    mats[layer][index * rpc:(index + 1) * rpc] = 0.0
+    net.set_unrolled_weights(mats)
+
+
+@pytest.mark.parametrize("spec, zero, layer, index", [
+    (reference_model_spec(init_seed=4), _zero_column, "conv2", 5),
+    (reference_model_spec(init_seed=4), _zero_row_group, "conv3", 7),
+    (reference_model_spec(init_seed=4), _zero_row_group, "dense1", 3),
+    (ODD_SPEC, _zero_column, "conv1", 1),
+    (ODD_SPEC, _zero_row_group, "dense2", 2),
+], ids=["ref-producing-column", "ref-consuming-rows", "ref-flatten-rows",
+        "odd-producing-column", "odd-dense-rows"])
+def test_live_subnet_matches_the_full_width_oracle(spec, zero, layer, index):
+    # one channel dead from one side only; the other side stays non-zero
+    net = Network(spec)
+    zero(net, layer, index)
+    full = net.unrolled_weights()
+    channels = _live_channels(spec, full)
+    infos = spec.unrolled_layers()
+    expected = [np.arange(info.in_channels) for info in infos] + [np.arange(infos[-1].cols)]
+    # a zeroed column kills the channel after `layer`, a zeroed row group the one before
+    at = [info.name for info in infos].index(layer) + (zero is _zero_column)
+    expected[at] = np.delete(expected[at], index)
+    assert all(np.array_equal(c, e) for c, e in zip(channels, expected, strict=True))
+    sub, _ = _narrowed(spec, full, channels)
+    rng = np.random.default_rng(6)
+    x = rng.random((5, *spec.input_shape))
+    ref = network_forward(spec.layers, list(net.weights().values()), x)
+    logits = sub.forward(x)
+    assert np.abs(logits - ref).max() <= 1e-12 * np.abs(ref).max()
+    labels = ref.argmax(axis=1)
+    assert np.array_equal(logits.argmax(axis=1), labels)
+    assert evaluate(net, Dataset(x, labels)) == 1.0
+
+
+@pytest.mark.parametrize("dead", [("conv1", "conv2", "conv3", "dense1"), ("conv2",)],
+                         ids=["all-zero", "one-dead-layer"])
+def test_evaluate_with_no_live_channel_predicts_class_zero(dead):
+    # every logit is +-0, and argmax picks the first of equal entries
+    net = Network(reference_model_spec(init_seed=3))
+    net.set_unrolled_weights({name: np.zeros_like(w) if name in dead else w
+                              for name, w in net.unrolled_weights().items()})
+    _, test_set = gen_synthetic_dataset(3, 8, 50)
+    assert evaluate(net, test_set, batch_size=16) == np.mean(test_set.labels == 0)
 
 
 @pytest.mark.parametrize("batch_size", [0, -1])
