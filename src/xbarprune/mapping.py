@@ -113,6 +113,8 @@ def partition(w: np.ndarray, n: int, *, order: str | None = None,
     n x n tiles; returns (tiles, record). The tiles cut the matrix, or the
     rows and columns a CfCompaction keeps, row-major after rearranging the
     columns into ``order``; a SegmentPacking lists its tiles itself."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"tile size must be an integer >= 1, got {n!r}")
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.size == 0:
         raise ValueError(f"need a nonempty 2-D weight matrix, got shape {w.shape}")
@@ -121,8 +123,6 @@ def partition(w: np.ndarray, n: int, *, order: str | None = None,
     w_scale = float(np.max(np.abs(w)))
     if w_scale <= 0:
         raise ValueError("layer weights are all zero; nothing to map")
-    if n < 1:
-        raise ValueError(f"tile size must be >= 1, got {n}")
     if not isinstance(compaction, (type(None), CfCompaction, SegmentPacking)):
         raise TypeError("compaction must be None, a CfCompaction or a "
                         f"SegmentPacking, got {type(compaction).__name__}")

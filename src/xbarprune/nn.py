@@ -9,12 +9,21 @@ its output gradient reshapes back to the GEMM operand with no copy.
 `Flatten` emits (c, h, w) order, so dense weights and masks keep the
 channel-major row groups that `ModelSpec.unrolled_layers` reports.
 
+Data movement around the conv GEMMs is kept to whole slabs. `im2col`
+writes each of the k*k kernel offsets' slab of the input into one zeroed
+window buffer; the padding is never materialized. The input gradient is
+one GEMM by W^T with its columns in (kernel row, kernel column, channel)
+order, so `col2im` adds k*k slabs that are contiguous in the channels. A
+ReLU that feeds a max pool runs after the pool, on the 4x smaller map;
+see `Network` for why that gives the same numbers.
+
 Everything is float64 and bit-deterministic given (init seed, data seed,
 training seed): initialization draws from one seeded generator in layer
 order, batch order comes from the training seed, and no threading touches
 the update order. Every GEMM sees its operands in one fixed K order (that
-of `unroll_conv`), and every scattered sum adds its terms in one fixed
-order.
+of `unroll_conv` for the forward and weight-gradient GEMMs, the output
+channels for the input-gradient GEMM), and every scattered sum adds its
+terms in one fixed order.
 
 A channel/filter (C/F) pruned net is a narrower dense net, and `train` and
 `wct_train` run it as one: they gather the surviving rows and columns of
@@ -42,11 +51,15 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import pruning
 
 # ---------------------------------------------------------------- specs
+
+
+def _is_int(value) -> bool:
+    """A Python or NumPy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -58,12 +71,14 @@ class ConvSpec:
     padding: int = -1          # -1 means "same-ish": kernel // 2
 
     def __post_init__(self):
-        for name in ("in_ch", "out_ch", "kernel", "stride"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"conv {name} must be >= 1, got {getattr(self, name)}")
+        for name in ("in_ch", "out_ch", "kernel", "stride", "padding"):
+            value, low = getattr(self, name), -1 if name == "padding" else 1
+            if not _is_int(value) or value < low:
+                raise ValueError(f"conv {name} must be >= {low} and an integer, "
+                                 f"got {value!r}")
 
     def pad(self) -> int:
-        return self.kernel // 2 if self.padding < 0 else self.padding
+        return self.kernel // 2 if self.padding == -1 else self.padding
 
 
 @dataclass(frozen=True)
@@ -72,9 +87,9 @@ class DenseSpec:
     out_features: int
 
     def __post_init__(self):
-        if self.in_features < 1 or self.out_features < 1:
-            raise ValueError(f"dense sizes must be >= 1, got "
-                             f"{self.in_features} -> {self.out_features}")
+        if not all(_is_int(v) and v >= 1 for v in (self.in_features, self.out_features)):
+            raise ValueError(f"dense sizes must be >= 1 and integers, got "
+                             f"{self.in_features!r} -> {self.out_features!r}")
 
 
 @dataclass(frozen=True)
@@ -257,50 +272,96 @@ def reroll_conv(mat: np.ndarray, conv_shape: tuple[int, int, int, int]) -> np.nd
     return mat.reshape(in_ch, k, k, out_ch).transpose(3, 0, 1, 2).copy()
 
 
+def _taps(size: int, out: int, k: int, stride: int, padding: int):
+    """For one axis of an input of length `size` with `padding` zeros on
+    each side, and each kernel offset r: the slice of the `out` window
+    positions o whose tap o*stride + r - padding lands inside the input,
+    and the slice of the input elements those taps read. The taps of the
+    other positions read padding."""
+    taps = []
+    for r in range(k):
+        lo = max(0, -((r - padding) // stride))
+        hi = max(lo, min(out, (size - 1 + padding - r) // stride + 1))
+        start = lo * stride + r - padding
+        taps.append((slice(lo, hi), slice(start, start + stride * (hi - lo), stride)))
+    return taps
+
+
 def im2col(x: np.ndarray, k: int, stride: int, padding: int):
     """Unroll the k x k windows of a channels-last x (n, h, w, c) into a
     (n*ho*wo, c*k*k) matrix: one row per output position in (n, ho, wo)
     order, columns in (channel, kernel row, kernel column) order, the row
-    order of `unroll_conv`. The (n, ho, wo, c, k, k) window view is copied
-    once, in the order it is written. Returns (cols, ho, wo)."""
+    order of `unroll_conv`. The matrix is a zeroed (n, ho, wo, c, k, k)
+    buffer into which each of the k*k kernel offsets copies its slab of x,
+    the input elements that offset reads; the taps that fall on the
+    padding keep their zeros. Returns (cols, ho, wo)."""
     n, h, w, c = x.shape
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
-    ho, wo = win.shape[1], win.shape[2]
-    return np.ascontiguousarray(win).reshape(n * ho * wo, c * k * k), ho, wo
+    ho, wo = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+    cols = np.zeros((n, ho, wo, c, k, k))
+    row_taps, col_taps = _taps(h, ho, k, stride, padding), _taps(w, wo, k, stride, padding)
+    for kr, (ro, ri) in enumerate(row_taps):
+        for kc, (co, ci) in enumerate(col_taps):
+            cols[:, ro, co, :, kr, kc] = x[:, ri, ci]
+    return cols.reshape(n * ho * wo, c * k * k), ho, wo
 
 
 def col2im(dcols: np.ndarray, x_shape, k: int, stride: int, padding: int,
            ho: int, wo: int) -> np.ndarray:
-    """Adjoint of `im2col`: sum the (n*ho*wo, c*k*k) column gradients back
-    onto the channels-last input shape (n, h, w, c). Each input element
-    receives its window terms in (kernel row, kernel column) order."""
+    """Adjoint of `im2col` for column gradients in (kernel row, kernel
+    column, channel) order, as `Conv2d.backward` forms them: sum the
+    (n*ho*wo, k*k*c) gradients back onto the channels-last input shape
+    (n, h, w, c). Each kernel offset adds one slab, contiguous in the
+    channels, so each input element receives its window terms in
+    (kernel row, kernel column) order; the terms that fall on the padding
+    are dropped."""
     n, h, w, c = x_shape
-    dxp = np.zeros((n, h + 2 * padding, w + 2 * padding, c))
-    d6 = dcols.reshape(n, ho, wo, c, k, k)
-    for kr in range(k):
-        for kc in range(k):
-            dxp[:, kr:kr + stride * ho:stride,
-                kc:kc + stride * wo:stride] += d6[..., kr, kc]
-    return dxp[:, padding:padding + h, padding:padding + w]
+    dx = np.zeros(x_shape)
+    d6 = dcols.reshape(n, ho, wo, k, k, c)
+    row_taps, col_taps = _taps(h, ho, k, stride, padding), _taps(w, wo, k, stride, padding)
+    for kr, (ro, ri) in enumerate(row_taps):
+        for kc, (co, ci) in enumerate(col_taps):
+            dx[:, ri, ci] += d6[:, ro, co, kr, kc]
+    return dx
 
 
 # --------------------------------------------------------------- layers
 
 
-class Conv2d:
+class _Weighted:
+    """A trainable layer: one weight array `w` in the layer's native shape
+    and its gradient `grad_w`. The constructor draws a He-normal `w` from
+    `rng`; `_of` wraps given weights and draws nothing."""
+
+    def __init__(self, spec, rng: np.random.Generator):
+        shape, fan_in = self._shape(spec)
+        self._set(spec, rng.standard_normal(shape) * math.sqrt(2.0 / fan_in))
+
+    @classmethod
+    def _of(cls, spec, w: np.ndarray):
+        layer = cls.__new__(cls)
+        layer._set(spec, w)
+        return layer
+
+    def _set(self, spec, w):
+        self.spec, self.w = spec, w
+        self.grad_w = None
+        self._cache = None
+
+
+class Conv2d(_Weighted):
     """Convolution of a channels-last input (n, h, w, in_ch) to
-    (n, ho, wo, out_ch) as one GEMM, `im2col(x) @ unroll_conv(w)`."""
+    (n, ho, wo, out_ch) as one GEMM, `im2col(x) @ unroll_conv(w)`. The
+    input gradient is one GEMM by W^T with its columns in (kernel row,
+    kernel column, channel) order, so that `col2im` adds whole slabs; each
+    of its elements sums the same out_ch terms in the same order as with
+    the columns in `unroll_conv` order."""
 
     kind = "conv"
 
-    def __init__(self, spec: ConvSpec, rng: np.random.Generator):
-        fan_in = spec.in_ch * spec.kernel ** 2
-        self.spec = spec
-        self.w = rng.standard_normal((spec.out_ch, spec.in_ch, spec.kernel,
-                                      spec.kernel)) * math.sqrt(2.0 / fan_in)
-        self.grad_w = None
-        self._cache = None
+    @staticmethod
+    def _shape(spec: ConvSpec):
+        return ((spec.out_ch, spec.in_ch, spec.kernel, spec.kernel),
+                spec.in_ch * spec.kernel ** 2)
 
     def forward(self, x):
         k, s, p = self.spec.kernel, self.spec.stride, self.spec.pad()
@@ -320,19 +381,17 @@ class Conv2d:
         self.grad_weights(dout)
         _, x_shape, ho, wo = self._cache
         k, s, p = self.spec.kernel, self.spec.stride, self.spec.pad()
-        dcols = dout.reshape(-1, self.spec.out_ch) @ unroll_conv(self.w).T
+        w_t = self.w.transpose(2, 3, 1, 0).reshape(-1, self.spec.out_ch).T
+        dcols = dout.reshape(-1, self.spec.out_ch) @ w_t
         return col2im(dcols, x_shape, k, s, p, ho, wo)
 
 
-class Dense:
+class Dense(_Weighted):
     kind = "dense"
 
-    def __init__(self, spec: DenseSpec, rng: np.random.Generator):
-        self.spec = spec
-        self.w = rng.standard_normal((spec.in_features, spec.out_features)) \
-            * math.sqrt(2.0 / spec.in_features)
-        self.grad_w = None
-        self._cache = None
+    @staticmethod
+    def _shape(spec: DenseSpec):
+        return (spec.in_features, spec.out_features), spec.in_features
 
     def forward(self, x):
         self._cache = x
@@ -423,31 +482,66 @@ class Flatten:
 
 class Network:
     """Layer stack built from a ModelSpec; trainable layers are named
-    conv1.., dense1.. in order."""
+    conv1.., dense1.. in order.
+
+    The stack follows the spec, except that a ReLU directly before a 2x2
+    max pool runs after it, on the 4x smaller pooled map. ReLU
+    (`x * (x > 0)`) is monotone and keeps NaN, so on any map without -inf
+    the pool keeps the same value from a window with a positive or NaN
+    entry, at the same position, and both orders give the same outputs
+    and gradients bit for bit. A window whose entries are all <= 0 yields
+    a zero and passes a zero gradient in either order; only the sign of
+    those zeros, and which entry receives the signed one, can differ, so
+    every value stays equal as a number. (-inf is outside the rule: ReLU
+    turns it into NaN, which would win its window.) `Network(spec)` draws
+    the He-normal initialization of every trainable layer from one
+    generator seeded by `spec.init_seed`, in layer order; copies and the
+    narrowed nets of training and evaluation are built from weights and
+    draw nothing."""
 
     def __init__(self, spec: ModelSpec):
-        self.spec = spec
         rng = np.random.default_rng(spec.init_seed)
+        self._build(spec, lambda cls, layer_spec, name: cls(layer_spec, rng))
+
+    @classmethod
+    def _of(cls, spec: ModelSpec, matrices: dict[str, np.ndarray]) -> "Network":
+        """The network of `spec` with the given unrolled weight matrices
+        (copied, as `set_unrolled_weights` takes them); draws no
+        initialization."""
+        net = cls.__new__(cls)
+        net._build(spec, lambda layer_cls, layer_spec, name: layer_cls._of(
+            layer_spec, _native(layer_cls, layer_spec, matrices, name)))
+        return net
+
+    def _build(self, spec: ModelSpec, make):
+        """Build the layer stack; `make(layer_class, layer_spec, name)`
+        makes each trainable layer, in order."""
+        self.spec = spec
         self.layers = []
         self.trainable: list[tuple[str, object]] = []
         names = iter(info.name for info in spec.unrolled_layers())
         flat = False
         for layer_spec, incoming in spec.shape_walk():
             if isinstance(layer_spec, ConvSpec):
-                layer = Conv2d(layer_spec, rng)
+                name = next(names)
+                layer = make(Conv2d, layer_spec, name)
                 self.layers.append(layer)
-                self.trainable.append((next(names), layer))
+                self.trainable.append((name, layer))
             elif isinstance(layer_spec, DenseSpec):
                 if not flat and isinstance(incoming, tuple):
                     self.layers.append(Flatten())
                     flat = True
-                layer = Dense(layer_spec, rng)
+                name = next(names)
+                layer = make(Dense, layer_spec, name)
                 self.layers.append(layer)
-                self.trainable.append((next(names), layer))
+                self.trainable.append((name, layer))
             elif isinstance(layer_spec, ReluSpec):
                 self.layers.append(ReLU())
             elif isinstance(layer_spec, PoolSpec):
                 self.layers.append(MaxPool2())
+        for i in range(len(self.layers) - 1):
+            if isinstance(self.layers[i], ReLU) and isinstance(self.layers[i + 1], MaxPool2):
+                self.layers[i:i + 2] = self.layers[i + 1], self.layers[i]
 
     def forward(self, x):
         """Logits (n, classes) for NCHW images x (n, c, h, w)."""
@@ -476,31 +570,29 @@ class Network:
 
     def set_unrolled_weights(self, matrices: dict[str, np.ndarray]):
         for name, layer in self.trainable:
-            if name not in matrices:
-                raise ValueError(f"missing weights for layer {name}")
-            mat = np.asarray(matrices[name], dtype=float)
-            if layer.kind == "conv":
-                layer.w = reroll_conv(mat, layer.w.shape)
-            else:
-                if mat.shape != layer.w.shape:
-                    raise ValueError(f"{name}: shape {mat.shape} != {layer.w.shape}")
-                layer.w = mat.copy()
+            layer.w = _native(type(layer), layer.spec, matrices, name)
 
     def copy(self) -> "Network":
         """A network with the same spec and a copy of the weights; no
         activation cache or gradient is carried over."""
-        out = Network(self.spec)
-        for (_, mine), (_, theirs) in zip(self.trainable, out.trainable):
-            theirs.w = mine.w.copy()
-        return out
+        return Network._of(self.spec, self.unrolled_weights())
+
+
+def _native(layer_cls, layer_spec, matrices: dict[str, np.ndarray], name: str):
+    """A fresh native-shape weight array for layer `name` from its unrolled
+    matrix in `matrices`."""
+    if name not in matrices:
+        raise ValueError(f"missing weights for layer {name}")
+    mat = np.asarray(matrices[name], dtype=float)
+    shape = layer_cls._shape(layer_spec)[0]
+    if layer_cls is Conv2d:
+        return reroll_conv(mat, shape)
+    if mat.shape != shape:
+        raise ValueError(f"{name}: shape {mat.shape} != {shape}")
+    return mat.copy()
 
 
 # ------------------------------------------------------------- training
-
-
-def _is_int(value) -> bool:
-    """A Python or NumPy integer, not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -597,9 +689,8 @@ def _narrowed(spec: ModelSpec, full: dict[str, np.ndarray], channels):
             layer = (replace(layer, in_ch=rows // layer.kernel ** 2, out_ch=cols)
                      if isinstance(layer, ConvSpec) else DenseSpec(rows, cols))
         layers.append(layer)
-    sub = Network(replace(spec, layers=tuple(layers)))
-    sub.set_unrolled_weights({name: comp.apply(full[name])
-                              for name, comp in comps.items()})
+    sub = Network._of(replace(spec, layers=tuple(layers)),
+                      {name: comp.apply(full[name]) for name, comp in comps.items()})
     return sub, comps
 
 
@@ -789,9 +880,7 @@ def evaluate(model: Network, dataset: Dataset, batch_size: int = 256) -> float:
 def inject_nonideal_weights(model: Network, matrices: dict[str, np.ndarray]) -> Network:
     """New model whose forward pass uses the given unrolled weight matrices;
     the original model is untouched."""
-    out = model.copy()
-    out.set_unrolled_weights(matrices)
-    return out
+    return Network._of(model.spec, matrices)
 
 
 # -------------------------------------------------------------- dataset

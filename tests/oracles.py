@@ -5,7 +5,11 @@ internals: the circuit oracle builds the full dense modified-nodal-analysis
 system with explicit voltage-source rows and solves it by direct
 elimination, the convolution oracle slides kernels with plain loops, and
 the network oracle runs a model spec layer by layer on NCHW arrays with
-those loops. The segment oracles zero and pack XCS and XRS segments one
+those loops. The conv-block oracles keep an earlier, independent data path
+of the channels-last convolution: im2col by `np.pad` and a whole
+sliding-window copy, col2im on a padded buffer, and ReLU before an
+`np.argmax` max pool, in the order a model spec lists them. The segment
+oracles zero and pack XCS and XRS segments one
 at a time, each kind on its own grid.
 """
 
@@ -14,6 +18,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def dense_mna_currents(g, r_driver, r_wire_row, r_wire_col, r_sense, v):
@@ -111,6 +116,99 @@ def max_pool2(x):
         out[b, ch, i, j] = max(x[b, ch, 2 * i, 2 * j], x[b, ch, 2 * i, 2 * j + 1],
                                x[b, ch, 2 * i + 1, 2 * j], x[b, ch, 2 * i + 1, 2 * j + 1])
     return out
+
+
+def he_normal_init(spec):
+    """The initial weights of a model spec: one generator seeded by
+    `spec.init_seed` draws standard normals for every trainable layer in
+    order, scaled by sqrt(2 / fan_in); conv (out, in, k, k), dense (in, out)."""
+    rng = np.random.default_rng(spec.init_seed)
+    out = []
+    for layer in spec.layers:
+        kind = type(layer).__name__
+        if kind == "ConvSpec":
+            fan_in = layer.in_ch * layer.kernel ** 2
+            shape = (layer.out_ch, layer.in_ch, layer.kernel, layer.kernel)
+        elif kind == "DenseSpec":
+            fan_in = layer.in_features
+            shape = (layer.in_features, layer.out_features)
+        else:
+            continue
+        out.append(rng.standard_normal(shape) * math.sqrt(2.0 / fan_in))
+    return out
+
+
+def im2col_padded(x, k, stride, padding):
+    """Windows of a channels-last x (n, h, w, c) as a (n*ho*wo, c*k*k)
+    matrix, rows in (n, ho, wo) order and columns in (channel, kernel row,
+    kernel column) order: pad x with np.pad and copy its strided
+    (n, ho, wo, c, k, k) window view whole. Returns (cols, ho, wo)."""
+    n, h, w, c = x.shape
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    ho, wo = win.shape[1], win.shape[2]
+    return np.ascontiguousarray(win).reshape(n * ho * wo, c * k * k), ho, wo
+
+
+def col2im_padded(dcols, x_shape, k, stride, padding, ho, wo):
+    """Adjoint of im2col_padded: add the (channel, kernel row, kernel
+    column) column gradients onto a zero-padded input in (kernel row,
+    kernel column) order, then crop the padding."""
+    n, h, w, c = x_shape
+    dxp = np.zeros((n, h + 2 * padding, w + 2 * padding, c))
+    d6 = dcols.reshape(n, ho, wo, c, k, k)
+    for kr in range(k):
+        for kc in range(k):
+            dxp[:, kr:kr + stride * ho:stride, kc:kc + stride * wo:stride] += d6[..., kr, kc]
+    return dxp[:, padding:padding + h, padding:padding + w]
+
+
+def max_pool2_argmax(x):
+    """2x2 max pooling, stride 2, of a channels-last x (n, h, w, c) by
+    np.argmax over each window's four entries in row-major order (the first
+    maximum, or the first NaN); an odd last row or column is dropped.
+    Returns (pooled, backward), where backward(dout) routes each gradient
+    to the entry picked and +0.0 to the other three."""
+    n, h, w, c = x.shape
+    ho, wo = h // 2, w // 2
+    win = (x[:, :2 * ho, :2 * wo].reshape(n, ho, 2, wo, 2, c)
+           .transpose(0, 1, 3, 5, 2, 4).reshape(n, ho, wo, c, 4))
+    pick = np.argmax(win, axis=-1)[..., None]
+    out = np.take_along_axis(win, pick, axis=-1)[..., 0]
+
+    def backward(dout):
+        d = np.zeros(win.shape)
+        np.put_along_axis(d, pick, dout[..., None], axis=-1)
+        dx = np.zeros(x.shape)
+        dx[:, :2 * ho, :2 * wo] = (d.reshape(n, ho, wo, c, 2, 2)
+                                   .transpose(0, 1, 4, 2, 5, 3).reshape(n, 2 * ho, 2 * wo, c))
+        return dx
+
+    return out, backward
+
+
+def relu_then_pool(x, dout, pool=True):
+    """ReLU (x * (x > 0)) and then, if `pool`, max_pool2_argmax, forward and
+    backward on a channels-last x; returns (out, dx)."""
+    mask = x > 0
+    out, back = max_pool2_argmax(x * mask) if pool else (x * mask, lambda d: d)
+    return out, back(dout) * mask
+
+
+def conv_block(x, w, stride, padding, dout, pool=True):
+    """A conv -> ReLU (-> 2x2 max pool) block on a channels-last x, forward
+    and backward through im2col_padded, one GEMM by the (in, k, k)-major
+    unrolled weights, relu_then_pool and col2im_padded. Returns
+    (out, dx, grad_w), grad_w shaped like w (out, in, k, k)."""
+    out_ch, in_ch, k, _ = w.shape
+    cols, ho, wo = im2col_padded(x, k, stride, padding)
+    w_mat = w.transpose(1, 2, 3, 0).reshape(in_ch * k * k, out_ch)
+    y = (cols @ w_mat).reshape(x.shape[0], ho, wo, out_ch)
+    out, dy = relu_then_pool(y, dout, pool)
+    d2 = dy.reshape(-1, out_ch)
+    grad_w = (cols.T @ d2).reshape(in_ch, k, k, out_ch).transpose(3, 0, 1, 2)
+    dx = col2im_padded(d2 @ w_mat.T, x.shape, k, stride, padding, ho, wo)
+    return out, dx, grad_w
 
 
 def network_forward(layers, weights, x):

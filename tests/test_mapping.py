@@ -446,3 +446,16 @@ def test_rearrangement_effect_on_crafted_matrices():
         err_rearr = np.abs(w - rearr.w_nonideal)[:, low_cols].mean()
         assert err_rearr < err_plain
         assert np.nanmin(rearr.nf.per_tile_mean) < np.nanmin(plain.nf.per_tile_mean)
+
+
+@pytest.mark.parametrize("n", [2.0, True, np.float64(4), "4", 0, -2])
+def test_partition_rejects_a_tile_size_that_is_not_an_integer_from_one(n):
+    # checked before the weights: an all-zero matrix would fail later
+    with pytest.raises(ValueError, match="tile size"):
+        partition(np.zeros((4, 4)), n)
+
+
+def test_partition_takes_a_numpy_integer_tile_size():
+    w = np.random.default_rng(19).normal(size=(5, 7))
+    tiles, _ = partition(w, np.int64(4))
+    assert [t.tobytes() for t in tiles] == [t.tobytes() for t in partition(w, 4)[0]]

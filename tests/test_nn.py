@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from oracles import direct_conv2d, network_forward, numeric_gradient
+from oracles import (
+    col2im_padded,
+    conv_block,
+    direct_conv2d,
+    he_normal_init,
+    im2col_padded,
+    network_forward,
+    numeric_gradient,
+    relu_then_pool,
+)
 from xbarprune.nn import (
     Conv2d,
     ConvSpec,
@@ -12,11 +21,15 @@ from xbarprune.nn import (
     ModelSpec,
     Network,
     PoolSpec,
+    ReLU,
     ReluSpec,
     TrainConfig,
     WctConfig,
+    col2im,
     evaluate,
     gen_synthetic_dataset,
+    im2col,
+    inject_nonideal_weights,
     reference_model_spec,
     softmax_cross_entropy,
     tiny_model_spec,
@@ -112,6 +125,158 @@ def test_max_pool_tie_sends_gradient_to_first_entry(window, first):
     expected = np.zeros((1, 3, 3, 1))
     expected[0, first[0], first[1], 0] = 5.0
     assert dx.tobytes() == expected.tobytes()
+
+
+# ------------------------------------------------- conv block data path
+
+
+def same(a, b):
+    """Equal shapes and values, NaN equal to NaN; +0.0 equals -0.0."""
+    return a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# (in_ch, out_ch, kernel, stride, padding, map h, map w)
+BLOCKS = [
+    (1, 4, 3, 1, 1, 8, 8),
+    (3, 5, 3, 1, 1, 7, 5),        # odd map: the pool drops a row and a column
+    (2, 4, 3, 2, 1, 9, 7),
+    (4, 3, 3, 2, 0, 8, 9),
+    (2, 3, 5, 1, 2, 6, 7),
+    (3, 2, 1, 1, 0, 5, 5),
+    (2, 3, 3, 3, 2, 7, 8),        # stride above the kernel's reach: taps skip rows
+]
+
+
+def block_map(rng, shape, kind):
+    """A channels-last map: "normal" values, "small" integers in -2..2
+    (conv outputs full of ties, zeros and all-negative pool windows) or
+    "nan" (normal with a few NaN)."""
+    if kind == "small":
+        return rng.integers(-2, 3, size=shape).astype(float)
+    x = rng.normal(size=shape)
+    if kind == "nan":
+        x[rng.random(shape) < 0.03] = np.nan
+    return x
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_im2col_and_col2im_match_the_padded_oracles_bit_for_bit(block):
+    in_ch, _, k, stride, padding, h, w = block
+    rng = np.random.default_rng(sum(block))
+    x = rng.normal(size=(3, h, w, in_ch))
+    cols, ho, wo = im2col(x, k, stride, padding)
+    ref, ref_ho, ref_wo = im2col_padded(x, k, stride, padding)
+    assert (ho, wo) == (ref_ho, ref_wo)
+    assert same_bits(cols, ref)
+    # col2im takes (kernel row, kernel column, channel) columns
+    d = rng.normal(size=ref.shape)
+    d_slabs = d.reshape(-1, in_ch, k, k).transpose(0, 2, 3, 1).reshape(d.shape)
+    dx = col2im(d_slabs, x.shape, k, stride, padding, ho, wo)
+    assert same_bits(dx, col2im_padded(d, x.shape, k, stride, padding, ho, wo))
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_col2im_is_the_adjoint_of_im2col(block):
+    in_ch, _, k, stride, padding, h, w = block
+    rng = np.random.default_rng(100 + sum(block))
+    x = rng.normal(size=(2, h, w, in_ch))
+    cols, ho, wo = im2col(x, k, stride, padding)
+    d = rng.normal(size=cols.shape)
+    d_slabs = d.reshape(-1, in_ch, k, k).transpose(0, 2, 3, 1).reshape(d.shape)
+    lhs = np.sum(cols * d)
+    rhs = np.sum(x * col2im(d_slabs, x.shape, k, stride, padding, ho, wo))
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("kind", ["normal", "small", "nan"])
+@pytest.mark.parametrize("block", BLOCKS)
+def test_conv_relu_pool_block_matches_the_spec_order_oracle(block, kind):
+    # the block as Network builds it (conv, pool, then ReLU on the pooled
+    # map) against conv -> ReLU -> pool through the padded im2col/col2im
+    in_ch, out_ch, k, stride, padding, h, w = block
+    spec = ModelSpec((ConvSpec(in_ch, out_ch, k, stride, padding), ReluSpec(), PoolSpec()),
+                     input_shape=(in_ch, h, w))
+    layers = Network(spec).layers
+    assert [layer.kind for layer in layers] == ["conv", "pool", "relu"]
+    rng = np.random.default_rng(200 + sum(block))
+    conv = layers[0]
+    conv.w = block_map(rng, conv.w.shape, "small" if kind == "small" else "normal")
+    x = block_map(rng, (8, h, w, in_ch), kind)
+    maps = [x]
+    for layer in layers:
+        maps.append(layer.forward(maps[-1]))
+    out = maps[-1]
+    dout = rng.normal(size=out.shape)
+    dx = dout
+    for layer in reversed(layers):
+        dx = layer.backward(dx)
+    ref_out, ref_dx, ref_grad_w = conv_block(x, conv.w, stride, conv.spec.pad(), dout)
+    assert same(out, ref_out)
+    assert same(dx, ref_dx)
+    assert same(conv.grad_w, ref_grad_w)
+    if kind == "small":
+        # the integer maps do reach the pool with the windows the reordering
+        # must get right: ties, zeros and all-negative windows
+        assert np.any(maps[1] == 0) and np.any(maps[2] <= 0)
+
+
+@pytest.mark.parametrize("kind", ["normal", "nan"])
+@pytest.mark.parametrize("block", BLOCKS)
+def test_conv_relu_block_matches_the_oracle_bit_for_bit(block, kind):
+    # no pool: the GEMMs see the oracle's operands in the oracle's K order
+    in_ch, out_ch, k, stride, padding, h, w = block
+    spec = ModelSpec((ConvSpec(in_ch, out_ch, k, stride, padding), ReluSpec()),
+                     input_shape=(in_ch, h, w))
+    conv, relu = Network(spec).layers
+    rng = np.random.default_rng(300 + sum(block))
+    x = block_map(rng, (2, h, w, in_ch), kind)
+    out = relu.forward(conv.forward(x))
+    dout = rng.normal(size=out.shape)
+    dx = conv.backward(relu.backward(dout))
+    ref_out, ref_dx, ref_grad_w = conv_block(x, conv.w, stride, conv.spec.pad(), dout,
+                                             pool=False)
+    assert same_bits(out, ref_out)
+    assert same_bits(dx, ref_dx)
+    assert same_bits(conv.grad_w, ref_grad_w)
+
+
+@pytest.mark.parametrize("window", [
+    [[2.0, 2.0], [2.0, 2.0]],
+    [[1.0, 3.0], [3.0, 3.0]],
+    [[-0.0, 0.0], [0.0, -1.0]],
+    [[0.0, -0.0], [-0.0, 0.0]],
+    [[-3.0, 0.0], [-1.0, -0.0]],
+    [[-3.0, -1.0], [-1.0, -2.0]],
+    [[-1.0, 7.0], [np.nan, np.nan]],
+    [[np.nan, 7.0], [-np.nan, 9.0]],
+    [[-2.0, -1.0], [np.nan, -5.0]],
+])
+@pytest.mark.parametrize("grad", [5.0, -5.0])
+def test_relu_after_the_pool_matches_relu_before_it(window, grad):
+    # the one 2x2 window of a 3x3 map (last row and column dropped) in
+    # every channel, ahead of a negative channel and a positive one
+    x = np.full((1, 3, 3, 3), 9.0)
+    x[0, :2, :2, :] = np.asarray(window)[..., None]
+    x[0, :2, :2, 1] = -4.0
+    layers = [MaxPool2(), ReLU()]
+    out = x
+    for layer in layers:
+        out = layer.forward(out)
+    dout = np.full(out.shape, grad)
+    dx = dout
+    for layer in reversed(layers):
+        dx = layer.backward(dx)
+    ref_out, ref_dx = relu_then_pool(x, dout)
+    assert same(out, ref_out)
+    assert same(dx, ref_dx)
+    positive = np.nanmax(window) > 0 or np.isnan(window).any()
+    if positive:
+        assert same_bits(out[..., 0], ref_out[..., 0])
+        assert same_bits(dx[..., 0], ref_dx[..., 0])
 
 
 # --------------------------------------------------------------- gradients
@@ -445,6 +610,63 @@ def test_evaluate_leaves_only_the_weights():
     assert held == [(net.layers.index(layer), "w") for _, layer in net.trainable]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+@pytest.mark.parametrize("spec_fn", [reference_model_spec, tiny_model_spec])
+def test_network_init_draws_he_normal_weights_in_layer_order(spec_fn, seed):
+    spec = spec_fn(init_seed=seed)
+    weights = list(Network(spec).weights().values())
+    ref = he_normal_init(spec)
+    assert len(weights) == len(ref)
+    for w, r in zip(weights, ref):
+        assert same_bits(w, r)
+
+
+def test_copies_and_narrowed_nets_draw_no_initialization(monkeypatch):
+    spec = reference_model_spec(init_seed=4)
+    net = masked_net(spec, gen_mask_cf(spec, 0.5, seed=4))
+    _, test_set = gen_synthetic_dataset(4, 8, 20)
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def spy(*args, **kwargs):
+        seeds.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    full = net.unrolled_weights()
+    built = [net.copy(), inject_nonideal_weights(net, full),
+             _narrowed(spec, full, _live_channels(spec, full))[0]]
+    evaluate(net, test_set)
+    assert seeds == []
+    for other in built[:2]:
+        for name, w in net.weights().items():
+            assert same_bits(other.weights()[name], w)
+    assert built[2].weights()["conv1"].shape == (32, 1, 3, 3)
+    Network(spec)
+    assert seeds == [(4,)]
+
+
+def test_inject_nonideal_weights_checks_every_matrix():
+    net = Network(tiny_model_spec(init_seed=2))
+    full = net.unrolled_weights()
+    with pytest.raises(ValueError, match="missing weights for layer dense1"):
+        inject_nonideal_weights(net, {"conv1": full["conv1"]})
+    with pytest.raises(ValueError, match="dense1"):
+        inject_nonideal_weights(net, {**full, "dense1": full["dense1"][:-1]})
+    with pytest.raises(ValueError, match="re-roll"):
+        inject_nonideal_weights(net, {**full, "conv1": full["conv1"].T})
+
+
+def test_relu_feeding_a_pool_runs_after_it():
+    kinds = [layer.kind for layer in Network(reference_model_spec()).layers]
+    assert kinds == ["conv", "pool", "relu", "conv", "pool", "relu", "conv", "relu",
+                     "flatten", "dense"]
+    # a ReLU moves past every pool it feeds
+    spec = ModelSpec((ConvSpec(1, 2, 3), ReluSpec(), PoolSpec(), PoolSpec(), DenseSpec(8, 2)))
+    assert [layer.kind for layer in Network(spec).layers] == [
+        "conv", "pool", "pool", "relu", "flatten", "dense"]
+
+
 # ----------------------------------------------- live-channel evaluation
 
 
@@ -567,6 +789,34 @@ def test_model_spec_dict_round_trip(spec):
 def test_model_spec_rejects_shapes_it_cannot_run(build, reason):
     with pytest.raises(ValueError, match=reason):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ConvSpec(1, 4, 3, padding=-3),
+    lambda: ConvSpec(1, 4, 3, padding=-2),
+    lambda: ConvSpec(1, 4, 3, stride=True),
+    lambda: ConvSpec(1, 4, 3, padding=False),
+    lambda: ConvSpec(1, 4, 3.0),
+    lambda: ConvSpec(2.0, 4, 3),
+    lambda: ConvSpec(1, np.float64(4), 3),
+    lambda: ConvSpec(1, 4, 3, stride=1.5),
+    lambda: ConvSpec(1, 4, 3, padding=0.5),
+    lambda: DenseSpec(2.5, 4),
+    lambda: DenseSpec(2, True),
+    lambda: DenseSpec(2, "4"),
+], ids=["padding-3", "padding-2", "bool-stride", "bool-padding", "float-kernel",
+        "float-in-ch", "numpy-float-out-ch", "fractional-stride", "fractional-padding",
+        "float-dense-in", "bool-dense-out", "str-dense-out"])
+def test_layer_specs_reject_sizes_that_are_not_integers_in_range(build):
+    with pytest.raises(ValueError, match="conv|dense"):
+        build()
+
+
+def test_layer_specs_take_numpy_integers_and_same_padding():
+    conv = ConvSpec(np.int64(1), np.int32(4), np.int64(5), np.int64(2), np.int64(-1))
+    assert conv.pad() == 2
+    assert ConvSpec(1, 4, 3, padding=0).pad() == 0
+    assert DenseSpec(np.int64(3), np.int16(2)) == DenseSpec(3, 2)
 
 
 # ------------------------------------------------------------ determinism
