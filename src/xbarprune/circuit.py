@@ -42,10 +42,35 @@ DEFAULT_SIGMA_DEV = 0.1
 DEFAULT_V_READ = 1.0
 
 # Largest accepted tile side, set by a budget of 0.5 GB per tile. One
-# 256 x 256 tile factorizes to 6.8 M LU non-zeros and peaks at about 270 MB
+# 256 x 256 tile factorizes to 6.8 M LU non-zeros and peaks at about 275 MB
 # resident (numpy 2.4, scipy 1.17). Fill grows about 5x per doubling of n,
 # so 512 would need about 1 GB.
 MAX_TILE_DIM = 256
+
+# SuperLU's supernode relaxation and panel size for the nested-dissection
+# order of _dissection. SuperLU's defaults (relax 10, panel 20; passing them
+# gives the same factors bit for bit) cost more than they save on it. Time
+# of gstrf against the defaults: median over interleaved rounds of each
+# round's ratio, one tile of default parameters per n, one BLAS thread
+# (numpy 2.4, scipy 1.17, 2-vCPU Xeon; 200, 60, 24 and 12 rounds):
+#
+#   relax, panel    n = 32   64     128    256
+#   1, 1            -29 %    -24 %  -21 %  +3 %
+#   1, 2            -24 %    -22 %  -24 %  -8 %
+#   1, 4            -21 %    -18 %  -21 %  -9 %
+#   4, 1            -30 %    -24 %  -23 %  +3 %
+#   4, 2            -24 %    -25 %  -22 %  -4 %
+#   4, 4            -20 %    -22 %  -20 %  -9 %
+#   10, 20          -1 %     +1 %   +1 %   +1 %   (the defaults again)
+#
+# On a coarser grid, relax 2 and the default relax read like 1 and 4, and
+# the default panel size with any relax within 5 % of the defaults. Panels
+# of 1 are the fastest at n = 32 but lose at n = 256; panels of 2 are
+# within 5 points of the best size at every n.
+# The factors keep their non-zero count, and G_eff moves by at most 3.3e-13
+# relative to its largest entry.
+SPLU_RELAX = 1
+SPLU_PANEL_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -297,6 +322,12 @@ class CrossbarSystem:
     are -Y_sense v, so G_eff = -Y_sense^T. The node merging, branch list,
     elimination order and matrix pattern are built once per
     CrossbarParams; a tile only fills in its values.
+
+    SuperLU factorizes in the order given, with no relaxed supernodes
+    (``SPLU_RELAX``) and panels of ``SPLU_PANEL_SIZE`` columns. Its
+    defaults are tuned for general sparse matrices; on this order they
+    cost more than they save, and the fitted blocking takes 20-25 % off
+    the factorization at n <= 128 and 8 % at n = 256.
     """
 
     def __init__(self, g: np.ndarray, params: CrossbarParams):
@@ -314,6 +345,7 @@ class CrossbarSystem:
         try:
             # symmetric positive definite: diagonal pivots, ports stay last
             self._lu = splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                            relax=SPLU_RELAX, panel_size=SPLU_PANEL_SIZE,
                             options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise ValueError(f"singular crossbar network: {exc}") from exc

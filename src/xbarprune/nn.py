@@ -407,12 +407,19 @@ class Dense(_Weighted):
         return dout @ self.w.T
 
 
+_LOWEST = np.finfo(np.float64).min
+
+
 class ReLU:
     kind = "relu"
 
     def forward(self, x):
+        # x * (x > 0), with -inf raised to the lowest double first: -inf * 0
+        # is NaN, the lowest double times 0 is -0.0 like any other negative
         self._mask = x > 0
-        return x * self._mask
+        out = np.maximum(x, _LOWEST)
+        out *= self._mask
+        return out
 
     def backward(self, dout):
         return dout * self._mask
@@ -862,8 +869,8 @@ def evaluate(model: Network, dataset: Dataset, batch_size: int = 256) -> float:
     dead channel adds exactly zero to the logits and dropping it changes
     them only by the rounding of a shorter GEMM. `model` is not run and
     keeps no activations."""
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if not _is_int(batch_size) or batch_size < 1:
+        raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
     n = len(dataset)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")

@@ -187,11 +187,17 @@ def max_pool2_argmax(x):
     return out, backward
 
 
+def relu(x):
+    """ReLU by cases: x where x > 0 or x is NaN, else a zero with the sign
+    of x (so -inf gives -0.0)."""
+    return np.where((x > 0) | np.isnan(x), x, np.copysign(0.0, x))
+
+
 def relu_then_pool(x, dout, pool=True):
-    """ReLU (x * (x > 0)) and then, if `pool`, max_pool2_argmax, forward and
-    backward on a channels-last x; returns (out, dx)."""
+    """`relu` and then, if `pool`, max_pool2_argmax, forward and backward on
+    a channels-last x; returns (out, dx)."""
     mask = x > 0
-    out, back = max_pool2_argmax(x * mask) if pool else (x * mask, lambda d: d)
+    out, back = max_pool2_argmax(relu(x)) if pool else (relu(x), lambda d: d)
     return out, back(dout) * mask
 
 

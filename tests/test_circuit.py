@@ -275,19 +275,25 @@ def zero_ohm_parasitics(zeros):
             for bit, name in enumerate(ZERO_OHM_NAMES)}
 
 
+def zero_device_tile():
+    """A 5 x 7 tile with 0 S devices, including a whole row and a whole
+    column, and an input for it."""
+    rng = np.random.default_rng(19)
+    g = random_tile(5, 7, seed=20)
+    g[rng.random((5, 7)) < 0.3] = 0.0
+    g[2, :] = 0.0
+    g[:, 4] = 0.0
+    return g, rng.uniform(0.1, 1.0, 5)
+
+
 @ZERO_OHM_PATTERNS
 def test_effective_conductance_every_zero_ohm_pattern(zeros):
     # 0 S devices, including a whole row and a whole column: each of these
     # reaches ground only through the tie of its source or sense terminal,
     # and their nodes carry no current, so KCL is measured against voltages
     p = CrossbarParams(5, 7, **zero_ohm_parasitics(zeros))
-    rng = np.random.default_rng(19)
-    g = random_tile(5, 7, seed=20)
-    g[rng.random((5, 7)) < 0.3] = 0.0
-    g[2, :] = 0.0
-    g[:, 4] = 0.0
+    g, v = zero_device_tile()
     system = CrossbarSystem(g, p)
-    v = rng.uniform(0.1, 1.0, 5)
     result = system.solve(v)
     np.testing.assert_allclose(system.effective_conductance().T @ v,
                                result.currents, rtol=1e-12, atol=0)
@@ -322,6 +328,54 @@ def test_factorization_fill_of_a_64x64_tile():
     # degree order (MMD_AT_PLUS_A) left 374,050
     system = CrossbarSystem(random_tile(64, 64, seed=11), CrossbarParams(64, 64))
     assert system._lu.L.nnz + system._lu.U.nnz <= 1.01 * 296_998
+
+
+def blocking_cases():
+    square = [pytest.param(random_tile(n, n, seed=40 + n), CrossbarParams(n, n), id=f"{n}x{n}")
+              for n in (1, 2, 7, 32, 64)]
+    g_min = CrossbarParams(32, 32).g_min
+    zero_ohm = [pytest.param(zero_device_tile()[0],
+                             CrossbarParams(5, 7, **zero_ohm_parasitics(zeros)),
+                             id=f"zero_devices-zero_ohm:{zeros}") for zeros in range(16)]
+    return [*square,
+            pytest.param(random_tile(24, 40, seed=45), CrossbarParams(24, 40), id="24x40"),
+            pytest.param(np.full((32, 32), g_min), CrossbarParams(32, 32), id="all_g_min"),
+            *zero_ohm]
+
+
+@pytest.mark.parametrize("g,p", blocking_cases())
+def test_fitted_blocking_matches_superlu_default_blocking(g, p, monkeypatch):
+    # the same tile factorized with SuperLU's default relaxed supernodes
+    # and panels is the oracle for the blocking fitted to the order
+    calls = []
+
+    def spy(A, **kwargs):
+        calls.append(kwargs)
+        return spla.splu(A, **kwargs)
+
+    def default_blocking(A, relax=None, panel_size=None, **kwargs):
+        return spy(A, **kwargs)
+
+    v = np.random.default_rng(46).uniform(0.0, 1.0, p.n_rows)
+    monkeypatch.setattr(circuit, "splu", spy)
+    fitted = CrossbarSystem(g, p)
+    monkeypatch.setattr(circuit, "splu", default_blocking)
+    default = CrossbarSystem(g, p)
+    if fitted._lu is None:          # every node merged into a port
+        assert calls == [] and default._lu is None
+    else:
+        assert [(c.get("relax"), c.get("panel_size")) for c in calls] == [
+            (circuit.SPLU_RELAX, circuit.SPLU_PANEL_SIZE), (None, None)]
+
+    def assert_close(actual, desired):
+        # relative to the largest entry: a 0 S column reads rounding only
+        np.testing.assert_allclose(actual, desired, rtol=1e-9,
+                                   atol=1e-9 * np.max(np.abs(desired)))
+
+    assert_close(fitted.effective_conductance(), default.effective_conductance())
+    ours, ref = fitted.solve(v), default.solve(v)
+    for name in ("currents", "v_row", "v_col"):
+        assert_close(getattr(ours, name), getattr(ref, name))
 
 
 def test_topology_cache_does_not_change_results():

@@ -254,6 +254,10 @@ def test_conv_relu_block_matches_the_oracle_bit_for_bit(block, kind):
     [[-1.0, 7.0], [np.nan, np.nan]],
     [[np.nan, 7.0], [-np.nan, 9.0]],
     [[-2.0, -1.0], [np.nan, -5.0]],
+    [[-np.inf, -1.0], [-np.inf, -2.0]],
+    [[-np.inf, -np.inf], [-np.inf, -np.inf]],
+    [[-np.inf, 3.0], [np.inf, -np.inf]],
+    [[-np.inf, -0.0], [np.nan, -np.inf]],
 ])
 @pytest.mark.parametrize("grad", [5.0, -5.0])
 def test_relu_after_the_pool_matches_relu_before_it(window, grad):
@@ -277,6 +281,27 @@ def test_relu_after_the_pool_matches_relu_before_it(window, grad):
     if positive:
         assert same_bits(out[..., 0], ref_out[..., 0])
         assert same_bits(dx[..., 0], ref_dx[..., 0])
+
+
+def test_relu_maps_minus_inf_to_minus_zero():
+    # x * (x > 0) everywhere it is a number; it is NaN at -inf, where ReLU
+    # now gives -0.0, and at NaN, which stays NaN
+    rng = np.random.default_rng(31)
+    tiny, huge = np.finfo(float).smallest_subnormal, np.finfo(float).max
+    x = np.concatenate([
+        [-np.inf, np.inf, np.nan, -np.nan, 0.0, -0.0, tiny, -tiny, huge, -huge],
+        rng.normal(size=250) * 10.0 ** rng.integers(-300, 300, 250),
+        rng.normal(size=250)]).reshape(2, 5, 51)
+    layer = ReLU()
+    out = layer.forward(x)
+    with np.errstate(invalid="ignore"):
+        old = x * (x > 0)
+    number = ~np.isnan(old)
+    assert same_bits(out[number], old[number])
+    assert np.array_equal(np.isnan(out), np.isnan(x))
+    assert same_bits(out[x == -np.inf], np.array([-0.0]))
+    dout = rng.normal(size=x.shape)
+    assert same_bits(layer.backward(dout), dout * (x > 0))
 
 
 # --------------------------------------------------------------- gradients
@@ -749,7 +774,7 @@ def test_evaluate_with_no_live_channel_predicts_class_zero(dead):
     assert evaluate(net, test_set, batch_size=16) == np.mean(test_set.labels == 0)
 
 
-@pytest.mark.parametrize("batch_size", [0, -1])
+@pytest.mark.parametrize("batch_size", [0, -1, 2.5, 32.0, True])
 def test_evaluate_rejects_batch_size_below_one(batch_size):
     _, test_set = gen_synthetic_dataset(1, 8, 16)
     with pytest.raises(ValueError, match="batch_size"):
