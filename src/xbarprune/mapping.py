@@ -63,13 +63,17 @@ class LayerSimResult:
 # ------------------------------------------------------------- encoding
 
 
+def _check_w_scale(w_scale: float):
+    if not (np.isfinite(w_scale) and w_scale > 0):
+        raise ValueError(f"w_scale must be finite and > 0, got {w_scale}")
+
+
 def weights_to_conductances(w_tile: np.ndarray, w_scale: float,
                             params: CrossbarParams):
     """Affine magnitude encoding G = g_min + |W| / w_scale * (g_max - g_min),
     returning the conductance tile and the sign matrix."""
     w_tile = np.asarray(w_tile, dtype=float)
-    if w_scale <= 0:
-        raise ValueError(f"w_scale must be positive, got {w_scale}")
+    _check_w_scale(w_scale)
     if np.any(np.abs(w_tile) > w_scale):
         raise ValueError("tile contains |weights| above w_scale")
     g = params.g_min + np.abs(w_tile) / w_scale * (params.g_max - params.g_min)
@@ -81,6 +85,7 @@ def conductances_to_weights(g_eff: np.ndarray, signs: np.ndarray,
     """Inverse of the affine encoding with the stored signs; sign-0 entries
     (true zeros and padding) are forced back to exactly zero. Effective
     conductances below g_min (IR drop) decode to magnitude-shifted values."""
+    _check_w_scale(w_scale)
     g_eff = np.asarray(g_eff, dtype=float)
     signs = np.asarray(signs, dtype=float)
     if g_eff.shape != signs.shape:

@@ -25,34 +25,33 @@ of `unroll_conv` for the forward and weight-gradient GEMMs, the output
 channels for the input-gradient GEMM), and every scattered sum adds its
 terms in one fixed order.
 
-A channel/filter (C/F) pruned net is a narrower dense net, and `train` and
-`wct_train` run it as one: they gather the surviving rows and columns of
-every unrolled matrix into a compacted `Network`, train that, and scatter
-its weights back to the same indices, so pruned weights come back exactly
-zero and everything downstream stays indexed by the original matrices.
-XCS/XRS masks do not compact; those nets train at full width with the
-masks re-applied after every update. Weight-constrained training projects
-weights into [-w_cut, w_cut] after every step, with w_cut taken over the
-full-width weights, pruned zeros included.
+Training and evaluation both run the live sub-network: a channel whose
+producing column or consuming row group is all zero adds exactly zero to
+the logits (the layers have no biases), so it is dropped, and the
+surviving rows and columns of every unrolled matrix are gathered into a
+narrower `Network`. `train` and `wct_train` read the live channels off
+the masks, whatever the pruning method: a channel/filter (C/F) mask
+leaves a dense sub-network, an XCS/XRS mask one that still holds the
+zeros of its segments, re-applied after every update, less the channels
+its segments happen to prune whole. The trained weights are scattered
+back to the same indices, and one projection of the full net (clamp,
+then mask) gives every other weight what training at full width gives
+it: a dropped weight gets no gradient there, so it keeps its value,
+clamped under weight-constrained training (WCT), unless a mask zeroes
+it. WCT projects weights into [-w_cut, w_cut] after every step, with
+w_cut taken over the full-width weights, pruned zeros included.
 
-`evaluate` runs the live channels only: it reads the weights, drops every
-channel whose producing column or consuming row group is all zero, and
-forwards through that narrower net, built by the same helper as the
-compacted training net. A C/F-pruned net, and the non-ideal copy of one
-that `inject_nonideal_weights` makes, evaluates at its compacted widths
-with no pattern passed; XCS/XRS nets lose the channels their segments
-happen to prune whole.
+`evaluate` reads the live channels off the weights instead, so a pruned
+net, and the non-ideal copy of one that `inject_nonideal_weights` makes,
+evaluates at its live widths with no pattern passed.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from . import pruning
 
 # ---------------------------------------------------------------- specs
 
@@ -620,8 +619,8 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 15
     seed: int = 0
-    # SparsityPattern (needs .method and .masks): a "cf" net trains
-    # compacted, an "xcs"/"xrs" net at full width with its masks re-applied
+    # SparsityPattern (needs only .masks, unrolled, by layer name); a layer
+    # without a mask is unpruned
     pattern: object | None = None
     wct: WctConfig | None = None
 
@@ -655,20 +654,34 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     return loss, dlogits / n
 
 
-def _masks_4d(model: Network, pattern) -> dict[str, np.ndarray]:
-    """Unrolled masks converted to each layer's native weight shape."""
+def _unrolled_masks(spec: ModelSpec, pattern) -> dict[str, np.ndarray]:
+    """Every layer's unrolled mask under `pattern`, all ones where it has
+    none or no pattern is given. A mask for a layer the model lacks, or of
+    the wrong shape, raises ValueError."""
+    given = {} if pattern is None else pattern.masks
+    infos = spec.unrolled_layers()
+    unknown = sorted(set(given) - {info.name for info in infos})
+    if unknown:
+        raise ValueError(f"masks for layers the model lacks: {unknown}")
+    masks = {}
+    for info in infos:
+        shape = (info.rows, info.cols)
+        mask = np.asarray(given[info.name], dtype=float) if info.name in given else np.ones(shape)
+        if mask.shape != shape:
+            raise ValueError(f"mask for {info.name} has shape {mask.shape}, "
+                             f"weights are {shape}")
+        masks[info.name] = mask
+    return masks
+
+
+def _pruned(model: Network, masks: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The zeros of each unrolled mask in its layer's native weight shape,
+    for the layers whose mask holds any."""
     out = {}
     for name, layer in model.trainable:
-        if name not in pattern.masks:
-            continue
-        mask = np.asarray(pattern.masks[name], dtype=float)
-        if layer.kind == "conv":
-            out[name] = reroll_conv(mask, layer.w.shape)
-        else:
-            if mask.shape != layer.w.shape:
-                raise ValueError(f"mask for {name} has shape {mask.shape}, "
-                                 f"weights are {layer.w.shape}")
-            out[name] = mask
+        zero = masks[name] == 0
+        if zero.any():
+            out[name] = reroll_conv(zero, layer.w.shape) if layer.kind == "conv" else zero
     return out
 
 
@@ -682,33 +695,33 @@ def _narrowed(spec: ModelSpec, full: dict[str, np.ndarray], channels):
     that keeps `channels[i]`, the input channels of its i-th trainable
     layer (the last entry: the outputs of the last layer). Returns a fresh
     `Network` whose weights are gathered from the kept rows and columns of
-    every unrolled matrix, and the `CfCompaction` of every layer."""
+    every unrolled matrix, and the (kept rows, kept columns) of every
+    layer."""
     infos = spec.unrolled_layers()
-    comps = {info.name: pruning.CfCompaction(
-                 (info.rows, info.cols), _row_groups(ins, info.rows_per_channel), outs)
+    index = {info.name: (_row_groups(ins, info.rows_per_channel), outs)
              for info, ins, outs in zip(infos, channels, channels[1:])}
-    sizes = iter(comps.values())
+    sizes = iter(index.values())
     layers = []
     for layer in spec.layers:
         if isinstance(layer, (ConvSpec, DenseSpec)):
-            comp = next(sizes)
-            rows, cols = comp.kept_rows.size, comp.kept_cols.size
+            rows, cols = (kept.size for kept in next(sizes))
             layer = (replace(layer, in_ch=rows // layer.kernel ** 2, out_ch=cols)
                      if isinstance(layer, ConvSpec) else DenseSpec(rows, cols))
         layers.append(layer)
     sub = Network._of(replace(spec, layers=tuple(layers)),
-                      {name: comp.apply(full[name]) for name, comp in comps.items()})
-    return sub, comps
+                      {name: full[name][np.ix_(*kept)] for name, kept in index.items()})
+    return sub, index
 
 
-def _live_channels(spec: ModelSpec, full: dict[str, np.ndarray]) -> list[np.ndarray]:
-    """Per `_narrowed`, the channels that reach the logits: every input of
-    the first layer, every output of the last, and between two layers each
-    channel whose producing column and consuming row group both hold a
-    non-zero (or NaN) weight. Where no channel is live, the logits are all
-    zero whichever one is kept, so the lowest-index one is."""
+def _live_channels(spec: ModelSpec, mats: dict[str, np.ndarray]) -> list[np.ndarray]:
+    """Per `_narrowed`, the channels of the unrolled matrices `mats`
+    (weights or masks) that reach the logits: every input of the first
+    layer, every output of the last, and between two layers each channel
+    whose producing column and consuming row group both hold a non-zero
+    (or NaN) entry. Where no channel is live, the logits are all zero
+    whichever one is kept, so the lowest-index one is."""
     infos = spec.unrolled_layers()
-    mats = [full[info.name] for info in infos]
+    mats = [mats[info.name] for info in infos]
     channels = [np.arange(infos[0].in_channels)]
     for w, nxt, info in zip(mats, mats[1:], infos[1:]):
         live = np.flatnonzero(w.any(axis=0)
@@ -718,63 +731,18 @@ def _live_channels(spec: ModelSpec, full: dict[str, np.ndarray]) -> list[np.ndar
     return channels
 
 
-@contextmanager
-def _cf_compacted(model: Network, pattern):
-    """Yield the dense sub-network that a C/F pattern leaves of `model`, its
-    weights gathered from the kept rows and columns of every unrolled
-    matrix; on exit, scatter them back into `model` at the same indices and
-    zero everywhere else.
-
-    The pattern must compact: every mask (a missing one keeps everything)
-    must be the outer product of its kept rows and columns, its kept rows
-    must be exactly the row groups of the channels the layer before keeps,
-    the first layer must keep every input and the last every output.
-    Anything else raises ValueError before `model` is touched."""
-    infos = model.spec.unrolled_layers()
-    channels = [np.arange(infos[0].in_channels)]
-    for info in infos:
-        shape = (info.rows, info.cols)
-        mask = np.asarray(pattern.masks.get(info.name, np.ones(shape)), dtype=float)
-        if mask.shape != shape:
-            raise ValueError(f"mask for {info.name} has shape {mask.shape}, "
-                             f"weights are {shape}")
-        comp = pruning.cf_compaction(mask)
-        block = np.zeros(shape)
-        block[np.ix_(comp.kept_rows, comp.kept_cols)] = 1.0
-        if not np.array_equal(mask, block):
-            raise ValueError(f"C/F mask for {info.name} is not whole rows "
-                             f"and columns of ones")
-        if not np.array_equal(comp.kept_rows,
-                              _row_groups(channels[-1], info.rows_per_channel)):
-            raise ValueError(f"C/F mask for {info.name} keeps other row groups "
-                             f"than the channels the layer before keeps")
-        channels.append(comp.kept_cols)
-    if channels[-1].size != infos[-1].cols:
-        raise ValueError(f"C/F mask for {infos[-1].name} prunes outputs of "
-                         f"the last layer")
-
-    full = model.unrolled_weights()
-    sub, comps = _narrowed(model.spec, full, channels)
-    yield sub
-    for name, w in sub.unrolled_weights().items():
-        comp = comps[name]
-        full[name] = np.zeros(comp.orig_shape)
-        full[name][np.ix_(comp.kept_rows, comp.kept_cols)] = w
-    model.set_unrolled_weights(full)
-
-
-def _project(model, masks, w_cut):
+def _project(model, pruned, w_cut):
     """Clamp every weight into [-w_cut, w_cut] (unless w_cut is None), then
-    zero the masked ones."""
+    set the pruned ones to +0.0."""
     for name, layer in model.trainable:
         if w_cut is not None:
             layer.w = wct_clamp(layer.w, w_cut)
-        if name in masks:
-            layer.w *= masks[name]
+        if name in pruned:
+            layer.w[pruned[name]] = 0.0
 
 
-def _sgd_epochs(model, dataset, config, epochs, masks, w_cut, rng):
-    _project(model, masks, w_cut)
+def _sgd_epochs(model, dataset, config, epochs, pruned, w_cut, rng):
+    _project(model, pruned, w_cut)
     losses = []
     n = len(dataset)
     for _ in range(epochs):
@@ -789,7 +757,7 @@ def _sgd_epochs(model, dataset, config, epochs, masks, w_cut, rng):
             model.backward(dlogits)
             for _, layer in model.trainable:
                 layer.w -= config.lr * layer.grad_w
-            _project(model, masks, w_cut)
+            _project(model, pruned, w_cut)
             total += loss * idx.size
             seen += idx.size
         losses.append(total / seen)
@@ -797,28 +765,30 @@ def _sgd_epochs(model, dataset, config, epochs, masks, w_cut, rng):
 
 
 def _fit(model, dataset, config, epochs, w_cut, rng):
-    """`epochs` of SGD on `model` under `config.pattern`, weights clamped to
-    [-w_cut, w_cut] unless w_cut is None; returns the per-epoch losses. A
-    C/F pattern trains the compacted sub-network; any other pattern trains
-    the full net with its masks re-applied after every update."""
-    pattern = config.pattern
-    if pattern is not None:
-        unknown = sorted(set(pattern.masks) - {name for name, _ in model.trainable})
-        if unknown:
-            raise ValueError(f"masks for layers the model lacks: {unknown}")
-    if pattern is not None and pattern.method == "cf":
-        with _cf_compacted(model, pattern) as sub:
-            return _sgd_epochs(sub, dataset, config, epochs, {}, w_cut, rng)
-    masks = _masks_4d(model, pattern) if pattern is not None else {}
-    return _sgd_epochs(model, dataset, config, epochs, masks, w_cut, rng)
+    """`epochs` of SGD under `config.pattern`, weights clamped to
+    [-w_cut, w_cut] unless w_cut is None; returns the per-epoch losses.
+    The live sub-network of the masks trains with the zeros it still holds
+    re-applied after every update; its weights are scattered back, and the
+    full net is projected once, so a weight outside the sub-network ends as
+    full-width training leaves it: clamped if unmasked, zero if masked."""
+    masks = _unrolled_masks(model.spec, config.pattern)
+    full = model.unrolled_weights()
+    sub, index = _narrowed(model.spec, full, _live_channels(model.spec, masks))
+    sub_masks = {name: masks[name][np.ix_(*kept)] for name, kept in index.items()}
+    losses = _sgd_epochs(sub, dataset, config, epochs, _pruned(sub, sub_masks), w_cut, rng)
+    for name, w in sub.unrolled_weights().items():
+        full[name] = full[name].copy()          # a conv's is a view of the net
+        full[name][np.ix_(*index[name])] = w
+    model.set_unrolled_weights(full)
+    _project(model, _pruned(model, masks), w_cut)
+    return losses
 
 
 def train(model: Network, dataset: Dataset, config: TrainConfig):
     """Minibatch SGD with cross-entropy for `config.epochs` epochs; returns
-    (model, per-epoch mean loss). Under a C/F pattern the compacted
-    sub-network trains and its weights are scattered back; under an XCS/XRS
-    pattern the full net trains with the masks re-applied after every
-    update. Either way pruned weights end exactly zero."""
+    (model, per-epoch mean loss). Whatever the pruning method, the live
+    sub-network of `config.pattern`'s masks trains and its weights are
+    scattered back (see `_fit`); pruned weights end exactly zero."""
     rng = np.random.default_rng(config.seed)
     return model, _fit(model, dataset, config, config.epochs, None, rng)
 
@@ -848,9 +818,9 @@ def wct_clamp(w: np.ndarray, w_cut: float) -> np.ndarray:
 def wct_train(model: Network, dataset: Dataset, config: TrainConfig,
               w_cut: float | None = None):
     """Short retraining with weights projected into [-w_cut, w_cut] after
-    every step, compacted or masked as in `train`; returns (model, w_cut).
-    Unless given, w_cut is `wct_cutoff` of the full-width weights, pruned
-    zeros included, even when a C/F net retrains compacted."""
+    every step, on the live sub-network as in `train`; returns (model,
+    w_cut). Unless given, w_cut is `wct_cutoff` of the full-width weights,
+    pruned zeros included."""
     wct = config.wct if config.wct is not None else WctConfig()
     if w_cut is None:
         w_cut = wct_cutoff(model, wct.percentile)
@@ -864,8 +834,8 @@ def evaluate(model: Network, dataset: Dataset, batch_size: int = 256) -> float:
     """Fraction of argmax-correct predictions.
 
     The forward pass runs a fresh network of the live channels only (see
-    `_live_channels`), so a C/F-pruned net, or the non-ideal copy of one,
-    evaluates at its compacted widths. The layers have no biases, so a
+    `_live_channels`), so a pruned net, or the non-ideal copy of one,
+    evaluates at its live widths. The layers have no biases, so a
     dead channel adds exactly zero to the logits and dropping it changes
     them only by the rounding of a shorter GEMM. `model` is not run and
     keeps no activations."""
@@ -928,7 +898,8 @@ def _gen_split(seed_list, n: int, split: str) -> Dataset:
 def gen_synthetic_dataset(seed: int, n_train: int, n_test: int):
     """Four-class 8x8 shape dataset (horizontal bar, vertical bar, diagonal,
     blob) with Gaussian pixel noise; deterministic given the seed."""
-    if n_train < 1 or n_test < 1:
-        raise ValueError("need at least one sample per split")
+    if not all(_is_int(n) and n >= 1 for n in (n_train, n_test)):
+        raise ValueError(f"need an integer number >= 1 of samples per split, "
+                         f"got {n_train!r} and {n_test!r}")
     return (_gen_split([seed, 0], n_train, "train"),
             _gen_split([seed, 1], n_test, "test"))

@@ -30,6 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .nn import _is_int
+
 METHODS = ("cf", "xcs", "xrs")
 
 
@@ -132,9 +134,9 @@ def _gen_mask_segments(model_spec, s, n, seed, kind) -> SparsityPattern:
     """Zero floor(s * count) length-n segments, drawn from the row-major
     keep-grid of segments: XCS segments run down the rows (axis 0), XRS
     segments along the columns (axis 1)."""
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"segment length must be an integer >= 1, got {n!r}")
     pattern = SparsityPattern(kind, s, seed, n)
-    if n < 1:
-        raise ValueError(f"segment length must be >= 1, got {n}")
     infos = list(model_spec.unrolled_layers())
     if not infos:
         raise ValueError("model has no trainable layers")
@@ -218,11 +220,14 @@ def tile_count_unpruned(rows: int, cols: int, n: int) -> int:
 
 def compression_rate(model_spec, pattern: SparsityPattern | None, n: int) -> float:
     """Crossbar tiles needed for the unpruned model divided by tiles after
-    compaction, both at tile size n. A layer with no mask is unpruned."""
+    compaction, both at tile size n. A layer with no mask is unpruned. An
+    XCS/XRS pattern packs only into tiles of its own segment length."""
     infos = list(model_spec.unrolled_layers())
     unpruned = sum(tile_count_unpruned(i.rows, i.cols, n) for i in infos)
     if pattern is None:
         return 1.0
+    if pattern.method != "cf" and pattern.n != n:
+        raise ValueError(f"pattern segment length {pattern.n} != tile size {n}")
     total = 0
     for info in infos:
         mask = pattern.masks.get(info.name)

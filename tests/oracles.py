@@ -8,9 +8,11 @@ the network oracle runs a model spec layer by layer on NCHW arrays with
 those loops. The conv-block oracles keep an earlier, independent data path
 of the channels-last convolution: im2col by `np.pad` and a whole
 sliding-window copy, col2im on a padded buffer, and ReLU before an
-`np.argmax` max pool, in the order a model spec lists them. The segment
-oracles zero and pack XCS and XRS segments one
-at a time, each kind on its own grid.
+`np.argmax` max pool, in the order a model spec lists them. The training
+oracle runs SGD at full width with the masks multiplied in after every
+update, so every weight a mask leaves stays in every GEMM. The segment
+oracles zero and pack XCS and XRS segments one at a time, each kind on
+its own grid.
 """
 
 from __future__ import annotations
@@ -237,6 +239,59 @@ def network_forward(layers, weights, x):
         else:
             raise ValueError(f"unknown layer spec {spec!r}")
     return x
+
+
+def masked_sgd(net, dataset, masks, lr, batch_size, epochs, rng, w_cut=None):
+    """Minibatch SGD with softmax cross-entropy on `net`, a package
+    Network, at full width: project, then for each batch of one permutation
+    of the data per epoch, forward, backward, w -= lr * grad and project
+    again. Projecting clips every weight to [-w_cut, w_cut] (unless w_cut is
+    None) and multiplies it by its layer's mask; `masks` holds unrolled
+    (fan-in x outputs) masks by layer name, and a layer without one is
+    unpruned. Returns the per-epoch mean losses."""
+    native = {}
+    for name, layer in net.trainable:
+        if name in masks:
+            mask = np.asarray(masks[name], dtype=float)
+            if layer.w.ndim == 4:       # unrolled rows are (in, k, k)-major
+                out_ch, in_ch, k, _ = layer.w.shape
+                mask = mask.reshape(in_ch, k, k, out_ch).transpose(3, 0, 1, 2)
+            native[name] = mask
+
+    def project():
+        for name, layer in net.trainable:
+            if w_cut is not None:
+                layer.w = np.clip(layer.w, -w_cut, w_cut)
+            if name in native:
+                layer.w = layer.w * native[name]
+
+    project()
+    losses = []
+    n = len(dataset)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            labels = dataset.labels[idx]
+            logits = net.forward(dataset.images[idx])
+            z = logits - logits.max(axis=1, keepdims=True)
+            logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+            total -= logp[np.arange(idx.size), labels].sum()
+            dlogits = np.exp(logp)
+            dlogits[np.arange(idx.size), labels] -= 1.0
+            net.backward(dlogits / idx.size)
+            for _, layer in net.trainable:
+                layer.w = layer.w - lr * layer.grad_w
+            project()
+        losses.append(total / n)
+    return losses
+
+
+def nearest_rank_cutoff(net, percentile):
+    """The nearest-rank percentile of |w| over every trainable weight."""
+    v = np.sort(np.abs(np.concatenate([w.ravel() for w in net.weights().values()])))
+    return float(v[math.ceil(percentile / 100.0 * v.size) - 1])
 
 
 def numeric_gradient(loss_fn, w, indices, h=1e-6):

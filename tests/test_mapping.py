@@ -73,6 +73,15 @@ def test_encode_rejects_bad_scale_and_overflow():
         weights_to_conductances(np.array([[1.5]]), 1.0, p)
 
 
+@pytest.mark.parametrize("w_scale", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_encode_and_decode_reject_a_scale_that_is_not_finite_and_positive(w_scale):
+    p = CrossbarParams(1, 1)
+    with pytest.raises(ValueError, match="w_scale"):
+        weights_to_conductances(np.array([[0.1]]), w_scale, p)
+    with pytest.raises(ValueError, match="w_scale"):
+        conductances_to_weights(np.array([[p.g_min]]), np.array([[1.0]]), w_scale, p)
+
+
 def test_decode_round_trip():
     p = CrossbarParams(4, 4)
     rng = np.random.default_rng(0)

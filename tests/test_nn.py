@@ -7,6 +7,8 @@ from oracles import (
     direct_conv2d,
     he_normal_init,
     im2col_padded,
+    masked_sgd,
+    nearest_rank_cutoff,
     network_forward,
     numeric_gradient,
     relu_then_pool,
@@ -38,7 +40,7 @@ from xbarprune.nn import (
     wct_train,
 )
 from xbarprune.nn import _live_channels, _narrowed
-from xbarprune.pruning import SparsityPattern, gen_mask_cf, gen_mask_xcs
+from xbarprune.pruning import METHODS, SparsityPattern, gen_mask_cf, gen_mask_xcs, gen_mask_xrs
 
 CONV_SPECS = [
     ConvSpec(2, 3, 3),                        # default padding kernel // 2
@@ -387,12 +389,28 @@ def test_mask_zeros_survive_train_and_wct(make_pattern):
         assert np.all(w[pattern.masks[name] == 0] == 0.0)
 
 
-# ------------------------------------------------------ compacted C/F
+# ------------------------------------------- live sub-network training
 
 
-def masked_loop(pattern):
-    """The same masks under a method that trains at full width, masked."""
-    return SparsityPattern("xcs", pattern.s, pattern.seed, 8, pattern.masks)
+def make_pattern(method, spec, seed):
+    if method == "cf":
+        return gen_mask_cf(spec, 0.5, seed)
+    return (gen_mask_xcs if method == "xcs" else gen_mask_xrs)(spec, 0.5, 8, seed)
+
+
+def oracle_train(net, data, config):
+    """`train` by the full-width masked_sgd oracle."""
+    return masked_sgd(net, data, config.pattern.masks, config.lr, config.batch_size,
+                      config.epochs, np.random.default_rng(config.seed))
+
+
+def oracle_wct(net, data, config, w_cut=None):
+    """`wct_train` by the full-width masked_sgd oracle; returns w_cut."""
+    if w_cut is None:
+        w_cut = nearest_rank_cutoff(net, config.wct.percentile)
+    masked_sgd(net, data, config.pattern.masks, config.lr, config.batch_size,
+               config.wct.epochs, np.random.default_rng([config.seed, 1]), w_cut)
+    return w_cut
 
 
 def odd_data(n=24, seed=5):
@@ -406,44 +424,39 @@ def assert_weights_match(a: Network, b: Network, rtol=1e-12):
         assert np.abs(wa - wb).max() <= rtol * np.abs(wb).max(), name
 
 
+@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("spec", [reference_model_spec(init_seed=3), ODD_SPEC],
                          ids=["reference", "odd"])
 @pytest.mark.parametrize("wct", [False, True], ids=["sgd", "wct"])
-def test_cf_sgd_step_matches_the_masked_loop(spec, wct):
+def test_sgd_step_matches_the_masked_sgd_oracle(spec, wct, method):
     # one batch, one epoch: a single step from the same weights, whose
     # pruned entries are not zero yet
     data = odd_data() if spec is ODD_SPEC else small_data(seed=4)[0]
-    pattern = gen_mask_cf(spec, 0.5, seed=3)
-    nets = {}
-    for label, pat in (("compacted", pattern), ("masked", masked_loop(pattern))):
-        net = Network(spec)
-        config = TrainConfig(epochs=1, batch_size=len(data), seed=1, pattern=pat,
-                             wct=WctConfig(epochs=1))
-        if wct:
-            wct_train(net, data, config, w_cut=0.05)
-        else:
-            train(net, data, config)
-        nets[label] = net
-    assert_weights_match(nets["compacted"], nets["masked"])
+    config = TrainConfig(epochs=1, batch_size=len(data), seed=1,
+                         pattern=make_pattern(method, spec, seed=3), wct=WctConfig(epochs=1))
+    net, ref = Network(spec), Network(spec)
+    if wct:
+        wct_train(net, data, config, w_cut=0.05)
+        oracle_wct(ref, data, config, w_cut=0.05)
+    else:
+        train(net, data, config)
+        oracle_train(ref, data, config)
+    assert_weights_match(net, ref)
 
 
-def test_cf_train_and_wct_match_the_masked_loop():
+@pytest.mark.parametrize("method", METHODS)
+def test_train_and_wct_match_the_masked_sgd_oracle(method):
     spec = tiny_model_spec(init_seed=4)
-    pattern = gen_mask_cf(spec, 0.5, seed=4)
     train_set, _ = small_data(seed=2)
-    runs = {}
-    for label, pat in (("compacted", pattern), ("masked", masked_loop(pattern))):
-        net = Network(spec)
-        config = TrainConfig(epochs=3, seed=4, pattern=pat, wct=WctConfig(epochs=2))
-        _, losses = train(net, train_set, config)
-        trained = net.copy()
-        _, w_cut = wct_train(net, train_set, config)
-        runs[label] = losses, trained, w_cut, net
-    (loss_c, trained_c, cut_c, net_c), (loss_m, trained_m, cut_m, net_m) = runs.values()
-    np.testing.assert_allclose(loss_c, loss_m, rtol=1e-12, atol=0)
-    assert_weights_match(trained_c, trained_m)
-    assert cut_c == cut_m
-    assert_weights_match(net_c, net_m)
+    config = TrainConfig(epochs=3, seed=4, pattern=make_pattern(method, spec, seed=4),
+                         wct=WctConfig(epochs=2))
+    net, ref = Network(spec), Network(spec)
+    _, losses = train(net, train_set, config)
+    np.testing.assert_allclose(losses, oracle_train(ref, train_set, config), rtol=1e-12, atol=0)
+    assert_weights_match(net, ref)
+    _, w_cut = wct_train(net, train_set, config)
+    assert w_cut == pytest.approx(oracle_wct(ref, train_set, config), rel=1e-12, abs=0)
+    assert_weights_match(net, ref)
 
 
 def spy_widths(monkeypatch):
@@ -457,15 +470,25 @@ def spy_widths(monkeypatch):
     return seen
 
 
-def test_cf_train_runs_the_compacted_widths(monkeypatch):
+@pytest.mark.parametrize("method", ["cf", "xcs"])
+def test_train_runs_the_live_widths(monkeypatch, method):
     spec = reference_model_spec(init_seed=2)
-    pattern = gen_mask_cf(spec, 0.5, seed=2)
+    if method == "cf":
+        pattern = gen_mask_cf(spec, 0.5, seed=2)
+        widths = {(32, 1, 3, 3), (64, 32, 3, 3), (64, 64, 3, 3), (256, 4)}
+    else:
+        # conv1's 9-row columns are single 32-row segments, so xcs@0.5 prunes
+        # filters whole; at this seed every later channel stays live
+        pattern = gen_mask_xcs(spec, 0.5, 32, seed=0)
+        live = int(pattern.masks["conv1"].any(axis=0).sum())
+        assert live < 64
+        widths = {(live, 1, 3, 3), (128, live, 3, 3), (128, 128, 3, 3), (512, 4)}
     seen = spy_widths(monkeypatch)
     train_set, _ = small_data()
     config = TrainConfig(epochs=1, seed=2, pattern=pattern, wct=WctConfig(epochs=1))
     train(Network(spec), train_set, config)
     wct_train(Network(spec), train_set, config)
-    assert seen == {(32, 1, 3, 3), (64, 32, 3, 3), (64, 64, 3, 3), (256, 4)}
+    assert seen == widths
 
 
 def tiny_cf_masks(drop_filters=(1, 5), drop_groups=(1, 5)):
@@ -478,16 +501,6 @@ def tiny_cf_masks(drop_filters=(1, 5), drop_groups=(1, 5)):
     rows[list(drop_groups)] = 0
     return {"conv1": np.outer(np.ones(9), cols),
             "dense1": np.outer(rows.ravel(), np.ones(4))}
-
-
-def test_cf_hand_built_pattern_that_compacts_trains():
-    spec = tiny_model_spec(init_seed=8)
-    train_set, _ = small_data()
-    pattern = SparsityPattern("cf", 0.25, 0, None, tiny_cf_masks())
-    nets = []
-    for pat in (pattern, masked_loop(pattern)):
-        nets.append(train(Network(spec), train_set, TrainConfig(epochs=1, pattern=pat))[0])
-    assert_weights_match(*nets)
 
 
 def _break_extra_zero(masks):
@@ -510,34 +523,60 @@ def _break_head(masks):
     masks["dense1"][:, 2] = 0.0
 
 
-@pytest.mark.parametrize("breaks, reason", [
-    (_break_extra_zero, "not whole rows and columns"),
-    (_break_other_groups, "other row groups"),
-    (_break_missing_mask, "other row groups"),
-    (_break_input, "other row groups"),
-    (_break_head, "outputs of the last layer"),
-], ids=["extra-zero", "other-row-groups", "missing-next-mask", "pruned-input",
+@pytest.mark.parametrize("breaks", [
+    None, _break_extra_zero, _break_other_groups, _break_missing_mask, _break_input,
+    _break_head,
+], ids=["compacts", "extra-zero", "other-row-groups", "missing-next-mask", "pruned-input",
         "pruned-head-output"])
-@pytest.mark.parametrize("run", [train, wct_train], ids=["train", "wct"])
-def test_cf_rejects_patterns_that_do_not_compact(breaks, reason, run):
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("wct", [False, True], ids=["train", "wct"])
+def test_hand_built_masks_train_like_the_masked_sgd_oracle(breaks, method, wct):
+    # training reads only the masks, not the method that names them; masks
+    # that are not whole C/F blocks leave weights outside the sub-network
+    # that no mask zeroes
     masks = tiny_cf_masks()
-    breaks(masks)
-    net = Network(tiny_model_spec(init_seed=8))
-    before = {k: w.copy() for k, w in net.weights().items()}
-    config = TrainConfig(epochs=1, pattern=SparsityPattern("cf", 0.25, 0, None, masks))
-    with pytest.raises(ValueError, match=reason):
-        run(net, small_data()[0], config)
-    for name, w in net.weights().items():
-        assert w.tobytes() == before[name].tobytes()
+    if breaks is not None:
+        breaks(masks)
+    spec, data = tiny_model_spec(init_seed=8), small_data()[0]
+    config = TrainConfig(epochs=1, pattern=SparsityPattern(method, 0.25, 0, 8, masks),
+                         wct=WctConfig(epochs=1))
+    net, ref = Network(spec), Network(spec)
+    if wct:
+        _, w_cut = wct_train(net, data, config)
+        assert w_cut == oracle_wct(ref, data, config)
+    else:
+        train(net, data, config)
+        oracle_train(ref, data, config)
+    assert_weights_match(net, ref)
 
 
-@pytest.mark.parametrize("method", ["xcs", "cf"])
+@pytest.mark.parametrize("method", [*METHODS, None])
+def test_train_and_wct_write_into_no_array_taken_before(method):
+    # a conv's unrolled matrix is a view of the net's weights
+    spec = tiny_model_spec(init_seed=3)
+    net = Network(spec)
+    held = [net.weights(), net.unrolled_weights()]
+    before = [{k: w.copy() for k, w in arrays.items()} for arrays in held]
+    pattern = None if method is None else make_pattern(method, spec, seed=3)
+    config = TrainConfig(epochs=1, pattern=pattern, wct=WctConfig(epochs=1))
+    train(net, small_data()[0], config)
+    wct_train(net, small_data()[0], config)
+    for arrays, copies in zip(held, before):
+        for name, w in arrays.items():
+            assert w.tobytes() == copies[name].tobytes()
+
+
+@pytest.mark.parametrize("masks, reason", [
+    ({"conv_1": np.zeros((9, 8))}, "conv_1"),
+    ({"conv1": np.ones((8, 9))}, "conv1 has shape"),
+    ({"dense1": np.ones((128, 3))}, "dense1 has shape"),
+], ids=["unknown-layer", "wrong-shape-conv", "wrong-shape-dense"])
 @pytest.mark.parametrize("run", [train, wct_train], ids=["train", "wct"])
-def test_masks_for_layers_the_model_lacks_are_rejected(method, run):
+def test_masks_the_model_cannot_take_are_rejected(masks, reason, run):
     net = Network(tiny_model_spec(init_seed=8))
     before = {k: w.copy() for k, w in net.weights().items()}
-    pattern = SparsityPattern(method, 0.5, 0, 8, {"conv_1": np.zeros((9, 8))})
-    with pytest.raises(ValueError, match="conv_1"):
+    pattern = SparsityPattern("xcs", 0.5, 0, 8, masks)
+    with pytest.raises(ValueError, match=reason):
         run(net, small_data()[0], TrainConfig(epochs=1, pattern=pattern))
     for name, w in net.weights().items():
         assert w.tobytes() == before[name].tobytes()
@@ -855,6 +894,17 @@ def test_dataset_bit_identical_for_seed():
         assert np.array_equal(a.labels, b.labels)
     c_train, _ = gen_synthetic_dataset(12, 40, 12)
     assert not np.array_equal(a_train.images, c_train.images)
+
+
+@pytest.mark.parametrize("n_train, n_test", [(2.5, 3), (True, 3), (3, 2.0), (0, 3), (3, -1)])
+def test_dataset_rejects_split_sizes_that_are_not_integers_above_zero(n_train, n_test):
+    with pytest.raises(ValueError, match="samples per split"):
+        gen_synthetic_dataset(0, n_train, n_test)
+
+
+def test_dataset_takes_numpy_integer_sizes():
+    train_set, test_set = gen_synthetic_dataset(0, np.int64(3), np.int32(2))
+    assert (len(train_set), len(test_set)) == (3, 2)
 
 
 def test_training_and_wct_bit_identical_for_seed():

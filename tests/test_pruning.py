@@ -136,6 +136,13 @@ def test_mask_generators_reject_a_ratio_outside_0_1(gen, s):
         gen(two_conv_model(), s, 0)
 
 
+@pytest.mark.parametrize("gen", [gen_mask_xcs, gen_mask_xrs], ids=["xcs", "xrs"])
+@pytest.mark.parametrize("n", [0, -1, 2.5, 8.0, True, "8"])
+def test_segment_generators_reject_a_length_that_is_not_an_integer_above_zero(gen, n):
+    with pytest.raises(ValueError, match="segment length"):
+        gen(two_conv_model(), 0.5, n, 0)
+
+
 ODD_LAYERS = FakeModel([
     FakeLayer("a", rows=9, cols=8, rows_per_channel=9, in_channels=1),
     FakeLayer("b", rows=72, cols=16, rows_per_channel=9, in_channels=8),
@@ -304,6 +311,15 @@ def test_compression_rate_counts_a_layer_without_mask_as_unpruned(method):
     pat = SparsityPattern(method, 0.75, 0, None if method == "cf" else 32, {"fc": mask})
     # (4 + 2) unpruned tiles against 2 for fc plus 2 for the unmasked dense1
     assert compression_rate(model, pat, 32) == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize("gen", [gen_mask_xcs, gen_mask_xrs], ids=["xcs", "xrs"])
+@pytest.mark.parametrize("n", [4, 32])
+def test_compression_rate_rejects_a_tile_size_other_than_the_segment_length(gen, n):
+    # a pattern packs only into tiles of its segment length, as in partition
+    model = wide_model()
+    with pytest.raises(ValueError, match="segment length 8 != tile size"):
+        compression_rate(model, gen(model, 0.5, 8, seed=0), n)
 
 
 def test_compression_ordering_cf_beats_segment_styles():
