@@ -29,7 +29,7 @@ from .circuit import (
     ideal_mac,
     nonideality_factor,
 )
-from .pruning import CfCompaction, SegmentPacking, TilePlacement
+from .pruning import CfCompaction, SegmentPacking, TilePlacement, _check_tile_size
 
 REARRANGE_ORDERS = ("ascending", "center_out")
 
@@ -118,8 +118,7 @@ def partition(w: np.ndarray, n: int, *, order: str | None = None,
     n x n tiles; returns (tiles, record). The tiles cut the matrix, or the
     rows and columns a CfCompaction keeps, row-major after rearranging the
     columns into ``order``; a SegmentPacking lists its tiles itself."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"tile size must be an integer >= 1, got {n!r}")
+    _check_tile_size(n)
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.size == 0:
         raise ValueError(f"need a nonempty 2-D weight matrix, got shape {w.shape}")

@@ -2,12 +2,16 @@
 pooling and dense layers, trained with plain minibatch SGD on softmax
 cross-entropy.
 
+Every trainable layer holds its unrolled (fan-in x outputs) weight
+matrix, the one that masks, the WCT cutoff and the crossbar mapping act
+on, with the channel-major row groups of `ModelSpec.unrolled_layers`: a
+conv's rows in (channel, kernel row, kernel column) order, a dense
+layer's in the (c, h, w) order that `Flatten` emits.
+
 `Network.forward` takes NCHW images (n, c, h, w), as `Dataset` stores
 them, and transposes them once; every layer in between is channels-last
 (n, h, w, c). A convolution's output is then its GEMM result reshaped, and
 its output gradient reshapes back to the GEMM operand with no copy.
-`Flatten` emits (c, h, w) order, so dense weights and masks keep the
-channel-major row groups that `ModelSpec.unrolled_layers` reports.
 
 Data movement around the conv GEMMs is kept to whole slabs. `im2col`
 writes each of the k*k kernel offsets' slab of the input into one zeroed
@@ -20,10 +24,10 @@ see `Network` for why that gives the same numbers.
 Everything is float64 and bit-deterministic given (init seed, data seed,
 training seed): initialization draws from one seeded generator in layer
 order, batch order comes from the training seed, and no threading touches
-the update order. Every GEMM sees its operands in one fixed K order (that
-of `unroll_conv` for the forward and weight-gradient GEMMs, the output
-channels for the input-gradient GEMM), and every scattered sum adds its
-terms in one fixed order.
+the update order. Every GEMM sees its operands in one fixed K order (the
+rows of the weight matrix for the forward and weight-gradient GEMMs, the
+output channels for the input-gradient GEMM), and every scattered sum adds
+its terms in one fixed order.
 
 Training and evaluation both run the live sub-network: a channel whose
 producing column or consuming row group is all zero adds exactly zero to
@@ -59,6 +63,11 @@ import numpy as np
 def _is_int(value) -> bool:
     """A Python or NumPy integer, not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_seed(name: str, seed):
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -120,8 +129,8 @@ class ModelSpec:
     init_seed: int = 0
 
     def __post_init__(self):
-        infos = self.unrolled_layers()
-        if not infos:
+        _check_seed("init_seed", self.init_seed)
+        if not self.unrolled_layers():
             raise ValueError("model needs at least one trainable layer")
 
     def shape_walk(self):
@@ -250,25 +259,7 @@ def tiny_model_spec(init_seed: int = 0) -> ModelSpec:
     )
 
 
-# ------------------------------------------------------------ unrolling
-
-
-def unroll_conv(w: np.ndarray) -> np.ndarray:
-    """(out_ch, in_ch, k, k) -> (in_ch*k*k, out_ch) matrix, rows ordered
-    in_channel-major then kernel row then kernel column."""
-    out_ch, in_ch, k, k2 = w.shape
-    if k != k2:
-        raise ValueError(f"kernels must be square, got {w.shape}")
-    return w.transpose(1, 2, 3, 0).reshape(in_ch * k * k, out_ch)
-
-
-def reroll_conv(mat: np.ndarray, conv_shape: tuple[int, int, int, int]) -> np.ndarray:
-    """Inverse of unroll_conv for a conv weight of shape (out_ch, in_ch, k, k)."""
-    out_ch, in_ch, k, _ = conv_shape
-    if mat.shape != (in_ch * k * k, out_ch):
-        raise ValueError(f"matrix shape {mat.shape} does not re-roll to "
-                         f"{conv_shape}")
-    return mat.reshape(in_ch, k, k, out_ch).transpose(3, 0, 1, 2).copy()
+# --------------------------------------------------------------- im2col
 
 
 def _taps(size: int, out: int, k: int, stride: int, padding: int):
@@ -290,7 +281,7 @@ def im2col(x: np.ndarray, k: int, stride: int, padding: int):
     """Unroll the k x k windows of a channels-last x (n, h, w, c) into a
     (n*ho*wo, c*k*k) matrix: one row per output position in (n, ho, wo)
     order, columns in (channel, kernel row, kernel column) order, the row
-    order of `unroll_conv`. The matrix is a zeroed (n, ho, wo, c, k, k)
+    order of `Conv2d.w`. The matrix is a zeroed (n, ho, wo, c, k, k)
     buffer into which each of the k*k kernel offsets copies its slab of x,
     the input elements that offset reads; the taps that fall on the
     padding keep their zeros. Returns (cols, ho, wo)."""
@@ -327,13 +318,19 @@ def col2im(dcols: np.ndarray, x_shape, k: int, stride: int, padding: int,
 
 
 class _Weighted:
-    """A trainable layer: one weight array `w` in the layer's native shape
-    and its gradient `grad_w`. The constructor draws a He-normal `w` from
-    `rng`; `_of` wraps given weights and draws nothing."""
+    """A trainable layer: its C-contiguous unrolled (fan-in x outputs)
+    weight matrix `w` and its gradient `grad_w` of the same shape. The
+    constructor draws a He-normal `w` from `rng`; `_of` wraps a given
+    matrix and draws nothing."""
 
     def __init__(self, spec, rng: np.random.Generator):
-        shape, fan_in = self._shape(spec)
-        self._set(spec, rng.standard_normal(shape) * math.sqrt(2.0 / fan_in))
+        rows, cols = self._shape(spec)
+        w = self._draw(rng, rows, cols) * math.sqrt(2.0 / rows)
+        self._set(spec, np.ascontiguousarray(w))
+
+    @staticmethod
+    def _draw(rng, rows, cols):
+        return rng.standard_normal((rows, cols))
 
     @classmethod
     def _of(cls, spec, w: np.ndarray):
@@ -349,38 +346,42 @@ class _Weighted:
 
 class Conv2d(_Weighted):
     """Convolution of a channels-last input (n, h, w, in_ch) to
-    (n, ho, wo, out_ch) as one GEMM, `im2col(x) @ unroll_conv(w)`. The
-    input gradient is one GEMM by W^T with its columns in (kernel row,
+    (n, ho, wo, out_ch) as one GEMM, `im2col(x) @ w`. `w` is the
+    (in_ch*k*k, out_ch) matrix whose column j is filter j, its rows in
+    (input channel, kernel row, kernel column) order, the column order of
+    `im2col`; He init draws the (out_ch, in_ch*k*k) filter bank and stores
+    its transpose. The weight gradient is `im2col(x).T @ dout`. The input
+    gradient is one GEMM by W^T with W's rows permuted into (kernel row,
     kernel column, channel) order, so that `col2im` adds whole slabs; each
-    of its elements sums the same out_ch terms in the same order as with
-    the columns in `unroll_conv` order."""
+    of its elements sums the same out_ch terms in the same order."""
 
     kind = "conv"
 
     @staticmethod
     def _shape(spec: ConvSpec):
-        return ((spec.out_ch, spec.in_ch, spec.kernel, spec.kernel),
-                spec.in_ch * spec.kernel ** 2)
+        return spec.in_ch * spec.kernel ** 2, spec.out_ch
+
+    @staticmethod
+    def _draw(rng, rows, cols):
+        return rng.standard_normal((cols, rows)).T
 
     def forward(self, x):
         k, s, p = self.spec.kernel, self.spec.stride, self.spec.pad()
         cols, ho, wo = im2col(x, k, s, p)
-        out = cols @ unroll_conv(self.w)
+        out = cols @ self.w
         self._cache = (cols, x.shape, ho, wo)
         return out.reshape(x.shape[0], ho, wo, self.spec.out_ch)
 
     def grad_weights(self, dout):
         """Set grad_w from the output gradient (n, ho, wo, out_ch)."""
-        cols = self._cache[0]
-        grad_mat = cols.T @ dout.reshape(-1, self.spec.out_ch)
-        self.grad_w = reroll_conv(grad_mat, self.w.shape)
+        self.grad_w = self._cache[0].T @ dout.reshape(-1, self.spec.out_ch)
 
     def backward(self, dout):
         """Set grad_w and return the input gradient (n, h, w, in_ch)."""
         self.grad_weights(dout)
         _, x_shape, ho, wo = self._cache
-        k, s, p = self.spec.kernel, self.spec.stride, self.spec.pad()
-        w_t = self.w.transpose(2, 3, 1, 0).reshape(-1, self.spec.out_ch).T
+        c, k, s, p = self.spec.in_ch, self.spec.kernel, self.spec.stride, self.spec.pad()
+        w_t = self.w.reshape(c, k, k, -1).transpose(1, 2, 0, 3).reshape(-1, self.spec.out_ch).T
         dcols = dout.reshape(-1, self.spec.out_ch) @ w_t
         return col2im(dcols, x_shape, k, s, p, ho, wo)
 
@@ -390,7 +391,7 @@ class Dense(_Weighted):
 
     @staticmethod
     def _shape(spec: DenseSpec):
-        return (spec.in_features, spec.out_features), spec.in_features
+        return spec.in_features, spec.out_features
 
     def forward(self, x):
         self._cache = x
@@ -502,8 +503,8 @@ class Network:
     turns it into NaN, which would win its window.) `Network(spec)` draws
     the He-normal initialization of every trainable layer from one
     generator seeded by `spec.init_seed`, in layer order; copies and the
-    narrowed nets of training and evaluation are built from weights and
-    draw nothing."""
+    narrowed nets of training and evaluation are built from weight
+    matrices and draw nothing."""
 
     def __init__(self, spec: ModelSpec):
         rng = np.random.default_rng(spec.init_seed)
@@ -511,12 +512,12 @@ class Network:
 
     @classmethod
     def _of(cls, spec: ModelSpec, matrices: dict[str, np.ndarray]) -> "Network":
-        """The network of `spec` with the given unrolled weight matrices
-        (copied, as `set_unrolled_weights` takes them); draws no
+        """The network of `spec` with copies of the given weight matrices,
+        checked as `set_unrolled_weights` checks them; draws no
         initialization."""
         net = cls.__new__(cls)
         net._build(spec, lambda layer_cls, layer_spec, name: layer_cls._of(
-            layer_spec, _native(layer_cls, layer_spec, matrices, name)))
+            layer_spec, _own_copy(layer_cls, layer_spec, matrices, name)))
         return net
 
     def _build(self, spec: ModelSpec, make):
@@ -565,18 +566,20 @@ class Network:
             dout = layer.backward(dout)
         self.layers[first].grad_weights(dout)
 
-    def weights(self) -> dict[str, np.ndarray]:
-        return {name: layer.w for name, layer in self.trainable}
-
     def unrolled_weights(self) -> dict[str, np.ndarray]:
+        """Every trainable layer's weight matrix by name, as a read-only
+        view: it shows later in-place updates of the layer and cannot
+        write to it. Copy it to change it."""
         out = {}
         for name, layer in self.trainable:
-            out[name] = unroll_conv(layer.w) if layer.kind == "conv" else layer.w.copy()
+            out[name] = layer.w.view()
+            out[name].flags.writeable = False
         return out
 
     def set_unrolled_weights(self, matrices: dict[str, np.ndarray]):
+        """Give every trainable layer a copy of its matrix in `matrices`."""
         for name, layer in self.trainable:
-            layer.w = _native(type(layer), layer.spec, matrices, name)
+            layer.w = _own_copy(type(layer), layer.spec, matrices, name)
 
     def copy(self) -> "Network":
         """A network with the same spec and a copy of the weights; no
@@ -584,15 +587,13 @@ class Network:
         return Network._of(self.spec, self.unrolled_weights())
 
 
-def _native(layer_cls, layer_spec, matrices: dict[str, np.ndarray], name: str):
-    """A fresh native-shape weight array for layer `name` from its unrolled
-    matrix in `matrices`."""
+def _own_copy(layer_cls, layer_spec, matrices: dict[str, np.ndarray], name: str):
+    """A C-contiguous float64 copy of layer `name`'s matrix in `matrices`,
+    which must have the layer's shape."""
     if name not in matrices:
         raise ValueError(f"missing weights for layer {name}")
     mat = np.asarray(matrices[name], dtype=float)
-    shape = layer_cls._shape(layer_spec)[0]
-    if layer_cls is Conv2d:
-        return reroll_conv(mat, shape)
+    shape = layer_cls._shape(layer_spec)
     if mat.shape != shape:
         raise ValueError(f"{name}: shape {mat.shape} != {shape}")
     return mat.copy()
@@ -631,6 +632,7 @@ class TrainConfig:
             raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
         if not _is_int(self.epochs) or self.epochs < 0:
             raise ValueError(f"epochs must be an integer >= 0, got {self.epochs!r}")
+        _check_seed("seed", self.seed)
 
 
 @dataclass
@@ -674,15 +676,10 @@ def _unrolled_masks(spec: ModelSpec, pattern) -> dict[str, np.ndarray]:
     return masks
 
 
-def _pruned(model: Network, masks: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The zeros of each unrolled mask in its layer's native weight shape,
-    for the layers whose mask holds any."""
-    out = {}
-    for name, layer in model.trainable:
-        zero = masks[name] == 0
-        if zero.any():
-            out[name] = reroll_conv(zero, layer.w.shape) if layer.kind == "conv" else zero
-    return out
+def _pruned(masks: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The zeros of each mask, for the layers whose mask holds any."""
+    zeros = {name: mask == 0 for name, mask in masks.items()}
+    return {name: zero for name, zero in zeros.items() if zero.any()}
 
 
 def _row_groups(channels: np.ndarray, rows_per_channel: int) -> np.ndarray:
@@ -768,19 +765,19 @@ def _fit(model, dataset, config, epochs, w_cut, rng):
     """`epochs` of SGD under `config.pattern`, weights clamped to
     [-w_cut, w_cut] unless w_cut is None; returns the per-epoch losses.
     The live sub-network of the masks trains with the zeros it still holds
-    re-applied after every update; its weights are scattered back, and the
+    re-applied after every update; its weights are scattered back into a
+    copy of each layer's matrix, so no view taken before changes, and the
     full net is projected once, so a weight outside the sub-network ends as
     full-width training leaves it: clamped if unmasked, zero if masked."""
     masks = _unrolled_masks(model.spec, config.pattern)
-    full = model.unrolled_weights()
-    sub, index = _narrowed(model.spec, full, _live_channels(model.spec, masks))
+    sub, index = _narrowed(model.spec, model.unrolled_weights(),
+                           _live_channels(model.spec, masks))
     sub_masks = {name: masks[name][np.ix_(*kept)] for name, kept in index.items()}
-    losses = _sgd_epochs(sub, dataset, config, epochs, _pruned(sub, sub_masks), w_cut, rng)
-    for name, w in sub.unrolled_weights().items():
-        full[name] = full[name].copy()          # a conv's is a view of the net
-        full[name][np.ix_(*index[name])] = w
-    model.set_unrolled_weights(full)
-    _project(model, _pruned(model, masks), w_cut)
+    losses = _sgd_epochs(sub, dataset, config, epochs, _pruned(sub_masks), w_cut, rng)
+    for (name, layer), (_, part) in zip(model.trainable, sub.trainable):
+        layer.w = layer.w.copy()
+        layer.w[np.ix_(*index[name])] = part.w
+    _project(model, _pruned(masks), w_cut)
     return losses
 
 

@@ -91,6 +91,12 @@ class SegmentPacking:
     tiles: list[TilePlacement]
 
 
+def _check_tile_size(n):
+    """A crossbar is n x n for an integer n >= 1 (bools are not sizes)."""
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"tile size must be an integer >= 1, got {n!r}")
+
+
 def _layer_rng(seed: int, layer_index: int) -> np.random.Generator:
     return np.random.default_rng([seed, layer_index])
 
@@ -183,6 +189,7 @@ def _segment_packing(w: np.ndarray, n: int, kind: str,
     """Pack the surviving column segments of each row block left to right
     into tiles of n columns. An XRS packing is the XCS packing of the
     transposed mask with each tile's row and column fields swapped."""
+    _check_tile_size(n)
     w = np.asarray(w)
     mask = (w != 0) if mask is None else np.asarray(mask).astype(bool)
     if mask.shape != w.shape:
@@ -215,6 +222,7 @@ def compact_xrs(w: np.ndarray, n: int, mask: np.ndarray | None = None) -> Segmen
 
 
 def tile_count_unpruned(rows: int, cols: int, n: int) -> int:
+    _check_tile_size(n)
     return math.ceil(rows / n) * math.ceil(cols / n)
 
 
@@ -222,6 +230,7 @@ def compression_rate(model_spec, pattern: SparsityPattern | None, n: int) -> flo
     """Crossbar tiles needed for the unpruned model divided by tiles after
     compaction, both at tile size n. A layer with no mask is unpruned. An
     XCS/XRS pattern packs only into tiles of its own segment length."""
+    _check_tile_size(n)
     infos = list(model_spec.unrolled_layers())
     unpruned = sum(tile_count_unpruned(i.rows, i.cols, n) for i in infos)
     if pattern is None:

@@ -120,6 +120,34 @@ def max_pool2(x):
     return out
 
 
+def conv_matrix(w):
+    """An (out, in, k, k) filter bank as the unrolled (in*k*k, out) matrix
+    that a conv layer holds: column j is filter j, its rows in (in, kernel
+    row, kernel column) order."""
+    out_ch, in_ch, k, _ = w.shape
+    return w.transpose(1, 2, 3, 0).reshape(in_ch * k * k, out_ch)
+
+
+def filter_bank(mat, k):
+    """Inverse of conv_matrix for a k x k kernel: the (out, in, k, k)
+    filter bank of an unrolled (in*k*k, out) matrix."""
+    return mat.reshape(-1, k, k, mat.shape[1]).transpose(3, 0, 1, 2)
+
+
+def native_weights(layers, matrices):
+    """network_forward's weights from a net's unrolled matrices in layer
+    order: each conv's filter bank, each dense matrix as it is."""
+    matrices = iter(matrices)
+    out = []
+    for spec in layers:
+        kind = type(spec).__name__
+        if kind == "ConvSpec":
+            out.append(filter_bank(next(matrices), spec.kernel))
+        elif kind == "DenseSpec":
+            out.append(next(matrices))
+    return out
+
+
 def he_normal_init(spec):
     """The initial weights of a model spec: one generator seeded by
     `spec.init_seed` draws standard normals for every trainable layer in
@@ -208,13 +236,13 @@ def conv_block(x, w, stride, padding, dout, pool=True):
     and backward through im2col_padded, one GEMM by the (in, k, k)-major
     unrolled weights, relu_then_pool and col2im_padded. Returns
     (out, dx, grad_w), grad_w shaped like w (out, in, k, k)."""
-    out_ch, in_ch, k, _ = w.shape
+    out_ch, _, k, _ = w.shape
     cols, ho, wo = im2col_padded(x, k, stride, padding)
-    w_mat = w.transpose(1, 2, 3, 0).reshape(in_ch * k * k, out_ch)
+    w_mat = conv_matrix(w)
     y = (cols @ w_mat).reshape(x.shape[0], ho, wo, out_ch)
     out, dy = relu_then_pool(y, dout, pool)
     d2 = dy.reshape(-1, out_ch)
-    grad_w = (cols.T @ d2).reshape(in_ch, k, k, out_ch).transpose(3, 0, 1, 2)
+    grad_w = filter_bank(cols.T @ d2, k)
     dx = col2im_padded(d2 @ w_mat.T, x.shape, k, stride, padding, ho, wo)
     return out, dx, grad_w
 
@@ -247,23 +275,15 @@ def masked_sgd(net, dataset, masks, lr, batch_size, epochs, rng, w_cut=None):
     of the data per epoch, forward, backward, w -= lr * grad and project
     again. Projecting clips every weight to [-w_cut, w_cut] (unless w_cut is
     None) and multiplies it by its layer's mask; `masks` holds unrolled
-    (fan-in x outputs) masks by layer name, and a layer without one is
-    unpruned. Returns the per-epoch mean losses."""
-    native = {}
-    for name, layer in net.trainable:
-        if name in masks:
-            mask = np.asarray(masks[name], dtype=float)
-            if layer.w.ndim == 4:       # unrolled rows are (in, k, k)-major
-                out_ch, in_ch, k, _ = layer.w.shape
-                mask = mask.reshape(in_ch, k, k, out_ch).transpose(3, 0, 1, 2)
-            native[name] = mask
-
+    (fan-in x outputs) masks by layer name, the shape of every layer's
+    weights, and a layer without one is unpruned. Returns the per-epoch
+    mean losses."""
     def project():
         for name, layer in net.trainable:
             if w_cut is not None:
                 layer.w = np.clip(layer.w, -w_cut, w_cut)
-            if name in native:
-                layer.w = layer.w * native[name]
+            if name in masks:
+                layer.w = layer.w * np.asarray(masks[name], dtype=float)
 
     project()
     losses = []
@@ -290,7 +310,7 @@ def masked_sgd(net, dataset, masks, lr, batch_size, epochs, rng, w_cut=None):
 
 def nearest_rank_cutoff(net, percentile):
     """The nearest-rank percentile of |w| over every trainable weight."""
-    v = np.sort(np.abs(np.concatenate([w.ravel() for w in net.weights().values()])))
+    v = np.sort(np.abs(np.concatenate([w.ravel() for w in net.unrolled_weights().values()])))
     return float(v[math.ceil(percentile / 100.0 * v.size) - 1])
 
 

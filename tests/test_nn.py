@@ -4,10 +4,13 @@ import pytest
 from oracles import (
     col2im_padded,
     conv_block,
+    conv_matrix,
     direct_conv2d,
+    filter_bank,
     he_normal_init,
     im2col_padded,
     masked_sgd,
+    native_weights,
     nearest_rank_cutoff,
     network_forward,
     numeric_gradient,
@@ -79,7 +82,8 @@ def test_conv_forward_matches_direct_conv(spec):
     layer = Conv2d(spec, rng)
     x = rng.normal(size=(2, spec.in_ch, 7, 6))
     out = nchw(layer.forward(nhwc(x)))
-    ref = direct_conv2d(x, layer.w, stride=spec.stride, padding=spec.pad())
+    ref = direct_conv2d(x, filter_bank(layer.w, spec.kernel), stride=spec.stride,
+                        padding=spec.pad())
     assert out.shape == ref.shape
     np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-13)
 
@@ -92,7 +96,8 @@ def test_conv_forward_matches_direct_conv(spec):
 def test_network_forward_matches_looped_oracle(spec):
     net = Network(spec)
     x = np.random.default_rng(8).normal(size=(3, *spec.input_shape))
-    ref = network_forward(spec.layers, list(net.weights().values()), x)
+    ref = network_forward(spec.layers,
+                          native_weights(spec.layers, net.unrolled_weights().values()), x)
     np.testing.assert_allclose(net.forward(x), ref, rtol=1e-12, atol=1e-13)
 
 
@@ -202,11 +207,12 @@ def test_conv_relu_pool_block_matches_the_spec_order_oracle(block, kind):
     in_ch, out_ch, k, stride, padding, h, w = block
     spec = ModelSpec((ConvSpec(in_ch, out_ch, k, stride, padding), ReluSpec(), PoolSpec()),
                      input_shape=(in_ch, h, w))
-    layers = Network(spec).layers
-    assert [layer.kind for layer in layers] == ["conv", "pool", "relu"]
+    net = Network(spec)
+    assert [layer.kind for layer in net.layers] == ["conv", "pool", "relu"]
     rng = np.random.default_rng(200 + sum(block))
-    conv = layers[0]
-    conv.w = block_map(rng, conv.w.shape, "small" if kind == "small" else "normal")
+    bank = block_map(rng, (out_ch, in_ch, k, k), "small" if kind == "small" else "normal")
+    net.set_unrolled_weights({"conv1": conv_matrix(bank)})
+    layers, conv = net.layers, net.layers[0]
     x = block_map(rng, (8, h, w, in_ch), kind)
     maps = [x]
     for layer in layers:
@@ -216,10 +222,13 @@ def test_conv_relu_pool_block_matches_the_spec_order_oracle(block, kind):
     dx = dout
     for layer in reversed(layers):
         dx = layer.backward(dx)
-    ref_out, ref_dx, ref_grad_w = conv_block(x, conv.w, stride, conv.spec.pad(), dout)
+    # the oracle's GEMMs see the layer's weight matrix: the BLAS may round a
+    # product by a transposed operand differently
+    ref_out, ref_dx, ref_grad_w = conv_block(x, filter_bank(conv.w, k), stride,
+                                             conv.spec.pad(), dout)
     assert same(out, ref_out)
     assert same(dx, ref_dx)
-    assert same(conv.grad_w, ref_grad_w)
+    assert same(conv.grad_w, conv_matrix(ref_grad_w))
     if kind == "small":
         # the integer maps do reach the pool with the windows the reordering
         # must get right: ties, zeros and all-negative windows
@@ -239,11 +248,11 @@ def test_conv_relu_block_matches_the_oracle_bit_for_bit(block, kind):
     out = relu.forward(conv.forward(x))
     dout = rng.normal(size=out.shape)
     dx = conv.backward(relu.backward(dout))
-    ref_out, ref_dx, ref_grad_w = conv_block(x, conv.w, stride, conv.spec.pad(), dout,
-                                             pool=False)
+    ref_out, ref_dx, ref_grad_w = conv_block(x, filter_bank(conv.w, k), stride,
+                                             conv.spec.pad(), dout, pool=False)
     assert same_bits(out, ref_out)
     assert same_bits(dx, ref_dx)
-    assert same_bits(conv.grad_w, ref_grad_w)
+    assert same_bits(conv.grad_w, conv_matrix(ref_grad_w))
 
 
 @pytest.mark.parametrize("window", [
@@ -349,6 +358,17 @@ def assert_backprop_matches_numeric_gradient(net, x, labels):
         analytic = layer.grad_w.reshape(-1)[idx].copy()
         np.testing.assert_allclose(analytic, numeric_gradient(loss, layer.w, idx),
                                    rtol=1e-5, atol=1e-8)
+
+
+@pytest.mark.parametrize("spec", [reference_model_spec(init_seed=2), ODD_SPEC],
+                         ids=["reference", "odd"])
+def test_weight_gradients_have_the_shape_of_the_weight_matrices(spec):
+    net = Network(spec)
+    rng = np.random.default_rng(2)
+    logits = net.forward(rng.random((3, *spec.input_shape)))
+    net.backward(softmax_cross_entropy(logits, rng.integers(0, logits.shape[1], size=3))[1])
+    for (name, layer), info in zip(net.trainable, spec.unrolled_layers(), strict=True):
+        assert layer.grad_w.shape == layer.w.shape == (info.rows, info.cols), name
 
 
 def test_network_backprop_matches_numeric_gradient():
@@ -475,14 +495,14 @@ def test_train_runs_the_live_widths(monkeypatch, method):
     spec = reference_model_spec(init_seed=2)
     if method == "cf":
         pattern = gen_mask_cf(spec, 0.5, seed=2)
-        widths = {(32, 1, 3, 3), (64, 32, 3, 3), (64, 64, 3, 3), (256, 4)}
+        widths = {(9, 32), (288, 64), (576, 64), (256, 4)}
     else:
         # conv1's 9-row columns are single 32-row segments, so xcs@0.5 prunes
         # filters whole; at this seed every later channel stays live
         pattern = gen_mask_xcs(spec, 0.5, 32, seed=0)
         live = int(pattern.masks["conv1"].any(axis=0).sum())
         assert live < 64
-        widths = {(live, 1, 3, 3), (128, live, 3, 3), (128, 128, 3, 3), (512, 4)}
+        widths = {(9, live), (9 * live, 128), (1152, 128), (512, 4)}
     seen = spy_widths(monkeypatch)
     train_set, _ = small_data()
     config = TrainConfig(epochs=1, seed=2, pattern=pattern, wct=WctConfig(epochs=1))
@@ -552,18 +572,17 @@ def test_hand_built_masks_train_like_the_masked_sgd_oracle(breaks, method, wct):
 
 @pytest.mark.parametrize("method", [*METHODS, None])
 def test_train_and_wct_write_into_no_array_taken_before(method):
-    # a conv's unrolled matrix is a view of the net's weights
+    # unrolled_weights hands out views of the net's weight matrices
     spec = tiny_model_spec(init_seed=3)
     net = Network(spec)
-    held = [net.weights(), net.unrolled_weights()]
-    before = [{k: w.copy() for k, w in arrays.items()} for arrays in held]
+    held = net.unrolled_weights()
+    before = {k: w.copy() for k, w in held.items()}
     pattern = None if method is None else make_pattern(method, spec, seed=3)
     config = TrainConfig(epochs=1, pattern=pattern, wct=WctConfig(epochs=1))
     train(net, small_data()[0], config)
     wct_train(net, small_data()[0], config)
-    for arrays, copies in zip(held, before):
-        for name, w in arrays.items():
-            assert w.tobytes() == copies[name].tobytes()
+    for name, w in held.items():
+        assert w.tobytes() == before[name].tobytes()
 
 
 @pytest.mark.parametrize("masks, reason", [
@@ -574,11 +593,11 @@ def test_train_and_wct_write_into_no_array_taken_before(method):
 @pytest.mark.parametrize("run", [train, wct_train], ids=["train", "wct"])
 def test_masks_the_model_cannot_take_are_rejected(masks, reason, run):
     net = Network(tiny_model_spec(init_seed=8))
-    before = {k: w.copy() for k, w in net.weights().items()}
+    before = {k: w.copy() for k, w in net.unrolled_weights().items()}
     pattern = SparsityPattern("xcs", 0.5, 0, 8, masks)
     with pytest.raises(ValueError, match=reason):
         run(net, small_data()[0], TrainConfig(epochs=1, pattern=pattern))
-    for name, w in net.weights().items():
+    for name, w in net.unrolled_weights().items():
         assert w.tobytes() == before[name].tobytes()
 
 
@@ -589,7 +608,7 @@ def test_wct_keeps_every_weight_within_cutoff():
     train(net, train_set, config)
     _, w_cut = wct_train(net, train_set, config)
     assert w_cut > 0
-    for w in net.weights().values():
+    for w in net.unrolled_weights().values():
         assert np.all(np.abs(w) <= w_cut)
 
 
@@ -609,10 +628,10 @@ def test_wct_train_rejects_a_cutoff_that_is_not_finite_and_positive(w_cut, make_
     spec = tiny_model_spec(init_seed=3)
     pattern = make_pattern(spec)
     net = Network(spec)
-    before = {k: w.copy() for k, w in net.weights().items()}
+    before = {k: w.copy() for k, w in net.unrolled_weights().items()}
     with pytest.raises(ValueError, match="w_cut"):
         wct_train(net, small_data()[0], TrainConfig(epochs=1, pattern=pattern), w_cut=w_cut)
-    for name, w in net.weights().items():
+    for name, w in net.unrolled_weights().items():
         assert w.tobytes() == before[name].tobytes()
 
 
@@ -629,6 +648,25 @@ def test_wct_train_rejects_a_cutoff_that_is_not_finite_and_positive(w_cut, make_
 def test_train_config_rejects_bad_hyperparameters(kwargs, reason):
     with pytest.raises(ValueError, match=reason):
         TrainConfig(**kwargs)
+
+
+@pytest.mark.parametrize("seed", [2.5, 1.0, np.float64(1.0), True, False, -1, "0", None])
+def test_seeds_that_are_not_integers_above_minus_one_are_rejected(seed):
+    # at construction, not later inside numpy; True once ran as seed 1
+    with pytest.raises(ValueError, match="init_seed must be an integer >= 0"):
+        ModelSpec((DenseSpec(4, 2),), input_shape=(1, 2, 2), init_seed=seed)
+    with pytest.raises(ValueError, match="init_seed"):
+        tiny_model_spec(init_seed=seed)
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        TrainConfig(seed=seed)
+
+
+def test_numpy_integer_seeds_draw_as_python_integers():
+    spec = tiny_model_spec(init_seed=np.int64(3))
+    ref = Network(tiny_model_spec(init_seed=3)).unrolled_weights()
+    for name, w in Network(spec).unrolled_weights().items():
+        assert same_bits(w, ref[name])
+    assert TrainConfig(seed=np.uint8(0)).seed == 0
 
 
 def test_train_config_takes_numpy_integers():
@@ -661,8 +699,8 @@ def test_copy_after_forward_holds_only_the_weights():
     for layer in dup.layers:
         for _, a in _arrays(layer):
             assert not any(np.shares_memory(a, b) for b in originals)
-    for name, w in dup.weights().items():
-        assert w.tobytes() == net.weights()[name].tobytes()
+    for name, w in dup.unrolled_weights().items():
+        assert w.tobytes() == net.unrolled_weights()[name].tobytes()
     assert dup.forward(data.images[:16]).tobytes() == logits.tobytes()
 
 
@@ -678,11 +716,50 @@ def test_evaluate_leaves_only_the_weights():
 @pytest.mark.parametrize("spec_fn", [reference_model_spec, tiny_model_spec])
 def test_network_init_draws_he_normal_weights_in_layer_order(spec_fn, seed):
     spec = spec_fn(init_seed=seed)
-    weights = list(Network(spec).weights().values())
+    weights = list(Network(spec).unrolled_weights().values())
     ref = he_normal_init(spec)
     assert len(weights) == len(ref)
     for w, r in zip(weights, ref):
-        assert same_bits(w, r)
+        assert same_bits(w, conv_matrix(r) if r.ndim == 4 else r)
+
+
+@pytest.mark.parametrize("spec", [reference_model_spec(init_seed=5), ODD_SPEC],
+                         ids=["reference", "odd"])
+def test_unrolled_weights_are_read_only_views_of_every_layer(spec):
+    net = Network(spec)
+    views = net.unrolled_weights()
+    assert [layer.kind for _, layer in net.trainable] == [
+        info.kind for info in spec.unrolled_layers()]
+    for name, layer in net.trainable:
+        w = views[name]
+        assert layer.w.flags.c_contiguous and layer.w.flags.writeable
+        assert w.shape == layer.w.shape and np.shares_memory(w, layer.w)
+        assert not w.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            w[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            w *= 2.0
+    for name, w in views.items():
+        assert same_bits(w, net.unrolled_weights()[name])
+
+
+def test_copy_inject_and_set_hold_no_array_passed_or_got():
+    # every net built from matrices holds fresh C-contiguous float64 copies,
+    # also of a Fortran-ordered or float32 matrix
+    net = Network(ODD_SPEC)
+    got = net.unrolled_weights()
+    passed = {name: np.asfortranarray(w) for name, w in got.items()}
+    passed["dense2"] = passed["dense2"].astype(np.float32)
+    other = Network(ODD_SPEC)
+    other.set_unrolled_weights(passed)
+    taken = [*got.values(), *passed.values()]
+    for built, source in ((net.copy(), got), (inject_nonideal_weights(net, passed), passed),
+                          (other, passed)):
+        for name, layer in built.trainable:
+            assert layer.w.dtype == np.float64 and layer.w.flags.c_contiguous
+            assert layer.w.flags.writeable
+            assert np.array_equal(layer.w, source[name])
+            assert not any(np.shares_memory(layer.w, a) for a in taken), name
 
 
 def test_copies_and_narrowed_nets_draw_no_initialization(monkeypatch):
@@ -703,9 +780,9 @@ def test_copies_and_narrowed_nets_draw_no_initialization(monkeypatch):
     evaluate(net, test_set)
     assert seeds == []
     for other in built[:2]:
-        for name, w in net.weights().items():
-            assert same_bits(other.weights()[name], w)
-    assert built[2].weights()["conv1"].shape == (32, 1, 3, 3)
+        for name, w in net.unrolled_weights().items():
+            assert same_bits(other.unrolled_weights()[name], w)
+    assert built[2].unrolled_weights()["conv1"].shape == (9, 32)
     Network(spec)
     assert seeds == [(4,)]
 
@@ -717,7 +794,7 @@ def test_inject_nonideal_weights_checks_every_matrix():
         inject_nonideal_weights(net, {"conv1": full["conv1"]})
     with pytest.raises(ValueError, match="dense1"):
         inject_nonideal_weights(net, {**full, "dense1": full["dense1"][:-1]})
-    with pytest.raises(ValueError, match="re-roll"):
+    with pytest.raises(ValueError, match="conv1"):
         inject_nonideal_weights(net, {**full, "conv1": full["conv1"].T})
 
 
@@ -744,12 +821,12 @@ def masked_net(spec, pattern):
 @pytest.mark.parametrize("make_net, widths", [
     # cf@0.5 keeps half the filters of every layer but the head
     (lambda spec: masked_net(spec, gen_mask_cf(spec, 0.5, seed=2)),
-     {(32, 1, 3, 3), (64, 32, 3, 3), (64, 64, 3, 3), (256, 4)}),
+     {(9, 32), (288, 64), (576, 64), (256, 4)}),
     # conv1's 9-row columns are single 32-row segments, so xcs@0.5 prunes
     # half its filters whole; at this seed every later channel stays live
     (lambda spec: masked_net(spec, gen_mask_xcs(spec, 0.5, 32, seed=0)),
-     {(32, 1, 3, 3), (128, 32, 3, 3), (128, 128, 3, 3), (512, 4)}),
-    (Network, {(64, 1, 3, 3), (128, 64, 3, 3), (128, 128, 3, 3), (512, 4)}),
+     {(9, 32), (288, 128), (1152, 128), (512, 4)}),
+    (Network, {(9, 64), (576, 128), (1152, 128), (512, 4)}),
 ], ids=["cf", "xcs", "dense"])
 def test_evaluate_runs_the_live_widths(monkeypatch, make_net, widths):
     net = make_net(reference_model_spec(init_seed=2))
@@ -758,14 +835,18 @@ def test_evaluate_runs_the_live_widths(monkeypatch, make_net, widths):
     assert seen == widths
 
 
+def _writable_weights(net):
+    return {name: w.copy() for name, w in net.unrolled_weights().items()}
+
+
 def _zero_column(net, layer, index):
-    mats = net.unrolled_weights()
+    mats = _writable_weights(net)
     mats[layer][:, index] = 0.0
     net.set_unrolled_weights(mats)
 
 
 def _zero_row_group(net, layer, index):
-    mats = net.unrolled_weights()
+    mats = _writable_weights(net)
     rpc = {info.name: info.rows_per_channel for info in net.spec.unrolled_layers()}[layer]
     mats[layer][index * rpc:(index + 1) * rpc] = 0.0
     net.set_unrolled_weights(mats)
@@ -794,7 +875,7 @@ def test_live_subnet_matches_the_full_width_oracle(spec, zero, layer, index):
     sub, _ = _narrowed(spec, full, channels)
     rng = np.random.default_rng(6)
     x = rng.random((5, *spec.input_shape))
-    ref = network_forward(spec.layers, list(net.weights().values()), x)
+    ref = network_forward(spec.layers, native_weights(spec.layers, full.values()), x)
     logits = sub.forward(x)
     assert np.abs(logits - ref).max() <= 1e-12 * np.abs(ref).max()
     labels = ref.argmax(axis=1)
@@ -916,9 +997,9 @@ def test_training_and_wct_bit_identical_for_seed():
         net = Network(spec)
         config = TrainConfig(epochs=2, seed=6, pattern=pattern, wct=WctConfig(epochs=1))
         _, losses = train(net, train_set, config)
-        trained = {k: w.copy() for k, w in net.weights().items()}
+        trained = {k: w.copy() for k, w in net.unrolled_weights().items()}
         _, w_cut = wct_train(net, train_set, config)
-        runs.append((losses, trained, w_cut, net.weights()))
+        runs.append((losses, trained, w_cut, net.unrolled_weights()))
     (loss_a, trained_a, cut_a, wct_a), (loss_b, trained_b, cut_b, wct_b) = runs
     assert loss_a == loss_b
     assert cut_a == cut_b

@@ -17,6 +17,7 @@ from xbarprune.pruning import (
     gen_mask_cf,
     gen_mask_xcs,
     gen_mask_xrs,
+    tile_count_unpruned,
 )
 
 
@@ -320,6 +321,35 @@ def test_compression_rate_rejects_a_tile_size_other_than_the_segment_length(gen,
     model = wide_model()
     with pytest.raises(ValueError, match="segment length 8 != tile size"):
         compression_rate(model, gen(model, 0.5, 8, seed=0), n)
+
+
+@pytest.mark.parametrize("n", [-3, 0, 2.5, 32.0, np.float64(32), True, False, "32", None])
+def test_tile_counts_reject_a_size_that_is_not_an_integer_above_zero(n):
+    # checked before any work, with partition's rule: a negative size once
+    # counted 8064 tiles of a 576 x 128 matrix, n=True ran as 1 and n=0
+    # divided by zero
+    model = wide_model()
+    calls = [
+        lambda: tile_count_unpruned(576, 128, n),
+        lambda: compression_rate(model, None, n),
+        lambda: compression_rate(FakeModel([]), None, n),
+        lambda: compression_rate(model, gen_mask_cf(model, 0.5, seed=0), n),
+        lambda: compression_rate(model, gen_mask_xcs(model, 0.5, 32, seed=0), n),
+        lambda: compact_xcs(np.ones((8, 8)), n),
+        lambda: compact_xrs(np.ones((8, 8)), n),
+        lambda: compact_xcs(np.ones((8, 8)), n, mask=np.ones((3, 3))),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="tile size must be an integer >= 1"):
+            call()
+
+
+def test_tile_counts_take_numpy_integer_sizes():
+    model = wide_model()
+    assert tile_count_unpruned(576, 128, np.int64(32)) == 18 * 4
+    assert compression_rate(model, None, np.int32(32)) == 1.0
+    assert len(compact_xcs(np.ones((8, 8)), np.int64(4)).tiles) == 4
+    assert len(compact_xrs(np.ones((8, 8)), np.int16(4)).tiles) == 4
 
 
 def test_compression_ordering_cf_beats_segment_styles():
