@@ -439,19 +439,18 @@ def apply_device_variation(g: np.ndarray, sigma_dev: float,
     return g * (1.0 + eps)
 
 
-def nonideality_factor(i_ideal: np.ndarray, i_nonideal: np.ndarray,
-                       epsilon: float = DEFAULT_NF_EPSILON) -> NfReport:
+def nonideality_factor(i_ideal: np.ndarray, i_nonideal: np.ndarray) -> NfReport:
     """Per-column NF = (I_ideal - I_nonideal) / I_ideal.
 
-    Columns with |I_ideal| < epsilon are excluded from the mean and listed;
-    if every column is excluded the mean is undefined (None).
+    Columns with |I_ideal| < DEFAULT_NF_EPSILON are excluded from the mean
+    and listed; if every column is excluded the mean is undefined (None).
     """
     i_ideal = np.asarray(i_ideal, dtype=float)
     i_nonideal = np.asarray(i_nonideal, dtype=float)
     if i_ideal.shape != i_nonideal.shape or i_ideal.ndim != 1:
         raise ValueError(f"current vectors must be 1-D and equal length, "
                          f"got {i_ideal.shape} vs {i_nonideal.shape}")
-    excluded = np.abs(i_ideal) < epsilon
+    excluded = np.abs(i_ideal) < DEFAULT_NF_EPSILON
     nf = np.full(i_ideal.shape, np.nan)
     keep = ~excluded
     nf[keep] = (i_ideal[keep] - i_nonideal[keep]) / i_ideal[keep]

@@ -29,6 +29,7 @@ from .circuit import (
     ideal_mac,
     nonideality_factor,
 )
+from .nn import _check_seed
 from .pruning import CfCompaction, SegmentPacking, TilePlacement, _check_tile_size
 
 REARRANGE_ORDERS = ("ascending", "center_out")
@@ -219,8 +220,11 @@ def aggregate_nf(reports: list[NfReport]) -> LayerNfReport:
     )
 
 
-def _layer_tiles(w, params, rearrange, rearrange_order, compaction):
+def _layer_tiles(w, params, rearrange, rearrange_order, compaction, master_seed,
+                 layer_index):
     """The placement simulate_layer and layer_nf share: square tiles."""
+    _check_seed("master_seed", master_seed)
+    _check_seed("layer_index", layer_index)
     if params.n_rows != params.n_cols:
         raise ValueError("layer simulation uses square tiles; params must have "
                          "n_rows == n_cols")
@@ -252,7 +256,8 @@ def simulate_layer(w: np.ndarray, params: CrossbarParams, *,
     indices) -> gather -> encode -> device variation -> effective
     conductances -> decode -> recombine (one scatter back to the original
     matrix), with an NF report from all-ones inputs on every tile."""
-    tiles, record = _layer_tiles(w, params, rearrange, rearrange_order, compaction)
+    tiles, record = _layer_tiles(w, params, rearrange, rearrange_order, compaction,
+                                 master_seed, layer_index)
     out_tiles, reports = [], []
     for system, signs, report in _simulate_tiles(tiles, record, params,
                                                  master_seed, layer_index):
@@ -273,6 +278,7 @@ def layer_nf(w: np.ndarray, params: CrossbarParams, *,
     """NF report only: same tiles as simulate_layer without G_eff, decode
     and recombine. G_eff costs less than the solve both run per tile, so
     the saving is small; the factorization dominates either way."""
-    tiles, record = _layer_tiles(w, params, rearrange, rearrange_order, compaction)
+    tiles, record = _layer_tiles(w, params, rearrange, rearrange_order, compaction,
+                                 master_seed, layer_index)
     return aggregate_nf([report for _, _, report in
                          _simulate_tiles(tiles, record, params, master_seed, layer_index)])

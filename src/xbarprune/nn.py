@@ -1,24 +1,26 @@
-"""Minimal trainable CNN in NumPy: im2col convolutions, ReLU, 2x2 max
-pooling and dense layers, trained with plain minibatch SGD on softmax
-cross-entropy.
+"""Minimal trainable CNN in NumPy: im2col convolutions, ReLU and 2x2 max
+pooling, trained with plain minibatch SGD on softmax cross-entropy.
 
-Every trainable layer holds its unrolled (fan-in x outputs) weight
-matrix, the one that masks, the WCT cutoff and the crossbar mapping act
-on, with the channel-major row groups of `ModelSpec.unrolled_layers`: a
-conv's rows in (channel, kernel row, kernel column) order, a dense
-layer's in the (c, h, w) order that `Flatten` emits.
+`Conv2d` is the one trainable layer. It holds its unrolled (fan-in x
+outputs) weight matrix, the one that masks, the WCT cutoff and the
+crossbar mapping act on, with the channel-major row groups of
+`ModelSpec.unrolled_layers`: rows in (channel, window row, window
+column) order. A dense layer is the convolution whose window is its
+whole input map (Long, Shelhamer and Darrell, "Fully Convolutional
+Networks", CVPR 2015), so its rows are in (c, h, w) order; a dense layer
+on a flat size f is the 1 x 1 convolution of the (n, 1, 1, f) map.
 
 `Network.forward` takes NCHW images (n, c, h, w), as `Dataset` stores
 them, and transposes them once; every layer in between is channels-last
 (n, h, w, c). A convolution's output is then its GEMM result reshaped, and
 its output gradient reshapes back to the GEMM operand with no copy.
 
-Data movement around the conv GEMMs is kept to whole slabs. `im2col`
-writes each of the k*k kernel offsets' slab of the input into one zeroed
+Data movement around the GEMMs is kept to whole slabs. `im2col` writes
+each of the kh*kw window offsets' slab of the input into one zeroed
 window buffer; the padding is never materialized. The input gradient is
-one GEMM by W^T with its columns in (kernel row, kernel column, channel)
-order, so `col2im` adds k*k slabs that are contiguous in the channels. A
-ReLU that feeds a max pool runs after the pool, on the 4x smaller map;
+one GEMM by W^T with its columns in (window row, window column, channel)
+order, so `col2im` adds kh*kw slabs that are contiguous in the channels.
+A ReLU that feeds a max pool runs after the pool, on the 4x smaller map;
 see `Network` for why that gives the same numbers.
 
 Everything is float64 and bit-deterministic given (init seed, data seed,
@@ -262,52 +264,54 @@ def tiny_model_spec(init_seed: int = 0) -> ModelSpec:
 # --------------------------------------------------------------- im2col
 
 
-def _taps(size: int, out: int, k: int, stride: int, padding: int):
+def _taps(size: int, k: int, stride: int, padding: int):
     """For one axis of an input of length `size` with `padding` zeros on
-    each side, and each kernel offset r: the slice of the `out` window
-    positions o whose tap o*stride + r - padding lands inside the input,
-    and the slice of the input elements those taps read. The taps of the
-    other positions read padding."""
+    each side and a window of length k: the number `out` of window
+    positions and, for each window offset r, the slice of the positions o
+    whose tap o*stride + r - padding lands inside the input and the slice
+    of the input elements those taps read. The taps of the other positions
+    read padding. Returns (out, taps)."""
+    out = (size + 2 * padding - k) // stride + 1
     taps = []
     for r in range(k):
         lo = max(0, -((r - padding) // stride))
         hi = max(lo, min(out, (size - 1 + padding - r) // stride + 1))
         start = lo * stride + r - padding
         taps.append((slice(lo, hi), slice(start, start + stride * (hi - lo), stride)))
-    return taps
+    return out, taps
 
 
-def im2col(x: np.ndarray, k: int, stride: int, padding: int):
-    """Unroll the k x k windows of a channels-last x (n, h, w, c) into a
-    (n*ho*wo, c*k*k) matrix: one row per output position in (n, ho, wo)
-    order, columns in (channel, kernel row, kernel column) order, the row
-    order of `Conv2d.w`. The matrix is a zeroed (n, ho, wo, c, k, k)
-    buffer into which each of the k*k kernel offsets copies its slab of x,
-    the input elements that offset reads; the taps that fall on the
+def im2col(x: np.ndarray, window, stride: int, padding: int):
+    """Unroll the (kh, kw) windows of a channels-last x (n, h, w, c) into a
+    (n*ho*wo, c*kh*kw) matrix: one row per output position in (n, ho, wo)
+    order, columns in (channel, window row, window column) order, the row
+    order of `Conv2d.w`. The matrix is a zeroed (n, ho, wo, c, kh, kw)
+    buffer into which each of the kh*kw window offsets copies its slab of
+    x, the input elements that offset reads; the taps that fall on the
     padding keep their zeros. Returns (cols, ho, wo)."""
     n, h, w, c = x.shape
-    ho, wo = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
-    cols = np.zeros((n, ho, wo, c, k, k))
-    row_taps, col_taps = _taps(h, ho, k, stride, padding), _taps(w, wo, k, stride, padding)
+    (ho, row_taps), (wo, col_taps) = (_taps(h, window[0], stride, padding),
+                                      _taps(w, window[1], stride, padding))
+    cols = np.zeros((n, ho, wo, c, *window))
     for kr, (ro, ri) in enumerate(row_taps):
         for kc, (co, ci) in enumerate(col_taps):
             cols[:, ro, co, :, kr, kc] = x[:, ri, ci]
-    return cols.reshape(n * ho * wo, c * k * k), ho, wo
+    return cols.reshape(n * ho * wo, -1), ho, wo
 
 
-def col2im(dcols: np.ndarray, x_shape, k: int, stride: int, padding: int,
-           ho: int, wo: int) -> np.ndarray:
-    """Adjoint of `im2col` for column gradients in (kernel row, kernel
+def col2im(dcols: np.ndarray, x_shape, window, stride: int, padding: int) -> np.ndarray:
+    """Adjoint of `im2col` for column gradients in (window row, window
     column, channel) order, as `Conv2d.backward` forms them: sum the
-    (n*ho*wo, k*k*c) gradients back onto the channels-last input shape
-    (n, h, w, c). Each kernel offset adds one slab, contiguous in the
+    (n*ho*wo, kh*kw*c) gradients back onto the channels-last input shape
+    (n, h, w, c). Each window offset adds one slab, contiguous in the
     channels, so each input element receives its window terms in
-    (kernel row, kernel column) order; the terms that fall on the padding
+    (window row, window column) order; the terms that fall on the padding
     are dropped."""
     n, h, w, c = x_shape
+    (ho, row_taps), (wo, col_taps) = (_taps(h, window[0], stride, padding),
+                                      _taps(w, window[1], stride, padding))
     dx = np.zeros(x_shape)
-    d6 = dcols.reshape(n, ho, wo, k, k, c)
-    row_taps, col_taps = _taps(h, ho, k, stride, padding), _taps(w, wo, k, stride, padding)
+    d6 = dcols.reshape(n, ho, wo, *window, c)
     for kr, (ro, ri) in enumerate(row_taps):
         for kc, (co, ci) in enumerate(col_taps):
             dx[:, ri, ci] += d6[:, ro, co, kr, kc]
@@ -317,94 +321,42 @@ def col2im(dcols: np.ndarray, x_shape, k: int, stride: int, padding: int,
 # --------------------------------------------------------------- layers
 
 
-class _Weighted:
-    """A trainable layer: its C-contiguous unrolled (fan-in x outputs)
-    weight matrix `w` and its gradient `grad_w` of the same shape. The
-    constructor draws a He-normal `w` from `rng`; `_of` wraps a given
-    matrix and draws nothing."""
-
-    def __init__(self, spec, rng: np.random.Generator):
-        rows, cols = self._shape(spec)
-        w = self._draw(rng, rows, cols) * math.sqrt(2.0 / rows)
-        self._set(spec, np.ascontiguousarray(w))
-
-    @staticmethod
-    def _draw(rng, rows, cols):
-        return rng.standard_normal((rows, cols))
-
-    @classmethod
-    def _of(cls, spec, w: np.ndarray):
-        layer = cls.__new__(cls)
-        layer._set(spec, w)
-        return layer
-
-    def _set(self, spec, w):
-        self.spec, self.w = spec, w
-        self.grad_w = None
-        self._cache = None
-
-
-class Conv2d(_Weighted):
-    """Convolution of a channels-last input (n, h, w, in_ch) to
-    (n, ho, wo, out_ch) as one GEMM, `im2col(x) @ w`. `w` is the
-    (in_ch*k*k, out_ch) matrix whose column j is filter j, its rows in
-    (input channel, kernel row, kernel column) order, the column order of
-    `im2col`; He init draws the (out_ch, in_ch*k*k) filter bank and stores
-    its transpose. The weight gradient is `im2col(x).T @ dout`. The input
-    gradient is one GEMM by W^T with W's rows permuted into (kernel row,
-    kernel column, channel) order, so that `col2im` adds whole slabs; each
-    of its elements sums the same out_ch terms in the same order."""
+class Conv2d:
+    """The one trainable layer: the convolution of a channels-last input
+    (n, h, w, in_ch) by a (kh, kw) `window` to (n, ho, wo, out_ch) as one
+    GEMM, `im2col(x) @ w`. `w` is the C-contiguous (in_ch*kh*kw, out_ch)
+    unrolled matrix whose column j is filter j, its rows in (input
+    channel, window row, window column) order, the column order of
+    `im2col`; `grad_w` is its gradient, `im2col(x).T @ dout`. A dense
+    layer is the convolution whose window is its whole input map, with
+    stride 1 and no padding. The input gradient is one GEMM by W^T with
+    W's rows permuted into (window row, window column, channel) order, so
+    that `col2im` adds whole slabs; each of its elements sums the same
+    out_ch terms in the same order."""
 
     kind = "conv"
 
-    @staticmethod
-    def _shape(spec: ConvSpec):
-        return spec.in_ch * spec.kernel ** 2, spec.out_ch
-
-    @staticmethod
-    def _draw(rng, rows, cols):
-        return rng.standard_normal((cols, rows)).T
+    def __init__(self, window, stride: int, padding: int, w: np.ndarray):
+        self.window, self.stride, self.padding, self.w = window, stride, padding, w
+        self.grad_w = None
+        self._cache = None
 
     def forward(self, x):
-        k, s, p = self.spec.kernel, self.spec.stride, self.spec.pad()
-        cols, ho, wo = im2col(x, k, s, p)
-        out = cols @ self.w
-        self._cache = (cols, x.shape, ho, wo)
-        return out.reshape(x.shape[0], ho, wo, self.spec.out_ch)
+        cols, ho, wo = im2col(x, self.window, self.stride, self.padding)
+        self._cache = (cols, x.shape)
+        return (cols @ self.w).reshape(x.shape[0], ho, wo, -1)
 
     def grad_weights(self, dout):
         """Set grad_w from the output gradient (n, ho, wo, out_ch)."""
-        self.grad_w = self._cache[0].T @ dout.reshape(-1, self.spec.out_ch)
+        self.grad_w = self._cache[0].T @ dout.reshape(-1, self.w.shape[1])
 
     def backward(self, dout):
         """Set grad_w and return the input gradient (n, h, w, in_ch)."""
         self.grad_weights(dout)
-        _, x_shape, ho, wo = self._cache
-        c, k, s, p = self.spec.in_ch, self.spec.kernel, self.spec.stride, self.spec.pad()
-        w_t = self.w.reshape(c, k, k, -1).transpose(1, 2, 0, 3).reshape(-1, self.spec.out_ch).T
-        dcols = dout.reshape(-1, self.spec.out_ch) @ w_t
-        return col2im(dcols, x_shape, k, s, p, ho, wo)
-
-
-class Dense(_Weighted):
-    kind = "dense"
-
-    @staticmethod
-    def _shape(spec: DenseSpec):
-        return spec.in_features, spec.out_features
-
-    def forward(self, x):
-        self._cache = x
-        return x @ self.w
-
-    def grad_weights(self, dout):
-        """Set grad_w from the output gradient (n, out_features)."""
-        self.grad_w = self._cache.T @ dout
-
-    def backward(self, dout):
-        """Set grad_w and return the input gradient (n, in_features)."""
-        self.grad_weights(dout)
-        return dout @ self.w.T
+        out_ch = self.w.shape[1]
+        w_t = self.w.reshape(-1, *self.window, out_ch).transpose(1, 2, 0, 3)
+        dcols = dout.reshape(-1, out_ch) @ w_t.reshape(-1, out_ch).T
+        return col2im(dcols, self._cache[1], self.window, self.stride, self.padding)
 
 
 _LOWEST = np.finfo(np.float64).min
@@ -471,25 +423,28 @@ class MaxPool2:
         return dx
 
 
-class Flatten:
-    """Channels-last (n, h, w, c) to (n, c*h*w) in (c, h, w) order, the row
-    order of the next dense layer's weights and of its masks' channel
-    groups (`rows_per_channel = h*w`)."""
-
-    kind = "flatten"
-
-    def forward(self, x):
-        self._shape = x.shape
-        return x.transpose(0, 3, 1, 2).reshape(x.shape[0], -1)
-
-    def backward(self, dout):
-        n, h, w, c = self._shape
-        return dout.reshape(n, c, h, w).transpose(0, 2, 3, 1)
+def he_normal(spec: ModelSpec) -> dict[str, np.ndarray]:
+    """The He-normal initial weights of `spec` by layer name, drawn in
+    layer order from one generator seeded by `spec.init_seed` and scaled
+    by sqrt(2 / fan-in). A conv is drawn as its (out_ch, in_ch*k*k) filter
+    bank and stored transposed, a dense layer as its (fan-in, outputs)
+    matrix."""
+    rng = np.random.default_rng(spec.init_seed)
+    out = {}
+    for info in spec.unrolled_layers():
+        conv = info.kind == "conv"
+        w = rng.standard_normal((info.cols, info.rows) if conv else (info.rows, info.cols))
+        w *= math.sqrt(2.0 / info.rows)
+        out[info.name] = w.T if conv else w
+    return out
 
 
 class Network:
     """Layer stack built from a ModelSpec; trainable layers are named
-    conv1.., dense1.. in order.
+    conv1.., dense1.. in order, and every one is a `Conv2d`: a `DenseSpec`
+    on a (c, h, w) map is the (h, w) window over it, one on a flat size f
+    the 1 x 1 window over the (n, 1, 1, f) map. If the spec has a dense
+    layer, `forward` returns the (n, 1, 1, classes) map as (n, classes).
 
     The stack follows the spec, except that a ReLU directly before a 2x2
     max pool runs after it, on the 4x smaller pooled map. ReLU
@@ -500,67 +455,63 @@ class Network:
     a zero and passes a zero gradient in either order; only the sign of
     those zeros, and which entry receives the signed one, can differ, so
     every value stays equal as a number. (-inf is outside the rule: ReLU
-    turns it into NaN, which would win its window.) `Network(spec)` draws
-    the He-normal initialization of every trainable layer from one
-    generator seeded by `spec.init_seed`, in layer order; copies and the
-    narrowed nets of training and evaluation are built from weight
-    matrices and draw nothing."""
+    turns it into NaN, which would win its window.) `Network(spec)` holds
+    `he_normal(spec)`; copies and the narrowed nets of training and
+    evaluation are built from weight matrices and draw nothing."""
 
     def __init__(self, spec: ModelSpec):
-        rng = np.random.default_rng(spec.init_seed)
-        self._build(spec, lambda cls, layer_spec, name: cls(layer_spec, rng))
+        self._build(spec, he_normal(spec))
 
     @classmethod
     def _of(cls, spec: ModelSpec, matrices: dict[str, np.ndarray]) -> "Network":
-        """The network of `spec` with copies of the given weight matrices,
-        checked as `set_unrolled_weights` checks them; draws no
-        initialization."""
+        """The network of `spec` with copies of the given weight matrices."""
         net = cls.__new__(cls)
-        net._build(spec, lambda layer_cls, layer_spec, name: layer_cls._of(
-            layer_spec, _own_copy(layer_cls, layer_spec, matrices, name)))
+        net._build(spec, matrices)
         return net
 
-    def _build(self, spec: ModelSpec, make):
-        """Build the layer stack; `make(layer_class, layer_spec, name)`
-        makes each trainable layer, in order."""
+    def _build(self, spec: ModelSpec, matrices: dict[str, np.ndarray]):
+        """Build the layer stack, each trainable layer holding its own copy
+        of its matrix in `matrices`, checked as `set_unrolled_weights`
+        checks it."""
         self.spec = spec
         self.layers = []
-        self.trainable: list[tuple[str, object]] = []
-        names = iter(info.name for info in spec.unrolled_layers())
-        flat = False
+        self.trainable: list[tuple[str, Conv2d]] = []
+        self._flat = any(isinstance(layer_spec, DenseSpec) for layer_spec in spec.layers)
+        infos = iter(spec.unrolled_layers())
         for layer_spec, incoming in spec.shape_walk():
+            if isinstance(layer_spec, (ReluSpec, PoolSpec)):
+                self.layers.append(ReLU() if isinstance(layer_spec, ReluSpec) else MaxPool2())
+                continue
             if isinstance(layer_spec, ConvSpec):
-                name = next(names)
-                layer = make(Conv2d, layer_spec, name)
-                self.layers.append(layer)
-                self.trainable.append((name, layer))
-            elif isinstance(layer_spec, DenseSpec):
-                if not flat and isinstance(incoming, tuple):
-                    self.layers.append(Flatten())
-                    flat = True
-                name = next(names)
-                layer = make(Dense, layer_spec, name)
-                self.layers.append(layer)
-                self.trainable.append((name, layer))
-            elif isinstance(layer_spec, ReluSpec):
-                self.layers.append(ReLU())
-            elif isinstance(layer_spec, PoolSpec):
-                self.layers.append(MaxPool2())
+                k = layer_spec.kernel
+                geometry = (k, k), layer_spec.stride, layer_spec.pad()
+            else:
+                geometry = (incoming[1:] if isinstance(incoming, tuple) else (1, 1)), 1, 0
+            info = next(infos)
+            self.trainable.append((info.name, Conv2d(*geometry, _own_copy(info, matrices))))
+            self.layers.append(self.trainable[-1][1])
         for i in range(len(self.layers) - 1):
             if isinstance(self.layers[i], ReLU) and isinstance(self.layers[i + 1], MaxPool2):
                 self.layers[i:i + 2] = self.layers[i + 1], self.layers[i]
 
     def forward(self, x):
-        """Logits (n, classes) for NCHW images x (n, c, h, w)."""
-        x = np.asarray(x, dtype=np.float64).transpose(0, 2, 3, 1)
+        """Logits (n, classes) for NCHW images x (n, *spec.input_shape), or
+        the channels-last output map if the spec has no dense layer."""
+        x = np.asarray(x, dtype=np.float64)
+        shape = tuple(self.spec.input_shape)
+        if x.ndim != 4 or x.shape[1:] != shape:
+            raise ValueError(f"images must be (n, {str(shape)[1:-1]}), got {x.shape}")
+        x = x.transpose(0, 2, 3, 1)
         for layer in self.layers:
             x = layer.forward(x)
-        return x
+        return x.reshape(x.shape[0], -1) if self._flat else x
 
     def backward(self, dout):
         """Set grad_w of every trainable layer from the gradient of the
         logits. No input gradient is formed for the first trainable layer,
         since nothing before it learns."""
+        if self._flat:
+            dout = dout.reshape(dout.shape[0], 1, 1, -1)
         first = self.layers.index(self.trainable[0][1])
         for layer in reversed(self.layers[first + 1:]):
             dout = layer.backward(dout)
@@ -578,8 +529,8 @@ class Network:
 
     def set_unrolled_weights(self, matrices: dict[str, np.ndarray]):
         """Give every trainable layer a copy of its matrix in `matrices`."""
-        for name, layer in self.trainable:
-            layer.w = _own_copy(type(layer), layer.spec, matrices, name)
+        for info, (_, layer) in zip(self.spec.unrolled_layers(), self.trainable):
+            layer.w = _own_copy(info, matrices)
 
     def copy(self) -> "Network":
         """A network with the same spec and a copy of the weights; no
@@ -587,15 +538,14 @@ class Network:
         return Network._of(self.spec, self.unrolled_weights())
 
 
-def _own_copy(layer_cls, layer_spec, matrices: dict[str, np.ndarray], name: str):
-    """A C-contiguous float64 copy of layer `name`'s matrix in `matrices`,
-    which must have the layer's shape."""
-    if name not in matrices:
-        raise ValueError(f"missing weights for layer {name}")
-    mat = np.asarray(matrices[name], dtype=float)
-    shape = layer_cls._shape(layer_spec)
-    if mat.shape != shape:
-        raise ValueError(f"{name}: shape {mat.shape} != {shape}")
+def _own_copy(info: UnrolledLayerInfo, matrices: dict[str, np.ndarray]):
+    """A C-contiguous float64 copy of layer `info.name`'s matrix in
+    `matrices`, which must have the layer's (rows, cols) shape."""
+    if info.name not in matrices:
+        raise ValueError(f"missing weights for layer {info.name}")
+    mat = np.asarray(matrices[info.name], dtype=float)
+    if mat.shape != (info.rows, info.cols):
+        raise ValueError(f"{info.name}: shape {mat.shape} != {(info.rows, info.cols)}")
     return mat.copy()
 
 
@@ -654,6 +604,16 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     dlogits = probs
     dlogits[np.arange(n), labels] -= 1.0
     return loss, dlogits / n
+
+
+def _check_labels(spec: ModelSpec, dataset: Dataset):
+    """Labels must be one integer class in [0, classes) per image."""
+    labels, n = np.asarray(dataset.labels), len(dataset)
+    classes = spec.unrolled_layers()[-1].cols
+    if (labels.shape != (n,) or not np.issubdtype(labels.dtype, np.integer)
+            or (n and not 0 <= labels.min() <= labels.max() < classes)):
+        raise ValueError(f"labels must be {n} integers in [0, {classes}), got "
+                         f"{labels.dtype} labels of shape {labels.shape}")
 
 
 def _unrolled_masks(spec: ModelSpec, pattern) -> dict[str, np.ndarray]:
@@ -769,6 +729,9 @@ def _fit(model, dataset, config, epochs, w_cut, rng):
     copy of each layer's matrix, so no view taken before changes, and the
     full net is projected once, so a weight outside the sub-network ends as
     full-width training leaves it: clamped if unmasked, zero if masked."""
+    if len(dataset) == 0:
+        raise ValueError("cannot train on an empty dataset")
+    _check_labels(model.spec, dataset)
     masks = _unrolled_masks(model.spec, config.pattern)
     sub, index = _narrowed(model.spec, model.unrolled_weights(),
                            _live_channels(model.spec, masks))
@@ -841,6 +804,7 @@ def evaluate(model: Network, dataset: Dataset, batch_size: int = 256) -> float:
     n = len(dataset)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    _check_labels(model.spec, dataset)
     full = model.unrolled_weights()
     sub, _ = _narrowed(model.spec, full, _live_channels(model.spec, full))
     correct = 0
@@ -895,6 +859,7 @@ def _gen_split(seed_list, n: int, split: str) -> Dataset:
 def gen_synthetic_dataset(seed: int, n_train: int, n_test: int):
     """Four-class 8x8 shape dataset (horizontal bar, vertical bar, diagonal,
     blob) with Gaussian pixel noise; deterministic given the seed."""
+    _check_seed("seed", seed)
     if not all(_is_int(n) and n >= 1 for n in (n_train, n_test)):
         raise ValueError(f"need an integer number >= 1 of samples per split, "
                          f"got {n_train!r} and {n_test!r}")

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .nn import _is_int
+from .nn import _check_seed, _is_int
 
 METHODS = ("cf", "xcs", "xrs")
 
@@ -50,6 +50,9 @@ class SparsityPattern:
             raise ValueError(f"unknown pruning method {self.method!r}")
         if not 0 <= self.s < 1:
             raise ValueError(f"sparsity ratio must be in [0, 1), got {self.s}")
+        _check_seed("seed", self.seed)
+        if self.method != "cf":
+            _check_tile_size(self.n)
 
 
 class TilePlacement(NamedTuple):

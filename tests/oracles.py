@@ -168,27 +168,29 @@ def he_normal_init(spec):
     return out
 
 
-def im2col_padded(x, k, stride, padding):
-    """Windows of a channels-last x (n, h, w, c) as a (n*ho*wo, c*k*k)
-    matrix, rows in (n, ho, wo) order and columns in (channel, kernel row,
-    kernel column) order: pad x with np.pad and copy its strided
-    (n, ho, wo, c, k, k) window view whole. Returns (cols, ho, wo)."""
+def im2col_padded(x, window, stride, padding):
+    """The (kh, kw) windows of a channels-last x (n, h, w, c) as a
+    (n*ho*wo, c*kh*kw) matrix, rows in (n, ho, wo) order and columns in
+    (channel, window row, window column) order: pad x with np.pad and copy
+    its strided (n, ho, wo, c, kh, kw) window view whole. Returns
+    (cols, ho, wo)."""
     n, h, w, c = x.shape
     xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    win = sliding_window_view(xp, window, axis=(1, 2))[:, ::stride, ::stride]
     ho, wo = win.shape[1], win.shape[2]
-    return np.ascontiguousarray(win).reshape(n * ho * wo, c * k * k), ho, wo
+    return np.ascontiguousarray(win).reshape(n * ho * wo, -1), ho, wo
 
 
-def col2im_padded(dcols, x_shape, k, stride, padding, ho, wo):
-    """Adjoint of im2col_padded: add the (channel, kernel row, kernel
-    column) column gradients onto a zero-padded input in (kernel row,
-    kernel column) order, then crop the padding."""
+def col2im_padded(dcols, x_shape, window, stride, padding, ho, wo):
+    """Adjoint of im2col_padded: add the (channel, window row, window
+    column) column gradients onto a zero-padded input in (window row,
+    window column) order, then crop the padding."""
     n, h, w, c = x_shape
+    kh, kw = window
     dxp = np.zeros((n, h + 2 * padding, w + 2 * padding, c))
-    d6 = dcols.reshape(n, ho, wo, c, k, k)
-    for kr in range(k):
-        for kc in range(k):
+    d6 = dcols.reshape(n, ho, wo, c, kh, kw)
+    for kr in range(kh):
+        for kc in range(kw):
             dxp[:, kr:kr + stride * ho:stride, kc:kc + stride * wo:stride] += d6[..., kr, kc]
     return dxp[:, padding:padding + h, padding:padding + w]
 
@@ -237,13 +239,13 @@ def conv_block(x, w, stride, padding, dout, pool=True):
     unrolled weights, relu_then_pool and col2im_padded. Returns
     (out, dx, grad_w), grad_w shaped like w (out, in, k, k)."""
     out_ch, _, k, _ = w.shape
-    cols, ho, wo = im2col_padded(x, k, stride, padding)
+    cols, ho, wo = im2col_padded(x, (k, k), stride, padding)
     w_mat = conv_matrix(w)
     y = (cols @ w_mat).reshape(x.shape[0], ho, wo, out_ch)
     out, dy = relu_then_pool(y, dout, pool)
     d2 = dy.reshape(-1, out_ch)
     grad_w = filter_bank(cols.T @ d2, k)
-    dx = col2im_padded(d2 @ w_mat.T, x.shape, k, stride, padding, ho, wo)
+    dx = col2im_padded(d2 @ w_mat.T, x.shape, (k, k), stride, padding, ho, wo)
     return out, dx, grad_w
 
 

@@ -478,8 +478,7 @@ def test_nf_one_cell_series_value():
 
 
 def test_nf_excludes_small_ideal_currents():
-    rep = nonideality_factor(np.array([0.0, 1e-4]), np.array([0.0, 9e-5]),
-                             epsilon=1e-12)
+    rep = nonideality_factor(np.array([0.0, 1e-4]), np.array([0.0, 9e-5]))
     assert rep.excluded_columns == [0]
     assert np.isnan(rep.per_column_nf[0])
     assert rep.mean_nf == pytest.approx(0.1)

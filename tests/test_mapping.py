@@ -464,6 +464,23 @@ def test_partition_rejects_a_tile_size_that_is_not_an_integer_from_one(n):
         partition(np.zeros((4, 4)), n)
 
 
+@pytest.mark.parametrize("seed", [2.5, 1.0, True, -1, "0", None])
+@pytest.mark.parametrize("arg", ["master_seed", "layer_index"])
+@pytest.mark.parametrize("run", [simulate_layer, layer_nf])
+def test_layer_simulation_rejects_a_seed_that_is_not_an_integer_from_zero(run, arg, seed):
+    # checked before any tile is placed: the all-zero matrix would fail later
+    with pytest.raises(ValueError, match=f"{arg} must be an integer >= 0"):
+        run(np.zeros((4, 4)), CrossbarParams(4, 4), **{arg: seed})
+
+
+def test_layer_simulation_takes_numpy_integer_seeds():
+    w = np.random.default_rng(20).normal(size=(6, 5))
+    p = CrossbarParams(4, 4)
+    a = simulate_layer(w, p, master_seed=np.int64(3), layer_index=np.uint8(1))
+    b = simulate_layer(w, p, master_seed=3, layer_index=1)
+    assert a.w_nonideal.tobytes() == b.w_nonideal.tobytes()
+
+
 def test_partition_takes_a_numpy_integer_tile_size():
     w = np.random.default_rng(19).normal(size=(5, 7))
     tiles, _ = partition(w, np.int64(4))

@@ -20,7 +20,6 @@ from xbarprune.nn import (
     Conv2d,
     ConvSpec,
     Dataset,
-    Dense,
     DenseSpec,
     MaxPool2,
     ModelSpec,
@@ -76,10 +75,17 @@ def nchw(x):
 # ------------------------------------------------------------ forward pass
 
 
+def conv_layer(spec, rng):
+    """A Conv2d of `spec` with a normal filter bank drawn from `rng`."""
+    bank = rng.normal(size=(spec.out_ch, spec.in_ch, spec.kernel, spec.kernel))
+    w = np.ascontiguousarray(conv_matrix(bank))
+    return Conv2d((spec.kernel, spec.kernel), spec.stride, spec.pad(), w)
+
+
 @pytest.mark.parametrize("spec", CONV_SPECS)
 def test_conv_forward_matches_direct_conv(spec):
     rng = np.random.default_rng(spec.in_ch * 10 + spec.stride)
-    layer = Conv2d(spec, rng)
+    layer = conv_layer(spec, rng)
     x = rng.normal(size=(2, spec.in_ch, 7, 6))
     out = nchw(layer.forward(nhwc(x)))
     ref = direct_conv2d(x, filter_bank(layer.w, spec.kernel), stride=spec.stride,
@@ -108,6 +114,50 @@ def test_network_forward_runs_float32_images_in_float64():
     logits = net.forward(x)
     assert logits.dtype == np.float64
     assert logits.tobytes() == net.forward(x.astype(np.float64)).tobytes()
+
+
+
+@pytest.mark.parametrize("spec", [reference_model_spec(init_seed=5), ODD_SPEC],
+                         ids=["reference", "odd"])
+def test_full_window_layer_is_flatten_then_gemm_bit_for_bit(spec):
+    # the first dense layer's window is its whole (c, h, w) input map: its
+    # forward and weight gradient are the GEMMs of the flattened map
+    (c, h, w), = [shape for layer, shape in spec.shape_walk() if isinstance(layer, DenseSpec)][:1]
+    dense = dict(Network(spec).trainable)["dense1"]
+    assert (dense.window, dense.stride, dense.padding) == ((h, w), 1, 0)
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(6, h, w, c))
+    flat = x.transpose(0, 3, 1, 2).reshape(len(x), -1)
+    out = dense.forward(x)
+    assert out.shape == (6, 1, 1, dense.w.shape[1])
+    assert same_bits(out.reshape(6, -1), flat @ dense.w)
+    dout = rng.normal(size=out.shape)
+    dx = dense.backward(dout)
+    assert same_bits(dense.grad_w, flat.T @ dout.reshape(6, -1))
+    np.testing.assert_allclose(nchw(dx).reshape(6, -1), dout.reshape(6, -1) @ dense.w.T,
+                               rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(3, 1, 9, 9), (3, 1, 10, 10), (3, 1, 12, 12), (3, 1, 8, 7),
+                                   (3, 2, 8, 8), (3, 8, 8), (1, 3, 1, 8, 8), (3, 8, 8, 1)])
+@pytest.mark.parametrize("spec_fn", [reference_model_spec, tiny_model_spec])
+def test_forward_rejects_images_of_another_shape(spec_fn, shape):
+    # 10x10 and 12x12 images once ran to (n, 16) and (n, 36) "logits"
+    net = Network(spec_fn())
+    with pytest.raises(ValueError, match=r"images must be \(n, 1, 8, 8\)"):
+        net.forward(np.zeros(shape))
+    with pytest.raises(ValueError, match="images must be"):
+        net.forward(np.zeros(shape, dtype=np.float32))
+    assert net.forward(np.zeros((3, 1, 8, 8), dtype=np.float32)).shape == (3, 4)
+
+
+def test_a_spec_without_a_dense_layer_returns_its_output_map():
+    spec = ModelSpec((ConvSpec(2, 3, 3, stride=2), ReluSpec()), input_shape=(2, 7, 5))
+    net = Network(spec)
+    out = net.forward(np.random.default_rng(2).normal(size=(4, 2, 7, 5)))
+    assert out.shape == (4, 4, 3, 3)
+    net.backward(np.ones(out.shape))
+    assert net.trainable[0][1].grad_w.shape == (18, 3)
 
 
 @pytest.mark.parametrize("window, first", [
@@ -170,32 +220,50 @@ def block_map(rng, shape, kind):
     return x
 
 
-@pytest.mark.parametrize("block", BLOCKS)
+# (in_ch, window, stride, padding, map h, map w): every block's square
+# window, then rectangular ones: the whole map of the reference model's
+# and ODD_SPEC's dense layers, a 1 x 1 window on a flat size, and padded
+# and strided windows taller or wider than they are long
+WINDOWS = [(in_ch, (k, k), stride, padding, h, w)
+           for in_ch, _, k, stride, padding, h, w in BLOCKS] + [
+    (6, (2, 2), 1, 0, 2, 2),
+    (4, (2, 1), 1, 0, 2, 1),
+    (5, (1, 1), 1, 0, 1, 1),
+    (2, (3, 2), 1, 0, 5, 4),
+    (3, (1, 4), 2, 1, 6, 7),
+    (2, (4, 3), 3, 2, 7, 5),
+]
+
+
+def slab_order(d, in_ch, window):
+    """(channel, window row, window column) columns in the (window row,
+    window column, channel) order that col2im takes."""
+    return d.reshape(-1, in_ch, *window).transpose(0, 2, 3, 1).reshape(d.shape)
+
+
+@pytest.mark.parametrize("block", WINDOWS)
 def test_im2col_and_col2im_match_the_padded_oracles_bit_for_bit(block):
-    in_ch, _, k, stride, padding, h, w = block
-    rng = np.random.default_rng(sum(block))
+    in_ch, window, stride, padding, h, w = block
+    rng = np.random.default_rng(in_ch + sum(window) + stride + padding + h + w)
     x = rng.normal(size=(3, h, w, in_ch))
-    cols, ho, wo = im2col(x, k, stride, padding)
-    ref, ref_ho, ref_wo = im2col_padded(x, k, stride, padding)
+    cols, ho, wo = im2col(x, window, stride, padding)
+    ref, ref_ho, ref_wo = im2col_padded(x, window, stride, padding)
     assert (ho, wo) == (ref_ho, ref_wo)
     assert same_bits(cols, ref)
-    # col2im takes (kernel row, kernel column, channel) columns
     d = rng.normal(size=ref.shape)
-    d_slabs = d.reshape(-1, in_ch, k, k).transpose(0, 2, 3, 1).reshape(d.shape)
-    dx = col2im(d_slabs, x.shape, k, stride, padding, ho, wo)
-    assert same_bits(dx, col2im_padded(d, x.shape, k, stride, padding, ho, wo))
+    dx = col2im(slab_order(d, in_ch, window), x.shape, window, stride, padding)
+    assert same_bits(dx, col2im_padded(d, x.shape, window, stride, padding, ho, wo))
 
 
-@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("block", WINDOWS)
 def test_col2im_is_the_adjoint_of_im2col(block):
-    in_ch, _, k, stride, padding, h, w = block
-    rng = np.random.default_rng(100 + sum(block))
+    in_ch, window, stride, padding, h, w = block
+    rng = np.random.default_rng(100 + in_ch + sum(window) + stride + padding + h + w)
     x = rng.normal(size=(2, h, w, in_ch))
-    cols, ho, wo = im2col(x, k, stride, padding)
+    cols, _, _ = im2col(x, window, stride, padding)
     d = rng.normal(size=cols.shape)
-    d_slabs = d.reshape(-1, in_ch, k, k).transpose(0, 2, 3, 1).reshape(d.shape)
     lhs = np.sum(cols * d)
-    rhs = np.sum(x * col2im(d_slabs, x.shape, k, stride, padding, ho, wo))
+    rhs = np.sum(x * col2im(slab_order(d, in_ch, window), x.shape, window, stride, padding))
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
@@ -225,7 +293,7 @@ def test_conv_relu_pool_block_matches_the_spec_order_oracle(block, kind):
     # the oracle's GEMMs see the layer's weight matrix: the BLAS may round a
     # product by a transposed operand differently
     ref_out, ref_dx, ref_grad_w = conv_block(x, filter_bank(conv.w, k), stride,
-                                             conv.spec.pad(), dout)
+                                             spec.layers[0].pad(), dout)
     assert same(out, ref_out)
     assert same(dx, ref_dx)
     assert same(conv.grad_w, conv_matrix(ref_grad_w))
@@ -249,7 +317,7 @@ def test_conv_relu_block_matches_the_oracle_bit_for_bit(block, kind):
     dout = rng.normal(size=out.shape)
     dx = conv.backward(relu.backward(dout))
     ref_out, ref_dx, ref_grad_w = conv_block(x, filter_bank(conv.w, k), stride,
-                                             conv.spec.pad(), dout, pool=False)
+                                             spec.layers[0].pad(), dout, pool=False)
     assert same_bits(out, ref_out)
     assert same_bits(dx, ref_dx)
     assert same_bits(conv.grad_w, conv_matrix(ref_grad_w))
@@ -321,7 +389,7 @@ def test_relu_maps_minus_inf_to_minus_zero():
 @pytest.mark.parametrize("spec", CONV_SPECS)
 def test_conv_grad_w_matches_numeric_gradient(spec):
     rng = np.random.default_rng(7)
-    layer = Conv2d(spec, rng)
+    layer = conv_layer(spec, rng)
     x = nhwc(rng.normal(size=(2, spec.in_ch, 6, 6)))
     probe = rng.normal(size=layer.forward(x).shape)
     layer.backward(probe)
@@ -332,17 +400,22 @@ def test_conv_grad_w_matches_numeric_gradient(spec):
                                rtol=1e-6, atol=1e-9)
 
 
-def test_dense_grad_w_matches_numeric_gradient():
+def test_rectangular_window_gradients_match_numeric_gradients():
+    # a (3, 2) window, padded and strided: every weight, and the input
+    # gradient that col2im forms from the permuted W^T
     rng = np.random.default_rng(8)
-    layer = Dense(DenseSpec(10, 4), rng)
-    x = rng.normal(size=(5, 10))
-    probe = rng.normal(size=(5, 4))
-    layer.forward(x)
-    layer.backward(probe)
-    idx = np.arange(layer.w.size)
-    numeric = numeric_gradient(lambda: float(np.sum(layer.forward(x) * probe)),
-                               layer.w, idx)
-    np.testing.assert_allclose(layer.grad_w.reshape(-1), numeric,
+    layer = Conv2d((3, 2), 2, 1, rng.normal(size=(3 * 3 * 2, 4)))
+    x = rng.normal(size=(2, 6, 5, 3))
+    probe = rng.normal(size=layer.forward(x).shape)
+    dx = layer.backward(probe)
+
+    def loss():
+        return float(np.sum(layer.forward(x) * probe))
+
+    np.testing.assert_allclose(
+        layer.grad_w.reshape(-1), numeric_gradient(loss, layer.w, np.arange(layer.w.size)),
+        rtol=1e-6, atol=1e-9)
+    np.testing.assert_allclose(dx.reshape(-1), numeric_gradient(loss, x, np.arange(x.size)),
                                rtol=1e-6, atol=1e-9)
 
 
@@ -480,13 +553,15 @@ def test_train_and_wct_match_the_masked_sgd_oracle(method):
 
 
 def spy_widths(monkeypatch):
-    """The weight shapes of every conv and dense forward from now on."""
+    """The weight shapes of every trainable layer's forward from now on."""
     seen = set()
-    for cls in (Conv2d, Dense):
-        def spy(self, x, forward=cls.forward):
-            seen.add(self.w.shape)
-            return forward(self, x)
-        monkeypatch.setattr(cls, "forward", spy)
+    forward = Conv2d.forward
+
+    def spy(self, x):
+        seen.add(self.w.shape)
+        return forward(self, x)
+
+    monkeypatch.setattr(Conv2d, "forward", spy)
     return seen
 
 
@@ -728,8 +803,8 @@ def test_network_init_draws_he_normal_weights_in_layer_order(spec_fn, seed):
 def test_unrolled_weights_are_read_only_views_of_every_layer(spec):
     net = Network(spec)
     views = net.unrolled_weights()
-    assert [layer.kind for _, layer in net.trainable] == [
-        info.kind for info in spec.unrolled_layers()]
+    assert [name for name, _ in net.trainable] == [info.name for info in spec.unrolled_layers()]
+    assert all(type(layer) is Conv2d for _, layer in net.trainable)
     for name, layer in net.trainable:
         w = views[name]
         assert layer.w.flags.c_contiguous and layer.w.flags.writeable
@@ -800,12 +875,11 @@ def test_inject_nonideal_weights_checks_every_matrix():
 
 def test_relu_feeding_a_pool_runs_after_it():
     kinds = [layer.kind for layer in Network(reference_model_spec()).layers]
-    assert kinds == ["conv", "pool", "relu", "conv", "pool", "relu", "conv", "relu",
-                     "flatten", "dense"]
+    assert kinds == ["conv", "pool", "relu", "conv", "pool", "relu", "conv", "relu", "conv"]
     # a ReLU moves past every pool it feeds
     spec = ModelSpec((ConvSpec(1, 2, 3), ReluSpec(), PoolSpec(), PoolSpec(), DenseSpec(8, 2)))
     assert [layer.kind for layer in Network(spec).layers] == [
-        "conv", "pool", "pool", "relu", "flatten", "dense"]
+        "conv", "pool", "pool", "relu", "conv"]
 
 
 # ----------------------------------------------- live-channel evaluation
@@ -901,6 +975,66 @@ def test_evaluate_rejects_batch_size_below_one(batch_size):
         evaluate(Network(tiny_model_spec(init_seed=1)), test_set, batch_size=batch_size)
 
 
+
+def run_all(net, data):
+    """The errors `train`, `wct_train` and `evaluate` raise on `data`;
+    none of them may change the net's weights."""
+    before = {k: w.copy() for k, w in net.unrolled_weights().items()}
+    config = TrainConfig(epochs=1, pattern=gen_mask_cf(net.spec, 0.5, seed=1),
+                         wct=WctConfig(epochs=1))
+    errors = []
+    for run in (lambda: train(net, data, config), lambda: wct_train(net, data, config),
+                lambda: evaluate(net, data)):
+        with pytest.raises(ValueError) as err:
+            run()
+        errors.append(str(err.value))
+    for name, w in net.unrolled_weights().items():
+        assert w.tobytes() == before[name].tobytes()
+    return errors
+
+
+@pytest.mark.parametrize("size", [9, 10])
+def test_train_and_evaluate_reject_images_of_another_shape(size):
+    rng = np.random.default_rng(size)
+    data = Dataset(rng.random((8, 1, size, size)), np.arange(8) % 4)
+    errors = run_all(Network(tiny_model_spec(init_seed=1)), data)
+    assert all(e.startswith("images must be (n, 1, 8, 8)") for e in errors)
+
+
+@pytest.mark.parametrize("labels", [
+    [0, 1, 2, -1], [0, 1, 2, 4], [0.5, 1.5, 0.0, 1.0], [0.0, 1.0, 2.0, 3.0],
+    [True, False, True, False], ["0", "1", "2", "3"], [0, 1, 2], [0, 1, 2, 3, 0], [[0, 1, 2, 3]],
+], ids=["minus-one", "past-last-class", "fractions", "whole-floats", "bools", "strings",
+        "too-few", "too-many", "2-d"])
+def test_train_and_evaluate_reject_labels_that_are_not_classes(labels):
+    # a label of -1 once trained silently as the last class, and evaluate
+    # compared the argmax with 0.5 and 1.5
+    images = small_data()[0].images[:4]
+    errors = run_all(Network(tiny_model_spec(init_seed=1)), Dataset(images, np.asarray(labels)))
+    assert all(e.startswith("labels must be 4 integers in [0, 4)") for e in errors)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.int64])
+def test_labels_of_any_integer_type_train_and_evaluate(dtype):
+    data = small_data()[0]
+    labelled = Dataset(data.images, data.labels.astype(dtype))
+    a, b = Network(tiny_model_spec(init_seed=1)), Network(tiny_model_spec(init_seed=1))
+    config = TrainConfig(epochs=1, seed=3)
+    assert train(a, labelled, config)[1] == train(b, data, config)[1]
+    assert evaluate(a, labelled) == evaluate(b, data)
+
+
+def test_train_rejects_an_empty_dataset():
+    # it once failed with a ZeroDivisionError after the epoch
+    empty = Dataset(np.zeros((0, 1, 8, 8)), np.zeros(0, dtype=np.int64))
+    net = Network(tiny_model_spec(init_seed=1))
+    for run in (train, wct_train):
+        with pytest.raises(ValueError, match="empty dataset"):
+            run(net, empty, TrainConfig(epochs=1, wct=WctConfig(epochs=1)))
+    with pytest.raises(ValueError, match="empty dataset"):
+        evaluate(net, empty)
+
+
 # ------------------------------------------------------------ model spec
 
 
@@ -986,6 +1120,15 @@ def test_dataset_rejects_split_sizes_that_are_not_integers_above_zero(n_train, n
 def test_dataset_takes_numpy_integer_sizes():
     train_set, test_set = gen_synthetic_dataset(0, np.int64(3), np.int32(2))
     assert (len(train_set), len(test_set)) == (3, 2)
+
+
+
+@pytest.mark.parametrize("seed", [2.5, 1.0, True, -1, "0", None])
+def test_dataset_rejects_a_seed_that_is_not_an_integer_from_zero(seed):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        gen_synthetic_dataset(seed, 4, 4)
+    a, _ = gen_synthetic_dataset(np.int64(3), 4, 4)
+    assert a.images.tobytes() == gen_synthetic_dataset(3, 4, 4)[0].images.tobytes()
 
 
 def test_training_and_wct_bit_identical_for_seed():

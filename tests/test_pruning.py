@@ -68,6 +68,37 @@ def test_pattern_validates_method_and_ratio():
         SparsityPattern("cf", 1.0, 0, None)
 
 
+BAD_SEEDS = [2.5, 1.0, True, -1, "0", None]
+
+
+@pytest.mark.parametrize("gen", [
+    gen_mask_cf,
+    lambda model, s, seed: gen_mask_xcs(model, s, 4, seed),
+    lambda model, s, seed: gen_mask_xrs(model, s, 4, seed),
+    lambda model, s, seed: SparsityPattern("xcs", s, seed, 4),
+], ids=["cf", "xcs", "xrs", "pattern"])
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_patterns_reject_a_seed_that_is_not_an_integer_from_zero(gen, seed):
+    # "0" and True once drew masks, 2.5 and -1 failed inside numpy
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        gen(two_conv_model(), 0.5, seed)
+
+
+def test_patterns_take_numpy_integer_seeds():
+    for gen in (gen_mask_cf, lambda m, s, seed: gen_mask_xrs(m, s, 4, seed)):
+        a, b = gen(two_conv_model(), 0.5, np.int64(3)), gen(two_conv_model(), 0.5, 3)
+        assert all(np.array_equal(a.masks[k], b.masks[k]) for k in b.masks)
+
+
+@pytest.mark.parametrize("method", ["xcs", "xrs"])
+@pytest.mark.parametrize("n", [2.5, 8.0, True, "8", 0, -1, None])
+def test_a_segment_pattern_rejects_a_tile_size_that_is_not_an_integer_from_one(method, n):
+    with pytest.raises(ValueError, match="tile size must be an integer >= 1"):
+        SparsityPattern(method, 0.5, 0, n)
+    assert SparsityPattern(method, 0.5, 0, np.int64(8)).n == 8
+    assert SparsityPattern("cf", 0.5, 0, n).n is n       # C/F has no segments
+
+
 def test_cf_zero_sparsity_keeps_everything():
     pat = gen_mask_cf(two_conv_model(), 0.0, seed=0)
     assert all(np.all(m == 1.0) for m in pat.masks.values())
