@@ -23,7 +23,7 @@ Bullo, IEEE TCAS-I 2013). G_eff is read off that block without a solve.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -108,13 +108,10 @@ class CrossbarParams:
         if not (np.isfinite(self.v_read) and self.v_read > 0):
             raise ValueError(f"v_read must be finite and > 0, got {self.v_read}")
 
-    @property
-    def on_off_ratio(self) -> float:
-        return self.g_max / self.g_min
 
-
-def default_params(n_rows: int, n_cols: int | None = None, **overrides) -> CrossbarParams:
-    return CrossbarParams(n_rows, n_cols if n_cols is not None else n_rows, **overrides)
+def default_params(n: int, **overrides) -> CrossbarParams:
+    """An n x n tile with the default values, except the overrides."""
+    return CrossbarParams(n, n, **overrides)
 
 
 @dataclass
@@ -130,9 +127,8 @@ class SolveResult:
 class NfReport:
     """Per-column non-ideality factor (I_ideal - I_nonideal) / I_ideal."""
 
-    per_column_nf: np.ndarray           # NaN at excluded columns
-    mean_nf: float | None               # mean over non-excluded; None if all excluded
-    excluded_columns: list[int] = field(default_factory=list)
+    per_column_nf: np.ndarray           # NaN where the ideal current is ~0
+    mean_nf: float | None               # mean of the defined NFs; None if none is
 
 
 def _check_tile(g: np.ndarray, params: CrossbarParams) -> np.ndarray:
@@ -442,18 +438,16 @@ def apply_device_variation(g: np.ndarray, sigma_dev: float,
 def nonideality_factor(i_ideal: np.ndarray, i_nonideal: np.ndarray) -> NfReport:
     """Per-column NF = (I_ideal - I_nonideal) / I_ideal.
 
-    Columns with |I_ideal| < DEFAULT_NF_EPSILON are excluded from the mean
-    and listed; if every column is excluded the mean is undefined (None).
+    A column with |I_ideal| < DEFAULT_NF_EPSILON has no NF: it reads NaN
+    and stays out of the mean, which is None if no column has one.
     """
     i_ideal = np.asarray(i_ideal, dtype=float)
     i_nonideal = np.asarray(i_nonideal, dtype=float)
     if i_ideal.shape != i_nonideal.shape or i_ideal.ndim != 1:
         raise ValueError(f"current vectors must be 1-D and equal length, "
                          f"got {i_ideal.shape} vs {i_nonideal.shape}")
-    excluded = np.abs(i_ideal) < DEFAULT_NF_EPSILON
+    keep = ~(np.abs(i_ideal) < DEFAULT_NF_EPSILON)
     nf = np.full(i_ideal.shape, np.nan)
-    keep = ~excluded
     nf[keep] = (i_ideal[keep] - i_nonideal[keep]) / i_ideal[keep]
     mean = float(np.mean(nf[keep])) if keep.any() else None
-    return NfReport(per_column_nf=nf, mean_nf=mean,
-                    excluded_columns=np.flatnonzero(excluded).tolist())
+    return NfReport(per_column_nf=nf, mean_nf=mean)

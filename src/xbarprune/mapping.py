@@ -8,6 +8,11 @@ lists them directly, so after the tiles are encoded, simulated and
 decoded one scatter reassembles the non-ideal weight matrix; no
 transform has to be inverted.
 
+``simulate_layer`` is the one tile loop. Every tile gets one parasitic
+network, one factorization, whose all-ones solve gives the tile's
+non-ideality factor (NF) and whose port admittance gives the decoded
+weights; ``layer_nf`` is the NF half of its result.
+
 Signed weights are encoded as magnitude-to-conductance with a digitally
 tracked sign applied at decode time, so a single crossbar per tile
 suffices. Zero and padded weights sit exactly at g_min with sign 0 and
@@ -220,9 +225,15 @@ def aggregate_nf(reports: list[NfReport]) -> LayerNfReport:
     )
 
 
-def _layer_tiles(w, params, rearrange, rearrange_order, compaction, master_seed,
-                 layer_index):
-    """The placement simulate_layer and layer_nf share: square tiles."""
+def simulate_layer(w: np.ndarray, params: CrossbarParams, *,
+                   rearrange: bool = False, rearrange_order: str = "ascending",
+                   compaction: object | None = None, master_seed: int = 0,
+                   layer_index: int = 0) -> LayerSimResult:
+    """The per-layer pipeline on square tiles: place them (T and R choose
+    the source indices) and gather, then per tile encode -> device
+    variation -> parasitic network -> NF from all-ones inputs and decoded
+    effective conductances, then recombine (one scatter back to the
+    original matrix)."""
     _check_seed("master_seed", master_seed)
     _check_seed("layer_index", layer_index)
     if params.n_rows != params.n_cols:
@@ -231,39 +242,20 @@ def _layer_tiles(w, params, rearrange, rearrange_order, compaction, master_seed,
     if rearrange_order not in REARRANGE_ORDERS:
         raise ValueError(f"rearrange_order must be one of {REARRANGE_ORDERS}, "
                          f"got {rearrange_order!r}")
-    return partition(w, params.n_rows, order=rearrange_order if rearrange else None,
-                     compaction=compaction)
-
-
-def _simulate_tiles(tiles, record, params, master_seed, layer_index):
-    """Per tile: encode -> device variation -> parasitic network -> NF from
-    all-ones inputs. Yields (system, signs, NfReport)."""
+    tiles, record = partition(w, params.n_rows,
+                              order=rearrange_order if rearrange else None,
+                              compaction=compaction)
     ones = np.full(params.n_rows, params.v_read)
+    out_tiles, reports = [], []
     for tile, pl in zip(tiles, record.tile_placements):
         g, signs = weights_to_conductances(tile, record.w_scale, params)
         g_var = apply_device_variation(g, params.sigma_dev,
                                        _tile_rng(master_seed, layer_index, pl))
         system = CrossbarSystem(g_var, params)
-        yield system, signs, nonideality_factor(ideal_mac(g, ones),
-                                                system.solve(ones).currents)
-
-
-def simulate_layer(w: np.ndarray, params: CrossbarParams, *,
-                   rearrange: bool = False, rearrange_order: str = "ascending",
-                   compaction: object | None = None, master_seed: int = 0,
-                   layer_index: int = 0) -> LayerSimResult:
-    """Full per-layer pipeline: place tiles (T and R choose the source
-    indices) -> gather -> encode -> device variation -> effective
-    conductances -> decode -> recombine (one scatter back to the original
-    matrix), with an NF report from all-ones inputs on every tile."""
-    tiles, record = _layer_tiles(w, params, rearrange, rearrange_order, compaction,
-                                 master_seed, layer_index)
-    out_tiles, reports = [], []
-    for system, signs, report in _simulate_tiles(tiles, record, params,
-                                                 master_seed, layer_index):
+        reports.append(nonideality_factor(ideal_mac(g, ones),
+                                          system.solve(ones).currents))
         out_tiles.append(conductances_to_weights(system.effective_conductance(),
                                                  signs, record.w_scale, params))
-        reports.append(report)
     return LayerSimResult(
         w_nonideal=recombine(out_tiles, record),
         nf=aggregate_nf(reports),
@@ -275,10 +267,7 @@ def layer_nf(w: np.ndarray, params: CrossbarParams, *,
              rearrange: bool = False, rearrange_order: str = "ascending",
              compaction: object | None = None, master_seed: int = 0,
              layer_index: int = 0) -> LayerNfReport:
-    """NF report only: same tiles as simulate_layer without G_eff, decode
-    and recombine. G_eff costs less than the solve both run per tile, so
-    the saving is small; the factorization dominates either way."""
-    tiles, record = _layer_tiles(w, params, rearrange, rearrange_order, compaction,
-                                 master_seed, layer_index)
-    return aggregate_nf([report for _, _, report in
-                         _simulate_tiles(tiles, record, params, master_seed, layer_index)])
+    """The NF report of `simulate_layer`, for an NF screen."""
+    return simulate_layer(w, params, rearrange=rearrange,
+                          rearrange_order=rearrange_order, compaction=compaction,
+                          master_seed=master_seed, layer_index=layer_index).nf

@@ -137,11 +137,12 @@ class ModelSpec:
 
     def shape_walk(self):
         """Return [(layer_spec, incoming (C, H, W) or flat size)], checking
-        that consecutive shapes compose and that no output is empty."""
+        that consecutive shapes compose, that no output is empty and that
+        the walk ends at a flat size: the logits of a dense head."""
         shape = self.input_shape
-        if len(shape) != 3 or min(shape) < 1:
-            raise ValueError(f"input_shape must be three sizes (C, H, W) >= 1, "
-                             f"got {shape}")
+        if len(shape) != 3 or not all(_is_int(size) and size >= 1 for size in shape):
+            raise ValueError(f"input_shape must be three integer sizes (C, H, W) "
+                             f">= 1, got {shape}")
         out = []
         for spec in self.layers:
             out.append((spec, shape))
@@ -171,6 +172,9 @@ class ModelSpec:
                 raise ValueError(f"unknown layer spec {spec!r}")
             if isinstance(shape, tuple) and min(shape) < 1:
                 raise ValueError(f"{spec!r} leaves an empty output shape {shape}")
+        if isinstance(shape, tuple):
+            raise ValueError(f"model must end in a dense head with a flat output, "
+                             f"not the (C, H, W) map {shape}")
         return out
 
     def unrolled_layers(self) -> list[UnrolledLayerInfo]:
@@ -195,42 +199,6 @@ class ModelSpec:
                     rows=spec.in_features, cols=spec.out_features,
                     rows_per_channel=rpc, in_channels=in_ch))
         return infos
-
-    def to_dict(self) -> dict:
-        out = []
-        for spec in self.layers:
-            if isinstance(spec, ConvSpec):
-                out.append({"kind": "conv", "in_ch": spec.in_ch, "out_ch": spec.out_ch,
-                            "kernel": spec.kernel, "stride": spec.stride,
-                            "padding": spec.padding})
-            elif isinstance(spec, DenseSpec):
-                out.append({"kind": "dense", "in_features": spec.in_features,
-                            "out_features": spec.out_features})
-            elif isinstance(spec, ReluSpec):
-                out.append({"kind": "relu"})
-            else:
-                out.append({"kind": "pool"})
-        return {"layers": out, "input_shape": list(self.input_shape),
-                "init_seed": self.init_seed}
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelSpec":
-        layers = []
-        for item in d["layers"]:
-            kind = item["kind"]
-            if kind == "conv":
-                layers.append(ConvSpec(item["in_ch"], item["out_ch"], item["kernel"],
-                                       item.get("stride", 1), item.get("padding", -1)))
-            elif kind == "dense":
-                layers.append(DenseSpec(item["in_features"], item["out_features"]))
-            elif kind == "relu":
-                layers.append(ReluSpec())
-            elif kind == "pool":
-                layers.append(PoolSpec())
-            else:
-                raise ValueError(f"unknown layer kind {kind!r}")
-        return ModelSpec(tuple(layers), tuple(d.get("input_shape", (1, 8, 8))),
-                         d.get("init_seed", 0))
 
 
 def reference_model_spec(init_seed: int = 0) -> ModelSpec:
@@ -296,7 +264,7 @@ def im2col(x: np.ndarray, window, stride: int, padding: int):
     for kr, (ro, ri) in enumerate(row_taps):
         for kc, (co, ci) in enumerate(col_taps):
             cols[:, ro, co, :, kr, kc] = x[:, ri, ci]
-    return cols.reshape(n * ho * wo, -1), ho, wo
+    return cols.reshape(n * ho * wo, c * window[0] * window[1]), ho, wo
 
 
 def col2im(dcols: np.ndarray, x_shape, window, stride: int, padding: int) -> np.ndarray:
@@ -344,7 +312,7 @@ class Conv2d:
     def forward(self, x):
         cols, ho, wo = im2col(x, self.window, self.stride, self.padding)
         self._cache = (cols, x.shape)
-        return (cols @ self.w).reshape(x.shape[0], ho, wo, -1)
+        return (cols @ self.w).reshape(x.shape[0], ho, wo, self.w.shape[1])
 
     def grad_weights(self, dout):
         """Set grad_w from the output gradient (n, ho, wo, out_ch)."""
@@ -443,8 +411,9 @@ class Network:
     """Layer stack built from a ModelSpec; trainable layers are named
     conv1.., dense1.. in order, and every one is a `Conv2d`: a `DenseSpec`
     on a (c, h, w) map is the (h, w) window over it, one on a flat size f
-    the 1 x 1 window over the (n, 1, 1, f) map. If the spec has a dense
-    layer, `forward` returns the (n, 1, 1, classes) map as (n, classes).
+    the 1 x 1 window over the (n, 1, 1, f) map. Every spec ends in a dense
+    head, so the stack ends in an (n, 1, 1, classes) map: `forward` returns
+    it as the logits (n, classes), and `backward` takes their gradient.
 
     The stack follows the spec, except that a ReLU directly before a 2x2
     max pool runs after it, on the 4x smaller pooled map. ReLU
@@ -476,7 +445,6 @@ class Network:
         self.spec = spec
         self.layers = []
         self.trainable: list[tuple[str, Conv2d]] = []
-        self._flat = any(isinstance(layer_spec, DenseSpec) for layer_spec in spec.layers)
         infos = iter(spec.unrolled_layers())
         for layer_spec, incoming in spec.shape_walk():
             if isinstance(layer_spec, (ReluSpec, PoolSpec)):
@@ -495,8 +463,8 @@ class Network:
                 self.layers[i:i + 2] = self.layers[i + 1], self.layers[i]
 
     def forward(self, x):
-        """Logits (n, classes) for NCHW images x (n, *spec.input_shape), or
-        the channels-last output map if the spec has no dense layer."""
+        """Logits (n, classes) for NCHW images x (n, *spec.input_shape); an
+        empty batch gives (0, classes)."""
         x = np.asarray(x, dtype=np.float64)
         shape = tuple(self.spec.input_shape)
         if x.ndim != 4 or x.shape[1:] != shape:
@@ -504,14 +472,13 @@ class Network:
         x = x.transpose(0, 2, 3, 1)
         for layer in self.layers:
             x = layer.forward(x)
-        return x.reshape(x.shape[0], -1) if self._flat else x
+        return x.reshape(x.shape[0], x.shape[3])
 
     def backward(self, dout):
         """Set grad_w of every trainable layer from the gradient of the
         logits. No input gradient is formed for the first trainable layer,
         since nothing before it learns."""
-        if self._flat:
-            dout = dout.reshape(dout.shape[0], 1, 1, -1)
+        dout = dout.reshape(dout.shape[0], 1, 1, dout.shape[1])
         first = self.layers.index(self.trainable[0][1])
         for layer in reversed(self.layers[first + 1:]):
             dout = layer.backward(dout)

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .nn import _check_seed, _is_int
+from .nn import _check_seed, _is_int, _unrolled_masks
 
 METHODS = ("cf", "xcs", "xrs")
 
@@ -231,7 +231,9 @@ def tile_count_unpruned(rows: int, cols: int, n: int) -> int:
 
 def compression_rate(model_spec, pattern: SparsityPattern | None, n: int) -> float:
     """Crossbar tiles needed for the unpruned model divided by tiles after
-    compaction, both at tile size n. A layer with no mask is unpruned. An
+    compaction, both at tile size n. The masks are checked and completed
+    as training takes them: a layer with no mask is unpruned (all ones),
+    a mask for another layer or of another shape raises ValueError. An
     XCS/XRS pattern packs only into tiles of its own segment length."""
     _check_tile_size(n)
     infos = list(model_spec.unrolled_layers())
@@ -241,11 +243,8 @@ def compression_rate(model_spec, pattern: SparsityPattern | None, n: int) -> flo
     if pattern.method != "cf" and pattern.n != n:
         raise ValueError(f"pattern segment length {pattern.n} != tile size {n}")
     total = 0
-    for info in infos:
-        mask = pattern.masks.get(info.name)
-        if mask is None:
-            total += tile_count_unpruned(info.rows, info.cols, n)
-        elif pattern.method == "cf":
+    for mask in _unrolled_masks(model_spec, pattern).values():
+        if pattern.method == "cf":
             comp = cf_compaction(mask)
             total += tile_count_unpruned(comp.kept_rows.size, comp.kept_cols.size, n)
         else:

@@ -343,12 +343,26 @@ def test_simulate_layer_nf_matches_direct_recomputation():
     assert res.nf.mean_nf == pytest.approx(np.mean(expected), rel=1e-15)
 
 
-def test_layer_nf_agrees_with_simulate_layer():
-    w = np.random.default_rng(9).normal(size=(48, 24))
+@pytest.mark.parametrize("layout", ["dense", "cf-ascending", "xcs"])
+def test_layer_nf_agrees_with_simulate_layer(layout):
+    mask = np.ones((48, 24))
+    if layout == "cf-ascending":
+        mask[:, [2, 5, 11]] = 0.0
+        mask[20:30, :] = 0.0
+    elif layout == "xcs":
+        mask[:16, [1, 4]] = 0.0
+        mask[32:, 7:20] = 0.0
+    w = np.random.default_rng(9).normal(size=(48, 24)) * mask
     p = CrossbarParams(16, 16)
-    full = simulate_layer(w, p, master_seed=3, layer_index=0)
-    nf_only = layer_nf(w, p, master_seed=3, layer_index=0)
-    np.testing.assert_array_equal(full.nf.per_tile_mean, nf_only.per_tile_mean)
+    kwargs = {"dense": {},
+              "cf-ascending": {"compaction": cf_compaction(mask), "rearrange": True,
+                               "rearrange_order": "ascending"},
+              "xcs": {"compaction": compact_xcs(w, 16, mask=mask)}}[layout]
+    full = simulate_layer(w, p, master_seed=3, layer_index=2, **kwargs).nf
+    nf_only = layer_nf(w, p, master_seed=3, layer_index=2, **kwargs)
+    assert full.mean_nf == nf_only.mean_nf
+    assert full.per_tile_mean.tobytes() == nf_only.per_tile_mean.tobytes()
+    assert full.per_column.tobytes() == nf_only.per_column.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["xcs", "xrs"])

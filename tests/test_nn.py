@@ -151,13 +151,12 @@ def test_forward_rejects_images_of_another_shape(spec_fn, shape):
     assert net.forward(np.zeros((3, 1, 8, 8), dtype=np.float32)).shape == (3, 4)
 
 
-def test_a_spec_without_a_dense_layer_returns_its_output_map():
-    spec = ModelSpec((ConvSpec(2, 3, 3, stride=2), ReluSpec()), input_shape=(2, 7, 5))
-    net = Network(spec)
-    out = net.forward(np.random.default_rng(2).normal(size=(4, 2, 7, 5)))
-    assert out.shape == (4, 4, 3, 3)
-    net.backward(np.ones(out.shape))
-    assert net.trainable[0][1].grad_w.shape == (18, 3)
+@pytest.mark.parametrize("spec", [reference_model_spec(), tiny_model_spec(), ODD_SPEC],
+                         ids=["reference", "tiny", "odd"])
+def test_forward_on_an_empty_batch_returns_no_logits(spec):
+    classes = spec.unrolled_layers()[-1].cols
+    logits = Network(spec).forward(np.zeros((0, *spec.input_shape)))
+    assert logits.shape == (0, classes)
 
 
 @pytest.mark.parametrize("window, first", [
@@ -206,6 +205,17 @@ BLOCKS = [
     (3, 2, 1, 1, 0, 5, 5),
     (2, 3, 3, 3, 2, 7, 8),        # stride above the kernel's reach: taps skip rows
 ]
+
+
+def block_spec(block, *tail):
+    """The block's conv, then the `tail` layers, then a dense head on the
+    flattened output map."""
+    in_ch, out_ch, k, stride, padding, h, w = block
+    ho, wo = ((size + 2 * padding - k) // stride + 1 for size in (h, w))
+    if PoolSpec() in tail:
+        ho, wo = ho // 2, wo // 2
+    return ModelSpec((ConvSpec(in_ch, out_ch, k, stride, padding), *tail,
+                      DenseSpec(out_ch * ho * wo, 2)), input_shape=(in_ch, h, w))
 
 
 def block_map(rng, shape, kind):
@@ -273,14 +283,13 @@ def test_conv_relu_pool_block_matches_the_spec_order_oracle(block, kind):
     # the block as Network builds it (conv, pool, then ReLU on the pooled
     # map) against conv -> ReLU -> pool through the padded im2col/col2im
     in_ch, out_ch, k, stride, padding, h, w = block
-    spec = ModelSpec((ConvSpec(in_ch, out_ch, k, stride, padding), ReluSpec(), PoolSpec()),
-                     input_shape=(in_ch, h, w))
+    spec = block_spec(block, ReluSpec(), PoolSpec())
     net = Network(spec)
-    assert [layer.kind for layer in net.layers] == ["conv", "pool", "relu"]
+    layers, conv = net.layers[:3], net.layers[0]
+    assert [layer.kind for layer in layers] == ["conv", "pool", "relu"]
     rng = np.random.default_rng(200 + sum(block))
     bank = block_map(rng, (out_ch, in_ch, k, k), "small" if kind == "small" else "normal")
-    net.set_unrolled_weights({"conv1": conv_matrix(bank)})
-    layers, conv = net.layers, net.layers[0]
+    net.set_unrolled_weights({**net.unrolled_weights(), "conv1": conv_matrix(bank)})
     x = block_map(rng, (8, h, w, in_ch), kind)
     maps = [x]
     for layer in layers:
@@ -308,9 +317,8 @@ def test_conv_relu_pool_block_matches_the_spec_order_oracle(block, kind):
 def test_conv_relu_block_matches_the_oracle_bit_for_bit(block, kind):
     # no pool: the GEMMs see the oracle's operands in the oracle's K order
     in_ch, out_ch, k, stride, padding, h, w = block
-    spec = ModelSpec((ConvSpec(in_ch, out_ch, k, stride, padding), ReluSpec()),
-                     input_shape=(in_ch, h, w))
-    conv, relu = Network(spec).layers
+    spec = block_spec(block, ReluSpec())
+    conv, relu, _ = Network(spec).layers
     rng = np.random.default_rng(300 + sum(block))
     x = block_map(rng, (2, h, w, in_ch), kind)
     out = relu.forward(conv.forward(x))
@@ -1038,16 +1046,6 @@ def test_train_rejects_an_empty_dataset():
 # ------------------------------------------------------------ model spec
 
 
-@pytest.mark.parametrize("spec", [
-    reference_model_spec(),
-    tiny_model_spec(init_seed=9),
-    ModelSpec((ConvSpec(2, 4, 3, stride=2, padding=1), ReluSpec(), PoolSpec(),
-               DenseSpec(16, 3)), input_shape=(2, 8, 8), init_seed=4),
-])
-def test_model_spec_dict_round_trip(spec):
-    assert ModelSpec.from_dict(spec.to_dict()) == spec
-
-
 @pytest.mark.parametrize("build, reason", [
     (lambda: ModelSpec((DenseSpec(64, 16), PoolSpec())), "needs a \\(C, H, W\\) input"),
     (lambda: ModelSpec((DenseSpec(64, 16), ConvSpec(1, 2, 3))), "needs a \\(C, H, W\\) input"),
@@ -1062,9 +1060,23 @@ def test_model_spec_dict_round_trip(spec):
                         DenseSpec(2, 4)), input_shape=(1, 4, 4)), "empty output shape"),
     (lambda: ModelSpec((ConvSpec(1, 2, 5, padding=0), DenseSpec(2, 4)),
                        input_shape=(1, 3, 3)), "empty output shape"),
+    # an (n, 8.0, 8) spec once built a net whose forward raised TypeError,
+    # an (n, 8.5, 8) one a net no image fits
+    (lambda: ModelSpec((ConvSpec(1, 2, 3), DenseSpec(128, 4)), input_shape=(1, 8.0, 8)),
+     "input_shape must be three integer sizes"),
+    (lambda: ModelSpec((ConvSpec(1, 2, 3), DenseSpec(128, 4)), input_shape=(1, 8.5, 8)),
+     "input_shape must be three integer sizes"),
+    (lambda: ModelSpec((ConvSpec(1, 2, 3), DenseSpec(128, 4)), input_shape=(True, 8, 8)),
+     "input_shape must be three integer sizes"),
+    # the output must be logits: training once read a conv map's height
+    # axis as the classes
+    (lambda: ModelSpec((ConvSpec(2, 3, 3, stride=2), ReluSpec()), input_shape=(2, 7, 5)),
+     "must end in a dense head"),
+    (lambda: ModelSpec((ConvSpec(1, 4, 8, padding=0),)), "must end in a dense head"),
 ], ids=["pool-after-dense", "conv-after-dense", "zero-out-channels", "zero-in-channels",
         "zero-kernel", "negative-kernel", "zero-stride", "zero-dense-outputs",
-        "empty-input", "pools-to-0x0", "kernel-wider-than-input"])
+        "empty-input", "pools-to-0x0", "kernel-wider-than-input", "float-input-size",
+        "fractional-input-size", "bool-input-channels", "conv-only", "conv-to-1x1"])
 def test_model_spec_rejects_shapes_it_cannot_run(build, reason):
     with pytest.raises(ValueError, match=reason):
         build()

@@ -1,6 +1,7 @@
 """The package's advertised surface: documented modules, ``__all__`` and
 console scripts all resolve to code that exists."""
 
+import ast
 import importlib
 import sys
 from pathlib import Path
@@ -57,3 +58,21 @@ def test_benchmark_hooks_resolve():
     tracing = importlib.import_module("perfbench.tracing")
     for owner, attr, name, _ in tracing.TARGETS:
         assert callable(getattr(owner, attr, None)), (name, attr)
+
+
+def test_benchmark_calls_resolve():
+    # every circuit.X, mapping.X, nn.X and pruning.X that the benchmark's
+    # workloads, checks and harness name must exist, so that deleting one
+    # fails here and not only in the benchmark run
+    modules = {name: importlib.import_module(f"xbarprune.{name}")
+               for name in ("circuit", "mapping", "nn", "pruning")}
+    used = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                used.add((node.value.id, node.attr))
+    assert ("mapping", "layer_nf") in used and ("circuit", "default_params") in used
+    missing = sorted(f"{owner}.{attr}" for owner, attr in used
+                     if not hasattr(modules[owner], attr))
+    assert not missing

@@ -345,6 +345,28 @@ def test_compression_rate_counts_a_layer_without_mask_as_unpruned(method):
     assert compression_rate(model, pat, 32) == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize("method", ["cf", "xcs", "xrs"])
+def test_compression_rate_rejects_a_mask_for_a_layer_the_model_lacks(method):
+    model = wide_model()
+    masks = {"conv9": np.ones((9, 64))}
+    pat = SparsityPattern(method, 0.5, 0, None if method == "cf" else 32, masks)
+    with pytest.raises(ValueError, match=r"masks for layers the model lacks: \['conv9'\]"):
+        compression_rate(model, pat, 32)
+
+
+@pytest.mark.parametrize("method", ["cf", "xcs", "xrs"])
+def test_compression_rate_rejects_a_mask_of_the_wrong_shape(method):
+    # the tiny model's conv1 mask once counted 1.02 on the wide model, whose
+    # training rejects it
+    model = wide_model()
+    other = two_conv_model()
+    gen = {"cf": lambda: gen_mask_cf(other, 0.5, seed=0),
+           "xcs": lambda: gen_mask_xcs(other, 0.5, 8, seed=0),
+           "xrs": lambda: gen_mask_xrs(other, 0.5, 8, seed=0)}[method]
+    with pytest.raises(ValueError, match=r"mask for conv1 has shape \(9, 8\)"):
+        compression_rate(model, gen(), 8)
+
+
 @pytest.mark.parametrize("gen", [gen_mask_xcs, gen_mask_xrs], ids=["xcs", "xrs"])
 @pytest.mark.parametrize("n", [4, 32])
 def test_compression_rate_rejects_a_tile_size_other_than_the_segment_length(gen, n):
