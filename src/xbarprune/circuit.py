@@ -41,10 +41,12 @@ DEFAULT_G_MAX = 5e-5
 DEFAULT_SIGMA_DEV = 0.1
 DEFAULT_V_READ = 1.0
 
-# Largest accepted tile side, set by a budget of 0.5 GB per tile. One
-# 256 x 256 tile factorizes to 6.8 M LU non-zeros and peaks at about 275 MB
-# resident (numpy 2.4, scipy 1.17). Fill grows about 5x per doubling of n,
-# so 512 would need about 1 GB.
+# Largest accepted tile side, set by a budget of 0.5 GB per tile in each
+# process: mapping.simulate_layer factorizes one tile at a time in every
+# process it splits a layer over, so a layer can hold one such tile per
+# usable CPU. One 256 x 256 tile factorizes to 6.8 M LU non-zeros and
+# peaks at about 275 MB resident (numpy 2.4, scipy 1.17). Fill grows about
+# 5x per doubling of n, so 512 would need about 1 GB.
 MAX_TILE_DIM = 256
 
 # SuperLU's supernode relaxation and panel size for the nested-dissection

@@ -132,6 +132,16 @@ class ModelSpec:
 
     def __post_init__(self):
         _check_seed("init_seed", self.init_seed)
+        try:
+            shape = tuple(self.input_shape)
+        except TypeError:
+            shape = None
+        if (shape is None or len(shape) != 3
+                or not all(_is_int(size) and size >= 1 for size in shape)):
+            raise ValueError(f"input_shape must be three integer sizes (C, H, W) "
+                             f">= 1, got {self.input_shape!r}")
+        # any sequence, stored as the tuple that shape_walk reads as a map
+        object.__setattr__(self, "input_shape", tuple(int(size) for size in shape))
         if not self.unrolled_layers():
             raise ValueError("model needs at least one trainable layer")
 
@@ -140,9 +150,6 @@ class ModelSpec:
         that consecutive shapes compose, that no output is empty and that
         the walk ends at a flat size: the logits of a dense head."""
         shape = self.input_shape
-        if len(shape) != 3 or not all(_is_int(size) and size >= 1 for size in shape):
-            raise ValueError(f"input_shape must be three integer sizes (C, H, W) "
-                             f">= 1, got {shape}")
         out = []
         for spec in self.layers:
             out.append((spec, shape))

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import warnings
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xbarprune import mapping
 from xbarprune.circuit import (
     CrossbarParams,
     CrossbarSystem,
@@ -499,3 +502,124 @@ def test_partition_takes_a_numpy_integer_tile_size():
     w = np.random.default_rng(19).normal(size=(5, 7))
     tiles, _ = partition(w, np.int64(4))
     assert [t.tobytes() for t in tiles] == [t.tobytes() for t in partition(w, 4)[0]]
+
+
+# ---------------------------------------------------------- parallel tiles
+
+
+def parallel_case(layout, row_blocks=7, cols=12):
+    """(w, simulate_layer kwargs) of a layer at n = 8 whose tiles fill
+    ``row_blocks`` row blocks of the placement grid."""
+    rows = 8 * row_blocks
+    mask = np.ones((rows, cols))
+    if layout == "cf-ascending":
+        mask[:, [2, 5, 9, 11]] = 0.0
+        mask[rows // 3, :] = 0.0
+    elif layout == "xcs":
+        mask[8:24, [1, 4]] = 0.0
+        mask[32:, 7:11] = 0.0
+    w = np.random.default_rng(row_blocks).normal(size=(rows, cols)) * mask
+    kwargs = {"dense": {},
+              "cf-ascending": {"compaction": cf_compaction(mask), "rearrange": True},
+              "xcs": {"compaction": compact_xcs(w, 8, mask=mask)}}[layout]
+    return w, kwargs
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Pin the CPU helper to a worker count and split every layer."""
+    def pin(count):
+        monkeypatch.setattr(mapping, "_usable_cpus", lambda: count)
+        monkeypatch.setattr(mapping, "PARALLEL_MIN_CELLS", 0)
+    return pin
+
+
+def assert_no_child_left():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def assert_bitwise_equal(a, b):
+    assert a.w_nonideal.tobytes() == b.w_nonideal.tobytes()
+    assert a.nf.per_tile_mean.tobytes() == b.nf.per_tile_mean.tobytes()
+    assert a.nf.per_column.tobytes() == b.nf.per_column.tobytes()
+    assert a.nf.mean_nf == b.nf.mean_nf
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("layout, row_blocks, cols, tiles", [
+    ("dense", 7, 12, 14), ("cf-ascending", 7, 12, 7), ("xcs", 7, 12, 11),
+    ("dense", 1, 12, 2), ("dense", 1, 8, 1),
+], ids=["dense", "cf-ascending", "xcs", "fewer-tiles-than-workers", "one-tile"])
+def test_split_tiles_are_bitwise_the_serial_result(workers, count, layout,
+                                                   row_blocks, cols, tiles):
+    w, kwargs = parallel_case(layout, row_blocks, cols)
+    p = CrossbarParams(8, 8)
+    workers(1)
+    serial = simulate_layer(w, p, master_seed=4, layer_index=3, **kwargs)
+    assert len(serial.record.tile_placements) == tiles
+    workers(count)
+    split = simulate_layer(w, p, master_seed=4, layer_index=3, **kwargs)
+    assert_bitwise_equal(split, serial)
+    assert_no_child_left()
+
+
+def test_layers_split_into_contiguous_chunks_one_per_worker(workers, monkeypatch,
+                                                            tmp_path):
+    simulate_tile = mapping._simulate_tile
+
+    def logged(tile, pl, *args):
+        (tmp_path / f"{pl.row_block}-{os.getpid()}").touch()
+        return simulate_tile(tile, pl, *args)
+
+    monkeypatch.setattr(mapping, "_simulate_tile", logged)
+    workers(3)
+    w, _ = parallel_case("dense", row_blocks=7, cols=8)
+    simulate_layer(w, CrossbarParams(8, 8))
+    runner = dict(path.name.split("-") for path in tmp_path.iterdir())
+    pids = [runner[str(row_block)] for row_block in range(7)]
+    assert pids == [str(os.getpid())] * 2 + [pids[2]] * 2 + [pids[4]] * 3
+    assert len(set(pids)) == 3
+    assert_no_child_left()
+
+
+def test_a_layer_below_the_threshold_stays_in_this_process(monkeypatch, tmp_path):
+    simulate_tile = mapping._simulate_tile
+
+    def logged(tile, pl, *args):
+        (tmp_path / str(os.getpid())).touch()
+        return simulate_tile(tile, pl, *args)
+
+    monkeypatch.setattr(mapping, "_simulate_tile", logged)
+    monkeypatch.setattr(mapping, "_usable_cpus", lambda: 2)
+    n = 8
+    tiles = mapping.PARALLEL_MIN_CELLS // n ** 2 - 1
+    simulate_layer(np.ones((n * tiles, n)), CrossbarParams(n, n))
+    assert [path.name for path in tmp_path.iterdir()] == [str(os.getpid())]
+
+
+@pytest.mark.parametrize("marked", [0, 6], ids=["in-this-process", "in-a-child"])
+def test_an_error_on_one_tile_is_raised_by_the_parent(workers, monkeypatch, marked):
+    class Faulty(CrossbarSystem):
+        def __init__(self, g, params):
+            if g[0, 0] > (params.g_min + params.g_max) / 2:
+                raise ZeroDivisionError(f"tile with g[0, 0] = {g[0, 0]:.3g}")
+            super().__init__(g, params)
+
+    monkeypatch.setattr(mapping, "CrossbarSystem", Faulty)
+    workers(2)
+    w = np.random.default_rng(2).uniform(-0.4, 0.4, size=(56, 8))
+    w[8 * marked, 0] = 1.0
+    with pytest.raises(ZeroDivisionError, match="tile with g\\[0, 0\\] = 5e-05"):
+        simulate_layer(w, CrossbarParams(8, 8, sigma_dev=0.0))
+    assert_no_child_left()
+
+
+def test_the_cpu_helper_counts_the_affinity_mask_and_one_in_a_daemon():
+    if hasattr(os, "sched_getaffinity"):
+        assert mapping._usable_cpus() == len(os.sched_getaffinity(0))
+    # a multiprocessing pool's workers are daemonic and may not fork
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply(mapping._usable_cpus) == 1
+    assert_no_child_left()

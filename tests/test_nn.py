@@ -1068,6 +1068,12 @@ def test_train_rejects_an_empty_dataset():
      "input_shape must be three integer sizes"),
     (lambda: ModelSpec((ConvSpec(1, 2, 3), DenseSpec(128, 4)), input_shape=(True, 8, 8)),
      "input_shape must be three integer sizes"),
+    (lambda: ModelSpec((ConvSpec(1, 2, 3), DenseSpec(128, 4)), input_shape=(1, 8)),
+     "input_shape must be three integer sizes"),
+    (lambda: ModelSpec((ConvSpec(1, 2, 3), DenseSpec(128, 4)), input_shape=[1, 8, 8, 1]),
+     "input_shape must be three integer sizes"),
+    (lambda: ModelSpec((DenseSpec(64, 4),), input_shape=64),
+     "input_shape must be three integer sizes"),
     # the output must be logits: training once read a conv map's height
     # axis as the classes
     (lambda: ModelSpec((ConvSpec(2, 3, 3, stride=2), ReluSpec()), input_shape=(2, 7, 5)),
@@ -1076,7 +1082,8 @@ def test_train_rejects_an_empty_dataset():
 ], ids=["pool-after-dense", "conv-after-dense", "zero-out-channels", "zero-in-channels",
         "zero-kernel", "negative-kernel", "zero-stride", "zero-dense-outputs",
         "empty-input", "pools-to-0x0", "kernel-wider-than-input", "float-input-size",
-        "fractional-input-size", "bool-input-channels", "conv-only", "conv-to-1x1"])
+        "fractional-input-size", "bool-input-channels", "two-input-sizes",
+        "four-input-sizes", "flat-input-size", "conv-only", "conv-to-1x1"])
 def test_model_spec_rejects_shapes_it_cannot_run(build, reason):
     with pytest.raises(ValueError, match=reason):
         build()
@@ -1101,6 +1108,18 @@ def test_model_spec_rejects_shapes_it_cannot_run(build, reason):
 def test_layer_specs_reject_sizes_that_are_not_integers_in_range(build):
     with pytest.raises(ValueError, match="conv|dense"):
         build()
+
+
+@pytest.mark.parametrize("input_shape", [[1, 8, 8], np.array([1, 8, 8]),
+                                         (np.int64(1), np.int32(8), 8)],
+                         ids=["list", "numpy-array", "numpy-integers"])
+def test_model_spec_stores_any_sequence_of_three_sizes_as_a_tuple(input_shape):
+    layers = (ConvSpec(1, 2, 3), PoolSpec(), DenseSpec(32, 4))
+    spec = ModelSpec(layers, input_shape=input_shape)
+    assert spec == ModelSpec(layers) and hash(spec) == hash(ModelSpec(layers))
+    assert type(spec.input_shape) is tuple
+    assert all(type(size) is int for size in spec.input_shape)
+    assert [shape for _, shape in spec.shape_walk()] == [(1, 8, 8), (2, 8, 8), (2, 4, 4)]
 
 
 def test_layer_specs_take_numpy_integers_and_same_padding():
