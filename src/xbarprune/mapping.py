@@ -15,8 +15,9 @@ weights; ``layer_nf`` is the NF half of its result. A large enough layer
 runs its tiles on every CPU this process may use: this process takes the
 first contiguous chunk of placements and a forked child each other one.
 Every tile's variation is seeded from its identity, so the results are
-bitwise those of a serial run. Callers that already run ``simulate_layer``
-in worker processes of their own should narrow each worker's CPU affinity
+bitwise those of a serial run. OpenBLAS runs on one thread in each process
+while a layer is split. Callers that already run ``simulate_layer`` in
+worker processes of their own should narrow each worker's CPU affinity
 (``os.sched_setaffinity``), or every worker forks as many children again.
 
 Signed weights are encoded as magnitude-to-conductance with a digitally
@@ -27,9 +28,12 @@ decode back to exactly zero.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import multiprocessing
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,7 +257,8 @@ def _simulate_tile(tile: np.ndarray, pl: TilePlacement, w_scale: float,
 # fork, pickling and join cost more than the other CPUs save. Median of
 # 25 interleaved rounds per row, simulate_layer on t default n x n tiles
 # run serially and split over 2 processes, from a 150 MB parent (numpy
-# 2.4, scipy 1.17, Python 3.11, 2-vCPU Xeon, one BLAS thread):
+# 2.4, scipy 1.17, Python 3.11, 2-vCPU Xeon, one OpenBLAS thread, as in
+# every split; the serial times do not change with two):
 #
 #   n     t    serial    split    change   t x n^2 / 32^2
 #   8    32    24.3 ms   42.8 ms   +76 %    2
@@ -263,6 +268,7 @@ def _simulate_tile(tile: np.ndarray, pl: TilePlacement, w_scale: float,
 #   16    8    14.7      17.4      +18 %    2
 #   16   16    28.6      25.9       -9 %    4
 #   16   24    41.4      29.7      -28 %    6
+#   16   32    55.5      40.6      -27 %    8
 #   32    2    11.0      17.4      +58 %    2
 #   32    4    21.8      24.3      +12 %    4
 #   32    6    33.0      32.0       -3 %    6
@@ -270,10 +276,13 @@ def _simulate_tile(tile: np.ndarray, pl: TilePlacement, w_scale: float,
 #   64    2    43.7      39.4      -10 %    8
 #   64    4    84.5      61.1      -28 %    16
 #
-# Per-tile time grows much slower than n^3 here (0.7, 1.8, 5.4 and 21 ms
-# at n = 8 to 64), so the break-even, between 4 and 6 x 32^2 cells at
-# every n, is a cell count; as tiles x n^3 it would run from 0.5 x 32^3 at
-# n = 8 to 5 x 32^3 at n = 32. The split stays ahead from the upper end on.
+# Per-tile time grows much slower than n^3 here (0.7-0.9, 1.8, 5.4 and
+# 21 ms at n = 8 to 64), so the break-even is a cell count: between 4 and
+# 6 x 32^2 cells at n = 8, 16 and 32, while 2 tiles at n = 64 (8 x 32^2)
+# already gain. As tiles x n^3 it would run from 0.5 x 32^3 at n = 8 to
+# 5 x 32^3 at n = 32. The split stays ahead from the upper end on.
+# With OpenBLAS left at one thread per CPU in each process, the split
+# lost at n = 64 (7 rounds): 64 -> 83 ms on 4 tiles, 135 -> 181 ms on 9.
 PARALLEL_MIN_CELLS = 6 * 32 ** 2
 
 
@@ -288,12 +297,57 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+@functools.cache
+def _openblas_threads() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS mapped into
+    this process (the numpy and scipy wheels each bring their own), found
+    by file name in /proc/self/maps; empty where it cannot be read."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[5].strip() for line in maps
+                     if "openblas" in line}
+    except OSError:
+        return ()
+    found = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", "")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((get, set_))
+                break
+    return tuple(found)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run OpenBLAS on one thread in this process, and in every child
+    forked inside, then restore its thread counts. Each process already
+    has a CPU of its own; an OpenBLAS pool per process, one thread per
+    CPU, busy-waits on the CPUs of the others."""
+    controls = _openblas_threads()
+    before = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, before):
+            set_(count)
+
+
 def _run_chunk(send, run, lo: int, hi: int) -> None:
     """A forked child's body: send [run(i) for i in lo..hi-1], or the
     exception that stopped it."""
     try:
         outcome = [run(i) for i in range(lo, hi)]
-    except BaseException as exc:        # re-raised by the parent
+    except Exception as exc:            # re-raised by the parent
         outcome = exc
     try:
         send.send(outcome)
@@ -305,41 +359,46 @@ def _run_chunk(send, run, lo: int, hi: int) -> None:
 def _map_tiles(run, count: int, n: int) -> list:
     """[run(i) for i in range(count)] on the usable CPUs: contiguous chunks,
     the first in this process and each other one in a forked child,
-    gathered in order. Every child is joined before this returns or
-    raises; a child's exception is raised here."""
+    gathered in order, with OpenBLAS on one thread in each. Every child is
+    joined before this returns or raises; a child's exception is raised
+    here."""
     workers = min(_usable_cpus(), count)
     if workers < 2 or count * n * n < PARALLEL_MIN_CELLS:
         return [run(i) for i in range(count)]
     bounds = [count * k // workers for k in range(workers + 1)]
     fork = multiprocessing.get_context("fork")
     children, gathered = [], False
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            receive, send = fork.Pipe(duplex=False)
-            child = fork.Process(target=_run_chunk, args=(send, run, lo, hi))
-            children.append((child, receive))
-            child.start()
-            send.close()
-        results = [run(i) for i in range(bounds[1])]
-        for child, receive in children:
-            try:
-                outcome = receive.recv()
-            except EOFError:
-                child.join()
-                raise RuntimeError(f"a tile worker exited with code {child.exitcode} "
-                                   "before sending its tiles") from None
-            if isinstance(outcome, BaseException):
-                raise outcome
-            results.extend(outcome)
-        gathered = True
-        return results
-    finally:
-        for child, receive in children:
-            if not gathered:
-                child.terminate()       # it may be blocked writing to its pipe
-            child.join()
-            child.close()
-            receive.close()
+    with _one_blas_thread():
+        try:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                receive, send = fork.Pipe(duplex=False)
+                child = fork.Process(target=_run_chunk, args=(send, run, lo, hi))
+                children.append((child, receive))
+                try:
+                    child.start()
+                finally:
+                    send.close()
+            results = [run(i) for i in range(bounds[1])]
+            for child, receive in children:
+                try:
+                    outcome = receive.recv()
+                except EOFError:
+                    child.join()
+                    raise RuntimeError(f"a tile worker exited with code {child.exitcode} "
+                                       "before sending its tiles") from None
+                if isinstance(outcome, Exception):
+                    raise outcome
+                results.extend(outcome)
+            gathered = True
+            return results
+        finally:
+            for child, receive in children:
+                if child.pid is not None:   # the fork succeeded
+                    if not gathered:
+                        child.terminate()   # it may be blocked writing to its pipe
+                    child.join()
+                    child.close()
+                receive.close()
 
 
 def simulate_layer(w: np.ndarray, params: CrossbarParams, *,
@@ -354,9 +413,10 @@ def simulate_layer(w: np.ndarray, params: CrossbarParams, *,
 
     The tiles of a layer of at least ``PARALLEL_MIN_CELLS`` cells run
     on every CPU in this process's affinity mask, in forked children that
-    are all joined before the call returns. The results are bitwise those
-    of a serial run. A caller that runs this in worker processes of its
-    own should narrow each worker's CPU affinity."""
+    are all joined before the call returns, with OpenBLAS on one thread in
+    each process. The results are bitwise those of a serial run. A caller
+    that runs this in worker processes of its own should narrow each
+    worker's CPU affinity."""
     _check_seed("master_seed", master_seed)
     _check_seed("layer_index", layer_index)
     if params.n_rows != params.n_cols:

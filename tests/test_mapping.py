@@ -584,6 +584,28 @@ def test_layers_split_into_contiguous_chunks_one_per_worker(workers, monkeypatch
     assert_no_child_left()
 
 
+@pytest.mark.skipif(not mapping._openblas_threads(), reason="no OpenBLAS found")
+def test_split_tiles_run_openblas_on_one_thread_per_process(workers, monkeypatch,
+                                                           tmp_path):
+    simulate_tile = mapping._simulate_tile
+
+    def counts():
+        return [get() for get, _ in mapping._openblas_threads()]
+
+    def logged(tile, pl, *args):
+        (tmp_path / f"{pl.row_block}-{os.getpid()}").write_text(repr(counts()))
+        return simulate_tile(tile, pl, *args)
+
+    monkeypatch.setattr(mapping, "_simulate_tile", logged)
+    workers(2)
+    before = counts()
+    simulate_layer(np.ones((56, 8)), CrossbarParams(8, 8))
+    assert counts() == before
+    logs = {path.name.split("-")[1]: path.read_text() for path in tmp_path.iterdir()}
+    assert len(logs) == 2
+    assert set(logs.values()) == {repr([1] * len(before))}
+
+
 def test_a_layer_below_the_threshold_stays_in_this_process(monkeypatch, tmp_path):
     simulate_tile = mapping._simulate_tile
 
@@ -613,6 +635,21 @@ def test_an_error_on_one_tile_is_raised_by_the_parent(workers, monkeypatch, mark
     w[8 * marked, 0] = 1.0
     with pytest.raises(ZeroDivisionError, match="tile with g\\[0, 0\\] = 5e-05"):
         simulate_layer(w, CrossbarParams(8, 8, sigma_dev=0.0))
+    assert_no_child_left()
+
+
+def test_a_worker_that_dies_without_sending_is_reported(workers, monkeypatch):
+    simulate_tile = mapping._simulate_tile
+
+    def dying(tile, pl, *args):
+        if pl.row_block == 6:
+            os._exit(3)
+        return simulate_tile(tile, pl, *args)
+
+    monkeypatch.setattr(mapping, "_simulate_tile", dying)
+    workers(2)
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        simulate_layer(np.ones((56, 8)), CrossbarParams(8, 8))
     assert_no_child_left()
 
 
