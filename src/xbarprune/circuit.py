@@ -17,7 +17,11 @@ The sources and sense terminals are the tile's m + n ports. They are
 unknowns of the nodal matrix like every other node (only ground is
 pinned) and are eliminated last, so the trailing (m+n)^2 block of the
 tile's LU factors is the network Kron-reduced to its ports (Dorfler and
-Bullo, IEEE TCAS-I 2013). G_eff is read off that block without a solve.
+Bullo, IEEE TCAS-I 2013). A tile keeps only that port admittance: G_eff
+and the sense currents of any input are read off it without a solve, and
+the LU factors are dropped once it is built. The internal node voltages
+are solved only when a SolveResult's ``v_row`` or ``v_col`` is first
+read, and that read factorizes the network again.
 """
 
 from __future__ import annotations
@@ -29,10 +33,31 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+# Ideal column current (A) below which a column has no NF. Derived, not a
+# device value: with every device at g_min or more, a column fed v_read on
+# every row carries at least g_min * v_read = 5e-6 A, so this excludes only
+# columns whose ideal current is zero (0 S devices or zero inputs) and
+# their rounding.
 DEFAULT_NF_EPSILON = 1e-12
 
-# Default device/circuit values: r_min = 20 kOhm at ON, ON/OFF ratio 10,
-# 1 kOhm driver/sense interfaces, 5 Ohm wire segments per cell.
+# Default device and circuit values. The source paper's text here is its
+# abstract alone, which gives none, and no other file of this repository
+# does, so every value below except v_read is an assumption:
+# - r_min = 20 kOhm at ON (DEFAULT_G_MAX) and an ON/OFF ratio of 10
+#   (DEFAULT_G_MIN): assumed round values. The ratio keeps a zero weight
+#   at a tenth of the largest conductance, so pruned and padded cells
+#   still load the wires.
+# - 1 kOhm driver and sense interfaces: assumed. They make the default
+#   interface-dominated: conv2 of the reference net, trained 3 epochs
+#   under cf@0.5 and mapped at n = 64 without variation, reads a mean NF
+#   of 0.625 with them and 0.150 with 10 Ohm interfaces, both at 5 Ohm
+#   wires.
+# - 5 Ohm per wire segment between adjacent cells: assumed.
+# - sigma_dev = 0.1: an assumed 10 % device spread; any value below 1/3
+#   keeps every device positive under the 3-sigma truncation.
+# - v_read = 1 V: a scale only. The network is linear, so currents scale
+#   with it; G_eff does not depend on it, and the NF only through
+#   DEFAULT_NF_EPSILON.
 DEFAULT_R_DRIVER = 1e3
 DEFAULT_R_WIRE = 5.0
 DEFAULT_R_SENSE = 1e3
@@ -44,9 +69,15 @@ DEFAULT_V_READ = 1.0
 # Largest accepted tile side, set by a budget of 0.5 GB per tile in each
 # process: mapping.simulate_layer factorizes one tile at a time in every
 # process it splits a layer over, so a layer can hold one such tile per
-# usable CPU. One 256 x 256 tile factorizes to 6.8 M LU non-zeros and
-# peaks at about 275 MB resident (numpy 2.4, scipy 1.17). Fill grows about
-# 5x per doubling of n, so 512 would need about 1 GB.
+# usable CPU. A built CrossbarSystem keeps no factor, so the peak is that
+# of one factorization however many systems are alive. One 256 x 256 tile
+# factorizes to 6.8 M LU non-zeros. Building default tiles in a fresh
+# process (one BLAS thread, numpy 2.4, scipy 1.17, Python 3.11) peaks at
+# 106 MB resident at n = 128 and 269 MB at n = 256, from 59 MB after the
+# imports and 83 and 148 MB once the topology is built; a second tile
+# built while the first is alive, or the voltages of a solve read, peak
+# no higher. Fill grows about 5x per doubling of n, so 512 would need
+# about 1 GB.
 MAX_TILE_DIM = 256
 
 # SuperLU's supernode relaxation and panel size for the nested-dissection
@@ -116,13 +147,36 @@ def default_params(n: int, **overrides) -> CrossbarParams:
     return CrossbarParams(n, n, **overrides)
 
 
-@dataclass
 class SolveResult:
-    """Sense currents plus internal node voltages for one input vector."""
+    """Sense currents for one input vector, and the internal node voltages
+    behind them.
 
-    currents: np.ndarray      # (n_cols,)
-    v_row: np.ndarray         # (n_rows, n_cols) row-node voltages
-    v_col: np.ndarray         # (n_rows, n_cols) column-node voltages
+    The voltages are solved on the first read of ``v_row`` or ``v_col``:
+    that read factorizes the tile's network again, solves once and keeps
+    both arrays here, so later reads return the same arrays and an edit
+    made in place stays visible. No factor is kept.
+    """
+
+    def __init__(self, currents: np.ndarray, solve_voltages):
+        self.currents = currents                # (n_cols,)
+        self._solve_voltages = solve_voltages   # () -> (v_row, v_col), until read
+        self._voltages = None
+
+    @property
+    def v_row(self) -> np.ndarray:
+        """(n_rows, n_cols) row-node voltages."""
+        return self._node_voltages()[0]
+
+    @property
+    def v_col(self) -> np.ndarray:
+        """(n_rows, n_cols) column-node voltages."""
+        return self._node_voltages()[1]
+
+    def _node_voltages(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._voltages is None:
+            self._voltages = self._solve_voltages()
+            self._solve_voltages = None     # lets the tile's system go
+        return self._voltages
 
 
 @dataclass
@@ -308,18 +362,23 @@ def _trailing_block(factor, first: int) -> np.ndarray:
 
 
 class CrossbarSystem:
-    """Assembled and factorized parasitic network for one tile.
+    """Port admittance of one tile's parasitic network.
 
     Only ground is pinned. The m sources and the n sense terminals (the
     ports) are unknowns tied to ground through ``g_max``, and they are
-    eliminated last, so the trailing (m+n)^2 blocks of the tile's single
-    LU factorization multiply to the network Kron-reduced to its ports.
+    eliminated last, so the trailing (m+n)^2 blocks of the tile's LU
+    factorization multiply to the network Kron-reduced to its ports.
     Its source columns Y give the current to inject at each port to hold
-    the sources at v and the sense terminals at 0 V: ``solve`` feeds
-    exactly those currents to the factorization, and the sense currents
-    are -Y_sense v, so G_eff = -Y_sense^T. The node merging, branch list,
-    elimination order and matrix pattern are built once per
-    CrossbarParams; a tile only fills in its values.
+    the sources at v and the sense terminals at 0 V. The sense currents
+    are -Y_sense v, so G_eff = -Y_sense^T. A system keeps Y and the tile,
+    nothing of the size of its factors: ``__init__`` factorizes once and
+    drops the factors, and ``solve`` returns the currents without a
+    triangular solve. The node voltages of a SolveResult are solved when
+    first read; each result that is read factorizes the network again,
+    with the same options, so the factors are bit for bit those of the
+    build. The node merging, branch list, elimination order and matrix
+    pattern are built once per CrossbarParams; a tile only fills in its
+    values.
 
     SuperLU factorizes in the order given, with no relaxed supernodes
     (``SPLU_RELAX``) and panels of ``SPLU_PANEL_SIZE`` columns. Its
@@ -336,28 +395,36 @@ class CrossbarSystem:
         size = topo.indptr.size - 1
         if size == m + n:
             # every node merged into a port: the network is ideal
-            self._lu = self._port_y = None
+            self._port_y = None
             return
+        lu = self._factorize()
+        first = size - m - n
+        tail = np.arange(first, size)
+        if not (np.array_equal(lu.perm_c[first:], tail)
+                and np.array_equal(lu.perm_r[first:], tail)):
+            raise RuntimeError("the factorization did not eliminate the ports last")
+        lower = _trailing_block(lu.L, first)
+        upper = _trailing_block(lu.U, first)
+        self._port_y = lower @ upper[:, n:]
+
+    def _factorize(self):
+        """SuperLU factors of the tile's nodal matrix."""
+        topo = self._topo
+        size = topo.indptr.size - 1
         data = topo.to_data @ np.concatenate([self.g.ravel(), topo.fixed_g])
         A = sp.csc_matrix((data, topo.indices, topo.indptr), shape=(size, size))
         try:
             # symmetric positive definite: diagonal pivots, ports stay last
-            self._lu = splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                            relax=SPLU_RELAX, panel_size=SPLU_PANEL_SIZE,
-                            options={"SymmetricMode": True})
+            return splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                        relax=SPLU_RELAX, panel_size=SPLU_PANEL_SIZE,
+                        options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise ValueError(f"singular crossbar network: {exc}") from exc
-        first = size - m - n
-        tail = np.arange(first, size)
-        if not (np.array_equal(self._lu.perm_c[first:], tail)
-                and np.array_equal(self._lu.perm_r[first:], tail)):
-            raise RuntimeError("the factorization did not eliminate the ports last")
-        lower = _trailing_block(self._lu.L, first)
-        upper = _trailing_block(self._lu.U, first)
-        self._port_y = lower @ upper[:, n:]
 
     def solve(self, v: np.ndarray) -> SolveResult:
-        """Node voltages and sense currents for one input vector."""
+        """Sense currents for one input vector, read off the port
+        admittance; the result solves its node voltages when they are
+        first read."""
         v = np.asarray(v, dtype=float)
         m, n = self.params.n_rows, self.params.n_cols
         if v.shape != (m,):
@@ -365,23 +432,29 @@ class CrossbarSystem:
         if not np.all(np.isfinite(v)):
             raise ValueError("input voltages must be finite")
         held = np.concatenate([np.zeros(n), v])
-        if self._lu is None:
-            pot, currents = held, ideal_mac(self.g, v)
+        if self._port_y is None:
+            return SolveResult(ideal_mac(self.g, v), lambda: self._node_voltages(held))
+        injected = self._port_y @ v
+        return SolveResult(-injected[:n], lambda: self._node_voltages(held, injected))
+
+    def _node_voltages(self, held: np.ndarray, injected: np.ndarray | None = None):
+        """(v_row, v_col) with the ports held at ``held`` (sense terminals,
+        then sources) by the port currents ``injected``; an ideal network,
+        every node a port, needs none."""
+        if injected is None:
+            pot = held
         else:
-            injected = self._port_y @ v
-            rhs = np.zeros(self._lu.shape[0])
+            lu = self._factorize()
+            rhs = np.zeros(lu.shape[0])
             rhs[-held.size:] = injected
-            pot = self._lu.solve(rhs)
+            pot = lu.solve(rhs)
             pot[-held.size:] = held
-            currents = -injected[:n]
-        return SolveResult(currents=currents,
-                           v_row=pot[self._topo.row_unknown],
-                           v_col=pot[self._topo.col_unknown])
+        return pot[self._topo.row_unknown], pot[self._topo.col_unknown]
 
     def effective_conductance(self) -> np.ndarray:
         """Input-independent G' with I = G'^T v for every v, read off the
         port admittance without a solve."""
-        if self._lu is None:
+        if self._port_y is None:
             return self.g.copy()
         return -self._port_y[:self.params.n_cols].T
 

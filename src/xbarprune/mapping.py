@@ -9,9 +9,11 @@ decoded one scatter reassembles the non-ideal weight matrix; no
 transform has to be inverted.
 
 ``simulate_layer`` is the one tile loop. Every tile gets one parasitic
-network, one factorization, whose all-ones solve gives the tile's
-non-ideality factor (NF) and whose port admittance gives the decoded
-weights; ``layer_nf`` is the NF half of its result. A large enough layer
+network and one factorization, which leaves its port admittance: the
+sense currents under all-ones inputs, read off it, give the tile's
+non-ideality factor (NF), and its effective conductances give the
+decoded weights. No node voltage is solved. ``layer_nf`` is the NF half
+of its result. A large enough layer
 runs its tiles on every CPU this process may use: this process takes the
 first contiguous chunk of placements and a forked child each other one.
 Every tile's variation is seeded from its identity, so the results are
@@ -241,7 +243,9 @@ def aggregate_nf(reports: list[NfReport]) -> LayerNfReport:
 def _simulate_tile(tile: np.ndarray, pl: TilePlacement, w_scale: float,
                    params: CrossbarParams, master_seed: int, layer_index: int):
     """Encode -> device variation -> parasitic network -> (decoded tile,
-    NF report from all-ones inputs) for one placed tile."""
+    NF report) for one placed tile. The NF compares the ideal currents
+    under all-ones inputs with the sense currents ``solve`` reads off the
+    port admittance; the node voltages are never read, so never solved."""
     g, signs = weights_to_conductances(tile, w_scale, params)
     g_var = apply_device_variation(g, params.sigma_dev,
                                    _tile_rng(master_seed, layer_index, pl))
@@ -407,8 +411,9 @@ def simulate_layer(w: np.ndarray, params: CrossbarParams, *,
                    layer_index: int = 0) -> LayerSimResult:
     """The per-layer pipeline on square tiles: place them (T and R choose
     the source indices) and gather, then per tile encode -> device
-    variation -> parasitic network -> NF from all-ones inputs and decoded
-    effective conductances, then recombine (one scatter back to the
+    variation -> parasitic network -> NF from the sense currents under
+    all-ones inputs and decoded effective conductances, both off the port
+    admittance, then recombine (one scatter back to the
     original matrix).
 
     The tiles of a layer of at least ``PARALLEL_MIN_CELLS`` cells run

@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -24,6 +26,20 @@ IDEAL = dict(r_driver=0.0, r_wire_row=0.0, r_wire_col=0.0, r_sense=0.0)
 
 def ideal_params(m, n):
     return CrossbarParams(m, n, sigma_dev=0.0, **IDEAL)
+
+
+def splu_spy(monkeypatch):
+    """Every factorization circuit runs from now on, as (matrix, options,
+    factor) in call order."""
+    calls = []
+
+    def spy(A, **kwargs):
+        lu = spla.splu(A, **kwargs)
+        calls.append((A, kwargs, lu))
+        return lu
+
+    monkeypatch.setattr(circuit, "splu", spy)
+    return calls
 
 
 # ---------------------------------------------------------------- params
@@ -188,6 +204,117 @@ def test_kcl_residual_sees_a_perturbed_voltage():
     assert system.kcl_residual(v, result) > 1e-8
 
 
+def sense_current(g, p, result):
+    """Current into every sense terminal by Ohm's law on the solved node
+    voltages: through r_sense, or, at 0 ohm, into the bottom column node
+    that merges with the terminal."""
+    if p.r_sense > 0:
+        return result.v_col[-1] / p.r_sense
+    assert np.all(result.v_col[-1] == 0.0)
+    return g[-1] * result.v_row[-1] + result.v_col[-2] / p.r_wire_col
+
+
+@pytest.mark.parametrize("tile", ["random", "all_g_min"])
+@pytest.mark.parametrize("r_sense", [circuit.DEFAULT_R_SENSE, 0.0],
+                         ids=["default", "zero_sense"])
+@pytest.mark.parametrize("m,n", [(16, 16), (32, 32), (24, 40)])
+def test_solve_currents_match_the_solved_voltages(m, n, r_sense, tile):
+    # the currents come off the port admittance, the voltages from the
+    # factors: two routes through the same network
+    p = CrossbarParams(m, n, r_sense=r_sense)
+    g = random_tile(m, n, seed=m + n) if tile == "random" else np.full((m, n), p.g_min)
+    system = CrossbarSystem(g, p)
+    for v in (np.full(m, p.v_read), np.random.default_rng(n).uniform(0, p.v_read, m)):
+        result = system.solve(v)
+        np.testing.assert_allclose(result.currents, sense_current(g, p, result),
+                                   rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("overrides", [{}, dict(r_sense=0.0), dict(r_driver=0.0)],
+                         ids=["default", "zero_sense", "zero_driver"])
+def test_voltages_on_demand_equal_a_direct_superlu_solve(overrides, monkeypatch):
+    m, n = 12, 9
+    p = CrossbarParams(m, n, **overrides)
+    calls = splu_spy(monkeypatch)
+    system = CrossbarSystem(random_tile(m, n, seed=30), p)
+    [(A, options, _)] = calls
+    v = np.random.default_rng(31).uniform(0, p.v_read, m)
+    result = system.solve(v)
+    assert len(calls) == 1          # the currents need no factorization
+    # the same matrix factorized here with the circuit's options, fed the
+    # port currents that hold the sense terminals at 0 V and the sources at v
+    rhs = np.zeros(A.shape[0])
+    rhs[-(m + n):] = system._port_y @ v
+    pot = spla.splu(A, **options).solve(rhs)
+    pot[-(m + n):] = np.concatenate([np.zeros(n), v])
+    topo = _topology(p)
+    assert np.array_equal(result.v_row, pot[topo.row_unknown])
+    assert np.array_equal(result.v_col, pot[topo.col_unknown])
+    assert len(calls) == 2 and calls[1][1] == options
+    assert np.array_equal(calls[1][0].toarray(), A.toarray())
+
+
+@pytest.mark.parametrize("p", [CrossbarParams(5, 7), ideal_params(5, 7)],
+                         ids=["default", "ideal"])
+def test_voltages_are_solved_once_and_kept(p, monkeypatch):
+    g = random_tile(5, 7, seed=32)
+    v = np.random.default_rng(33).uniform(0.1, 1.0, 5)
+    calls = splu_spy(monkeypatch)
+    system = CrossbarSystem(g, p)
+    built = len(calls)
+    result = system.solve(v)
+    v_col = result.v_col
+    v_row = result.v_row
+    assert result.v_col is v_col and result.v_row is v_row
+    assert len(calls) == 2 * built  # one more factorization for both arrays, if any
+    assert system.kcl_residual(v, result) <= 1e-12
+    v_col[3, 1] += 1e-6
+    if built:
+        assert system.kcl_residual(v, result) > 1e-8
+    assert len(calls) == 2 * built
+    # a second result of the same system solves its own voltages
+    other = system.solve(v)
+    assert other.v_col is not v_col
+    assert len(calls) == 3 * built
+
+
+def reachable(root, stop):
+    """Every object reachable from ``root`` through references, not
+    entering ``stop``, a type or a module; a function is entered through
+    its closure only."""
+    seen, found, todo = {id(stop)}, [], [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        if isinstance(obj, types.FunctionType):
+            todo.extend(obj.__closure__ or ())
+        else:
+            todo.extend(gc.get_referents(obj))
+    return found
+
+
+@pytest.mark.parametrize("overrides", [{}, dict(r_sense=0.0), dict(r_wire_row=0.0)],
+                         ids=["default", "zero_sense", "zero_row_wires"])
+def test_a_built_system_keeps_only_port_sized_arrays(overrides):
+    m, n = 24, 40
+    p = CrossbarParams(m, n, **overrides)
+    system = CrossbarSystem(random_tile(m, n, seed=34), p)
+    v = np.random.default_rng(35).uniform(0, p.v_read, m)
+    result = system.solve(v)
+    # the topology is shared by every tile of the same parameters
+    for owner in (system, result):
+        held = reachable(owner, stop=_topology(p))
+        assert not any(isinstance(obj, spla.SuperLU) for obj in held)
+        assert max(obj.size for obj in held if isinstance(obj, np.ndarray)) <= (m + n) * n
+    result.v_row
+    held = reachable(result, stop=_topology(p))
+    assert not any(isinstance(obj, spla.SuperLU) for obj in held)
+    assert not any(obj is system for obj in held)
+
+
 def test_empirical_passivity_nonnegative_inputs():
     # IR drop can only lose current for nonnegative inputs
     hits = 0
@@ -323,11 +450,13 @@ def test_elimination_order_covers_every_interior_root_once(m, n, zeros):
                                rtol=1e-9, atol=0)
 
 
-def test_factorization_fill_of_a_64x64_tile():
+def test_factorization_fill_of_a_64x64_tile(monkeypatch):
     # nested dissection leaves 296,998 LU non-zeros here; SuperLU's minimum
     # degree order (MMD_AT_PLUS_A) left 374,050
-    system = CrossbarSystem(random_tile(64, 64, seed=11), CrossbarParams(64, 64))
-    assert system._lu.L.nnz + system._lu.U.nnz <= 1.01 * 296_998
+    calls = splu_spy(monkeypatch)
+    CrossbarSystem(random_tile(64, 64, seed=11), CrossbarParams(64, 64))
+    [(_, _, lu)] = calls
+    assert lu.L.nnz + lu.U.nnz <= 1.01 * 296_998
 
 
 def blocking_cases():
@@ -347,25 +476,28 @@ def blocking_cases():
 def test_fitted_blocking_matches_superlu_default_blocking(g, p, monkeypatch):
     # the same tile factorized with SuperLU's default relaxed supernodes
     # and panels is the oracle for the blocking fitted to the order
-    calls = []
-
-    def spy(A, **kwargs):
-        calls.append(kwargs)
-        return spla.splu(A, **kwargs)
+    calls = splu_spy(monkeypatch)
+    fitted_splu = circuit.splu
 
     def default_blocking(A, relax=None, panel_size=None, **kwargs):
-        return spy(A, **kwargs)
+        return fitted_splu(A, **kwargs)
 
+    # each result's voltages are read under the blocking its system was
+    # built with, as the read factorizes again
     v = np.random.default_rng(46).uniform(0.0, 1.0, p.n_rows)
-    monkeypatch.setattr(circuit, "splu", spy)
     fitted = CrossbarSystem(g, p)
+    ours = fitted.solve(v)
+    ours.v_row
     monkeypatch.setattr(circuit, "splu", default_blocking)
     default = CrossbarSystem(g, p)
-    if fitted._lu is None:          # every node merged into a port
-        assert calls == [] and default._lu is None
+    ref = default.solve(v)
+    ref.v_row
+    blocking = [(kwargs.get("relax"), kwargs.get("panel_size")) for _, kwargs, _ in calls]
+    if _topology(p).indptr.size - 1 == p.n_rows + p.n_cols:
+        assert blocking == []       # every node merged into a port
     else:
-        assert [(c.get("relax"), c.get("panel_size")) for c in calls] == [
-            (circuit.SPLU_RELAX, circuit.SPLU_PANEL_SIZE), (None, None)]
+        assert blocking == [(circuit.SPLU_RELAX, circuit.SPLU_PANEL_SIZE)] * 2 + [
+            (None, None)] * 2
 
     def assert_close(actual, desired):
         # relative to the largest entry: a 0 S column reads rounding only
@@ -373,7 +505,6 @@ def test_fitted_blocking_matches_superlu_default_blocking(g, p, monkeypatch):
                                    atol=1e-9 * np.max(np.abs(desired)))
 
     assert_close(fitted.effective_conductance(), default.effective_conductance())
-    ours, ref = fitted.solve(v), default.solve(v)
     for name in ("currents", "v_row", "v_col"):
         assert_close(getattr(ours, name), getattr(ref, name))
 
