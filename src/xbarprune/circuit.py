@@ -33,6 +33,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from ._checks import check_int, check_real
+
 # Ideal column current (A) below which a column has no NF. Derived, not a
 # device value: with every device at g_min or more, a column fed v_read on
 # every row carries at least g_min * v_read = 5e-6 A, so this excludes only
@@ -65,6 +67,9 @@ DEFAULT_G_MIN = 5e-6
 DEFAULT_G_MAX = 5e-5
 DEFAULT_SIGMA_DEV = 0.1
 DEFAULT_V_READ = 1.0
+
+# sigma_dev's interval, [0, 1/3): see the sigma_dev note above
+_SIGMA_DEV_RANGE = (0.0, 1.0 / 3.0, "[)")
 
 # Largest accepted tile side, set by a budget of 0.5 GB per tile in each
 # process: mapping.simulate_layer factorizes one tile at a time in every
@@ -123,23 +128,13 @@ class CrossbarParams:
 
     def __post_init__(self):
         for name in ("n_rows", "n_cols"):
-            side = getattr(self, name)
-            if not isinstance(side, (int, np.integer)) or isinstance(side, bool):
-                raise ValueError(f"{name} must be an integer, got {side!r}")
-        if not (1 <= self.n_rows <= MAX_TILE_DIM and 1 <= self.n_cols <= MAX_TILE_DIM):
-            raise ValueError(f"tile dimensions must be in 1..{MAX_TILE_DIM}, "
-                             f"got {self.n_rows}x{self.n_cols}")
+            check_int(name, getattr(self, name), 1, MAX_TILE_DIM)
         for name in ("r_driver", "r_wire_row", "r_wire_col", "r_sense"):
-            r = getattr(self, name)
-            if not (np.isfinite(r) and r >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {r}")
-        if not (0 < self.g_min < self.g_max < np.inf):
-            raise ValueError(f"need finite g_max > g_min > 0, got g_min={self.g_min}, "
-                             f"g_max={self.g_max}")
-        if not (0 <= self.sigma_dev < 1.0 / 3.0):
-            raise ValueError(f"sigma_dev must be in [0, 1/3), got {self.sigma_dev}")
-        if not (np.isfinite(self.v_read) and self.v_read > 0):
-            raise ValueError(f"v_read must be finite and > 0, got {self.v_read}")
+            check_real(name, getattr(self, name), 0.0, np.inf, "[)")
+        check_real("g_min", self.g_min, 0.0, np.inf)
+        check_real("g_max", self.g_max, self.g_min, np.inf)
+        check_real("sigma_dev", self.sigma_dev, *_SIGMA_DEV_RANGE)
+        check_real("v_read", self.v_read, 0.0, np.inf)
 
 
 def default_params(n: int, **overrides) -> CrossbarParams:
@@ -497,8 +492,7 @@ def apply_device_variation(g: np.ndarray, sigma_dev: float,
     conductance strictly positive. Deterministic for a given generator
     state.
     """
-    if not (0 <= sigma_dev < 1.0 / 3.0):
-        raise ValueError(f"sigma_dev must be in [0, 1/3), got {sigma_dev}")
+    check_real("sigma_dev", sigma_dev, *_SIGMA_DEV_RANGE)
     g = np.asarray(g, dtype=float)
     if sigma_dev == 0:
         return g.copy()

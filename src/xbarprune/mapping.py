@@ -49,8 +49,8 @@ from .circuit import (
     ideal_mac,
     nonideality_factor,
 )
-from .nn import _check_seed
-from .pruning import CfCompaction, SegmentPacking, TilePlacement, _check_tile_size
+from ._checks import check_int, check_real
+from .pruning import CfCompaction, SegmentPacking, TilePlacement
 
 REARRANGE_ORDERS = ("ascending", "center_out")
 
@@ -84,17 +84,12 @@ class LayerSimResult:
 # ------------------------------------------------------------- encoding
 
 
-def _check_w_scale(w_scale: float):
-    if not (np.isfinite(w_scale) and w_scale > 0):
-        raise ValueError(f"w_scale must be finite and > 0, got {w_scale}")
-
-
 def weights_to_conductances(w_tile: np.ndarray, w_scale: float,
                             params: CrossbarParams):
     """Affine magnitude encoding G = g_min + |W| / w_scale * (g_max - g_min),
     returning the conductance tile and the sign matrix."""
     w_tile = np.asarray(w_tile, dtype=float)
-    _check_w_scale(w_scale)
+    check_real("w_scale", w_scale, 0.0, np.inf)
     if np.any(np.abs(w_tile) > w_scale):
         raise ValueError("tile contains |weights| above w_scale")
     g = params.g_min + np.abs(w_tile) / w_scale * (params.g_max - params.g_min)
@@ -106,7 +101,7 @@ def conductances_to_weights(g_eff: np.ndarray, signs: np.ndarray,
     """Inverse of the affine encoding with the stored signs; sign-0 entries
     (true zeros and padding) are forced back to exactly zero. Effective
     conductances below g_min (IR drop) decode to magnitude-shifted values."""
-    _check_w_scale(w_scale)
+    check_real("w_scale", w_scale, 0.0, np.inf)
     g_eff = np.asarray(g_eff, dtype=float)
     signs = np.asarray(signs, dtype=float)
     if g_eff.shape != signs.shape:
@@ -139,7 +134,7 @@ def partition(w: np.ndarray, n: int, *, order: str | None = None,
     n x n tiles; returns (tiles, record). The tiles cut the matrix, or the
     rows and columns a CfCompaction keeps, row-major after rearranging the
     columns into ``order``; a SegmentPacking lists its tiles itself."""
-    _check_tile_size(n)
+    check_int("tile size", n, 1)
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.size == 0:
         raise ValueError(f"need a nonempty 2-D weight matrix, got shape {w.shape}")
@@ -422,8 +417,8 @@ def simulate_layer(w: np.ndarray, params: CrossbarParams, *,
     each process. The results are bitwise those of a serial run. A caller
     that runs this in worker processes of its own should narrow each
     worker's CPU affinity."""
-    _check_seed("master_seed", master_seed)
-    _check_seed("layer_index", layer_index)
+    check_int("master_seed", master_seed, 0)
+    check_int("layer_index", layer_index, 0)
     if params.n_rows != params.n_cols:
         raise ValueError("layer simulation uses square tiles; params must have "
                          "n_rows == n_cols")

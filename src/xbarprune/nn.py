@@ -59,17 +59,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._checks import check_int, check_real, is_int
+
 # ---------------------------------------------------------------- specs
-
-
-def _is_int(value) -> bool:
-    """A Python or NumPy integer, not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_seed(name: str, seed):
-    if not _is_int(seed) or seed < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -82,10 +74,7 @@ class ConvSpec:
 
     def __post_init__(self):
         for name in ("in_ch", "out_ch", "kernel", "stride", "padding"):
-            value, low = getattr(self, name), -1 if name == "padding" else 1
-            if not _is_int(value) or value < low:
-                raise ValueError(f"conv {name} must be >= {low} and an integer, "
-                                 f"got {value!r}")
+            check_int(f"conv {name}", getattr(self, name), -1 if name == "padding" else 1)
 
     def pad(self) -> int:
         return self.kernel // 2 if self.padding == -1 else self.padding
@@ -97,9 +86,8 @@ class DenseSpec:
     out_features: int
 
     def __post_init__(self):
-        if not all(_is_int(v) and v >= 1 for v in (self.in_features, self.out_features)):
-            raise ValueError(f"dense sizes must be >= 1 and integers, got "
-                             f"{self.in_features!r} -> {self.out_features!r}")
+        for name in ("in_features", "out_features"):
+            check_int(f"dense {name}", getattr(self, name), 1)
 
 
 @dataclass(frozen=True)
@@ -131,13 +119,13 @@ class ModelSpec:
     init_seed: int = 0
 
     def __post_init__(self):
-        _check_seed("init_seed", self.init_seed)
+        check_int("init_seed", self.init_seed, 0)
         try:
             shape = tuple(self.input_shape)
         except TypeError:
             shape = None
         if (shape is None or len(shape) != 3
-                or not all(_is_int(size) and size >= 1 for size in shape)):
+                or not all(is_int(size) and size >= 1 for size in shape)):
             raise ValueError(f"input_shape must be three integer sizes (C, H, W) "
                              f">= 1, got {self.input_shape!r}")
         # any sequence, stored as the tuple that shape_walk reads as a map
@@ -526,19 +514,21 @@ def _own_copy(info: UnrolledLayerInfo, matrices: dict[str, np.ndarray]):
 # ------------------------------------------------------------- training
 
 
-@dataclass
+# percentile's interval, for WctConfig and wct_cutoff
+_PERCENTILE_RANGE = (0.0, 100.0, "(]")
+
+
+@dataclass(frozen=True)
 class WctConfig:
     percentile: float = 90.0
     epochs: int = 2
 
     def __post_init__(self):
-        if not 0 < self.percentile <= 100:
-            raise ValueError(f"percentile must be in (0, 100], got {self.percentile}")
-        if not _is_int(self.epochs) or self.epochs < 1:
-            raise ValueError(f"wct epochs must be an integer >= 1, got {self.epochs!r}")
+        check_real("percentile", self.percentile, *_PERCENTILE_RANGE)
+        check_int("wct epochs", self.epochs, 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     lr: float = 0.05
     batch_size: int = 32
@@ -550,20 +540,16 @@ class TrainConfig:
     wct: WctConfig | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        if not _is_int(self.batch_size) or self.batch_size < 1:
-            raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
-        if not _is_int(self.epochs) or self.epochs < 0:
-            raise ValueError(f"epochs must be an integer >= 0, got {self.epochs!r}")
-        _check_seed("seed", self.seed)
+        check_real("lr", self.lr, 0.0, np.inf)
+        check_int("batch_size", self.batch_size, 1)
+        check_int("epochs", self.epochs, 0)
+        check_int("seed", self.seed, 0)
 
 
 @dataclass
 class Dataset:
     images: np.ndarray         # (n, 1, 8, 8) in [0, 1]
     labels: np.ndarray         # (n,) ints
-    split: str = "train"
 
     def __len__(self):
         return self.images.shape[0]
@@ -729,8 +715,7 @@ def train(model: Network, dataset: Dataset, config: TrainConfig):
 
 def wct_cutoff(model: Network, percentile: float) -> float:
     """Nearest-rank percentile of |w| pooled over all trainable weights."""
-    if not 0 < percentile <= 100:
-        raise ValueError(f"percentile must be in (0, 100], got {percentile}")
+    check_real("percentile", percentile, *_PERCENTILE_RANGE)
     if not model.trainable:
         raise ValueError("model has no trainable layers")
     v = np.sort(np.abs(np.concatenate([layer.w.ravel() for _, layer in model.trainable])))
@@ -738,14 +723,9 @@ def wct_cutoff(model: Network, percentile: float) -> float:
     return float(v[rank - 1])
 
 
-def _check_w_cut(w_cut: float):
-    if not (np.isfinite(w_cut) and w_cut > 0):
-        raise ValueError(f"w_cut must be finite and > 0, got {w_cut}")
-
-
 def wct_clamp(w: np.ndarray, w_cut: float) -> np.ndarray:
     """min(|W|, w_cut) * sign(W); the result lies in [-w_cut, w_cut]."""
-    _check_w_cut(w_cut)
+    check_real("w_cut", w_cut, 0.0, np.inf)
     return np.minimum(np.abs(w), w_cut) * np.sign(w)
 
 
@@ -758,7 +738,7 @@ def wct_train(model: Network, dataset: Dataset, config: TrainConfig,
     wct = config.wct if config.wct is not None else WctConfig()
     if w_cut is None:
         w_cut = wct_cutoff(model, wct.percentile)
-    _check_w_cut(w_cut)
+    check_real("w_cut", w_cut, 0.0, np.inf)
     rng = np.random.default_rng([config.seed, 1])
     _fit(model, dataset, config, wct.epochs, w_cut, rng)
     return model, w_cut
@@ -773,8 +753,7 @@ def evaluate(model: Network, dataset: Dataset, batch_size: int = 256) -> float:
     dead channel adds exactly zero to the logits and dropping it changes
     them only by the rounding of a shorter GEMM. `model` is not run and
     keeps no activations."""
-    if not _is_int(batch_size) or batch_size < 1:
-        raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
+    check_int("batch_size", batch_size, 1)
     n = len(dataset)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -822,20 +801,18 @@ def _draw_image(rng: np.random.Generator, label: int) -> np.ndarray:
     return np.clip(img, 0.0, 1.0)
 
 
-def _gen_split(seed_list, n: int, split: str) -> Dataset:
+def _gen_split(seed_list, n: int) -> Dataset:
     rng = np.random.default_rng(seed_list)
     labels = np.arange(n) % 4                 # balanced to within one image
     labels = rng.permutation(labels)
     images = np.stack([_draw_image(rng, int(lab)) for lab in labels])
-    return Dataset(images[:, None, :, :], labels.astype(np.int64), split)
+    return Dataset(images[:, None, :, :], labels.astype(np.int64))
 
 
 def gen_synthetic_dataset(seed: int, n_train: int, n_test: int):
     """Four-class 8x8 shape dataset (horizontal bar, vertical bar, diagonal,
     blob) with Gaussian pixel noise; deterministic given the seed."""
-    _check_seed("seed", seed)
-    if not all(_is_int(n) and n >= 1 for n in (n_train, n_test)):
-        raise ValueError(f"need an integer number >= 1 of samples per split, "
-                         f"got {n_train!r} and {n_test!r}")
-    return (_gen_split([seed, 0], n_train, "train"),
-            _gen_split([seed, 1], n_test, "test"))
+    check_int("seed", seed, 0)
+    check_int("n_train", n_train, 1)
+    check_int("n_test", n_test, 1)
+    return _gen_split([seed, 0], n_train), _gen_split([seed, 1], n_test)

@@ -30,7 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .nn import _check_seed, _is_int, _unrolled_masks
+from ._checks import check_int, check_real
+from .nn import _unrolled_masks
 
 METHODS = ("cf", "xcs", "xrs")
 
@@ -48,11 +49,10 @@ class SparsityPattern:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown pruning method {self.method!r}")
-        if not 0 <= self.s < 1:
-            raise ValueError(f"sparsity ratio must be in [0, 1), got {self.s}")
-        _check_seed("seed", self.seed)
+        check_real("sparsity ratio", self.s, 0.0, 1.0, "[)")
+        check_int("seed", self.seed, 0)
         if self.method != "cf":
-            _check_tile_size(self.n)
+            check_int("tile size", self.n, 1)
 
 
 class TilePlacement(NamedTuple):
@@ -92,12 +92,6 @@ class SegmentPacking:
     n: int
     orig_shape: tuple[int, int]
     tiles: list[TilePlacement]
-
-
-def _check_tile_size(n):
-    """A crossbar is n x n for an integer n >= 1 (bools are not sizes)."""
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"tile size must be an integer >= 1, got {n!r}")
 
 
 def _layer_rng(seed: int, layer_index: int) -> np.random.Generator:
@@ -143,8 +137,7 @@ def _gen_mask_segments(model_spec, s, n, seed, kind) -> SparsityPattern:
     """Zero floor(s * count) length-n segments, drawn from the row-major
     keep-grid of segments: XCS segments run down the rows (axis 0), XRS
     segments along the columns (axis 1)."""
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"segment length must be an integer >= 1, got {n!r}")
+    check_int("segment length", n, 1)
     pattern = SparsityPattern(kind, s, seed, n)
     infos = list(model_spec.unrolled_layers())
     if not infos:
@@ -192,7 +185,7 @@ def _segment_packing(w: np.ndarray, n: int, kind: str,
     """Pack the surviving column segments of each row block left to right
     into tiles of n columns. An XRS packing is the XCS packing of the
     transposed mask with each tile's row and column fields swapped."""
-    _check_tile_size(n)
+    check_int("tile size", n, 1)
     w = np.asarray(w)
     mask = (w != 0) if mask is None else np.asarray(mask).astype(bool)
     if mask.shape != w.shape:
@@ -225,7 +218,7 @@ def compact_xrs(w: np.ndarray, n: int, mask: np.ndarray | None = None) -> Segmen
 
 
 def tile_count_unpruned(rows: int, cols: int, n: int) -> int:
-    _check_tile_size(n)
+    check_int("tile size", n, 1)
     return math.ceil(rows / n) * math.ceil(cols / n)
 
 
@@ -235,7 +228,7 @@ def compression_rate(model_spec, pattern: SparsityPattern | None, n: int) -> flo
     as training takes them: a layer with no mask is unpruned (all ones),
     a mask for another layer or of another shape raises ValueError. An
     XCS/XRS pattern packs only into tiles of its own segment length."""
-    _check_tile_size(n)
+    check_int("tile size", n, 1)
     infos = list(model_spec.unrolled_layers())
     unpruned = sum(tile_count_unpruned(i.rows, i.cols, n) for i in infos)
     if pattern is None:

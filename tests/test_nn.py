@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -752,6 +754,17 @@ def test_numpy_integer_seeds_draw_as_python_integers():
     assert TrainConfig(seed=np.uint8(0)).seed == 0
 
 
+@pytest.mark.parametrize("config, field, value", [
+    (TrainConfig(), "lr", -1.0),
+    (TrainConfig(), "epochs", 2.5),
+    (WctConfig(), "percentile", 0.0),
+])
+def test_configs_cannot_change_after_their_checks(config, field, value):
+    # an lr set to -1.0 after construction once made train ascend the loss
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, field, value)
+
+
 def test_train_config_takes_numpy_integers():
     config = TrainConfig(batch_size=np.int64(16), epochs=np.int32(0))
     assert (config.batch_size, config.epochs) == (16, 0)
@@ -1049,12 +1062,12 @@ def test_train_rejects_an_empty_dataset():
 @pytest.mark.parametrize("build, reason", [
     (lambda: ModelSpec((DenseSpec(64, 16), PoolSpec())), "needs a \\(C, H, W\\) input"),
     (lambda: ModelSpec((DenseSpec(64, 16), ConvSpec(1, 2, 3))), "needs a \\(C, H, W\\) input"),
-    (lambda: ModelSpec((ConvSpec(1, 0, 3), DenseSpec(1, 2))), "out_ch must be >= 1"),
-    (lambda: ModelSpec((ConvSpec(0, 2, 3),), input_shape=(0, 8, 8)), "in_ch must be >= 1"),
-    (lambda: ModelSpec((ConvSpec(1, 2, 0),)), "kernel must be >= 1"),
-    (lambda: ModelSpec((ConvSpec(1, 2, -3),)), "kernel must be >= 1"),
-    (lambda: ModelSpec((ConvSpec(1, 2, 3, stride=0),)), "stride must be >= 1"),
-    (lambda: ModelSpec((DenseSpec(64, 0),)), "dense sizes must be >= 1"),
+    (lambda: ModelSpec((ConvSpec(1, 0, 3), DenseSpec(1, 2))), "out_ch must be an integer >= 1"),
+    (lambda: ModelSpec((ConvSpec(0, 2, 3),), input_shape=(0, 8, 8)), "in_ch must be an integer >= 1"),
+    (lambda: ModelSpec((ConvSpec(1, 2, 0),)), "kernel must be an integer >= 1"),
+    (lambda: ModelSpec((ConvSpec(1, 2, -3),)), "kernel must be an integer >= 1"),
+    (lambda: ModelSpec((ConvSpec(1, 2, 3, stride=0),)), "stride must be an integer >= 1"),
+    (lambda: ModelSpec((DenseSpec(64, 0),)), "dense out_features must be an integer >= 1"),
     (lambda: ModelSpec((ConvSpec(1, 2, 3),), input_shape=(1, 0, 8)), "input_shape"),
     (lambda: ModelSpec((ConvSpec(1, 2, 3), PoolSpec(), PoolSpec(), PoolSpec(),
                         DenseSpec(2, 4)), input_shape=(1, 4, 4)), "empty output shape"),
@@ -1144,7 +1157,8 @@ def test_dataset_bit_identical_for_seed():
 
 @pytest.mark.parametrize("n_train, n_test", [(2.5, 3), (True, 3), (3, 2.0), (0, 3), (3, -1)])
 def test_dataset_rejects_split_sizes_that_are_not_integers_above_zero(n_train, n_test):
-    with pytest.raises(ValueError, match="samples per split"):
+    bad = "n_test" if n_train == 3 else "n_train"       # the other size is a valid 3
+    with pytest.raises(ValueError, match=f"{bad} must be an integer >= 1"):
         gen_synthetic_dataset(0, n_train, n_test)
 
 

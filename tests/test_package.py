@@ -12,6 +12,7 @@ import xbarprune
 
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
+PACKAGE_DIR = Path(xbarprune.__file__).parent
 
 
 def documented_modules():
@@ -25,9 +26,33 @@ def documented_modules():
 
 
 def test_docstring_lists_every_module():
-    package_dir = Path(xbarprune.__file__).parent
-    on_disk = {p.stem for p in package_dir.glob("*.py") if p.stem != "__init__"}
+    on_disk = {p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__"}
     assert set(documented_modules()) == on_disk
+
+
+def package_imports(module):
+    """The package modules that `module` imports, relatively or by name."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE_DIR / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["xbarprune" if node.level else None, node.module]))
+            names = ([f"{base}.{alias.name}" for alias in node.names]
+                     if base == "xbarprune" else [base])
+        else:
+            continue
+        found.update(name.split(".")[1] for name in names if name.startswith("xbarprune."))
+    return found
+
+
+def test_module_layering():
+    # the scalar rules are a leaf, circuit depends on them alone, and the
+    # tile mapping does not reach into the network code
+    assert package_imports("_checks") == set()
+    assert package_imports("circuit") == {"_checks"}
+    assert {"_checks", "circuit", "pruning"} <= package_imports("mapping")
+    assert "nn" not in package_imports("mapping")
 
 
 @pytest.mark.parametrize("name", documented_modules())
