@@ -7,8 +7,6 @@ seed 1, a learning rate of 1 and a unit resistance. Every message reads
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 
@@ -26,13 +24,12 @@ def check_int(name: str, value, low: int, high: int | None = None):
 
 
 def check_real(name: str, value, low: float, high: float, brackets: str = "()"):
-    """Raise ValueError unless ``value`` is a real number in the interval
-    from ``low`` to ``high``, each end closed where ``brackets`` has "[" or
-    "]". NaN lies in no interval, and an open end at inf rejects inf."""
-    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if ok:
-        ok = ((low <= value if brackets[0] == "[" else low < value)
-              and (value <= high if brackets[1] == "]" else value < high))
-    if not ok:
+    """Raise ValueError unless ``value`` is a Python or NumPy integer or
+    float (not a bool) in the interval from ``low`` to ``high``, each end
+    closed where ``brackets`` has "[" or "]". NaN lies in no interval, and
+    an open end at inf rejects inf."""
+    if (not (is_int(value) or isinstance(value, (float, np.floating)))
+            or not (low <= value if brackets[0] == "[" else low < value)
+            or not (value <= high if brackets[1] == "]" else value < high)):
         raise ValueError(f"{name} must be a real number in {brackets[0]}{low:g}, "
                          f"{high:g}{brackets[1]}, got {value!r}")

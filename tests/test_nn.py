@@ -1063,7 +1063,8 @@ def test_train_rejects_an_empty_dataset():
     (lambda: ModelSpec((DenseSpec(64, 16), PoolSpec())), "needs a \\(C, H, W\\) input"),
     (lambda: ModelSpec((DenseSpec(64, 16), ConvSpec(1, 2, 3))), "needs a \\(C, H, W\\) input"),
     (lambda: ModelSpec((ConvSpec(1, 0, 3), DenseSpec(1, 2))), "out_ch must be an integer >= 1"),
-    (lambda: ModelSpec((ConvSpec(0, 2, 3),), input_shape=(0, 8, 8)), "in_ch must be an integer >= 1"),
+    (lambda: ModelSpec((ConvSpec(0, 2, 3),), input_shape=(0, 8, 8)),
+     "in_ch must be an integer >= 1"),
     (lambda: ModelSpec((ConvSpec(1, 2, 0),)), "kernel must be an integer >= 1"),
     (lambda: ModelSpec((ConvSpec(1, 2, -3),)), "kernel must be an integer >= 1"),
     (lambda: ModelSpec((ConvSpec(1, 2, 3, stride=0),)), "stride must be an integer >= 1"),
