@@ -13,14 +13,12 @@ network and one factorization, which leaves its port admittance: the
 sense currents under all-ones inputs, read off it, give the tile's
 non-ideality factor (NF), and its effective conductances give the
 decoded weights. No node voltage is solved. ``layer_nf`` is the NF half
-of its result. A large enough layer
-runs its tiles on every CPU this process may use: this process takes the
-first contiguous chunk of placements and a forked child each other one.
-Every tile's variation is seeded from its identity, so the results are
-bitwise those of a serial run. OpenBLAS runs on one thread in each process
-while a layer is split. Callers that already run ``simulate_layer`` in
-worker processes of their own should narrow each worker's CPU affinity
-(``os.sched_setaffinity``), or every worker forks as many children again.
+of its result. A large enough layer runs its tiles on every CPU this
+process may use, by ``_parallel._fork_map``: this process takes the first
+contiguous chunk of placements and a forked child each other one. Every
+tile's variation is seeded from its identity, so the results are bitwise
+those of a serial run. See ``_parallel`` for the CPU count and for
+callers that run the package in worker processes of their own.
 
 Signed weights are encoded as magnitude-to-conductance with a digitally
 tracked sign applied at decode time, so a single crossbar per tile
@@ -30,16 +28,12 @@ decode back to exactly zero.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-import multiprocessing
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _parallel
 from .circuit import (
     CrossbarParams,
     CrossbarSystem,
@@ -285,121 +279,6 @@ def _simulate_tile(tile: np.ndarray, pl: TilePlacement, w_scale: float,
 PARALLEL_MIN_CELLS = 6 * 32 ** 2
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may give tiles to: 1 where it cannot say, cannot
-    fork, or is a daemonic process, which multiprocessing lets have no
-    children."""
-    if (not hasattr(os, "sched_getaffinity")
-            or "fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-@functools.cache
-def _openblas_threads() -> tuple:
-    """(get, set) thread-count functions of every OpenBLAS mapped into
-    this process (the numpy and scipy wheels each bring their own), found
-    by file name in /proc/self/maps; empty where it cannot be read."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = {line.split(maxsplit=5)[5].strip() for line in maps
-                     if "openblas" in line}
-    except OSError:
-        return ()
-    found = []
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", "")):
-            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                found.append((get, set_))
-                break
-    return tuple(found)
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run OpenBLAS on one thread in this process, and in every child
-    forked inside, then restore its thread counts. Each process already
-    has a CPU of its own; an OpenBLAS pool per process, one thread per
-    CPU, busy-waits on the CPUs of the others."""
-    controls = _openblas_threads()
-    before = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(1)
-    try:
-        yield
-    finally:
-        for (_, set_), count in zip(controls, before):
-            set_(count)
-
-
-def _run_chunk(send, run, lo: int, hi: int) -> None:
-    """A forked child's body: send [run(i) for i in lo..hi-1], or the
-    exception that stopped it."""
-    try:
-        outcome = [run(i) for i in range(lo, hi)]
-    except Exception as exc:            # re-raised by the parent
-        outcome = exc
-    try:
-        send.send(outcome)
-    except Exception:                   # an exception that does not pickle
-        send.send(RuntimeError(f"{type(outcome).__name__}: {outcome}"))
-    send.close()
-
-
-def _map_tiles(run, count: int, n: int) -> list:
-    """[run(i) for i in range(count)] on the usable CPUs: contiguous chunks,
-    the first in this process and each other one in a forked child,
-    gathered in order, with OpenBLAS on one thread in each. Every child is
-    joined before this returns or raises; a child's exception is raised
-    here."""
-    workers = min(_usable_cpus(), count)
-    if workers < 2 or count * n * n < PARALLEL_MIN_CELLS:
-        return [run(i) for i in range(count)]
-    bounds = [count * k // workers for k in range(workers + 1)]
-    fork = multiprocessing.get_context("fork")
-    children, gathered = [], False
-    with _one_blas_thread():
-        try:
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                receive, send = fork.Pipe(duplex=False)
-                child = fork.Process(target=_run_chunk, args=(send, run, lo, hi))
-                children.append((child, receive))
-                try:
-                    child.start()
-                finally:
-                    send.close()
-            results = [run(i) for i in range(bounds[1])]
-            for child, receive in children:
-                try:
-                    outcome = receive.recv()
-                except EOFError:
-                    child.join()
-                    raise RuntimeError(f"a tile worker exited with code {child.exitcode} "
-                                       "before sending its tiles") from None
-                if isinstance(outcome, Exception):
-                    raise outcome
-                results.extend(outcome)
-            gathered = True
-            return results
-        finally:
-            for child, receive in children:
-                if child.pid is not None:   # the fork succeeded
-                    if not gathered:
-                        child.terminate()   # it may be blocked writing to its pipe
-                    child.join()
-                    child.close()
-                receive.close()
-
-
 def simulate_layer(w: np.ndarray, params: CrossbarParams, *,
                    rearrange: bool = False, rearrange_order: str = "ascending",
                    compaction: object | None = None, master_seed: int = 0,
@@ -430,10 +309,10 @@ def simulate_layer(w: np.ndarray, params: CrossbarParams, *,
                               compaction=compaction)
     _topology(params)       # built once here, so that forked children inherit it
     placements = record.tile_placements
-    results = _map_tiles(
+    results = _parallel._fork_map(
         lambda i: _simulate_tile(tiles[i], placements[i], record.w_scale, params,
                                  master_seed, layer_index),
-        len(tiles), params.n_rows)
+        len(tiles), len(tiles) * params.n_rows ** 2 >= PARALLEL_MIN_CELLS)
     return LayerSimResult(
         w_nonideal=recombine([tile for tile, _ in results], record),
         nf=aggregate_nf([report for _, report in results]),

@@ -24,12 +24,19 @@ A ReLU that feeds a max pool runs after the pool, on the 4x smaller map;
 see `Network` for why that gives the same numbers.
 
 Everything is float64 and bit-deterministic given (init seed, data seed,
-training seed): initialization draws from one seeded generator in layer
-order, batch order comes from the training seed, and no threading touches
-the update order. Every GEMM sees its operands in one fixed K order (the
-rows of the weight matrix for the forward and weight-gradient GEMMs, the
-output channels for the input-gradient GEMM), and every scattered sum adds
-its terms in one fixed order.
+training seed), whatever the number of CPUs: initialization draws from
+one seeded generator in layer order, and batch order comes from the
+training seed. A minibatch's gradient is defined as that of its first
+ceil(b/2) samples plus that of the rest, added in that order, each half's
+softmax gradient divided by the whole batch size b. So the two halves can
+run in two processes: where this process may use two CPUs and a fit is
+large enough, a forked partner pinned to the second CPU computes every
+second half in lockstep (see `_sgd_epochs`), and on one CPU the two halves
+run here one after the other, with bitwise the same result. `evaluate`
+runs whole batches, each in one process. Every GEMM sees its operands in
+one fixed K order (the rows of the weight matrix for the forward and
+weight-gradient GEMMs, the output channels for the input-gradient GEMM),
+and every scattered sum adds its terms in one fixed order.
 
 Training and evaluation both run the live sub-network: a channel whose
 producing column or consuming row group is all zero adds exactly zero to
@@ -56,9 +63,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
+from . import _parallel
 from ._checks import check_int, check_real, is_int
 
 # ---------------------------------------------------------------- specs
@@ -555,15 +564,23 @@ class Dataset:
         return self.images.shape[0]
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray, divisor: int):
+    """The summed softmax cross-entropy of the rows of `logits` and its
+    gradient divided by `divisor`."""
     z = logits - logits.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    rows = np.arange(labels.shape[0])
+    loss = -logp[rows, labels].sum()
+    dlogits = np.exp(logp)
+    dlogits[rows, labels] -= 1.0
+    return loss, dlogits / divisor
+
+
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """Mean softmax cross-entropy over the rows and its gradient."""
     n = labels.shape[0]
-    loss = -logp[np.arange(n), labels].mean()
-    probs = np.exp(logp)
-    dlogits = probs
-    dlogits[np.arange(n), labels] -= 1.0
-    return loss, dlogits / n
+    loss, dlogits = _cross_entropy(logits, labels, n)
+    return loss / n, dlogits
 
 
 def _check_labels(spec: ModelSpec, dataset: Dataset):
@@ -658,27 +675,170 @@ def _project(model, pruned, w_cut):
             layer.w[pruned[name]] = 0.0
 
 
-def _sgd_epochs(model, dataset, config, epochs, pruned, w_cut, rng):
+def _halves(batch: np.ndarray):
+    """The two halves of a minibatch: its first ceil(b/2) samples and the
+    rest, which is empty for b = 1."""
+    first = (batch.size + 1) // 2
+    return batch[:first], batch[first:]
+
+
+def _half_gradient(model, dataset, half, b: int):
+    """Forward and backward over the samples `half` of a minibatch of b:
+    returns their summed cross-entropy and every layer's weight gradient,
+    the softmax gradient divided by the whole minibatch's b."""
+    loss, dlogits = _cross_entropy(model.forward(dataset.images[half]),
+                                   dataset.labels[half], b)
+    model.backward(dlogits)
+    return loss, [layer.grad_w for _, layer in model.trainable]
+
+
+def _step(model, grads, lr, pruned, w_cut):
+    """w -= lr * grad for every layer, then the projection."""
+    for (_, layer), grad in zip(model.trainable, grads):
+        layer.w -= lr * grad
     _project(model, pruned, w_cut)
+
+
+def _gradient_slots(model, shared):
+    """Two gradient-shaped sets of float64 views into the partner's shared
+    buffer: the partner's second-half gradients and the summed ones."""
+    shapes = [layer.w.shape for _, layer in model.trainable] * 2
+    flat = np.frombuffer(shared, dtype=np.float64)
+    ends = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+    views = [flat[lo:hi].reshape(shape) for lo, hi, shape in zip(ends, ends[1:], shapes)]
+    return views[:len(model.trainable)], views[len(model.trainable):]
+
+
+def _descend(model, dataset, epochs, lr, pruned, w_cut, partner=None):
+    """SGD over `epochs`, each a list of minibatches of sample indices;
+    returns the per-epoch mean losses. A minibatch's gradient is its first
+    half's plus its second half's (`_halves`), added in that order, and
+    its loss the two halves' summed losses added the same way; the second
+    half is skipped where it is empty. The second halves run here after
+    the first, or in `partner`, which writes their gradients into its
+    shared buffer, receives this process's go once the sum is there, and
+    steps its own copy of the weights by the same sum."""
+    summed = [None] * len(model.trainable)      # fresh sums, unless shared
+    if partner is not None:
+        theirs, summed = _gradient_slots(model, partner.shared)
     losses = []
-    n = len(dataset)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        total, seen = 0.0, 0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            logits = model.forward(dataset.images[idx])
-            loss, dlogits = softmax_cross_entropy(logits, dataset.labels[idx])
+    for batches in epochs:
+        total = 0.0
+        for batch in batches:
+            first, second = _halves(batch)
+            loss, grads = _half_gradient(model, dataset, first, batch.size)
+            if partner is not None:
+                loss2, grads2 = partner.receive(), theirs
+            elif second.size:
+                loss2, grads2 = _half_gradient(model, dataset, second, batch.size)
+            if second.size:
+                loss += loss2
+                grads = [np.add(g1, g2, out=out) for g1, g2, out in zip(grads, grads2, summed)]
             if not np.isfinite(loss):
                 raise FloatingPointError(f"training diverged: loss = {loss}")
-            model.backward(dlogits)
-            for _, layer in model.trainable:
-                layer.w -= config.lr * layer.grad_w
-            _project(model, pruned, w_cut)
-            total += loss * idx.size
-            seen += idx.size
-        losses.append(total / seen)
+            if partner is not None:
+                if not second.size:             # the partner steps by `summed`
+                    for g1, out in zip(grads, summed):
+                        np.copyto(out, g1)
+                partner.send(None)
+            _step(model, grads, lr, pruned, w_cut)
+            total += loss
+        losses.append(total / len(dataset))
     return losses
+
+
+def _second_halves(model, dataset, epochs, lr, pruned, w_cut, link, shared):
+    """The partner's side of `_descend`: for every minibatch, send the
+    second half's summed loss (None where the half is empty) with its
+    gradients in the shared buffer, wait for the go, and step by the sum
+    found there."""
+    theirs, summed = _gradient_slots(model, shared)
+    for batches in epochs:
+        for batch in batches:
+            _, second = _halves(batch)
+            loss = None
+            if second.size:
+                loss, grads = _half_gradient(model, dataset, second, batch.size)
+                for grad, out in zip(grads, theirs):
+                    np.copyto(out, grad)
+            link.send(loss)
+            link.recv()
+            _step(model, summed, lr, pruned, w_cut)
+
+
+def _multiply_adds(spec: ModelSpec) -> int:
+    """Multiply-adds of one image's forward pass: every trainable layer's
+    rows x columns, times its output positions for a convolution."""
+    walk = spec.shape_walk()
+    infos = iter(spec.unrolled_layers())
+    total = 0
+    for (layer, _), (_, outgoing) in zip(walk, walk[1:] + [(None, None)]):
+        if isinstance(layer, (ConvSpec, DenseSpec)):
+            info = next(infos)
+            positions = outgoing[1] * outgoing[2] if isinstance(layer, ConvSpec) else 1
+            total += info.rows * info.cols * positions
+    return total
+
+
+# Fewest forward multiply-adds (`_multiply_adds` of the live net x images,
+# x epochs for a fit) for which a fit runs its second halves in a partner
+# process and `evaluate` splits its batches over processes; a smaller call
+# runs in this process alone, as fork, join and the per-step messages cost
+# more than the second CPU saves. Median of 21 interleaved rounds per row,
+# one epoch of `train` at batch 32 or one `evaluate` at batch 256, on 1 and
+# on 2 usable CPUs, from a 150 MB parent (numpy 2.4, Python 3.11, 2-vCPU
+# Xeon, one OpenBLAS thread); ref is `reference_model_spec`, ref-cf its
+# cf@0.5 live net (the benchmark's), tiny `tiny_model_spec`:
+#
+#   call       net      images   M mult-adds   1 CPU      2 CPUs   change
+#   train      ref-cf     128        59         38.1 ms    38.7 ms    +2 %
+#   train      ref-cf     256       118         54.5       49.2      -10 %
+#   train      ref-cf     512       237         99.9       80.3      -20 %
+#   train      ref-cf    1024       473        182.8      128.0      -30 %
+#   train      ref         64       116         39.6       45.2      +14 %
+#   train      ref        128       232         71.9       65.6       -9 %
+#   train      ref        256       463        154.0      112.2      -27 %
+#   train      tiny      1024         5         19.9       29.1      +46 %
+#   train      tiny      4096        21        118.5       82.9      -30 %
+#   evaluate   ref-cf     300       139         37.2       38.8       +4 %
+#   evaluate   ref-cf     512       237         52.3       42.3      -19 %
+#   evaluate   ref-cf    1000       462         93.2       66.5      -29 %
+#   evaluate   ref        512       926        121.9       77.8      -36 %
+#   evaluate   tiny      1024         5         10.0       15.0      +50 %
+#   evaluate   tiny      4096        21         36.4       31.9      -13 %
+#
+# The reference nets break even between 120 and 230 M multiply-adds. The
+# tiny net, whose time goes mostly to per-call overhead, not to
+# multiply-adds, gains from 21 M on but stays in one process below the
+# constant, which is set for the reference nets.
+PARALLEL_MIN_MULTIPLY_ADDS = 250 * 10 ** 6
+
+
+def _sgd_epochs(model, dataset, config, epochs, pruned, w_cut, rng):
+    """`epochs` of minibatch SGD on `model` (see `_descend`), projected
+    before the first step and after every one; returns the per-epoch
+    losses. One permutation of the data per epoch, drawn up front, fixes
+    the minibatches. The second halves run in a forked partner
+    (`_parallel._partner`: this process and the partner pinned to one CPU
+    each, the mask restored after) when this process may use two CPUs,
+    the batch size is at least 2 and the fit makes at least
+    `PARALLEL_MIN_MULTIPLY_ADDS` forward multiply-adds; otherwise they run
+    here. Either way each half runs the same code on the same weights, so
+    the result is bitwise the same. OpenBLAS runs on one thread in both
+    paths, so it does not depend on the BLAS thread count either."""
+    _project(model, pruned, w_cut)
+    n, b = len(dataset), config.batch_size
+    orders = [rng.permutation(n) for _ in range(epochs)]
+    batches = [[order[start:start + b] for start in range(0, n, b)] for order in orders]
+    args = (model, dataset, batches, config.lr, pruned, w_cut)
+    if (b < 2 or _parallel._usable_cpus() < 2
+            or epochs * n * _multiply_adds(model.spec) < PARALLEL_MIN_MULTIPLY_ADDS):
+        with _parallel._one_blas_thread():
+            return _descend(*args)
+    # two float64 copies of every weight: the partner's gradients, the sums
+    size = 2 * 8 * sum(layer.w.size for _, layer in model.trainable)
+    with _parallel._partner(partial(_second_halves, *args), size) as partner:
+        return _descend(*args, partner)
 
 
 def _fit(model, dataset, config, epochs, w_cut, rng):
@@ -708,7 +868,10 @@ def train(model: Network, dataset: Dataset, config: TrainConfig):
     """Minibatch SGD with cross-entropy for `config.epochs` epochs; returns
     (model, per-epoch mean loss). Whatever the pruning method, the live
     sub-network of `config.pattern`'s masks trains and its weights are
-    scattered back (see `_fit`); pruned weights end exactly zero."""
+    scattered back (see `_fit`); pruned weights end exactly zero. Each
+    minibatch's gradient is its two halves' summed (see `_sgd_epochs`),
+    which a large fit computes on two CPUs; the weights and losses are
+    bitwise the same on any number of CPUs."""
     rng = np.random.default_rng(config.seed)
     return model, _fit(model, dataset, config, config.epochs, None, rng)
 
@@ -752,7 +915,10 @@ def evaluate(model: Network, dataset: Dataset, batch_size: int = 256) -> float:
     evaluates at its live widths. The layers have no biases, so a
     dead channel adds exactly zero to the logits and dropping it changes
     them only by the rounding of a shorter GEMM. `model` is not run and
-    keeps no activations."""
+    keeps no activations. A call of at least `PARALLEL_MIN_MULTIPLY_ADDS`
+    forward multiply-adds splits its batches over the usable CPUs
+    (`_parallel._fork_map`); each batch runs whole in one process, so
+    the accuracy does not depend on the split."""
     check_int("batch_size", batch_size, 1)
     n = len(dataset)
     if n == 0:
@@ -760,12 +926,14 @@ def evaluate(model: Network, dataset: Dataset, batch_size: int = 256) -> float:
     _check_labels(model.spec, dataset)
     full = model.unrolled_weights()
     sub, _ = _narrowed(model.spec, full, _live_channels(model.spec, full))
-    correct = 0
-    for start in range(0, n, batch_size):
-        logits = sub.forward(dataset.images[start:start + batch_size])
-        correct += int((logits.argmax(axis=1)
-                        == dataset.labels[start:start + batch_size]).sum())
-    return correct / n
+
+    def correct(i):
+        batch = slice(i * batch_size, (i + 1) * batch_size)
+        return int((sub.forward(dataset.images[batch]).argmax(axis=1)
+                    == dataset.labels[batch]).sum())
+
+    split = n * _multiply_adds(sub.spec) >= PARALLEL_MIN_MULTIPLY_ADDS
+    return sum(_parallel._fork_map(correct, math.ceil(n / batch_size), split)) / n
 
 
 def inject_nonideal_weights(model: Network, matrices: dict[str, np.ndarray]) -> Network:

@@ -248,9 +248,13 @@ def compression_rate(model_spec, pattern: SparsityPattern | None, n: int) -> flo
 
 
 def apply_mask(w: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Elementwise mask; pruned entries come back exactly zero."""
+    """Elementwise mask; pruned entries (mask 0) come back +0.0, whatever
+    the weight there, NaN and inf included."""
     w = np.asarray(w)
     mask = np.asarray(mask)
     if w.shape != mask.shape:
         raise ValueError(f"mask shape {mask.shape} does not match weights {w.shape}")
-    return w * mask
+    out = np.zeros(w.shape, dtype=np.result_type(w, mask))
+    kept = mask != 0
+    out[kept] = w[kept] * mask[kept]
+    return out

@@ -274,12 +274,14 @@ def network_forward(layers, weights, x):
 def masked_sgd(net, dataset, masks, lr, batch_size, epochs, rng, w_cut=None):
     """Minibatch SGD with softmax cross-entropy on `net`, a package
     Network, at full width: project, then for each batch of one permutation
-    of the data per epoch, forward, backward, w -= lr * grad and project
-    again. Projecting clips every weight to [-w_cut, w_cut] (unless w_cut is
-    None) and multiplies it by its layer's mask; `masks` holds unrolled
-    (fan-in x outputs) masks by layer name, the shape of every layer's
-    weights, and a layer without one is unpruned. Returns the per-epoch
-    mean losses."""
+    of the data per epoch, w -= lr * grad and project again. A batch of b
+    samples has the gradient of its first ceil(b/2) samples plus that of
+    the rest, each from its own forward and backward with the softmax
+    gradient divided by b. Projecting clips every weight to
+    [-w_cut, w_cut] (unless w_cut is None) and multiplies it by its layer's
+    mask; `masks` holds unrolled (fan-in x outputs) masks by layer name,
+    the shape of every layer's weights, and a layer without one is
+    unpruned. Returns the per-epoch mean losses."""
     def project():
         for name, layer in net.trainable:
             if w_cut is not None:
@@ -295,16 +297,22 @@ def masked_sgd(net, dataset, masks, lr, batch_size, epochs, rng, w_cut=None):
         total = 0.0
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            labels = dataset.labels[idx]
-            logits = net.forward(dataset.images[idx])
-            z = logits - logits.max(axis=1, keepdims=True)
-            logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-            total -= logp[np.arange(idx.size), labels].sum()
-            dlogits = np.exp(logp)
-            dlogits[np.arange(idx.size), labels] -= 1.0
-            net.backward(dlogits / idx.size)
-            for _, layer in net.trainable:
-                layer.w = layer.w - lr * layer.grad_w
+            split = math.ceil(idx.size / 2)
+            grads = []
+            for half in (idx[:split], idx[split:]):
+                if not half.size:
+                    continue
+                labels = dataset.labels[half]
+                logits = net.forward(dataset.images[half])
+                z = logits - logits.max(axis=1, keepdims=True)
+                logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+                total -= logp[np.arange(half.size), labels].sum()
+                dlogits = np.exp(logp)
+                dlogits[np.arange(half.size), labels] -= 1.0
+                net.backward(dlogits / idx.size)
+                grads.append([layer.grad_w for _, layer in net.trainable])
+            for i, (_, layer) in enumerate(net.trainable):
+                layer.w = layer.w - lr * sum(grad[i] for grad in grads)
             project()
         losses.append(total / n)
     return losses

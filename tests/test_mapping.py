@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xbarprune import mapping
+from xbarprune import _parallel, mapping
 from xbarprune.circuit import (
     CrossbarParams,
     CrossbarSystem,
@@ -529,7 +529,7 @@ def parallel_case(layout, row_blocks=7, cols=12):
 def workers(monkeypatch):
     """Pin the CPU helper to a worker count and split every layer."""
     def pin(count):
-        monkeypatch.setattr(mapping, "_usable_cpus", lambda: count)
+        monkeypatch.setattr(_parallel, "_usable_cpus", lambda: count)
         monkeypatch.setattr(mapping, "PARALLEL_MIN_CELLS", 0)
     return pin
 
@@ -584,13 +584,13 @@ def test_layers_split_into_contiguous_chunks_one_per_worker(workers, monkeypatch
     assert_no_child_left()
 
 
-@pytest.mark.skipif(not mapping._openblas_threads(), reason="no OpenBLAS found")
+@pytest.mark.skipif(not _parallel._openblas_threads(), reason="no OpenBLAS found")
 def test_split_tiles_run_openblas_on_one_thread_per_process(workers, monkeypatch,
                                                            tmp_path):
     simulate_tile = mapping._simulate_tile
 
     def counts():
-        return [get() for get, _ in mapping._openblas_threads()]
+        return [get() for get, _ in _parallel._openblas_threads()]
 
     def logged(tile, pl, *args):
         (tmp_path / f"{pl.row_block}-{os.getpid()}").write_text(repr(counts()))
@@ -614,7 +614,7 @@ def test_a_layer_below_the_threshold_stays_in_this_process(monkeypatch, tmp_path
         return simulate_tile(tile, pl, *args)
 
     monkeypatch.setattr(mapping, "_simulate_tile", logged)
-    monkeypatch.setattr(mapping, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
     n = 8
     tiles = mapping.PARALLEL_MIN_CELLS // n ** 2 - 1
     simulate_layer(np.ones((n * tiles, n)), CrossbarParams(n, n))
@@ -655,8 +655,8 @@ def test_a_worker_that_dies_without_sending_is_reported(workers, monkeypatch):
 
 def test_the_cpu_helper_counts_the_affinity_mask_and_one_in_a_daemon():
     if hasattr(os, "sched_getaffinity"):
-        assert mapping._usable_cpus() == len(os.sched_getaffinity(0))
+        assert _parallel._usable_cpus() == len(os.sched_getaffinity(0))
     # a multiprocessing pool's workers are daemonic and may not fork
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        assert pool.apply(mapping._usable_cpus) == 1
+        assert pool.apply(_parallel._usable_cpus) == 1
     assert_no_child_left()

@@ -1,4 +1,7 @@
 import dataclasses
+import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -43,6 +46,7 @@ from xbarprune.nn import (
     wct_clamp,
     wct_train,
 )
+from xbarprune import _parallel, nn
 from xbarprune.nn import _live_channels, _narrowed
 from xbarprune.pruning import METHODS, SparsityPattern, gen_mask_cf, gen_mask_xcs, gen_mask_xrs
 
@@ -1195,3 +1199,171 @@ def test_training_and_wct_bit_identical_for_seed():
     for name in trained_a:
         assert np.array_equal(trained_a[name], trained_b[name])
         assert np.array_equal(wct_a[name], wct_b[name])
+
+
+# ------------------------------------------------------------- CPU count
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Pin the CPU helper to a count and split every fit and evaluation."""
+    def pin(count):
+        monkeypatch.setattr(_parallel, "_usable_cpus", lambda: count)
+        monkeypatch.setattr(nn, "PARALLEL_MIN_MULTIPLY_ADDS", 0)
+    return pin
+
+
+def assert_no_child_left(mask):
+    assert multiprocessing.active_children() == []
+    assert os.sched_getaffinity(0) == mask
+
+
+def cpu_count_run(spec, pattern, data, test_set, batch_size):
+    """train (two epochs, so that a short last batch is not the last step)
+    and wct_train, then evaluate, from a fresh net: every trained weight,
+    the losses, w_cut and the accuracy."""
+    net = Network(spec)
+    config = TrainConfig(epochs=2, batch_size=batch_size, seed=3, pattern=pattern,
+                         wct=WctConfig(epochs=1))
+    _, losses = train(net, data, config)
+    trained = {k: w.tobytes() for k, w in net.unrolled_weights().items()}
+    _, w_cut = wct_train(net, data, config)
+    return (trained, losses, w_cut, {k: w.tobytes() for k, w in net.unrolled_weights().items()},
+            evaluate(net, test_set, batch_size=4))
+
+
+# On 5 samples, a batch size of 1 leaves every second half empty, 3 makes
+# an odd batch and a short last one of 2, and 2 a short last batch of 1,
+# whose second half is empty.
+@pytest.mark.parametrize("method, batch_size", [
+    (None, 1), (None, 3), ("cf", 2), ("xcs", 3), ("xrs", 2),
+], ids=["dense-one", "dense-odd", "cf-short-last", "xcs-odd", "xrs-short-last"])
+def test_results_do_not_depend_on_the_cpu_count(cpus, method, batch_size):
+    spec = reference_model_spec(init_seed=6)
+    pattern = None if method is None else make_pattern(method, spec, seed=6)
+    data, test_set = gen_synthetic_dataset(6, 5, 11)
+    mask = os.sched_getaffinity(0)
+    runs = []
+    for count in (1, 2, 3):
+        cpus(count)
+        runs.append(cpu_count_run(spec, pattern, data, test_set, batch_size))
+        assert_no_child_left(mask)
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+def log_halves(monkeypatch, log):
+    """Record the process, its affinity mask, its OpenBLAS thread counts
+    and the half's size for every half-minibatch gradient from now on."""
+    half_gradient = nn._half_gradient
+
+    def logged(model, dataset, half, b):
+        counts = [get() for get, _ in _parallel._openblas_threads()]
+        (log / f"{os.getpid()}-{len(list(log.iterdir()))}").write_text(
+            json.dumps([sorted(os.sched_getaffinity(0)), counts, int(half.size), b]))
+        return half_gradient(model, dataset, half, b)
+
+    monkeypatch.setattr(nn, "_half_gradient", logged)
+
+
+def logged_halves(log):
+    """{pid: [(mask, BLAS thread counts, half size, b), ...]} in order."""
+    out = {}
+    for path in sorted(log.iterdir(), key=lambda p: int(p.name.split("-")[1])):
+        out.setdefault(int(path.name.split("-")[0]), []).append(json.loads(path.read_text()))
+    return out
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_second_halves_run_in_a_partner_pinned_to_another_cpu(cpus, monkeypatch, tmp_path):
+    cpus(2)
+    log_halves(monkeypatch, tmp_path)
+    mask = os.sched_getaffinity(0)
+    first, second = sorted(mask)[:2]
+    data, _ = gen_synthetic_dataset(1, 7, 1)
+    train(Network(tiny_model_spec(init_seed=1)), data, TrainConfig(epochs=1, batch_size=3))
+    assert_no_child_left(mask)
+    halves = logged_halves(tmp_path)
+    assert len(halves) == 2
+    ones = [1] * len(_parallel._openblas_threads())
+    # minibatches of 3, 3 and 1: the partner has nothing to add to the last
+    assert halves.pop(os.getpid()) == [[[first], ones, 2, 3], [[first], ones, 2, 3],
+                                       [[first], ones, 1, 1]]
+    assert list(halves.values()) == [[[[second], ones, 1, 3], [[second], ones, 1, 3]]]
+
+
+def test_a_fit_and_an_evaluation_below_the_break_even_stay_in_this_process(
+        monkeypatch, tmp_path):
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
+    forward = Network.forward
+
+    def logged(self, x):
+        (tmp_path / str(os.getpid())).touch()
+        return forward(self, x)
+
+    monkeypatch.setattr(Network, "forward", logged)
+    spec = tiny_model_spec(init_seed=1)
+    data, test_set = gen_synthetic_dataset(1, 64, 64)
+    assert 64 * nn._multiply_adds(spec) < nn.PARALLEL_MIN_MULTIPLY_ADDS
+    net = Network(spec)
+    train(net, data, TrainConfig(epochs=1))
+    evaluate(net, test_set, batch_size=8)
+    assert [path.name for path in tmp_path.iterdir()] == [str(os.getpid())]
+
+
+def nan_in_a_second_half(data, batch_size, seed):
+    """`data` with a NaN pixel in the last sample of the first minibatch
+    that a fit seeded with `seed` draws, which falls in its second half."""
+    order = np.random.default_rng(seed).permutation(len(data))
+    images = data.images.copy()
+    images[order[batch_size - 1], 0, 3, 3] = np.nan
+    return Dataset(images, data.labels)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("run, seed", [(train, 2), (wct_train, [2, 1])], ids=["train", "wct"])
+def test_a_nan_in_a_second_half_raises_and_cleans_up(cpus, count, run, seed):
+    cpus(count)
+    net = Network(tiny_model_spec(init_seed=1))
+    config = TrainConfig(epochs=1, batch_size=4, seed=2, wct=WctConfig(epochs=1))
+    data = nan_in_a_second_half(small_data()[0], config.batch_size, seed)
+    before = {k: w.tobytes() for k, w in net.unrolled_weights().items()}
+    mask = os.sched_getaffinity(0)
+    with pytest.raises(FloatingPointError, match="training diverged: loss = nan"):
+        run(net, data, config)
+    assert_no_child_left(mask)
+    assert {k: w.tobytes() for k, w in net.unrolled_weights().items()} == before
+
+
+def test_an_error_in_the_partner_reaches_the_caller(cpus, monkeypatch):
+    cpus(2)
+    parent, half_gradient = os.getpid(), nn._half_gradient
+
+    def faulty(model, dataset, half, b):
+        if os.getpid() != parent:
+            raise ZeroDivisionError(f"second half of {half.size}")
+        return half_gradient(model, dataset, half, b)
+
+    monkeypatch.setattr(nn, "_half_gradient", faulty)
+    mask = os.sched_getaffinity(0)
+    with pytest.raises(ZeroDivisionError, match="second half of 2"):
+        train(Network(tiny_model_spec(init_seed=1)), small_data()[0],
+              TrainConfig(epochs=1, batch_size=4))
+    assert_no_child_left(mask)
+
+
+def test_a_partner_that_dies_without_answering_is_reported(cpus, monkeypatch):
+    cpus(2)
+    parent, half_gradient = os.getpid(), nn._half_gradient
+
+    def dying(model, dataset, half, b):
+        if os.getpid() != parent:
+            os._exit(3)
+        return half_gradient(model, dataset, half, b)
+
+    monkeypatch.setattr(nn, "_half_gradient", dying)
+    mask = os.sched_getaffinity(0)
+    with pytest.raises(RuntimeError, match="partner process exited with code 3"):
+        train(Network(tiny_model_spec(init_seed=1)), small_data()[0],
+              TrainConfig(epochs=1, batch_size=4))
+    assert_no_child_left(mask)

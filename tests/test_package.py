@@ -47,11 +47,14 @@ def package_imports(module):
 
 
 def test_module_layering():
-    # the scalar rules are a leaf, circuit depends on them alone, and the
+    # the scalar rules and the process helpers are leaves, circuit depends
+    # on the rules alone, the network code on the two leaves alone, and the
     # tile mapping does not reach into the network code
     assert package_imports("_checks") == set()
+    assert package_imports("_parallel") == set()
     assert package_imports("circuit") == {"_checks"}
-    assert {"_checks", "circuit", "pruning"} <= package_imports("mapping")
+    assert package_imports("nn") == {"_checks", "_parallel"}
+    assert {"_checks", "_parallel", "circuit", "pruning"} <= package_imports("mapping")
     assert "nn" not in package_imports("mapping")
 
 

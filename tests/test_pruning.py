@@ -431,3 +431,14 @@ def test_apply_mask_identity_zero_idempotent():
 def test_apply_mask_shape_mismatch():
     with pytest.raises(ValueError):
         apply_mask(np.ones((2, 2)), np.ones((2, 3)))
+
+
+def test_apply_mask_zeroes_pruned_weights_that_are_not_finite():
+    # w * mask once left NaN at the pruned NaN and inf entries, with a
+    # RuntimeWarning for inf * 0; a kept NaN stays NaN
+    w = np.array([[np.nan, 1.0, np.nan], [np.inf, -2.0, -3.0]])
+    out = apply_mask(w, np.array([[0, 1, 1], [0, 1, 0]]))
+    assert out[:, 1].tolist() == [1.0, -2.0]
+    assert np.isnan(out[0, 2])
+    assert out[1, 2] == 0.0 and out[:, 0].tolist() == [0.0, 0.0]
+    assert not np.signbit(out[[0, 1, 1], [0, 0, 2]]).any()
