@@ -57,13 +57,22 @@ w_cut taken over the full-width weights, pruned zeros included.
 `evaluate` reads the live channels off the weights instead, so a pruned
 net, and the non-ideal copy of one that `inject_nonideal_weights` makes,
 evaluates at its live widths with no pattern passed.
+
+Only a training forward (`Network.forward`, and `forward` of a layer)
+keeps what backward reads: a convolution its im2col matrix and input
+shape, a ReLU its mask, a max pool its argmax index and input shape,
+each held until the layer's next forward. `evaluate` runs the same layer
+code with none of it kept, so its logits are bitwise the training
+forward's while a batch holds one layer's working set at a time; a
+backward after such a forward raises rather than read an earlier batch's
+state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -236,13 +245,16 @@ def tiny_model_spec(init_seed: int = 0) -> ModelSpec:
 # --------------------------------------------------------------- im2col
 
 
+@lru_cache(maxsize=256)
 def _taps(size: int, k: int, stride: int, padding: int):
     """For one axis of an input of length `size` with `padding` zeros on
     each side and a window of length k: the number `out` of window
     positions and, for each window offset r, the slice of the positions o
     whose tap o*stride + r - padding lands inside the input and the slice
     of the input elements those taps read. The taps of the other positions
-    read padding. Returns (out, taps)."""
+    read padding. Returns (out, taps), taps a tuple of slice pairs: the
+    result is cached, as every `im2col` and `col2im` of a layer asks for
+    the same axes."""
     out = (size + 2 * padding - k) // stride + 1
     taps = []
     for r in range(k):
@@ -250,7 +262,7 @@ def _taps(size: int, k: int, stride: int, padding: int):
         hi = max(lo, min(out, (size - 1 + padding - r) // stride + 1))
         start = lo * stride + r - padding
         taps.append((slice(lo, hi), slice(start, start + stride * (hi - lo), stride)))
-    return out, taps
+    return out, tuple(taps)
 
 
 def im2col(x: np.ndarray, window, stride: int, padding: int):
@@ -293,7 +305,27 @@ def col2im(dcols: np.ndarray, x_shape, window, stride: int, padding: int) -> np.
 # --------------------------------------------------------------- layers
 
 
-class Conv2d:
+class _Layer:
+    """A layer's one forward pass, for training and inference alike:
+    `forward` keeps the state that `backward` reads, `_forward(x, False)`
+    computes the same output bit for bit and keeps none. Either first
+    drops the state of the forward before it, so a `backward` after a
+    state-free forward raises instead of reading a stale batch."""
+
+    _state = None
+
+    def forward(self, x):
+        """The output for x, keeping the state that `backward` reads."""
+        return self._forward(x, True)
+
+    def _kept(self):
+        if self._state is None:
+            raise RuntimeError(f"{self.kind} backward needs the state of a training "
+                               f"forward, and the last forward kept none")
+        return self._state
+
+
+class Conv2d(_Layer):
     """The one trainable layer: the convolution of a channels-last input
     (n, h, w, in_ch) by a (kh, kw) `window` to (n, ho, wo, out_ch) as one
     GEMM, `im2col(x) @ w`. `w` is the C-contiguous (in_ch*kh*kw, out_ch)
@@ -304,23 +336,25 @@ class Conv2d:
     stride 1 and no padding. The input gradient is one GEMM by W^T with
     W's rows permuted into (window row, window column, channel) order, so
     that `col2im` adds whole slabs; each of its elements sums the same
-    out_ch terms in the same order."""
+    out_ch terms in the same order. A training forward keeps the im2col
+    matrix and the input shape."""
 
     kind = "conv"
 
     def __init__(self, window, stride: int, padding: int, w: np.ndarray):
         self.window, self.stride, self.padding, self.w = window, stride, padding, w
         self.grad_w = None
-        self._cache = None
 
-    def forward(self, x):
+    def _forward(self, x, keep):
+        self._state = None
         cols, ho, wo = im2col(x, self.window, self.stride, self.padding)
-        self._cache = (cols, x.shape)
+        if keep:
+            self._state = cols, x.shape
         return (cols @ self.w).reshape(x.shape[0], ho, wo, self.w.shape[1])
 
     def grad_weights(self, dout):
         """Set grad_w from the output gradient (n, ho, wo, out_ch)."""
-        self.grad_w = self._cache[0].T @ dout.reshape(-1, self.w.shape[1])
+        self.grad_w = self._kept()[0].T @ dout.reshape(-1, self.w.shape[1])
 
     def backward(self, dout):
         """Set grad_w and return the input gradient (n, h, w, in_ch)."""
@@ -328,25 +362,30 @@ class Conv2d:
         out_ch = self.w.shape[1]
         w_t = self.w.reshape(-1, *self.window, out_ch).transpose(1, 2, 0, 3)
         dcols = dout.reshape(-1, out_ch) @ w_t.reshape(-1, out_ch).T
-        return col2im(dcols, self._cache[1], self.window, self.stride, self.padding)
+        return col2im(dcols, self._kept()[1], self.window, self.stride, self.padding)
 
 
 _LOWEST = np.finfo(np.float64).min
 
 
-class ReLU:
+class ReLU(_Layer):
+    """x * (x > 0); a training forward keeps the mask x > 0."""
+
     kind = "relu"
 
-    def forward(self, x):
+    def _forward(self, x, keep):
+        self._state = None
         # x * (x > 0), with -inf raised to the lowest double first: -inf * 0
         # is NaN, the lowest double times 0 is -0.0 like any other negative
-        self._mask = x > 0
+        mask = x > 0
         out = np.maximum(x, _LOWEST)
-        out *= self._mask
+        out *= mask
+        if keep:
+            self._state = mask
         return out
 
     def backward(self, dout):
-        return dout * self._mask
+        return dout * self._kept()
 
 
 def _where_bits(cond, a, b):
@@ -357,14 +396,15 @@ def _where_bits(cond, a, b):
     return (bi ^ ((ai ^ bi) & -cond.astype(np.int64))).view(np.float64)
 
 
-class MaxPool2:
+class MaxPool2(_Layer):
     """2x2 max pooling, stride 2, over a channels-last (n, h, w, c); an odd
     last row or column is dropped. The window's four entries are strided
     views of x, compared in row-major window order: an entry replaces the
     running maximum only if it is larger or is the window's first NaN, so
     the entry kept is the one `argmax` would pick, and a tie goes to the
-    first. An int8 index keeps that entry, and backward routes the whole
-    gradient to it and +0.0 to the other three."""
+    first. A training forward keeps that entry's int8 index and the input
+    shape, and backward routes the whole gradient to it and +0.0 to the
+    other three."""
 
     kind = "pool"
 
@@ -374,24 +414,27 @@ class MaxPool2:
         h2, w2 = x.shape[1] // 2 * 2, x.shape[2] // 2 * 2
         return [x[:, r:h2:2, c:w2:2] for r in (0, 1) for c in (0, 1)]
 
-    def forward(self, x):
+    def _forward(self, x, keep):
+        self._state = None
         best, *rest = self._views(x)
-        idx = np.zeros(best.shape, dtype=np.int8)
+        idx = np.zeros(best.shape, dtype=np.int8) if keep else None
         for j, view in enumerate(rest, start=1):
             # argmax's rule: a larger value or the window's first NaN wins
             upd = ~(view <= best) & (best == best)
             best = _where_bits(upd, view, best)
-            idx = np.maximum(idx, upd * np.int8(j))   # j exceeds every earlier index
-        self._idx = idx
-        self._x_shape = x.shape
+            if keep:
+                idx = np.maximum(idx, upd * np.int8(j))   # j exceeds every earlier index
+        if keep:
+            self._state = idx, x.shape
         return best
 
     def backward(self, dout):
-        dx = np.zeros(self._x_shape)
+        idx, x_shape = self._kept()
+        dx = np.zeros(x_shape)
         bits = dout.view(np.int64)
         for j, view in enumerate(self._views(dx)):
-            keep = -(self._idx == j).astype(np.int64)
-            np.bitwise_and(bits, keep, out=view.view(np.int64))
+            routed = -(idx == j).astype(np.int64)
+            np.bitwise_and(bits, routed, out=view.view(np.int64))
         return dx
 
 
@@ -468,20 +511,27 @@ class Network:
 
     def forward(self, x):
         """Logits (n, classes) for NCHW images x (n, *spec.input_shape); an
-        empty batch gives (0, classes)."""
+        empty batch gives (0, classes). This is the training forward: every
+        layer keeps the state that `backward` reads."""
+        return self._forward(x, True)
+
+    def _forward(self, x, keep):
+        """`forward`, every layer keeping its backward state only if `keep`
+        (see `_Layer`): the logits are bitwise the same either way."""
         x = np.asarray(x, dtype=np.float64)
         shape = tuple(self.spec.input_shape)
         if x.ndim != 4 or x.shape[1:] != shape:
             raise ValueError(f"images must be (n, {str(shape)[1:-1]}), got {x.shape}")
         x = x.transpose(0, 2, 3, 1)
         for layer in self.layers:
-            x = layer.forward(x)
+            x = layer._forward(x, keep)
         return x.reshape(x.shape[0], x.shape[3])
 
     def backward(self, dout):
         """Set grad_w of every trainable layer from the gradient of the
-        logits. No input gradient is formed for the first trainable layer,
-        since nothing before it learns."""
+        logits of the last `forward`. No input gradient is formed for the
+        first trainable layer, since nothing before it learns. Raises
+        RuntimeError after a forward that kept no state."""
         dout = dout.reshape(dout.shape[0], 1, 1, dout.shape[1])
         first = self.layers.index(self.trainable[0][1])
         for layer in reversed(self.layers[first + 1:]):
@@ -914,8 +964,13 @@ def evaluate(model: Network, dataset: Dataset, batch_size: int = 256) -> float:
     `_live_channels`), so a pruned net, or the non-ideal copy of one,
     evaluates at its live widths. The layers have no biases, so a
     dead channel adds exactly zero to the logits and dropping it changes
-    them only by the rounding of a shorter GEMM. `model` is not run and
-    keeps no activations. A call of at least `PARALLEL_MIN_MULTIPLY_ADDS`
+    them only by the rounding of a shorter GEMM. `model` is not run. The
+    fresh network runs the state-free forward: no layer keeps an im2col
+    matrix, mask or pool index, each activation is freed once the next
+    layer has read it, and a batch's peak memory is the largest working
+    set of one layer (its input, im2col matrix and output), not the sum
+    of every layer's training state. The logits are bitwise those of the
+    training forward. A call of at least `PARALLEL_MIN_MULTIPLY_ADDS`
     forward multiply-adds splits its batches over the usable CPUs
     (`_parallel._fork_map`); each batch runs whole in one process, so
     the accuracy does not depend on the split."""
@@ -929,7 +984,7 @@ def evaluate(model: Network, dataset: Dataset, batch_size: int = 256) -> float:
 
     def correct(i):
         batch = slice(i * batch_size, (i + 1) * batch_size)
-        return int((sub.forward(dataset.images[batch]).argmax(axis=1)
+        return int((sub._forward(dataset.images[batch], False).argmax(axis=1)
                     == dataset.labels[batch]).sum())
 
     split = n * _multiply_adds(sub.spec) >= PARALLEL_MIN_MULTIPLY_ADDS

@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import math
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -567,15 +569,16 @@ def test_train_and_wct_match_the_masked_sgd_oracle(method):
 
 
 def spy_widths(monkeypatch):
-    """The weight shapes of every trainable layer's forward from now on."""
+    """The weight shapes of every trainable layer's forward from now on,
+    with or without backward state: both run `Conv2d._forward`."""
     seen = set()
-    forward = Conv2d.forward
+    forward = Conv2d._forward
 
-    def spy(self, x):
+    def spy(self, x, keep):
         seen.add(self.w.shape)
-        return forward(self, x)
+        return forward(self, x, keep)
 
-    monkeypatch.setattr(Conv2d, "forward", spy)
+    monkeypatch.setattr(Conv2d, "_forward", spy)
     return seen
 
 
@@ -905,6 +908,85 @@ def test_relu_feeding_a_pool_runs_after_it():
     spec = ModelSpec((ConvSpec(1, 2, 3), ReluSpec(), PoolSpec(), PoolSpec(), DenseSpec(8, 2)))
     assert [layer.kind for layer in Network(spec).layers] == [
         "conv", "pool", "pool", "relu", "conv"]
+
+
+# ------------------------------------------------- state-free forward
+
+
+def special_images(spec, n, seed):
+    """n random images of `spec` with NaN and -0.0 pixels, and an all-zero
+    and an all -0.0 image, which leave every window of the maps without a
+    positive entry."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, *spec.input_shape))
+    x[rng.random(x.shape) < 0.01] = np.nan
+    x[rng.random(x.shape) < 0.2] = -0.0
+    x[1] = 0.0
+    x[2] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("spec_fn", [reference_model_spec, tiny_model_spec])
+def test_state_free_forward_gives_the_training_logits_bit_for_bit(spec_fn):
+    spec = spec_fn(init_seed=3)
+    net = Network(spec)
+    x = special_images(spec, 24, seed=3)
+    logits = net.forward(x)
+    assert np.isnan(logits).any() and not np.isnan(logits).all()
+    assert same_bits(net._forward(x, False), logits)
+    # it drops the training forward's state and keeps none of its own
+    held = [(i, name) for i, layer in enumerate(net.layers) for name, _ in _arrays(layer)]
+    assert held == [(net.layers.index(layer), "w") for _, layer in net.trainable]
+    assert same_bits(net.forward(x), logits)
+
+
+def test_backward_after_a_state_free_forward_raises():
+    spec = tiny_model_spec(init_seed=3)
+    net = Network(spec)
+    x = special_images(spec, 4, seed=4)
+    dlogits = np.ones((4, 4))
+    with pytest.raises(RuntimeError, match="training forward"):
+        net.backward(dlogits)                   # no forward yet
+    net.forward(x)
+    net.backward(dlogits)
+    net._forward(x, False)
+    with pytest.raises(RuntimeError, match="training forward"):
+        net.backward(dlogits)
+    for layer in net.layers:
+        with pytest.raises(RuntimeError, match=f"{layer.kind} backward"):
+            layer.backward(np.ones((4, 1, 1, 4)))
+
+
+def test_evaluate_holds_one_layers_working_set_at_a_time(monkeypatch):
+    # at batch 256 the reference net's widest layer, conv2, reads a 2.1 MB
+    # input, unrolls it to an 18.9 MB im2col matrix and writes a 4.2 MB
+    # output; the training forward's state of all layers adds up to more
+    spec = reference_model_spec(init_seed=1)
+    net, n = Network(spec), 256
+    probe = net.copy()
+    probe.forward(np.zeros((n, *spec.input_shape)))
+    working = max(cols.nbytes + 8 * (math.prod(shape) + cols.shape[0] * layer.w.shape[1])
+                  for _, layer in probe.trainable for cols, shape in [layer._state])
+    kept = sum(a.nbytes for layer in probe.layers for name, a in _arrays(layer) if name != "w")
+    weights = sum(w.nbytes for w in net.unrolled_weights().values())
+    bound = working + weights + 2 ** 20
+    assert bound < kept
+    _, test_set = gen_synthetic_dataset(1, 8, 3 * n)
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 1)   # no child to miss
+    tracemalloc.start()
+    try:
+        evaluate(net, test_set, batch_size=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
+def test_taps_are_cached_as_immutable_tuples():
+    out, taps = nn._taps(7, 3, 2, 1)
+    assert nn._taps(7, 3, 2, 1)[1] is taps
+    assert out == 4 and isinstance(taps, tuple)
+    assert all(isinstance(pair, tuple) for pair in taps)
 
 
 # ----------------------------------------------- live-channel evaluation
