@@ -1,27 +1,45 @@
 """Work spread over the CPUs this process may use, with results that do
 not depend on how many there are.
 
-Two patterns, both on forked processes, so that a worker starts with the
-caller's state and nothing is pickled on the way in:
+Two patterns, both on forked processes:
 
-* ``_fork_map`` is a fork-join: ``[run(i) for i in range(count)]`` cut
-  into contiguous chunks, one per usable CPU, the first run in this
-  process and each other one in a forked child, gathered in order.
-  ``mapping.simulate_layer`` splits a layer's tiles with it and
-  ``nn.evaluate`` a test set's batches.
-* ``_partner`` forks one partner that works in lockstep with this
-  process: the two exchange one short pipe message each way per step and
-  share one anonymous ``mmap`` for the bulk data. ``nn``'s training
-  computes the second half of every minibatch in it.
+* ``_fork_map`` is a fork-join over a persistent pool:
+  ``[run(*a) for a in args]`` cut into contiguous chunks, one per usable
+  CPU, the first run in this process and each other one in a pool
+  worker, gathered in order. ``run`` must be a module-level function and
+  the arguments must pickle: each worker's chunk travels to it as one
+  standard pickle, ``run`` by its import path. ``mapping.simulate_layer``
+  splits a layer's tiles with it and ``nn.evaluate`` a test set's
+  batches.
+* ``_partner`` forks one partner per fit that works in lockstep with
+  this process: the two exchange one short pipe message each way per
+  step and share one anonymous ``mmap`` for the bulk data. ``nn``'s
+  training computes the second half of every minibatch in it.
 
-While either runs, each process is pinned to a CPU of its own and runs
-OpenBLAS on one thread, and this process's affinity mask is restored
-after. Unpinned, a child forked right after a busy spell on the other CPU
-(a fit's partner) shared its parent's CPU and gained nothing. The CPU
-count comes from the affinity mask (``os.sched_getaffinity``). Callers
-that already run the package in worker processes of their own should
-narrow each worker's CPU affinity (``os.sched_setaffinity``), or every
-worker forks as many children again.
+The pool's first split call forks one daemonic worker per extra usable
+CPU (more if a later call has more chunks), and later calls reuse them,
+so a split call pays no fork. A worker holds a copy-on-write snapshot of
+this process as it was at that fork, plus what it has built since, such
+as its own ``circuit._topology`` cache: it runs the functions and reads
+the module state of that snapshot, and sees later changes only through
+its arguments. Workers belong to the process that forked them: a forked
+child, such as a fit's partner, closes its copy of their pipes and forks
+workers of its own if it splits. A worker exits when its pipe reaches
+EOF and is terminated at interpreter exit; after any error, death or
+interrupted call every worker is terminated and the next call forks new
+ones, so no stale result is ever read. A call made while another is
+using the pool, from a chunk that splits again or from another thread,
+runs in this process alone. ``_shutdown`` terminates the pool at once.
+
+While either pattern runs, each process is pinned to a CPU of its own
+and runs OpenBLAS on one thread, and this process's affinity mask is
+restored after. Unpinned, a child forked right after a busy spell on the
+other CPU (a fit's partner) shared its parent's CPU and gained nothing.
+The CPU count comes from the affinity mask (``os.sched_getaffinity``).
+Callers that already run the package in worker processes of their own
+should narrow each worker's CPU affinity (``os.sched_setaffinity``), or
+every worker forks as many pool workers again, each holding a snapshot
+of its parent.
 """
 
 from __future__ import annotations
@@ -31,6 +49,9 @@ import functools
 import mmap
 import multiprocessing
 import os
+import pickle
+import signal
+import threading
 from contextlib import contextmanager
 
 
@@ -112,16 +133,29 @@ def _pinned():
         os.sched_setaffinity(0, before)
 
 
-def _run_chunk(send, run, lo: int, hi: int, cpu: int) -> None:
-    """A forked child's body: pin itself to `cpu`, then send
-    [run(i) for i in lo..hi-1], or the exception that stopped it."""
+def _serve(link) -> None:
+    """A pool worker's body: run every task that arrives on `link`, a
+    pickled (run, chunk, cpu), pinned to `cpu`, and send back
+    [run(*a) for a in chunk] or the exception that stopped it, until the
+    pipe closes. Interrupts are ignored; the parent decides when a worker
+    stops."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
+        while True:
+            _send_outcome(link, _run_task(link.recv_bytes()))
+    except (EOFError, ConnectionError):     # the parent closed its end
+        pass
+
+
+def _run_task(task: bytes):
+    """The outcome of one task: its results, or the exception that
+    stopped it."""
+    try:
+        run, chunk, cpu = pickle.loads(task)
         os.sched_setaffinity(0, {cpu})
-        outcome = [run(i) for i in range(lo, hi)]
+        return [run(*args) for args in chunk]
     except Exception as exc:            # re-raised by the parent
-        outcome = exc
-    _send_outcome(send, outcome)
-    send.close()
+        return exc
 
 
 def _receive(receive, process, what: str):
@@ -138,43 +172,82 @@ def _receive(receive, process, what: str):
     return message
 
 
-def _fork_map(run, count: int, split: bool) -> list:
-    """[run(i) for i in range(count)], on the usable CPUs if `split`:
-    contiguous chunks, the first in this process and each other one in a
-    forked child, gathered in order, with OpenBLAS on one thread in each.
-    Chunk k runs pinned to CPU k of the affinity mask (modulo its size),
-    and this process's mask is restored after. Every child is joined
-    before this returns or raises; a child's exception is raised here."""
-    workers = min(_usable_cpus(), count) if split else 1
-    if workers < 2:
-        return [run(i) for i in range(count)]
-    bounds = [count * k // workers for k in range(workers + 1)]
+_pool: list = []                # (process, pipe end) of each worker, in chunk order
+_pool_busy = threading.Lock()   # held by the one call that is using the pool
+
+
+def _workers(count: int) -> list:
+    """The first `count` workers of the pool, forking as many more as it
+    lacks; a pool with a dead worker is replaced whole."""
+    if not all(process.is_alive() for process, _ in _pool):
+        _shutdown()
     fork = multiprocessing.get_context("fork")
-    children, gathered = [], False
-    with _one_blas_thread(), _pinned() as cpus:
+    while len(_pool) < count:
+        mine, theirs = fork.Pipe()
+        process = fork.Process(target=_serve, args=(theirs,), daemon=True)
+        _pool.append((process, mine))   # listed first, so the worker closes its copy
         try:
-            for k, (lo, hi) in enumerate(zip(bounds[1:-1], bounds[2:]), start=1):
-                receive, send = fork.Pipe(duplex=False)
-                child = fork.Process(target=_run_chunk,
-                                     args=(send, run, lo, hi, cpus[k % len(cpus)]))
-                children.append((child, receive))
-                try:
-                    child.start()
-                finally:
-                    send.close()
-            results = [run(i) for i in range(bounds[1])]
-            for child, receive in children:
-                results.extend(_receive(receive, child, "a worker"))
+            process.start()
+        finally:
+            theirs.close()
+    return _pool[:count]
+
+
+def _shutdown() -> None:
+    """Terminate and join every worker of this process's pool."""
+    while _pool:
+        process, link = _pool.pop()
+        if process.pid is not None:     # the fork succeeded
+            process.terminate()
+            process.join()
+            process.close()
+        link.close()
+
+
+def _forget_pool() -> None:
+    """In a forked child: close its copies of the parent's pipe ends, so
+    that a worker sees EOF once its parent has gone, and start with no
+    pool. multiprocessing forgets its parent's children only in a child it
+    started itself, so the workers are dropped from its list here too;
+    otherwise a child's interpreter exit would terminate them."""
+    global _pool_busy
+    for process, link in _pool:
+        multiprocessing.process._children.discard(process)
+        link.close()
+    _pool.clear()
+    _pool_busy = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _fork_map(run, args: list, split: bool) -> list:
+    """[run(*a) for a in args], on the usable CPUs if `split`: contiguous
+    chunks, the first in this process and each other one in a pool
+    worker, gathered in order, with OpenBLAS on one thread in each. Chunk
+    k runs pinned to CPU k of the affinity mask (modulo its size), and
+    this process's mask is restored after. A worker's exception is raised
+    here. When this returns, every worker is idle; when it raises, the
+    pool has been shut down."""
+    workers = min(_usable_cpus(), len(args)) if split else 1
+    if workers < 2 or not _pool_busy.acquire(blocking=False):
+        return [run(*a) for a in args]
+    bounds = [len(args) * k // workers for k in range(workers + 1)]
+    gathered = False
+    try:
+        with _one_blas_thread(), _pinned() as cpus:
+            pool = _workers(workers - 1)
+            for k, (_, link) in enumerate(pool, start=1):
+                link.send((run, args[bounds[k]:bounds[k + 1]], cpus[k % len(cpus)]))
+            results = [run(*a) for a in args[:bounds[1]]]
+            for process, link in pool:
+                results.extend(_receive(link, process, "a worker"))
             gathered = True
             return results
-        finally:
-            for child, receive in children:
-                if child.pid is not None:   # the fork succeeded
-                    if not gathered:
-                        child.terminate()   # it may be blocked writing to its pipe
-                    child.join()
-                    child.close()
-                receive.close()
+    finally:
+        if not gathered:
+            _shutdown()
+        _pool_busy.release()
 
 
 class Partner:

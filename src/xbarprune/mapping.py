@@ -15,10 +15,12 @@ non-ideality factor (NF), and its effective conductances give the
 decoded weights. No node voltage is solved. ``layer_nf`` is the NF half
 of its result. A large enough layer runs its tiles on every CPU this
 process may use, by ``_parallel._fork_map``: this process takes the first
-contiguous chunk of placements and a forked child each other one. Every
-tile's variation is seeded from its identity, so the results are bitwise
-those of a serial run. See ``_parallel`` for the CPU count and for
-callers that run the package in worker processes of their own.
+contiguous chunk of placements and a persistent pool worker each other
+one, sent its tiles and placements with ``_simulate_tile``. Every tile's
+variation is seeded from its identity, so the results are bitwise those
+of a serial run. See ``_parallel`` for the CPU count, what a worker
+holds, and callers that run the package in worker processes of their
+own.
 
 Signed weights are encoded as magnitude-to-conductance with a digitally
 tracked sign applied at decode time, so a single crossbar per tile
@@ -246,36 +248,34 @@ def _simulate_tile(tile: np.ndarray, pl: TilePlacement, w_scale: float,
 
 
 # Fewest crossbar cells (tiles x n^2) in a layer for which its tiles are
-# split over processes; a smaller layer runs in this process alone, as
-# fork, pickling and join cost more than the other CPUs save. Median of
-# 25 interleaved rounds per row, simulate_layer on t default n x n tiles
-# run serially and split over 2 processes, from a 150 MB parent (numpy
-# 2.4, scipy 1.17, Python 3.11, 2-vCPU Xeon, one OpenBLAS thread, as in
-# every split; the serial times do not change with two):
+# split over processes; a smaller layer runs in this process alone. Median
+# of 25 interleaved rounds per row, simulate_layer on t default n x n tiles
+# run serially and split over this process and one warm pool worker, from
+# a 150 MB parent (numpy 2.4, scipy 1.17, Python 3.11, 2-vCPU Xeon, one
+# OpenBLAS thread, as in every split):
 #
-#   n     t    serial    split    change   t x n^2 / 32^2
-#   8    32    24.3 ms   42.8 ms   +76 %    2
-#   8    64    44.3      42.3       -5 %    4
-#   8    96    65.4      48.7      -26 %    6
-#   8   128   119.0      70.9      -40 %    8
-#   16    8    14.7      17.4      +18 %    2
-#   16   16    28.6      25.9       -9 %    4
-#   16   24    41.4      29.7      -28 %    6
-#   16   32    55.5      40.6      -27 %    8
-#   32    2    11.0      17.4      +58 %    2
-#   32    4    21.8      24.3      +12 %    4
-#   32    6    33.0      32.0       -3 %    6
-#   32    8    43.5      41.0       -6 %    8
-#   64    2    43.7      39.4      -10 %    8
-#   64    4    84.5      61.1      -28 %    16
+#   n     t   t x n^2   serial    split    change
+#   8    32    2048     25.4 ms   16.1 ms   -37 %
+#   8    64    4096     46.7      33.0      -29 %
+#   8   128    8192     99.1      64.7      -35 %
+#   16    8    2048     11.4       8.4      -26 %
+#   16   32    8192     38.5      31.1      -19 %
+#   32    2    2048      7.2       5.5      -23 %
+#   32    4    4096     14.2      10.0      -29 %
+#   32    8    8192     29.7      22.2      -25 %
+#   64    2    8192     29.1      19.2      -34 %
+#   64    4   16384     59.9      41.4      -31 %
 #
-# Per-tile time grows much slower than n^3 here (0.7-0.9, 1.8, 5.4 and
-# 21 ms at n = 8 to 64), so the break-even is a cell count: between 4 and
-# 6 x 32^2 cells at n = 8, 16 and 32, while 2 tiles at n = 64 (8 x 32^2)
-# already gain. As tiles x n^3 it would run from 0.5 x 32^3 at n = 8 to
-# 5 x 32^3 at n = 32. The split stays ahead from the upper end on.
-# With OpenBLAS left at one thread per CPU in each process, the split
-# lost at n = 64 (7 rounds): 64 -> 83 ms on 4 tiles, 135 -> 181 ms on 9.
+# Near the break-even, two runs of 61 rounds each read +33 % and +26 % at
+# 2 tiles of n = 4 (32 cells), +10 % and 0 % at 2 of n = 8 (128), +15 %
+# and +3 % at 3 of n = 8 (192), -8 % and -20 % at 4 of n = 8 (256), and
+# -8 % and -16 % at 2 of n = 16 (512). So the split gains from 256 cells
+# on; the first split call of a process also pays the fork, 4-8 ms on 8
+# tiles of n = 32 in these runs. The constant stays at 6 x 32^2, the
+# break-even of a child forked per call, because a traced benchmark run
+# counts the spans of this process only: below it, the small traced runs
+# of perfbench/tests would split and read half their tiles' solves. Lower
+# it to 256 once traced runs count the workers' tiles too.
 PARALLEL_MIN_CELLS = 6 * 32 ** 2
 
 
@@ -291,11 +291,13 @@ def simulate_layer(w: np.ndarray, params: CrossbarParams, *,
     original matrix).
 
     The tiles of a layer of at least ``PARALLEL_MIN_CELLS`` cells run
-    on every CPU in this process's affinity mask, in forked children that
-    are all joined before the call returns, with OpenBLAS on one thread in
-    each process. The results are bitwise those of a serial run. A caller
-    that runs this in worker processes of its own should narrow each
-    worker's CPU affinity."""
+    on every CPU in this process's affinity mask: this process runs the
+    first chunk and a persistent pool worker, forked by the first such
+    call and idle between calls, each other one, with OpenBLAS on one
+    thread in each process. A worker runs ``_simulate_tile`` as it was
+    when the worker was forked. The results are bitwise those of a serial
+    run. A caller that runs this in worker processes of its own should
+    narrow each worker's CPU affinity."""
     check_int("master_seed", master_seed, 0)
     check_int("layer_index", layer_index, 0)
     if params.n_rows != params.n_cols:
@@ -307,12 +309,14 @@ def simulate_layer(w: np.ndarray, params: CrossbarParams, *,
     tiles, record = partition(w, params.n_rows,
                               order=rearrange_order if rearrange else None,
                               compaction=compaction)
-    _topology(params)       # built once here, so that forked children inherit it
-    placements = record.tile_placements
+    # built here, so that a pool worker forked by this call inherits it;
+    # one forked earlier builds its own on its first tile and keeps it
+    _topology(params)
     results = _parallel._fork_map(
-        lambda i: _simulate_tile(tiles[i], placements[i], record.w_scale, params,
-                                 master_seed, layer_index),
-        len(tiles), len(tiles) * params.n_rows ** 2 >= PARALLEL_MIN_CELLS)
+        _simulate_tile,
+        [(tile, pl, record.w_scale, params, master_seed, layer_index)
+         for tile, pl in zip(tiles, record.tile_placements)],
+        len(tiles) * params.n_rows ** 2 >= PARALLEL_MIN_CELLS)
     return LayerSimResult(
         w_nonideal=recombine([tile for tile, _ in results], record),
         nf=aggregate_nf([report for _, report in results]),

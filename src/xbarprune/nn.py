@@ -626,13 +626,6 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray, divisor: int):
     return loss, dlogits / divisor
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean softmax cross-entropy over the rows and its gradient."""
-    n = labels.shape[0]
-    loss, dlogits = _cross_entropy(logits, labels, n)
-    return loss / n, dlogits
-
-
 def _check_labels(spec: ModelSpec, dataset: Dataset):
     """Labels must be one integer class in [0, classes) per image."""
     labels, n = np.asarray(dataset.labels), len(dataset)
@@ -835,10 +828,10 @@ def _multiply_adds(spec: ModelSpec) -> int:
 # process and `evaluate` splits its batches over processes; a smaller call
 # runs in this process alone, as fork, join and the per-step messages cost
 # more than the second CPU saves. Median of 21 interleaved rounds per row,
-# one epoch of `train` at batch 32 or one `evaluate` at batch 256, on 1 and
-# on 2 usable CPUs, from a 150 MB parent (numpy 2.4, Python 3.11, 2-vCPU
-# Xeon, one OpenBLAS thread); ref is `reference_model_spec`, ref-cf its
-# cf@0.5 live net (the benchmark's), tiny `tiny_model_spec`:
+# one epoch of `train` at batch 32, on 1 and on 2 usable CPUs, from a
+# 150 MB parent (numpy 2.4, Python 3.11, 2-vCPU Xeon, one OpenBLAS thread);
+# ref is `reference_model_spec`, ref-cf its cf@0.5 live net (the
+# benchmark's), tiny `tiny_model_spec`:
 #
 #   call       net      images   M mult-adds   1 CPU      2 CPUs   change
 #   train      ref-cf     128        59         38.1 ms    38.7 ms    +2 %
@@ -850,17 +843,23 @@ def _multiply_adds(spec: ModelSpec) -> int:
 #   train      ref        256       463        154.0      112.2      -27 %
 #   train      tiny      1024         5         19.9       29.1      +46 %
 #   train      tiny      4096        21        118.5       82.9      -30 %
-#   evaluate   ref-cf     300       139         37.2       38.8       +4 %
-#   evaluate   ref-cf     512       237         52.3       42.3      -19 %
-#   evaluate   ref-cf    1000       462         93.2       66.5      -29 %
-#   evaluate   ref        512       926        121.9       77.8      -36 %
-#   evaluate   tiny      1024         5         10.0       15.0      +50 %
-#   evaluate   tiny      4096        21         36.4       31.9      -13 %
 #
 # The reference nets break even between 120 and 230 M multiply-adds. The
 # tiny net, whose time goes mostly to per-call overhead, not to
 # multiply-adds, gains from 21 M on but stays in one process below the
-# constant, which is set for the reference nets.
+# constant, which is set for the reference nets. `evaluate` splits over
+# warm pool workers, which it pays no fork for; measured the same way
+# (25 rounds, one `evaluate` at batch 256), it gains on every row:
+#
+#   evaluate   ref-cf     300       139         24.8       22.5       -9 %
+#   evaluate   ref-cf     512       237         39.0       24.5      -37 %
+#   evaluate   ref-cf    1000       462         76.6       43.0      -44 %
+#   evaluate   ref        512       926        109.3       59.9      -45 %
+#   evaluate   tiny      1024         5          8.7        6.2      -29 %
+#   evaluate   tiny      4096        21         30.6       18.9      -38 %
+#
+# So evaluate's break-even now lies below 5 M multiply-adds; the one
+# constant stays set for training.
 PARALLEL_MIN_MULTIPLY_ADDS = 250 * 10 ** 6
 
 
@@ -972,8 +971,10 @@ def evaluate(model: Network, dataset: Dataset, batch_size: int = 256) -> float:
     of every layer's training state. The logits are bitwise those of the
     training forward. A call of at least `PARALLEL_MIN_MULTIPLY_ADDS`
     forward multiply-adds splits its batches over the usable CPUs
-    (`_parallel._fork_map`); each batch runs whole in one process, so
-    the accuracy does not depend on the split."""
+    (`_parallel._fork_map`): this process runs the first contiguous chunk
+    and a persistent pool worker each other one, sent the live network
+    and its chunk's images with `_correct`. Each batch runs whole in one
+    process, so the accuracy does not depend on the split."""
     check_int("batch_size", batch_size, 1)
     n = len(dataset)
     if n == 0:
@@ -982,13 +983,16 @@ def evaluate(model: Network, dataset: Dataset, batch_size: int = 256) -> float:
     full = model.unrolled_weights()
     sub, _ = _narrowed(model.spec, full, _live_channels(model.spec, full))
 
-    def correct(i):
-        batch = slice(i * batch_size, (i + 1) * batch_size)
-        return int((sub._forward(dataset.images[batch], False).argmax(axis=1)
-                    == dataset.labels[batch]).sum())
-
+    batches = [slice(start, start + batch_size) for start in range(0, n, batch_size)]
     split = n * _multiply_adds(sub.spec) >= PARALLEL_MIN_MULTIPLY_ADDS
-    return sum(_parallel._fork_map(correct, math.ceil(n / batch_size), split)) / n
+    return sum(_parallel._fork_map(
+        _correct, [(sub, dataset.images[b], dataset.labels[b]) for b in batches],
+        split)) / n
+
+
+def _correct(net: Network, images: np.ndarray, labels: np.ndarray) -> int:
+    """How many of `images` the state-free forward of `net` labels right."""
+    return int((net._forward(images, False).argmax(axis=1) == labels).sum())
 
 
 def inject_nonideal_weights(model: Network, matrices: dict[str, np.ndarray]) -> Network:

@@ -1,5 +1,10 @@
+import functools
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 import warnings
 
 import numpy as np
@@ -527,14 +532,24 @@ def parallel_case(layout, row_blocks=7, cols=12):
 
 @pytest.fixture
 def workers(monkeypatch):
-    """Pin the CPU helper to a worker count and split every layer."""
+    """Pin the CPU helper to a worker count and split every layer. Each
+    pin shuts the pool down, so that the next split call forks workers
+    that inherit the patches made before the pin, and so does the end of
+    the test, so that no later test meets a worker that holds them."""
     def pin(count):
         monkeypatch.setattr(_parallel, "_usable_cpus", lambda: count)
         monkeypatch.setattr(mapping, "PARALLEL_MIN_CELLS", 0)
-    return pin
+        _parallel._shutdown()
+    yield pin
+    _parallel._shutdown()
 
 
-def assert_no_child_left():
+def assert_only_idle_workers_left():
+    """Every child alive is a pool worker with no answer waiting, and none
+    is left once the pool is shut down."""
+    assert set(multiprocessing.active_children()) == {p for p, _ in _parallel._pool}
+    assert not any(link.poll() for _, link in _parallel._pool)
+    _parallel._shutdown()
     assert multiprocessing.active_children() == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -545,6 +560,36 @@ def assert_bitwise_equal(a, b):
     assert a.nf.per_tile_mean.tobytes() == b.nf.per_tile_mean.tobytes()
     assert a.nf.per_column.tobytes() == b.nf.per_column.tobytes()
     assert a.nf.mean_nf == b.nf.mean_nf
+
+
+def patch_simulate_tile(monkeypatch, before):
+    """Run before(pl, master_seed) ahead of every tile from now on. The
+    patch keeps `_simulate_tile`'s name, so that a split call can send it
+    by reference; a worker forked after the patch resolves it to the
+    patch."""
+    simulate_tile = mapping._simulate_tile
+
+    @functools.wraps(simulate_tile)
+    def patched(tile, pl, w_scale, params, master_seed, layer_index):
+        before(pl, master_seed)
+        return simulate_tile(tile, pl, w_scale, params, master_seed, layer_index)
+
+    monkeypatch.setattr(mapping, "_simulate_tile", patched)
+
+
+def log_runners(monkeypatch, log):
+    """Mark every tile from now on with a file "seed-row_block-pid" in
+    `log`, and return {seed: {row_block: pid}} of the files so far."""
+    patch_simulate_tile(monkeypatch, lambda pl, seed: (
+        log / f"{seed}-{pl.row_block}-{os.getpid()}").touch())
+
+    def runners():
+        out = {}
+        for path in log.iterdir():
+            seed, row_block, pid = map(int, path.name.split("-"))
+            out.setdefault(seed, {})[row_block] = pid
+        return out
+    return runners
 
 
 @pytest.mark.parametrize("count", [1, 2, 3])
@@ -562,41 +607,41 @@ def test_split_tiles_are_bitwise_the_serial_result(workers, count, layout,
     workers(count)
     split = simulate_layer(w, p, master_seed=4, layer_index=3, **kwargs)
     assert_bitwise_equal(split, serial)
-    assert_no_child_left()
+    assert_only_idle_workers_left()
 
 
 def test_layers_split_into_contiguous_chunks_one_per_worker(workers, monkeypatch,
                                                             tmp_path):
-    simulate_tile = mapping._simulate_tile
-
-    def logged(tile, pl, *args):
-        (tmp_path / f"{pl.row_block}-{os.getpid()}").touch()
-        return simulate_tile(tile, pl, *args)
-
-    monkeypatch.setattr(mapping, "_simulate_tile", logged)
+    runners = log_runners(monkeypatch, tmp_path)
     workers(3)
     w, _ = parallel_case("dense", row_blocks=7, cols=8)
     simulate_layer(w, CrossbarParams(8, 8))
-    runner = dict(path.name.split("-") for path in tmp_path.iterdir())
-    pids = [runner[str(row_block)] for row_block in range(7)]
-    assert pids == [str(os.getpid())] * 2 + [pids[2]] * 2 + [pids[4]] * 3
+    pids = [runners()[0][row_block] for row_block in range(7)]
+    assert pids == [os.getpid()] * 2 + [pids[2]] * 2 + [pids[4]] * 3
     assert len(set(pids)) == 3
-    assert_no_child_left()
+    assert_only_idle_workers_left()
+
+
+def test_one_worker_serves_consecutive_split_calls(workers, monkeypatch, tmp_path):
+    runners = log_runners(monkeypatch, tmp_path)
+    workers(2)
+    for seed in (1, 2):
+        simulate_layer(np.ones((56, 8)), CrossbarParams(8, 8), master_seed=seed)
+    (worker, _), = _parallel._pool
+    for seed in (1, 2):
+        pids = [runners()[seed][row_block] for row_block in range(7)]
+        assert pids == [os.getpid()] * 3 + [worker.pid] * 4
+    assert_only_idle_workers_left()
 
 
 @pytest.mark.skipif(not _parallel._openblas_threads(), reason="no OpenBLAS found")
 def test_split_tiles_run_openblas_on_one_thread_per_process(workers, monkeypatch,
                                                            tmp_path):
-    simulate_tile = mapping._simulate_tile
-
     def counts():
         return [get() for get, _ in _parallel._openblas_threads()]
 
-    def logged(tile, pl, *args):
-        (tmp_path / f"{pl.row_block}-{os.getpid()}").write_text(repr(counts()))
-        return simulate_tile(tile, pl, *args)
-
-    monkeypatch.setattr(mapping, "_simulate_tile", logged)
+    patch_simulate_tile(monkeypatch, lambda pl, seed: (
+        tmp_path / f"{pl.row_block}-{os.getpid()}").write_text(repr(counts())))
     workers(2)
     before = counts()
     simulate_layer(np.ones((56, 8)), CrossbarParams(8, 8))
@@ -607,18 +652,12 @@ def test_split_tiles_run_openblas_on_one_thread_per_process(workers, monkeypatch
 
 
 def test_a_layer_below_the_threshold_stays_in_this_process(monkeypatch, tmp_path):
-    simulate_tile = mapping._simulate_tile
-
-    def logged(tile, pl, *args):
-        (tmp_path / str(os.getpid())).touch()
-        return simulate_tile(tile, pl, *args)
-
-    monkeypatch.setattr(mapping, "_simulate_tile", logged)
+    runners = log_runners(monkeypatch, tmp_path)
     monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
     n = 8
     tiles = mapping.PARALLEL_MIN_CELLS // n ** 2 - 1
     simulate_layer(np.ones((n * tiles, n)), CrossbarParams(n, n))
-    assert [path.name for path in tmp_path.iterdir()] == [str(os.getpid())]
+    assert set(runners()[0].values()) == {os.getpid()}
 
 
 @pytest.mark.parametrize("marked", [0, 6], ids=["in-this-process", "in-a-child"])
@@ -635,22 +674,171 @@ def test_an_error_on_one_tile_is_raised_by_the_parent(workers, monkeypatch, mark
     w[8 * marked, 0] = 1.0
     with pytest.raises(ZeroDivisionError, match="tile with g\\[0, 0\\] = 5e-05"):
         simulate_layer(w, CrossbarParams(8, 8, sigma_dev=0.0))
-    assert_no_child_left()
+    assert_only_idle_workers_left()
 
 
-def test_a_worker_that_dies_without_sending_is_reported(workers, monkeypatch):
-    simulate_tile = mapping._simulate_tile
+def test_an_error_in_this_process_leaves_no_stale_answer(workers, monkeypatch):
+    # the worker's answer to the failed call is never read: its pool is
+    # shut down, and the next call's worker runs that call's tiles
+    w, p = np.random.default_rng(3).uniform(-1, 1, size=(56, 8)), CrossbarParams(8, 8)
+    workers(1)
+    serial = simulate_layer(w, p, master_seed=0)
+    assert serial.w_nonideal.tobytes() != simulate_layer(w, p, master_seed=1).w_nonideal.tobytes()
+    parent = os.getpid()
 
-    def dying(tile, pl, *args):
-        if pl.row_block == 6:
-            os._exit(3)
-        return simulate_tile(tile, pl, *args)
+    def fail_here_at_seed_1(pl, seed):
+        if seed == 1 and os.getpid() == parent:
+            raise ZeroDivisionError("this process's chunk")
 
-    monkeypatch.setattr(mapping, "_simulate_tile", dying)
+    patch_simulate_tile(monkeypatch, fail_here_at_seed_1)
     workers(2)
-    with pytest.raises(RuntimeError, match="exited with code 3"):
-        simulate_layer(np.ones((56, 8)), CrossbarParams(8, 8))
-    assert_no_child_left()
+    with pytest.raises(ZeroDivisionError, match="this process's chunk"):
+        simulate_layer(w, p, master_seed=1)
+    assert _parallel._pool == []
+    assert_bitwise_equal(simulate_layer(w, p, master_seed=0), serial)
+    assert_only_idle_workers_left()
+
+
+def test_a_worker_that_dies_without_sending_is_reported(workers, monkeypatch, tmp_path):
+    w, p = np.ones((56, 8)), CrossbarParams(8, 8)
+    workers(1)
+    serial = simulate_layer(w, p, master_seed=0)
+
+    def die_at_seed_1(pl, seed):
+        if seed == 1 and pl.row_block == 6:
+            os._exit(3)
+        (tmp_path / f"{seed}-{pl.row_block}-{os.getpid()}").touch()
+
+    patch_simulate_tile(monkeypatch, die_at_seed_1)
+    workers(2)
+    simulate_layer(w, p, master_seed=0)
+    dead = _parallel._pool[0][0].pid
+    with pytest.raises(RuntimeError, match="a worker exited with code 3 before it answered"):
+        simulate_layer(w, p, master_seed=1)
+    assert _parallel._pool == []
+    assert_bitwise_equal(simulate_layer(w, p, master_seed=0), serial)
+    (worker, _), = _parallel._pool
+    assert worker.pid != dead
+    assert (tmp_path / f"0-6-{worker.pid}").exists()
+    assert_only_idle_workers_left()
+
+
+def test_a_worker_that_died_while_idle_is_replaced(workers):
+    w, p = np.ones((56, 8)), CrossbarParams(8, 8)
+    serial = simulate_layer(w, p)
+    workers(2)
+    simulate_layer(w, p)
+    dead = _parallel._pool[0][0].pid
+    os.kill(dead, signal.SIGKILL)
+    while not _gone(dead):
+        time.sleep(0.01)
+    assert_bitwise_equal(simulate_layer(w, p), serial)
+    (worker, _), = _parallel._pool
+    assert worker.pid != dead
+    assert_only_idle_workers_left()
+
+
+def test_an_os_fork_child_that_exits_leaves_its_parents_worker_alone(workers):
+    # multiprocessing's exit handler terminates every child it lists; a
+    # child made by os.fork still lists its parent's workers unless the
+    # pool drops them at the fork
+    w, p = np.ones((56, 8)), CrossbarParams(8, 8)
+    workers(2)
+    simulate_layer(w, p)
+    (worker, _), = _parallel._pool
+    child = os.fork()
+    if child == 0:
+        try:
+            multiprocessing.util._exit_function()
+        finally:
+            os._exit(0)
+    assert os.waitpid(child, 0)[1] == 0
+    assert worker.is_alive()
+    simulate_layer(w, p)
+    assert _parallel._pool[0][0] is worker
+    assert_only_idle_workers_left()
+
+
+def _pid_and_inner_pids(split_inside):
+    """This process's pid, and the pids that ran a split made inside it."""
+    inner = _parallel._fork_map(os.getpid, [()] * 4, True) if split_inside else []
+    return os.getpid(), set(inner)
+
+
+def test_a_split_inside_a_split_runs_in_this_process(workers):
+    # the pool is busy with the outer call, so the inner one may not use it
+    workers(2)
+    outer = _parallel._fork_map(_pid_and_inner_pids, [(True,), (False,)], True)
+    (worker, _), = _parallel._pool
+    assert outer == [(os.getpid(), {os.getpid()}), (worker.pid, set())]
+    assert_only_idle_workers_left()
+
+
+def _split_and_save(w, p, out):
+    out.write_bytes(simulate_layer(w, p, master_seed=2).w_nonideal.tobytes())
+
+
+def test_a_forked_child_does_not_use_its_parents_worker(workers, monkeypatch, tmp_path):
+    w, p = np.ones((56, 8)), CrossbarParams(8, 8)
+    serial = simulate_layer(w, p, master_seed=2).w_nonideal.tobytes()
+    log = tmp_path / "log"
+    log.mkdir()
+    runners = log_runners(monkeypatch, log)
+    workers(2)
+    simulate_layer(w, p, master_seed=1)
+    (worker, _), = _parallel._pool
+    child = multiprocessing.get_context("fork").Process(
+        target=_split_and_save, args=(w, p, tmp_path / "child"))
+    child.start()
+    child.join(timeout=60)
+    assert child.exitcode == 0
+    assert (tmp_path / "child").read_bytes() == serial
+    in_child = set(runners()[2].values())
+    assert child.pid in in_child and len(in_child) == 2
+    assert not in_child & {os.getpid(), worker.pid}
+    # the parent's worker still serves it, with no answer of the child's
+    simulate_layer(w, p, master_seed=3)
+    assert set(runners()[3].values()) == {os.getpid(), worker.pid}
+    assert_only_idle_workers_left()
+
+
+def _gone(pid: int) -> bool:
+    """Whether `pid` has exited: no such process, or an unreaped zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+SPLIT_AND_EXIT = """
+import os, sys
+import numpy as np
+from xbarprune import _parallel, mapping
+from xbarprune.circuit import CrossbarParams
+_parallel._usable_cpus = lambda: 2
+mapping.PARALLEL_MIN_CELLS = 0
+mapping.simulate_layer(np.ones((56, 8)), CrossbarParams(8, 8))
+(worker, _), = _parallel._pool
+print(worker.pid, flush=True)
+if sys.argv[1] == "os._exit":
+    os._exit(0)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+@pytest.mark.parametrize("end", ["interpreter-exit", "os._exit"])
+def test_a_process_that_splits_and_exits_leaves_no_worker_behind(end):
+    # at interpreter exit the worker is terminated and joined; after
+    # os._exit, which skips that, it reads EOF and exits by itself
+    proc = subprocess.run([sys.executable, "-c", SPLIT_AND_EXIT, end],
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+                          capture_output=True, text=True, timeout=120, check=True)
+    pid = int(proc.stdout)
+    deadline = time.monotonic() + 30
+    while not _gone(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _gone(pid)
 
 
 def test_the_cpu_helper_counts_the_affinity_mask_and_one_in_a_daemon():
@@ -659,4 +847,4 @@ def test_the_cpu_helper_counts_the_affinity_mask_and_one_in_a_daemon():
     # a multiprocessing pool's workers are daemonic and may not fork
     with multiprocessing.get_context("fork").Pool(1) as pool:
         assert pool.apply(_parallel._usable_cpus) == 1
-    assert_no_child_left()
+    assert_only_idle_workers_left()

@@ -42,14 +42,13 @@ from xbarprune.nn import (
     im2col,
     inject_nonideal_weights,
     reference_model_spec,
-    softmax_cross_entropy,
     tiny_model_spec,
     train,
     wct_clamp,
     wct_train,
 )
 from xbarprune import _parallel, nn
-from xbarprune.nn import _live_channels, _narrowed
+from xbarprune.nn import _cross_entropy, _live_channels, _narrowed
 from xbarprune.pruning import METHODS, SparsityPattern, gen_mask_cf, gen_mask_xcs, gen_mask_xrs
 
 CONV_SPECS = [
@@ -436,10 +435,12 @@ def test_rectangular_window_gradients_match_numeric_gradients():
 
 
 def assert_backprop_matches_numeric_gradient(net, x, labels):
-    def loss():
-        return softmax_cross_entropy(net.forward(x), labels)[0]
+    n = labels.shape[0]
 
-    _, dlogits = softmax_cross_entropy(net.forward(x), labels)
+    def loss():
+        return _cross_entropy(net.forward(x), labels, n)[0] / n
+
+    _, dlogits = _cross_entropy(net.forward(x), labels, n)
     net.backward(dlogits)
     rng = np.random.default_rng(4)
     for _, layer in net.trainable:
@@ -455,7 +456,7 @@ def test_weight_gradients_have_the_shape_of_the_weight_matrices(spec):
     net = Network(spec)
     rng = np.random.default_rng(2)
     logits = net.forward(rng.random((3, *spec.input_shape)))
-    net.backward(softmax_cross_entropy(logits, rng.integers(0, logits.shape[1], size=3))[1])
+    net.backward(_cross_entropy(logits, rng.integers(0, logits.shape[1], size=3), 3)[1])
     for (name, layer), info in zip(net.trainable, spec.unrolled_layers(), strict=True):
         assert layer.grad_w.shape == layer.w.shape == (info.rows, info.cols), name
 
@@ -1288,16 +1289,26 @@ def test_training_and_wct_bit_identical_for_seed():
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Pin the CPU helper to a count and split every fit and evaluation."""
+    """Pin the CPU helper to a count and split every fit and evaluation.
+    Each pin shuts the worker pool down, and so does the end of the test,
+    so that no later test meets a worker forked under this one's patches."""
     def pin(count):
         monkeypatch.setattr(_parallel, "_usable_cpus", lambda: count)
         monkeypatch.setattr(nn, "PARALLEL_MIN_MULTIPLY_ADDS", 0)
-    return pin
+        _parallel._shutdown()
+    yield pin
+    _parallel._shutdown()
 
 
-def assert_no_child_left(mask):
-    assert multiprocessing.active_children() == []
+def assert_only_idle_workers_left(mask):
+    """This process has its affinity `mask` back, every child alive is a
+    pool worker with no answer waiting, and none is left once the pool is
+    shut down."""
     assert os.sched_getaffinity(0) == mask
+    assert set(multiprocessing.active_children()) == {p for p, _ in _parallel._pool}
+    assert not any(link.poll() for _, link in _parallel._pool)
+    _parallel._shutdown()
+    assert multiprocessing.active_children() == []
 
 
 def cpu_count_run(spec, pattern, data, test_set, batch_size):
@@ -1329,7 +1340,7 @@ def test_results_do_not_depend_on_the_cpu_count(cpus, method, batch_size):
     for count in (1, 2, 3):
         cpus(count)
         runs.append(cpu_count_run(spec, pattern, data, test_set, batch_size))
-        assert_no_child_left(mask)
+        assert_only_idle_workers_left(mask)
     assert runs[1] == runs[0]
     assert runs[2] == runs[0]
 
@@ -1364,7 +1375,7 @@ def test_second_halves_run_in_a_partner_pinned_to_another_cpu(cpus, monkeypatch,
     first, second = sorted(mask)[:2]
     data, _ = gen_synthetic_dataset(1, 7, 1)
     train(Network(tiny_model_spec(init_seed=1)), data, TrainConfig(epochs=1, batch_size=3))
-    assert_no_child_left(mask)
+    assert_only_idle_workers_left(mask)
     halves = logged_halves(tmp_path)
     assert len(halves) == 2
     ones = [1] * len(_parallel._openblas_threads())
@@ -1413,7 +1424,7 @@ def test_a_nan_in_a_second_half_raises_and_cleans_up(cpus, count, run, seed):
     mask = os.sched_getaffinity(0)
     with pytest.raises(FloatingPointError, match="training diverged: loss = nan"):
         run(net, data, config)
-    assert_no_child_left(mask)
+    assert_only_idle_workers_left(mask)
     assert {k: w.tobytes() for k, w in net.unrolled_weights().items()} == before
 
 
@@ -1431,7 +1442,7 @@ def test_an_error_in_the_partner_reaches_the_caller(cpus, monkeypatch):
     with pytest.raises(ZeroDivisionError, match="second half of 2"):
         train(Network(tiny_model_spec(init_seed=1)), small_data()[0],
               TrainConfig(epochs=1, batch_size=4))
-    assert_no_child_left(mask)
+    assert_only_idle_workers_left(mask)
 
 
 def test_a_partner_that_dies_without_answering_is_reported(cpus, monkeypatch):
@@ -1448,4 +1459,4 @@ def test_a_partner_that_dies_without_answering_is_reported(cpus, monkeypatch):
     with pytest.raises(RuntimeError, match="partner process exited with code 3"):
         train(Network(tiny_model_spec(init_seed=1)), small_data()[0],
               TrainConfig(epochs=1, batch_size=4))
-    assert_no_child_left(mask)
+    assert_only_idle_workers_left(mask)
