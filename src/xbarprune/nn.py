@@ -23,8 +23,19 @@ order, so `col2im` adds kh*kw slabs that are contiguous in the channels.
 A ReLU that feeds a max pool runs after the pool, on the 4x smaller map;
 see `Network` for why that gives the same numbers.
 
-Everything is float64 and bit-deterministic given (init seed, data seed,
-training seed), whatever the number of CPUs: initialization draws from
+Two precisions apply. Training runs in float32: a fit casts its live
+sub-network's weights (see below) and the training images to float32
+once, and every forward, backward, gradient sum and step of the fit is
+float32, with WCT's cutoff rounded toward zero to a float32. Everything
+else is float64: every `Network` a caller builds or gets back, its
+`forward`, `he_normal`, `unrolled_weights`, the full-width projection
+that ends a fit, and `evaluate`; `mapping` and `circuit` see only float64
+weights. Each trained weight is a float32 value held in float64. The
+layer code has one path for both: it computes in the dtype of its input,
+and a network in the dtype of its weights.
+
+Results are bit-deterministic given (init seed, data seed, training
+seed), whatever the number of CPUs: initialization draws from
 one seeded generator in layer order, and batch order comes from the
 training seed. A minibatch's gradient is defined as that of its first
 ceil(b/2) samples plus that of the rest, added in that order, each half's
@@ -276,7 +287,7 @@ def im2col(x: np.ndarray, window, stride: int, padding: int):
     n, h, w, c = x.shape
     (ho, row_taps), (wo, col_taps) = (_taps(h, window[0], stride, padding),
                                       _taps(w, window[1], stride, padding))
-    cols = np.zeros((n, ho, wo, c, *window))
+    cols = np.zeros((n, ho, wo, c, *window), dtype=x.dtype)
     for kr, (ro, ri) in enumerate(row_taps):
         for kc, (co, ci) in enumerate(col_taps):
             cols[:, ro, co, :, kr, kc] = x[:, ri, ci]
@@ -294,7 +305,7 @@ def col2im(dcols: np.ndarray, x_shape, window, stride: int, padding: int) -> np.
     n, h, w, c = x_shape
     (ho, row_taps), (wo, col_taps) = (_taps(h, window[0], stride, padding),
                                       _taps(w, window[1], stride, padding))
-    dx = np.zeros(x_shape)
+    dx = np.zeros(x_shape, dtype=dcols.dtype)
     d6 = dcols.reshape(n, ho, wo, *window, c)
     for kr, (ro, ri) in enumerate(row_taps):
         for kc, (co, ci) in enumerate(col_taps):
@@ -365,9 +376,6 @@ class Conv2d(_Layer):
         return col2im(dcols, self._kept()[1], self.window, self.stride, self.padding)
 
 
-_LOWEST = np.finfo(np.float64).min
-
-
 class ReLU(_Layer):
     """x * (x > 0); a training forward keeps the mask x > 0."""
 
@@ -375,10 +383,11 @@ class ReLU(_Layer):
 
     def _forward(self, x, keep):
         self._state = None
-        # x * (x > 0), with -inf raised to the lowest double first: -inf * 0
-        # is NaN, the lowest double times 0 is -0.0 like any other negative
+        # x * (x > 0), with -inf raised to the lowest finite value first:
+        # -inf * 0 is NaN, the lowest value times 0 is -0.0 like any other
+        # negative
         mask = x > 0
-        out = np.maximum(x, _LOWEST)
+        out = np.maximum(x, np.finfo(x.dtype).min)
         out *= mask
         if keep:
             self._state = mask
@@ -389,11 +398,12 @@ class ReLU(_Layer):
 
 
 def _where_bits(cond, a, b):
-    """`np.where(cond, a, b)` for float64 arrays, bit for bit, by integer
-    masking. np.where branches on every element, which costs 2-3x more on
-    the data-dependent masks of max pooling."""
-    ai, bi = a.view(np.int64), b.view(np.int64)
-    return (bi ^ ((ai ^ bi) & -cond.astype(np.int64))).view(np.float64)
+    """`np.where(cond, a, b)` for two float arrays of one dtype, bit for
+    bit, by integer masking. np.where branches on every element, which
+    costs 2-3x more on the data-dependent masks of max pooling."""
+    ints = np.dtype(f"i{a.itemsize}")
+    ai, bi = a.view(ints), b.view(ints)
+    return (bi ^ ((ai ^ bi) & -cond.astype(ints))).view(a.dtype)
 
 
 class MaxPool2(_Layer):
@@ -430,11 +440,12 @@ class MaxPool2(_Layer):
 
     def backward(self, dout):
         idx, x_shape = self._kept()
-        dx = np.zeros(x_shape)
-        bits = dout.view(np.int64)
+        dx = np.zeros(x_shape, dtype=dout.dtype)
+        ints = np.dtype(f"i{dout.itemsize}")
+        bits = dout.view(ints)
         for j, view in enumerate(self._views(dx)):
-            routed = -(idx == j).astype(np.int64)
-            np.bitwise_and(bits, routed, out=view.view(np.int64))
+            routed = -(idx == j).astype(ints)
+            np.bitwise_and(bits, routed, out=view.view(ints))
         return dx
 
 
@@ -517,8 +528,10 @@ class Network:
 
     def _forward(self, x, keep):
         """`forward`, every layer keeping its backward state only if `keep`
-        (see `_Layer`): the logits are bitwise the same either way."""
-        x = np.asarray(x, dtype=np.float64)
+        (see `_Layer`): the logits are bitwise the same either way. The
+        images are cast to the weights' dtype, float64 in every network but
+        the sub-network a fit trains (see `_fit`)."""
+        x = np.asarray(x, dtype=self.trainable[0][1].w.dtype)
         shape = tuple(self.spec.input_shape)
         if x.ndim != 4 or x.shape[1:] != shape:
             raise ValueError(f"images must be (n, {str(shape)[1:-1]}), got {x.shape}")
@@ -616,7 +629,7 @@ class Dataset:
 
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray, divisor: int):
     """The summed softmax cross-entropy of the rows of `logits` and its
-    gradient divided by `divisor`."""
+    gradient divided by `divisor`, both in the dtype of `logits`."""
     z = logits - logits.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     rows = np.arange(labels.shape[0])
@@ -709,11 +722,12 @@ def _live_channels(spec: ModelSpec, mats: dict[str, np.ndarray]) -> list[np.ndar
 
 
 def _project(model, pruned, w_cut):
-    """Clamp every weight into [-w_cut, w_cut] (unless w_cut is None), then
-    set the pruned ones to +0.0."""
+    """Clamp every weight into [-w_cut, w_cut] by `wct_clamp`'s formula
+    (unless w_cut is None), then set the pruned ones to +0.0. w_cut is
+    checked by the caller, and a sub-network's may be 0.0 (`_float32_cut`)."""
     for name, layer in model.trainable:
         if w_cut is not None:
-            layer.w = wct_clamp(layer.w, w_cut)
+            layer.w = np.minimum(np.abs(layer.w), w_cut) * np.sign(layer.w)
         if name in pruned:
             layer.w[pruned[name]] = 0.0
 
@@ -727,12 +741,13 @@ def _halves(batch: np.ndarray):
 
 def _half_gradient(model, dataset, half, b: int):
     """Forward and backward over the samples `half` of a minibatch of b:
-    returns their summed cross-entropy and every layer's weight gradient,
-    the softmax gradient divided by the whole minibatch's b."""
+    returns their summed cross-entropy as a Python float and every layer's
+    weight gradient, the softmax gradient divided by the whole minibatch's
+    b."""
     loss, dlogits = _cross_entropy(model.forward(dataset.images[half]),
                                    dataset.labels[half], b)
     model.backward(dlogits)
-    return loss, [layer.grad_w for _, layer in model.trainable]
+    return float(loss), [layer.grad_w for _, layer in model.trainable]
 
 
 def _step(model, grads, lr, pruned, w_cut):
@@ -743,10 +758,11 @@ def _step(model, grads, lr, pruned, w_cut):
 
 
 def _gradient_slots(model, shared):
-    """Two gradient-shaped sets of float64 views into the partner's shared
-    buffer: the partner's second-half gradients and the summed ones."""
+    """Two gradient-shaped sets of views into the partner's shared buffer,
+    in the weights' dtype (float32, as a fit trains its sub-network): the
+    partner's second-half gradients and the summed ones."""
     shapes = [layer.w.shape for _, layer in model.trainable] * 2
-    flat = np.frombuffer(shared, dtype=np.float64)
+    flat = np.frombuffer(shared, dtype=model.trainable[0][1].w.dtype)
     ends = np.cumsum([0] + [math.prod(shape) for shape in shapes])
     views = [flat[lo:hi].reshape(shape) for lo, hi, shape in zip(ends, ends[1:], shapes)]
     return views[:len(model.trainable)], views[len(model.trainable):]
@@ -827,47 +843,67 @@ def _multiply_adds(spec: ModelSpec) -> int:
 # x epochs for a fit) for which a fit runs its second halves in a partner
 # process and `evaluate` splits its batches over processes; a smaller call
 # runs in this process alone, as fork, join and the per-step messages cost
-# more than the second CPU saves. Median of 21 interleaved rounds per row,
-# one epoch of `train` at batch 32, on 1 and on 2 usable CPUs, from a
-# 150 MB parent (numpy 2.4, Python 3.11, 2-vCPU Xeon, one OpenBLAS thread);
-# ref is `reference_model_spec`, ref-cf its cf@0.5 live net (the
-# benchmark's), tiny `tiny_model_spec`:
+# more than the second CPU saves. Training rows: one epoch of `train` at
+# batch 32 (float32, as every fit trains), on 1 and on 2 usable CPUs, from
+# a 150 MB parent (numpy 2.4, Python 3.11, 2-vCPU Xeon, one OpenBLAS
+# thread), three series of 21 interleaved rounds; the times are series 3's
+# medians, the changes those of series 1, 2 and 3. ref is
+# `reference_model_spec`, ref-cf its cf@0.5 live net (the benchmark's),
+# tiny `tiny_model_spec`:
 #
 #   call       net      images   M mult-adds   1 CPU      2 CPUs   change
-#   train      ref-cf     128        59         38.1 ms    38.7 ms    +2 %
-#   train      ref-cf     256       118         54.5       49.2      -10 %
-#   train      ref-cf     512       237         99.9       80.3      -20 %
-#   train      ref-cf    1024       473        182.8      128.0      -30 %
-#   train      ref         64       116         39.6       45.2      +14 %
-#   train      ref        128       232         71.9       65.6       -9 %
-#   train      ref        256       463        154.0      112.2      -27 %
-#   train      tiny      1024         5         19.9       29.1      +46 %
-#   train      tiny      4096        21        118.5       82.9      -30 %
+#   train      ref-cf     128        59         22.6 ms    28.1 ms   +74, +35, +24 %
+#   train      ref-cf     256       118         29.0       36.2      +11,  +8, +25 %
+#   train      ref-cf     384       177         47.0       45.9      -14, +23,  -2 %
+#   train      ref-cf     512       236         56.1       54.6      -10,  +4,  -3 %
+#   train      ref-cf    1024       473        110.3       79.8      -23, -26, -28 %
+#   train      ref         64       116         33.5       41.2      +19, +32, +23 %
+#   train      ref        128       231         45.7       45.9       +2, +29,  +1 %
+#   train      ref        160       289         52.5       52.5      +21,  +8,   0 %
+#   train      ref        192       347         60.2       56.4      +10,  -9,  -6 %
+#   train      ref        256       463         82.7       70.3      -11, -13, -15 %
+#   train      tiny      1024         5         30.9       34.0      +17,  +8, +10 %
+#   train      tiny      4096        21        120.8       86.1      -22, -15, -29 %
 #
-# The reference nets break even between 120 and 230 M multiply-adds. The
-# tiny net, whose time goes mostly to per-call overhead, not to
-# multiply-adds, gains from 21 M on but stays in one process below the
-# constant, which is set for the reference nets. `evaluate` splits over
-# warm pool workers, which it pays no fork for; measured the same way
-# (25 rounds, one `evaluate` at batch 256), it gains on every row:
+# In float32 a one-CPU epoch takes about 0.6 of its float64 time, while
+# the fork and the per-step exchange cost the same, so the reference nets'
+# break-even rose from 120-230 M to between 347 M (mixed) and 463 M (a gain
+# in every series); the constant sits between the two. The benchmark's fits
+# (2.8 G multiply-adds to train, 0.9 G for WCT) split. The tiny net, whose
+# time goes mostly to per-call overhead, gains from 21 M on but stays in
+# one process. The split gains 1.3-1.4x at most on training, against 2x
+# for the GEMM loop alone: a 256x288 by 288x64 GEMM loop, one per CPU, ran
+# at 32-44 GFLOP/s per CPU with both CPUs busy against 38-45 alone
+# (float64) and 84-104 against 101-112 (float32), so the two CPUs do not
+# share their vector units on this host; the lockstep costs the rest.
 #
-#   evaluate   ref-cf     300       139         24.8       22.5       -9 %
-#   evaluate   ref-cf     512       237         39.0       24.5      -37 %
-#   evaluate   ref-cf    1000       462         76.6       43.0      -44 %
-#   evaluate   ref        512       926        109.3       59.9      -45 %
-#   evaluate   tiny      1024         5          8.7        6.2      -29 %
-#   evaluate   tiny      4096        21         30.6       18.9      -38 %
+# `evaluate` (float64) splits over warm pool workers, which it pays no fork
+# for. An earlier series (25 rounds, batch 256) gained 9-45 % on every row
+# of 4 to 16 batches, down to 5 M multiply-adds. Two and three batches,
+# measured the same way (images / batch size):
 #
-# So evaluate's break-even now lies below 5 M multiply-adds; the one
-# constant stays set for training.
-PARALLEL_MIN_MULTIPLY_ADDS = 250 * 10 ** 6
+#   evaluate   tiny       512 / 256   3          3.2 ms     2.7 ms    -17 %
+#   evaluate   tiny       768 / 256   4          4.4        4.5        +3 %
+#   evaluate   ref-cf     512 / 256 236         34.3       20.2       -41 %
+#   evaluate   ref-cf     768 / 256 355         47.2       35.8       -24 %
+#   evaluate   tiny        96 / 32    0.3        1.2        1.2        -1 %
+#   evaluate   ref-cf      96 / 32   44          5.8        5.9        +1 %
+#   evaluate   tiny         2 / 1     0          0.3        0.7       +87 %
+#   evaluate   ref-cf       2 / 1     1          1.2        2.0       +65 %
+#
+# A batch too small to cover a worker's round trip loses, whatever the
+# multiply-adds, so splitting from two batches on would slow small calls,
+# and `evaluate` keeps this one constant; its calls from 400 M down to
+# about 140 M, which would gain, run in one process.
+PARALLEL_MIN_MULTIPLY_ADDS = 400 * 10 ** 6
 
 
 def _sgd_epochs(model, dataset, config, epochs, pruned, w_cut, rng):
     """`epochs` of minibatch SGD on `model` (see `_descend`), projected
-    before the first step and after every one; returns the per-epoch
-    losses. One permutation of the data per epoch, drawn up front, fixes
-    the minibatches. The second halves run in a forked partner
+    before the first step and after every one, in the dtype of its
+    weights (float32, as `_fit` calls it); returns the per-epoch losses,
+    summed in float64. One permutation of the data per epoch, drawn up
+    front, fixes the minibatches. The second halves run in a forked partner
     (`_parallel._partner`: this process and the partner pinned to one CPU
     each, the mask restored after) when this process may use two CPUs,
     the batch size is at least 2 and the fit makes at least
@@ -879,33 +915,52 @@ def _sgd_epochs(model, dataset, config, epochs, pruned, w_cut, rng):
     n, b = len(dataset), config.batch_size
     orders = [rng.permutation(n) for _ in range(epochs)]
     batches = [[order[start:start + b] for start in range(0, n, b)] for order in orders]
-    args = (model, dataset, batches, config.lr, pruned, w_cut)
+    # a Python float, which numpy rounds to the weights' dtype in each step
+    args = (model, dataset, batches, float(config.lr), pruned, w_cut)
     if (b < 2 or _parallel._usable_cpus() < 2
             or epochs * n * _multiply_adds(model.spec) < PARALLEL_MIN_MULTIPLY_ADDS):
         with _parallel._one_blas_thread():
             return _descend(*args)
-    # two float64 copies of every weight: the partner's gradients, the sums
-    size = 2 * 8 * sum(layer.w.size for _, layer in model.trainable)
+    # two copies of every weight, in its dtype: the partner's gradients, the sums
+    size = 2 * sum(layer.w.nbytes for _, layer in model.trainable)
     with _parallel._partner(partial(_second_halves, *args), size) as partner:
         return _descend(*args, partner)
+
+
+def _float32_cut(w_cut: float) -> float:
+    """The largest float32 that is at most w_cut, as a Python float: 0.0
+    below the smallest positive float32, the largest float32 above it.
+    Rounded to nearest, float32(0.05) is 0.0500000007, and a clamped
+    sub-network weight would sit above w_cut."""
+    cut = np.float32(min(w_cut, float(np.finfo(np.float32).max)))
+    if float(cut) > w_cut:          # compared in float64
+        cut = np.nextafter(cut, np.float32(0))
+    return float(cut)
 
 
 def _fit(model, dataset, config, epochs, w_cut, rng):
     """`epochs` of SGD under `config.pattern`, weights clamped to
     [-w_cut, w_cut] unless w_cut is None; returns the per-epoch losses.
-    The live sub-network of the masks trains with the zeros it still holds
-    re-applied after every update; its weights are scattered back into a
-    copy of each layer's matrix, so no view taken before changes, and the
-    full net is projected once, so a weight outside the sub-network ends as
-    full-width training leaves it: clamped if unmasked, zero if masked."""
+    The live sub-network of the masks trains in float32, with the images
+    cast once, w_cut rounded toward zero (`_float32_cut`) and the zeros it
+    still holds re-applied after every update; its weights are scattered
+    back into a float64 copy of each layer's matrix, so no view taken
+    before changes, and the full net is projected once in float64, so a
+    weight outside the sub-network ends as full-width training leaves it:
+    clamped if unmasked, zero if masked."""
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     _check_labels(model.spec, dataset)
     masks = _unrolled_masks(model.spec, config.pattern)
     sub, index = _narrowed(model.spec, model.unrolled_weights(),
                            _live_channels(model.spec, masks))
+    for _, layer in sub.trainable:
+        layer.w = layer.w.astype(np.float32)
+    images = np.asarray(dataset.images, dtype=np.float32)
     sub_masks = {name: masks[name][np.ix_(*kept)] for name, kept in index.items()}
-    losses = _sgd_epochs(sub, dataset, config, epochs, _pruned(sub_masks), w_cut, rng)
+    losses = _sgd_epochs(sub, Dataset(images, dataset.labels), config, epochs,
+                         _pruned(sub_masks), None if w_cut is None else _float32_cut(w_cut),
+                         rng)
     for (name, layer), (_, part) in zip(model.trainable, sub.trainable):
         layer.w = layer.w.copy()
         layer.w[np.ix_(*index[name])] = part.w
@@ -916,8 +971,9 @@ def _fit(model, dataset, config, epochs, w_cut, rng):
 def train(model: Network, dataset: Dataset, config: TrainConfig):
     """Minibatch SGD with cross-entropy for `config.epochs` epochs; returns
     (model, per-epoch mean loss). Whatever the pruning method, the live
-    sub-network of `config.pattern`'s masks trains and its weights are
-    scattered back (see `_fit`); pruned weights end exactly zero. Each
+    sub-network of `config.pattern`'s masks trains in float32 and its
+    weights are scattered back into the model's float64 matrices (see
+    `_fit`); pruned weights end exactly zero. Each
     minibatch's gradient is its two halves' summed (see `_sgd_epochs`),
     which a large fit computes on two CPUs; the weights and losses are
     bitwise the same on any number of CPUs."""
@@ -944,9 +1000,10 @@ def wct_clamp(w: np.ndarray, w_cut: float) -> np.ndarray:
 def wct_train(model: Network, dataset: Dataset, config: TrainConfig,
               w_cut: float | None = None):
     """Short retraining with weights projected into [-w_cut, w_cut] after
-    every step, on the live sub-network as in `train`; returns (model,
-    w_cut). Unless given, w_cut is `wct_cutoff` of the full-width weights,
-    pruned zeros included."""
+    every step, on the live sub-network in float32 as in `train`, whose
+    clamp uses w_cut rounded toward zero to a float32 so that no weight
+    exceeds w_cut; returns (model, w_cut). Unless given, w_cut is
+    `wct_cutoff` of the full-width float64 weights, pruned zeros included."""
     wct = config.wct if config.wct is not None else WctConfig()
     if w_cut is None:
         w_cut = wct_cutoff(model, wct.percentile)

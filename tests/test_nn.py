@@ -477,6 +477,29 @@ def test_two_conv_network_backprop_matches_numeric_gradient():
                                              rng.integers(0, 3, size=4))
 
 
+def test_the_layers_compute_in_the_dtype_of_their_input():
+    # one code path for both precisions: a float32 input gives float32
+    # outputs and gradients, and ReLU and the pool, which only select and
+    # route, give bitwise the float64 results of the same values
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(2, 5, 7, 3))
+    x.flat[:4] = -np.inf, np.nan, 0.0, -0.0
+    x32 = x.astype(np.float32)
+    for layer in (ReLU(), MaxPool2()):
+        out = layer.forward(x32)
+        dout = rng.normal(size=out.shape).astype(np.float32)
+        dx = layer.backward(dout)
+        assert out.dtype == dx.dtype == np.float32
+        assert same_bits(out, layer.forward(x32.astype(np.float64)).astype(np.float32))
+        assert same_bits(dx, layer.backward(dout.astype(np.float64)).astype(np.float32))
+    cols, ho, wo = im2col(x32, (3, 2), 2, 1)
+    assert cols.dtype == np.float32
+    assert same_bits(cols, im2col(x32.astype(np.float64), (3, 2), 2, 1)[0].astype(np.float32))
+    assert col2im(cols[:, ::-1], x32.shape, (3, 2), 2, 1).dtype == np.float32
+    loss, dlogits = _cross_entropy(x32[:, 1, 1], np.array([0, 2]), 4)
+    assert loss.dtype == dlogits.dtype == np.float32
+
+
 # ------------------------------------------------------ masks and WCT
 
 
@@ -528,7 +551,26 @@ def odd_data(n=24, seed=5):
     return Dataset(rng.random((n, *ODD_SPEC.input_shape)), rng.integers(0, 3, size=n))
 
 
-def assert_weights_match(a: Network, b: Network, rtol=1e-12):
+# A fit trains its live sub-network in float32 and the masked_sgd oracle
+# runs in float64, so the two agree to float32 rounding, not to 1e-12.
+# With u = 2**-24, float32's unit roundoff: a K-term dot product carries a
+# worst-case rounding error of about K*u of the sum of its terms'
+# magnitudes (Higham, "Accuracy and Stability of Numerical Algorithms",
+# 2002, section 3.1), and the longest inner dimension of any GEMM in these
+# fits is K = 2048 (conv1's weight gradient over a 32-image half of the
+# reference net, 32 images x 64 positions). Hence 2048 * u = 2**-13, about
+# 1.2e-4, for weights relative to each layer's largest one, losses and
+# w_cut. Measured on the 51 oracle cases: rounding alone moves a weight by
+# at most 2.9 u. One case breaks a tie: two entries of a max-pool window
+# that are equal in real arithmetic (clipped pixels times conv1 weights
+# clamped to +-w_cut) round apart in opposite ways in the two precisions,
+# the window's gradient goes to another input, and a conv1 weight moves by
+# 535 u. A flipped mask entry or a skipped projection moves the weights by
+# far more (test_the_float32_tolerance_rejects_a_wrong_fit).
+FLOAT32_RTOL = 2048 * 2.0 ** -24
+
+
+def assert_weights_match(a: Network, b: Network, rtol=FLOAT32_RTOL):
     for (name, wa), wb in zip(a.unrolled_weights().items(), b.unrolled_weights().values()):
         assert np.array_equal(wa == 0, wb == 0), name
         assert np.abs(wa - wb).max() <= rtol * np.abs(wb).max(), name
@@ -562,11 +604,122 @@ def test_train_and_wct_match_the_masked_sgd_oracle(method):
                          wct=WctConfig(epochs=2))
     net, ref = Network(spec), Network(spec)
     _, losses = train(net, train_set, config)
-    np.testing.assert_allclose(losses, oracle_train(ref, train_set, config), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(losses, oracle_train(ref, train_set, config),
+                               rtol=FLOAT32_RTOL, atol=0)
     assert_weights_match(net, ref)
     _, w_cut = wct_train(net, train_set, config)
-    assert w_cut == pytest.approx(oracle_wct(ref, train_set, config), rel=1e-12, abs=0)
+    assert w_cut == pytest.approx(oracle_wct(ref, train_set, config), rel=FLOAT32_RTOL, abs=0)
     assert_weights_match(net, ref)
+
+
+@pytest.mark.parametrize("fault", ["flipped-mask-entry", "no-projection"])
+@pytest.mark.parametrize("wct", [False, True], ids=["train", "wct"])
+def test_the_float32_tolerance_rejects_a_wrong_fit(monkeypatch, fault, wct):
+    # the oracle fits of test_train_and_wct_match_the_masked_sgd_oracle,
+    # the package's run with one fault: the weights alone, zeros aside,
+    # then lie more than the tolerance from the oracle's
+    spec = tiny_model_spec(init_seed=4)
+    train_set, _ = small_data(seed=2)
+    config = TrainConfig(epochs=3, seed=4, pattern=make_pattern("xcs", spec, seed=4),
+                         wct=WctConfig(epochs=2))
+    wrong = config
+    if fault == "flipped-mask-entry":           # conv1's first pruned entry kept
+        masks = {name: mask.copy() for name, mask in config.pattern.masks.items()}
+        masks["conv1"].flat[np.flatnonzero(masks["conv1"] == 0)[0]] = 1.0
+        wrong = dataclasses.replace(config, pattern=dataclasses.replace(config.pattern,
+                                                                        masks=masks))
+    else:
+        monkeypatch.setattr(nn, "_project", lambda model, pruned, w_cut: None)
+    net, ref = Network(spec), Network(spec)
+    if wct:
+        wct_train(net, train_set, wrong, w_cut=0.05)
+        oracle_wct(ref, train_set, config, w_cut=0.05)
+    else:
+        train(net, train_set, wrong)
+        oracle_train(ref, train_set, config)
+    deviation = max(np.abs(wa - wb).max() / np.abs(wb).max()
+                    for wa, wb in zip(net.unrolled_weights().values(),
+                                      ref.unrolled_weights().values()))
+    assert deviation > 100 * FLOAT32_RTOL
+    with pytest.raises(AssertionError):
+        assert_weights_match(net, ref)
+
+
+def test_public_nets_and_evaluate_stay_float64(monkeypatch):
+    # the sub-network a fit trains is float32, and every live weight it
+    # scatters back is a float32 value; every net a caller holds, and every
+    # forward of evaluate, stays float64
+    spec = reference_model_spec(init_seed=2)
+    pattern = gen_mask_cf(spec, 0.5, seed=2)
+    seen = set()
+    forward = Conv2d._forward
+
+    def spy(self, x, keep):
+        seen.add((keep, self.w.dtype.name, x.dtype.name))
+        return forward(self, x, keep)
+
+    monkeypatch.setattr(Conv2d, "_forward", spy)
+    assert all(w.dtype == np.float64 for w in nn.he_normal(spec).values())
+    net = Network(spec)
+    train_set, test_set = small_data()
+    config = TrainConfig(epochs=1, seed=2, pattern=pattern, wct=WctConfig(epochs=1))
+    train(net, train_set, config)
+    wct_train(net, train_set, config)
+    assert seen == {(True, "float32", "float32")}
+    live = _live_channels(spec, pattern.masks)
+    for info, ins, outs in zip(spec.unrolled_layers(), live, live[1:]):
+        w = net.unrolled_weights()[info.name]
+        assert w.dtype == np.float64
+        kept = w[np.ix_(nn._row_groups(ins, info.rows_per_channel), outs)]
+        assert kept.tobytes() == kept.astype(np.float32).astype(np.float64).tobytes()
+    seen.clear()
+    evaluate(net, test_set)
+    assert seen == {(False, "float64", "float64")}
+    float32_weights = {k: w.astype(np.float32) for k, w in net.unrolled_weights().items()}
+    for other in (net.copy(), inject_nonideal_weights(net, float32_weights)):
+        assert all(w.dtype == np.float64 for w in other.unrolled_weights().values())
+        assert other.forward(test_set.images.astype(np.float32)).dtype == np.float64
+
+
+def test_wct_keeps_every_sub_network_weight_within_the_cutoff(monkeypatch):
+    # float32(0.05) rounds up to 0.0500000007: the sub-network's clamp
+    # rounds w_cut toward zero instead, so no step leaves a weight above it
+    w_cut = 0.05
+    assert float(np.float32(w_cut)) > w_cut
+    step, largest = nn._step, []
+
+    def spy(model, grads, lr, pruned, cut):
+        step(model, grads, lr, pruned, cut)
+        largest.append(max(float(np.abs(layer.w).max()) for _, layer in model.trainable))
+
+    monkeypatch.setattr(nn, "_step", spy)
+    spec = reference_model_spec(init_seed=3)
+    net = Network(spec)
+    config = TrainConfig(epochs=1, seed=1, pattern=gen_mask_cf(spec, 0.5, seed=3),
+                         wct=WctConfig(epochs=2))
+    wct_train(net, small_data()[0], config, w_cut=w_cut)
+    assert len(largest) == 4
+    assert max(largest) <= w_cut
+    assert max(float(np.abs(w).max()) for w in net.unrolled_weights().values()) <= w_cut
+
+
+@pytest.mark.parametrize("w_cut, expected", [
+    (0.05, 0.049999997), (0.5, 0.5), (1e300, float(np.finfo(np.float32).max)),
+    (1e-50, 0.0),
+])
+def test_the_float32_cutoff_is_the_largest_float32_not_above_it(w_cut, expected):
+    cut = nn._float32_cut(w_cut)
+    assert type(cut) is float
+    assert cut == float(np.float32(expected)) and cut <= w_cut
+    with np.errstate(over="ignore"):        # float32's largest steps to inf
+        assert float(np.nextafter(np.float32(cut), np.float32(np.inf))) > w_cut
+
+
+def test_a_cutoff_below_every_float32_zeroes_the_trained_weights():
+    net = Network(tiny_model_spec(init_seed=2))
+    wct_train(net, small_data()[0], TrainConfig(epochs=1, wct=WctConfig(epochs=1)),
+              w_cut=1e-50)
+    assert all(np.all(w == 0.0) for w in net.unrolled_weights().values())
 
 
 def spy_widths(monkeypatch):
