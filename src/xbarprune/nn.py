@@ -5,7 +5,8 @@ pooling, trained with plain minibatch SGD on softmax cross-entropy.
 outputs) weight matrix, the one that masks, the WCT cutoff and the
 crossbar mapping act on, with the channel-major row groups of
 `ModelSpec.unrolled_layers`: rows in (channel, window row, window
-column) order. A dense layer is the convolution whose window is its
+column) order. Every convolution is stride 1. A `ConvSpec` pads by
+kernel // 2; a dense layer is the unpadded convolution whose window is its
 whole input map (Long, Shelhamer and Darrell, "Fully Convolutional
 Networks", CVPR 2015), so its rows are in (c, h, w) order; a dense layer
 on a flat size f is the 1 x 1 convolution of the (n, 1, 1, f) map.
@@ -63,7 +64,7 @@ then mask) gives every other weight what training at full width gives
 it: a dropped weight gets no gradient there, so it keeps its value,
 clamped under weight-constrained training (WCT), unless a mask zeroes
 it. WCT projects weights into [-w_cut, w_cut] after every step, with
-w_cut taken over the full-width weights, pruned zeros included.
+w_cut a percentile of the full-width |w|, pruned zeros included.
 
 `evaluate` reads the live channels off the weights instead, so a pruned
 net, and the non-ideal copy of one that `inject_nonideal_weights` makes,
@@ -95,18 +96,16 @@ from ._checks import check_int, check_real, is_int
 
 @dataclass(frozen=True)
 class ConvSpec:
+    """A stride-1 k x k convolution padded by k // 2, as in VGG (Simonyan
+    and Zisserman, ICLR 2015): an even k grows the map by one."""
+
     in_ch: int
     out_ch: int
     kernel: int
-    stride: int = 1
-    padding: int = -1          # -1 means "same-ish": kernel // 2
 
     def __post_init__(self):
-        for name in ("in_ch", "out_ch", "kernel", "stride", "padding"):
-            check_int(f"conv {name}", getattr(self, name), -1 if name == "padding" else 1)
-
-    def pad(self) -> int:
-        return self.kernel // 2 if self.padding == -1 else self.padding
+        for name in ("in_ch", "out_ch", "kernel"):
+            check_int(f"conv {name}", getattr(self, name), 1)
 
 
 @dataclass(frozen=True)
@@ -178,9 +177,8 @@ class ModelSpec:
                     raise ValueError(f"conv expects {spec.in_ch} channels, "
                                      f"incoming shape is {shape}")
                 c, h, w = shape
-                p, k, s = spec.pad(), spec.kernel, spec.stride
-                shape = (spec.out_ch, (h + 2 * p - k) // s + 1,
-                         (w + 2 * p - k) // s + 1)
+                grow = 1 - spec.kernel % 2      # padded by kernel // 2
+                shape = (spec.out_ch, h + grow, w + grow)
             elif isinstance(spec, PoolSpec):
                 c, h, w = shape
                 shape = (c, h // 2, w // 2)
@@ -257,36 +255,34 @@ def tiny_model_spec(init_seed: int = 0) -> ModelSpec:
 
 
 @lru_cache(maxsize=256)
-def _taps(size: int, k: int, stride: int, padding: int):
+def _taps(size: int, k: int, padding: int):
     """For one axis of an input of length `size` with `padding` zeros on
     each side and a window of length k: the number `out` of window
     positions and, for each window offset r, the slice of the positions o
-    whose tap o*stride + r - padding lands inside the input and the slice
-    of the input elements those taps read. The taps of the other positions
-    read padding. Returns (out, taps), taps a tuple of slice pairs: the
-    result is cached, as every `im2col` and `col2im` of a layer asks for
-    the same axes."""
-    out = (size + 2 * padding - k) // stride + 1
+    whose tap o + r - padding lands inside the input and the slice of the
+    input elements those taps read. The taps of the other positions read
+    padding. Returns (out, taps), taps a tuple of slice pairs: the result
+    is cached, as every `im2col` and `col2im` of a layer asks for the
+    same axes."""
+    out = size + 2 * padding - k + 1
     taps = []
     for r in range(k):
-        lo = max(0, -((r - padding) // stride))
-        hi = max(lo, min(out, (size - 1 + padding - r) // stride + 1))
-        start = lo * stride + r - padding
-        taps.append((slice(lo, hi), slice(start, start + stride * (hi - lo), stride)))
+        lo = max(0, padding - r)
+        hi = max(lo, min(out, size + padding - r))
+        taps.append((slice(lo, hi), slice(lo + r - padding, hi + r - padding)))
     return out, tuple(taps)
 
 
-def im2col(x: np.ndarray, window, stride: int, padding: int):
-    """Unroll the (kh, kw) windows of a channels-last x (n, h, w, c) into a
-    (n*ho*wo, c*kh*kw) matrix: one row per output position in (n, ho, wo)
-    order, columns in (channel, window row, window column) order, the row
-    order of `Conv2d.w`. The matrix is a zeroed (n, ho, wo, c, kh, kw)
-    buffer into which each of the kh*kw window offsets copies its slab of
-    x, the input elements that offset reads; the taps that fall on the
-    padding keep their zeros. Returns (cols, ho, wo)."""
+def im2col(x: np.ndarray, window, padding: int):
+    """Unroll the stride-1 (kh, kw) windows of a channels-last x (n, h, w,
+    c) padded by `padding` into a (n*ho*wo, c*kh*kw) matrix: one row per
+    output position in (n, ho, wo) order, columns in (channel, window row,
+    window column) order, the row order of `Conv2d.w`. The matrix is a
+    zeroed (n, ho, wo, c, kh, kw) buffer into which each window offset
+    copies its slab of x, the input elements that offset reads; the taps
+    that fall on the padding keep their zeros. Returns (cols, ho, wo)."""
     n, h, w, c = x.shape
-    (ho, row_taps), (wo, col_taps) = (_taps(h, window[0], stride, padding),
-                                      _taps(w, window[1], stride, padding))
+    (ho, row_taps), (wo, col_taps) = _taps(h, window[0], padding), _taps(w, window[1], padding)
     cols = np.zeros((n, ho, wo, c, *window), dtype=x.dtype)
     for kr, (ro, ri) in enumerate(row_taps):
         for kc, (co, ci) in enumerate(col_taps):
@@ -294,7 +290,7 @@ def im2col(x: np.ndarray, window, stride: int, padding: int):
     return cols.reshape(n * ho * wo, c * window[0] * window[1]), ho, wo
 
 
-def col2im(dcols: np.ndarray, x_shape, window, stride: int, padding: int) -> np.ndarray:
+def col2im(dcols: np.ndarray, x_shape, window, padding: int) -> np.ndarray:
     """Adjoint of `im2col` for column gradients in (window row, window
     column, channel) order, as `Conv2d.backward` forms them: sum the
     (n*ho*wo, kh*kw*c) gradients back onto the channels-last input shape
@@ -303,8 +299,7 @@ def col2im(dcols: np.ndarray, x_shape, window, stride: int, padding: int) -> np.
     (window row, window column) order; the terms that fall on the padding
     are dropped."""
     n, h, w, c = x_shape
-    (ho, row_taps), (wo, col_taps) = (_taps(h, window[0], stride, padding),
-                                      _taps(w, window[1], stride, padding))
+    (ho, row_taps), (wo, col_taps) = _taps(h, window[0], padding), _taps(w, window[1], padding)
     dx = np.zeros(x_shape, dtype=dcols.dtype)
     d6 = dcols.reshape(n, ho, wo, *window, c)
     for kr, (ro, ri) in enumerate(row_taps):
@@ -337,28 +332,29 @@ class _Layer:
 
 
 class Conv2d(_Layer):
-    """The one trainable layer: the convolution of a channels-last input
-    (n, h, w, in_ch) by a (kh, kw) `window` to (n, ho, wo, out_ch) as one
-    GEMM, `im2col(x) @ w`. `w` is the C-contiguous (in_ch*kh*kw, out_ch)
-    unrolled matrix whose column j is filter j, its rows in (input
-    channel, window row, window column) order, the column order of
-    `im2col`; `grad_w` is its gradient, `im2col(x).T @ dout`. A dense
-    layer is the convolution whose window is its whole input map, with
-    stride 1 and no padding. The input gradient is one GEMM by W^T with
-    W's rows permuted into (window row, window column, channel) order, so
-    that `col2im` adds whole slabs; each of its elements sums the same
-    out_ch terms in the same order. A training forward keeps the im2col
-    matrix and the input shape."""
+    """The one trainable layer: the stride-1 convolution of a channels-last
+    input (n, h, w, in_ch), padded by `padding` zeros, by a (kh, kw)
+    `window` to (n, ho, wo, out_ch) as one GEMM, `im2col(x) @ w`. `w` is
+    the C-contiguous (in_ch*kh*kw, out_ch) unrolled matrix whose column j
+    is filter j, its rows in (input channel, window row, window column)
+    order, the column order of `im2col`; `grad_w` is its gradient,
+    `im2col(x).T @ dout`. A `ConvSpec` pads by kernel // 2, and a dense
+    layer is the unpadded convolution whose window is its whole input map.
+    The input gradient is one GEMM by W^T with W's rows permuted into
+    (window row, window column, channel) order, so that `col2im` adds
+    whole slabs; each of its elements sums the same out_ch terms in the
+    same order. A training forward keeps the im2col matrix and the input
+    shape."""
 
     kind = "conv"
 
-    def __init__(self, window, stride: int, padding: int, w: np.ndarray):
-        self.window, self.stride, self.padding, self.w = window, stride, padding, w
+    def __init__(self, window, padding: int, w: np.ndarray):
+        self.window, self.padding, self.w = window, padding, w
         self.grad_w = None
 
     def _forward(self, x, keep):
         self._state = None
-        cols, ho, wo = im2col(x, self.window, self.stride, self.padding)
+        cols, ho, wo = im2col(x, self.window, self.padding)
         if keep:
             self._state = cols, x.shape
         return (cols @ self.w).reshape(x.shape[0], ho, wo, self.w.shape[1])
@@ -373,7 +369,7 @@ class Conv2d(_Layer):
         out_ch = self.w.shape[1]
         w_t = self.w.reshape(-1, *self.window, out_ch).transpose(1, 2, 0, 3)
         dcols = dout.reshape(-1, out_ch) @ w_t.reshape(-1, out_ch).T
-        return col2im(dcols, self._kept()[1], self.window, self.stride, self.padding)
+        return col2im(dcols, self._kept()[1], self.window, self.padding)
 
 
 class ReLU(_Layer):
@@ -510,9 +506,9 @@ class Network:
                 continue
             if isinstance(layer_spec, ConvSpec):
                 k = layer_spec.kernel
-                geometry = (k, k), layer_spec.stride, layer_spec.pad()
+                geometry = (k, k), k // 2
             else:
-                geometry = (incoming[1:] if isinstance(incoming, tuple) else (1, 1)), 1, 0
+                geometry = (incoming[1:] if isinstance(incoming, tuple) else (1, 1)), 0
             info = next(infos)
             self.trainable.append((info.name, Conv2d(*geometry, _own_copy(info, matrices))))
             self.layers.append(self.trainable[-1][1])
@@ -722,7 +718,7 @@ def _live_channels(spec: ModelSpec, mats: dict[str, np.ndarray]) -> list[np.ndar
 
 
 def _project(model, pruned, w_cut):
-    """Clamp every weight into [-w_cut, w_cut] by `wct_clamp`'s formula
+    """Clamp every weight into [-w_cut, w_cut] as min(|w|, w_cut) * sign(w)
     (unless w_cut is None), then set the pruned ones to +0.0. w_cut is
     checked by the caller, and a sub-network's may be 0.0 (`_float32_cut`)."""
     for name, layer in model.trainable:
@@ -991,23 +987,20 @@ def wct_cutoff(model: Network, percentile: float) -> float:
     return float(v[rank - 1])
 
 
-def wct_clamp(w: np.ndarray, w_cut: float) -> np.ndarray:
-    """min(|W|, w_cut) * sign(W); the result lies in [-w_cut, w_cut]."""
-    check_real("w_cut", w_cut, 0.0, np.inf)
-    return np.minimum(np.abs(w), w_cut) * np.sign(w)
-
-
-def wct_train(model: Network, dataset: Dataset, config: TrainConfig,
-              w_cut: float | None = None):
+def wct_train(model: Network, dataset: Dataset, config: TrainConfig):
     """Short retraining with weights projected into [-w_cut, w_cut] after
     every step, on the live sub-network in float32 as in `train`, whose
     clamp uses w_cut rounded toward zero to a float32 so that no weight
-    exceeds w_cut; returns (model, w_cut). Unless given, w_cut is
-    `wct_cutoff` of the full-width float64 weights, pruned zeros included."""
+    exceeds w_cut; returns (model, w_cut). w_cut is `wct_cutoff` of the
+    full-width float64 weights, pruned zeros included: a cutoff of 0.0 (the
+    zeros fill its percentile) or inf or NaN raises ValueError first."""
     wct = config.wct if config.wct is not None else WctConfig()
-    if w_cut is None:
-        w_cut = wct_cutoff(model, wct.percentile)
-    check_real("w_cut", w_cut, 0.0, np.inf)
+    w_cut = wct_cutoff(model, wct.percentile)
+    if w_cut == 0.0:
+        zeros = np.mean(np.concatenate([layer.w.ravel() for _, layer in model.trainable]) == 0)
+        raise ValueError(f"WCT cutoff at percentile {wct.percentile:g} is 0.0: {zeros:.1%} of "
+                         f"the weights are zero, and WCT needs fewer than {wct.percentile:g} %")
+    check_real("WCT cutoff", w_cut, 0.0, np.inf)
     rng = np.random.default_rng([config.seed, 1])
     _fit(model, dataset, config, wct.epochs, w_cut, rng)
     return model, w_cut

@@ -218,7 +218,10 @@ def compact_xrs(w: np.ndarray, n: int, mask: np.ndarray | None = None) -> Segmen
 
 
 def tile_count_unpruned(rows: int, cols: int, n: int) -> int:
+    """Tiles of size n for a nonempty rows x cols matrix, as in `partition`."""
     check_int("tile size", n, 1)
+    check_int("rows", rows, 1)
+    check_int("cols", cols, 1)
     return math.ceil(rows / n) * math.ceil(cols / n)
 
 
@@ -239,7 +242,8 @@ def compression_rate(model_spec, pattern: SparsityPattern | None, n: int) -> flo
     for mask in _unrolled_masks(model_spec, pattern).values():
         if pattern.method == "cf":
             comp = cf_compaction(mask)
-            total += tile_count_unpruned(comp.kept_rows.size, comp.kept_cols.size, n)
+            if comp.kept_rows.size:         # an all-zero mask keeps no tile
+                total += tile_count_unpruned(comp.kept_rows.size, comp.kept_cols.size, n)
         else:
             total += len(_segment_packing(mask, n, pattern.method).tiles)
     if total == 0:

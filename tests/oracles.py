@@ -90,21 +90,22 @@ def dense_mna_currents(g, r_driver, r_wire_row, r_wire_col, r_sense, v):
                      for j, k in enumerate(sense)])
 
 
-def direct_conv2d(x, w, stride=1, padding=0):
-    """Plain sliding-window convolution (cross-correlation), looped."""
+def direct_conv2d(x, w, padding):
+    """Plain stride-1 sliding-window convolution (cross-correlation) of x
+    padded by `padding` zeros on every side, looped."""
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     n, c_in, h, width = x.shape
     c_out, _, k, _ = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    h_out = (h + 2 * padding - k) // stride + 1
-    w_out = (width + 2 * padding - k) // stride + 1
+    h_out = h + 2 * padding - k + 1
+    w_out = width + 2 * padding - k + 1
     out = np.zeros((n, c_out, h_out, w_out))
     for b in range(n):
         for o in range(c_out):
             for y in range(h_out):
                 for xx in range(w_out):
-                    patch = xp[b, :, y * stride:y * stride + k, xx * stride:xx * stride + k]
+                    patch = xp[b, :, y:y + k, xx:xx + k]
                     out[b, o, y, xx] = np.sum(patch * w[o])
     return out
 
@@ -168,20 +169,19 @@ def he_normal_init(spec):
     return out
 
 
-def im2col_padded(x, window, stride, padding):
-    """The (kh, kw) windows of a channels-last x (n, h, w, c) as a
+def im2col_padded(x, window, padding):
+    """The stride-1 (kh, kw) windows of a channels-last x (n, h, w, c) as a
     (n*ho*wo, c*kh*kw) matrix, rows in (n, ho, wo) order and columns in
     (channel, window row, window column) order: pad x with np.pad and copy
-    its strided (n, ho, wo, c, kh, kw) window view whole. Returns
-    (cols, ho, wo)."""
+    its (n, ho, wo, c, kh, kw) window view whole. Returns (cols, ho, wo)."""
     n, h, w, c = x.shape
     xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-    win = sliding_window_view(xp, window, axis=(1, 2))[:, ::stride, ::stride]
+    win = sliding_window_view(xp, window, axis=(1, 2))
     ho, wo = win.shape[1], win.shape[2]
     return np.ascontiguousarray(win).reshape(n * ho * wo, -1), ho, wo
 
 
-def col2im_padded(dcols, x_shape, window, stride, padding, ho, wo):
+def col2im_padded(dcols, x_shape, window, padding, ho, wo):
     """Adjoint of im2col_padded: add the (channel, window row, window
     column) column gradients onto a zero-padded input in (window row,
     window column) order, then crop the padding."""
@@ -191,7 +191,7 @@ def col2im_padded(dcols, x_shape, window, stride, padding, ho, wo):
     d6 = dcols.reshape(n, ho, wo, c, kh, kw)
     for kr in range(kh):
         for kc in range(kw):
-            dxp[:, kr:kr + stride * ho:stride, kc:kc + stride * wo:stride] += d6[..., kr, kc]
+            dxp[:, kr:kr + ho, kc:kc + wo] += d6[..., kr, kc]
     return dxp[:, padding:padding + h, padding:padding + w]
 
 
@@ -233,33 +233,34 @@ def relu_then_pool(x, dout, pool=True):
     return out, back(dout) * mask
 
 
-def conv_block(x, w, stride, padding, dout, pool=True):
-    """A conv -> ReLU (-> 2x2 max pool) block on a channels-last x, forward
-    and backward through im2col_padded, one GEMM by the (in, k, k)-major
-    unrolled weights, relu_then_pool and col2im_padded. Returns
-    (out, dx, grad_w), grad_w shaped like w (out, in, k, k)."""
+def conv_block(x, w, dout, pool=True):
+    """A k x k conv padded by k // 2 -> ReLU (-> 2x2 max pool) block on a
+    channels-last x, forward and backward through im2col_padded, one GEMM
+    by the (in, k, k)-major unrolled weights, relu_then_pool and
+    col2im_padded. Returns (out, dx, grad_w), grad_w shaped like w
+    (out, in, k, k)."""
     out_ch, _, k, _ = w.shape
-    cols, ho, wo = im2col_padded(x, (k, k), stride, padding)
+    cols, ho, wo = im2col_padded(x, (k, k), k // 2)
     w_mat = conv_matrix(w)
     y = (cols @ w_mat).reshape(x.shape[0], ho, wo, out_ch)
     out, dy = relu_then_pool(y, dout, pool)
     d2 = dy.reshape(-1, out_ch)
     grad_w = filter_bank(cols.T @ d2, k)
-    dx = col2im_padded(d2 @ w_mat.T, x.shape, (k, k), stride, padding, ho, wo)
+    dx = col2im_padded(d2 @ w_mat.T, x.shape, (k, k), k // 2, ho, wo)
     return out, dx, grad_w
 
 
 def network_forward(layers, weights, x):
-    """Logits of a layer stack on NCHW images x: direct_conv2d, elementwise
-    ReLU, max_pool2, and dense layers on the activations flattened in
-    (C, H, W) order. `layers` are nn layer specs, `weights` the trainable
+    """Logits of a layer stack on NCHW images x: direct_conv2d padded by
+    kernel // 2, elementwise ReLU, max_pool2, and dense layers on the
+    activations flattened in (C, H, W) order. `layers` are nn layer specs, `weights` the trainable
     weights in layer order (conv (out, in, k, k), dense (in, out))."""
     x = np.asarray(x, dtype=float)
     weights = iter(weights)
     for spec in layers:
         kind = type(spec).__name__
         if kind == "ConvSpec":
-            x = direct_conv2d(x, next(weights), spec.stride, spec.pad())
+            x = direct_conv2d(x, next(weights), spec.kernel // 2)
         elif kind == "ReluSpec":
             x = np.maximum(x, 0.0)
         elif kind == "PoolSpec":

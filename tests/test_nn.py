@@ -44,17 +44,18 @@ from xbarprune.nn import (
     reference_model_spec,
     tiny_model_spec,
     train,
-    wct_clamp,
     wct_train,
 )
 from xbarprune import _parallel, nn
 from xbarprune.nn import _cross_entropy, _live_channels, _narrowed
 from xbarprune.pruning import METHODS, SparsityPattern, gen_mask_cf, gen_mask_xcs, gen_mask_xrs
 
+# every conv is padded by kernel // 2: an odd kernel keeps the map's size,
+# an even one grows it by one
 CONV_SPECS = [
-    ConvSpec(2, 3, 3),                        # default padding kernel // 2
-    ConvSpec(2, 3, 3, stride=2, padding=1),
-    ConvSpec(1, 4, 3, padding=0),
+    ConvSpec(2, 3, 3),
+    ConvSpec(2, 3, 5),
+    ConvSpec(1, 4, 2),
     ConvSpec(3, 2, 1),
 ]
 
@@ -63,11 +64,12 @@ def small_data(seed=0):
     return gen_synthetic_dataset(seed, 64, 16)
 
 
-# odd, non-square maps: the pool drops a row and a column, and a (4, 2, 1)
-# map is flattened into a dense -> dense tail
+# odd, non-square maps: the pool drops a row and a column, a 2 x 2 conv
+# grows the (3, 2) pooled map to (4, 3), and that map is flattened into a
+# dense -> dense tail
 ODD_SPEC = ModelSpec((ConvSpec(2, 3, 3), ReluSpec(), PoolSpec(),
-                      ConvSpec(3, 4, 3, stride=2, padding=1), ReluSpec(),
-                      DenseSpec(8, 5), ReluSpec(), DenseSpec(5, 3)),
+                      ConvSpec(3, 4, 2), ReluSpec(),
+                      DenseSpec(48, 5), ReluSpec(), DenseSpec(5, 3)),
                      input_shape=(2, 7, 5), init_seed=7)
 
 
@@ -86,17 +88,16 @@ def conv_layer(spec, rng):
     """A Conv2d of `spec` with a normal filter bank drawn from `rng`."""
     bank = rng.normal(size=(spec.out_ch, spec.in_ch, spec.kernel, spec.kernel))
     w = np.ascontiguousarray(conv_matrix(bank))
-    return Conv2d((spec.kernel, spec.kernel), spec.stride, spec.pad(), w)
+    return Conv2d((spec.kernel, spec.kernel), spec.kernel // 2, w)
 
 
 @pytest.mark.parametrize("spec", CONV_SPECS)
 def test_conv_forward_matches_direct_conv(spec):
-    rng = np.random.default_rng(spec.in_ch * 10 + spec.stride)
+    rng = np.random.default_rng(spec.in_ch * 10 + spec.kernel)
     layer = conv_layer(spec, rng)
     x = rng.normal(size=(2, spec.in_ch, 7, 6))
     out = nchw(layer.forward(nhwc(x)))
-    ref = direct_conv2d(x, filter_bank(layer.w, spec.kernel), stride=spec.stride,
-                        padding=spec.pad())
+    ref = direct_conv2d(x, filter_bank(layer.w, spec.kernel), spec.kernel // 2)
     assert out.shape == ref.shape
     np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-13)
 
@@ -131,7 +132,7 @@ def test_full_window_layer_is_flatten_then_gemm_bit_for_bit(spec):
     # forward and weight gradient are the GEMMs of the flattened map
     (c, h, w), = [shape for layer, shape in spec.shape_walk() if isinstance(layer, DenseSpec)][:1]
     dense = dict(Network(spec).trainable)["dense1"]
-    assert (dense.window, dense.stride, dense.padding) == ((h, w), 1, 0)
+    assert (dense.window, dense.padding) == ((h, w), 0)
     rng = np.random.default_rng(12)
     x = rng.normal(size=(6, h, w, c))
     flat = x.transpose(0, 3, 1, 2).reshape(len(x), -1)
@@ -202,26 +203,25 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-# (in_ch, out_ch, kernel, stride, padding, map h, map w)
+# (in_ch, out_ch, kernel, map h, map w)
 BLOCKS = [
-    (1, 4, 3, 1, 1, 8, 8),
-    (3, 5, 3, 1, 1, 7, 5),        # odd map: the pool drops a row and a column
-    (2, 4, 3, 2, 1, 9, 7),
-    (4, 3, 3, 2, 0, 8, 9),
-    (2, 3, 5, 1, 2, 6, 7),
-    (3, 2, 1, 1, 0, 5, 5),
-    (2, 3, 3, 3, 2, 7, 8),        # stride above the kernel's reach: taps skip rows
+    (1, 4, 3, 8, 8),
+    (3, 5, 3, 7, 5),        # odd map: the pool drops a row and a column
+    (2, 4, 3, 9, 7),
+    (4, 3, 2, 8, 9),        # even kernel: the map grows to (9, 10)
+    (2, 3, 5, 6, 7),
+    (3, 2, 1, 5, 5),
 ]
 
 
 def block_spec(block, *tail):
     """The block's conv, then the `tail` layers, then a dense head on the
     flattened output map."""
-    in_ch, out_ch, k, stride, padding, h, w = block
-    ho, wo = ((size + 2 * padding - k) // stride + 1 for size in (h, w))
+    in_ch, out_ch, k, h, w = block
+    ho, wo = h + 1 - k % 2, w + 1 - k % 2
     if PoolSpec() in tail:
         ho, wo = ho // 2, wo // 2
-    return ModelSpec((ConvSpec(in_ch, out_ch, k, stride, padding), *tail,
+    return ModelSpec((ConvSpec(in_ch, out_ch, k), *tail,
                       DenseSpec(out_ch * ho * wo, 2)), input_shape=(in_ch, h, w))
 
 
@@ -237,18 +237,18 @@ def block_map(rng, shape, kind):
     return x
 
 
-# (in_ch, window, stride, padding, map h, map w): every block's square
-# window, then rectangular ones: the whole map of the reference model's
-# and ODD_SPEC's dense layers, a 1 x 1 window on a flat size, and padded
-# and strided windows taller or wider than they are long
-WINDOWS = [(in_ch, (k, k), stride, padding, h, w)
-           for in_ch, _, k, stride, padding, h, w in BLOCKS] + [
-    (6, (2, 2), 1, 0, 2, 2),
-    (4, (2, 1), 1, 0, 2, 1),
-    (5, (1, 1), 1, 0, 1, 1),
-    (2, (3, 2), 1, 0, 5, 4),
-    (3, (1, 4), 2, 1, 6, 7),
-    (2, (4, 3), 3, 2, 7, 5),
+# (in_ch, window, padding, map h, map w): every block's square window,
+# then rectangular ones: the whole map of the reference model's and
+# ODD_SPEC's dense layers, a 1 x 1 window on a flat size, and padded
+# windows taller or wider than they are long, one padded past its reach
+WINDOWS = [(in_ch, (k, k), k // 2, h, w) for in_ch, _, k, h, w in BLOCKS] + [
+    (6, (2, 2), 0, 2, 2),
+    (4, (4, 3), 0, 4, 3),
+    (5, (1, 1), 0, 1, 1),
+    (2, (3, 2), 0, 5, 4),
+    (3, (1, 4), 1, 6, 7),
+    (2, (4, 3), 2, 7, 5),
+    (2, (2, 3), 4, 3, 2),
 ]
 
 
@@ -260,27 +260,27 @@ def slab_order(d, in_ch, window):
 
 @pytest.mark.parametrize("block", WINDOWS)
 def test_im2col_and_col2im_match_the_padded_oracles_bit_for_bit(block):
-    in_ch, window, stride, padding, h, w = block
-    rng = np.random.default_rng(in_ch + sum(window) + stride + padding + h + w)
+    in_ch, window, padding, h, w = block
+    rng = np.random.default_rng(in_ch + sum(window) + padding + h + w)
     x = rng.normal(size=(3, h, w, in_ch))
-    cols, ho, wo = im2col(x, window, stride, padding)
-    ref, ref_ho, ref_wo = im2col_padded(x, window, stride, padding)
+    cols, ho, wo = im2col(x, window, padding)
+    ref, ref_ho, ref_wo = im2col_padded(x, window, padding)
     assert (ho, wo) == (ref_ho, ref_wo)
     assert same_bits(cols, ref)
     d = rng.normal(size=ref.shape)
-    dx = col2im(slab_order(d, in_ch, window), x.shape, window, stride, padding)
-    assert same_bits(dx, col2im_padded(d, x.shape, window, stride, padding, ho, wo))
+    dx = col2im(slab_order(d, in_ch, window), x.shape, window, padding)
+    assert same_bits(dx, col2im_padded(d, x.shape, window, padding, ho, wo))
 
 
 @pytest.mark.parametrize("block", WINDOWS)
 def test_col2im_is_the_adjoint_of_im2col(block):
-    in_ch, window, stride, padding, h, w = block
-    rng = np.random.default_rng(100 + in_ch + sum(window) + stride + padding + h + w)
+    in_ch, window, padding, h, w = block
+    rng = np.random.default_rng(100 + in_ch + sum(window) + padding + h + w)
     x = rng.normal(size=(2, h, w, in_ch))
-    cols, _, _ = im2col(x, window, stride, padding)
+    cols, _, _ = im2col(x, window, padding)
     d = rng.normal(size=cols.shape)
     lhs = np.sum(cols * d)
-    rhs = np.sum(x * col2im(slab_order(d, in_ch, window), x.shape, window, stride, padding))
+    rhs = np.sum(x * col2im(slab_order(d, in_ch, window), x.shape, window, padding))
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
@@ -289,7 +289,7 @@ def test_col2im_is_the_adjoint_of_im2col(block):
 def test_conv_relu_pool_block_matches_the_spec_order_oracle(block, kind):
     # the block as Network builds it (conv, pool, then ReLU on the pooled
     # map) against conv -> ReLU -> pool through the padded im2col/col2im
-    in_ch, out_ch, k, stride, padding, h, w = block
+    in_ch, out_ch, k, h, w = block
     spec = block_spec(block, ReluSpec(), PoolSpec())
     net = Network(spec)
     layers, conv = net.layers[:3], net.layers[0]
@@ -308,8 +308,7 @@ def test_conv_relu_pool_block_matches_the_spec_order_oracle(block, kind):
         dx = layer.backward(dx)
     # the oracle's GEMMs see the layer's weight matrix: the BLAS may round a
     # product by a transposed operand differently
-    ref_out, ref_dx, ref_grad_w = conv_block(x, filter_bank(conv.w, k), stride,
-                                             spec.layers[0].pad(), dout)
+    ref_out, ref_dx, ref_grad_w = conv_block(x, filter_bank(conv.w, k), dout)
     assert same(out, ref_out)
     assert same(dx, ref_dx)
     assert same(conv.grad_w, conv_matrix(ref_grad_w))
@@ -323,7 +322,7 @@ def test_conv_relu_pool_block_matches_the_spec_order_oracle(block, kind):
 @pytest.mark.parametrize("block", BLOCKS)
 def test_conv_relu_block_matches_the_oracle_bit_for_bit(block, kind):
     # no pool: the GEMMs see the oracle's operands in the oracle's K order
-    in_ch, out_ch, k, stride, padding, h, w = block
+    in_ch, out_ch, k, h, w = block
     spec = block_spec(block, ReluSpec())
     conv, relu, _ = Network(spec).layers
     rng = np.random.default_rng(300 + sum(block))
@@ -331,8 +330,7 @@ def test_conv_relu_block_matches_the_oracle_bit_for_bit(block, kind):
     out = relu.forward(conv.forward(x))
     dout = rng.normal(size=out.shape)
     dx = conv.backward(relu.backward(dout))
-    ref_out, ref_dx, ref_grad_w = conv_block(x, filter_bank(conv.w, k), stride,
-                                             spec.layers[0].pad(), dout, pool=False)
+    ref_out, ref_dx, ref_grad_w = conv_block(x, filter_bank(conv.w, k), dout, pool=False)
     assert same_bits(out, ref_out)
     assert same_bits(dx, ref_dx)
     assert same_bits(conv.grad_w, conv_matrix(ref_grad_w))
@@ -416,11 +414,11 @@ def test_conv_grad_w_matches_numeric_gradient(spec):
 
 
 def test_rectangular_window_gradients_match_numeric_gradients():
-    # a (3, 2) window, padded and strided: every weight, and the input
-    # gradient that col2im forms from the permuted W^T
+    # a padded (3, 2) window: every weight, and the input gradient that
+    # col2im forms from the permuted W^T
     rng = np.random.default_rng(8)
-    layer = Conv2d((3, 2), 2, 1, rng.normal(size=(3 * 3 * 2, 4)))
-    x = rng.normal(size=(2, 6, 5, 3))
+    layer = Conv2d((3, 2), 1, rng.normal(size=(3 * 3 * 2, 4)))
+    x = rng.normal(size=(2, 3, 3, 3))
     probe = rng.normal(size=layer.forward(x).shape)
     dx = layer.backward(probe)
 
@@ -492,10 +490,10 @@ def test_the_layers_compute_in_the_dtype_of_their_input():
         assert out.dtype == dx.dtype == np.float32
         assert same_bits(out, layer.forward(x32.astype(np.float64)).astype(np.float32))
         assert same_bits(dx, layer.backward(dout.astype(np.float64)).astype(np.float32))
-    cols, ho, wo = im2col(x32, (3, 2), 2, 1)
+    cols, ho, wo = im2col(x32, (3, 2), 1)
     assert cols.dtype == np.float32
-    assert same_bits(cols, im2col(x32.astype(np.float64), (3, 2), 2, 1)[0].astype(np.float32))
-    assert col2im(cols[:, ::-1], x32.shape, (3, 2), 2, 1).dtype == np.float32
+    assert same_bits(cols, im2col(x32.astype(np.float64), (3, 2), 1)[0].astype(np.float32))
+    assert col2im(cols[:, ::-1], x32.shape, (3, 2), 1).dtype == np.float32
     loss, dlogits = _cross_entropy(x32[:, 1, 1], np.array([0, 2]), 4)
     assert loss.dtype == dlogits.dtype == np.float32
 
@@ -537,8 +535,14 @@ def oracle_train(net, data, config):
                       config.epochs, np.random.default_rng(config.seed))
 
 
+def pin_cutoff(monkeypatch, w_cut):
+    """Make `wct_train` clamp at `w_cut` whatever the weights."""
+    monkeypatch.setattr(nn, "wct_cutoff", lambda model, percentile: w_cut)
+
+
 def oracle_wct(net, data, config, w_cut=None):
-    """`wct_train` by the full-width masked_sgd oracle; returns w_cut."""
+    """`wct_train` by the full-width masked_sgd oracle, at `w_cut` or else
+    at the nearest-rank cutoff of the weights; returns w_cut."""
     if w_cut is None:
         w_cut = nearest_rank_cutoff(net, config.wct.percentile)
     masked_sgd(net, data, config.pattern.masks, config.lr, config.batch_size,
@@ -561,12 +565,15 @@ def odd_data(n=24, seed=5):
 # reference net, 32 images x 64 positions). Hence 2048 * u = 2**-13, about
 # 1.2e-4, for weights relative to each layer's largest one, losses and
 # w_cut. Measured on the 51 oracle cases: rounding alone moves a weight by
-# at most 2.9 u. One case breaks a tie: two entries of a max-pool window
-# that are equal in real arithmetic (clipped pixels times conv1 weights
-# clamped to +-w_cut) round apart in opposite ways in the two precisions,
-# the window's gradient goes to another input, and a conv1 weight moves by
-# 535 u. A flipped mask entry or a skipped projection moves the weights by
-# far more (test_the_float32_tolerance_rejects_a_wrong_fit).
+# at most 2.9 u. Two cases break a tie. In [wct-reference-cf], two entries
+# of a max-pool window that are equal in real arithmetic (clipped pixels
+# times conv1 weights clamped to +-w_cut) round apart in opposite ways in
+# the two precisions, the window's gradient goes to another input, and a
+# conv1 weight moves by 535 u. In [wct-odd-cf], three dense1 outputs that
+# cancel to within rounding of zero take opposite signs, the ReLU after
+# dense1 passes their gradients in one precision only, and conv2 and dense1
+# weights move by 91 u. A flipped mask entry or a skipped projection moves
+# the weights by far more (test_the_float32_tolerance_rejects_a_wrong_fit).
 FLOAT32_RTOL = 2048 * 2.0 ** -24
 
 
@@ -580,7 +587,7 @@ def assert_weights_match(a: Network, b: Network, rtol=FLOAT32_RTOL):
 @pytest.mark.parametrize("spec", [reference_model_spec(init_seed=3), ODD_SPEC],
                          ids=["reference", "odd"])
 @pytest.mark.parametrize("wct", [False, True], ids=["sgd", "wct"])
-def test_sgd_step_matches_the_masked_sgd_oracle(spec, wct, method):
+def test_sgd_step_matches_the_masked_sgd_oracle(monkeypatch, spec, wct, method):
     # one batch, one epoch: a single step from the same weights, whose
     # pruned entries are not zero yet
     data = odd_data() if spec is ODD_SPEC else small_data(seed=4)[0]
@@ -588,7 +595,8 @@ def test_sgd_step_matches_the_masked_sgd_oracle(spec, wct, method):
                          pattern=make_pattern(method, spec, seed=3), wct=WctConfig(epochs=1))
     net, ref = Network(spec), Network(spec)
     if wct:
-        wct_train(net, data, config, w_cut=0.05)
+        pin_cutoff(monkeypatch, 0.05)
+        wct_train(net, data, config)
         oracle_wct(ref, data, config, w_cut=0.05)
     else:
         train(net, data, config)
@@ -632,7 +640,8 @@ def test_the_float32_tolerance_rejects_a_wrong_fit(monkeypatch, fault, wct):
         monkeypatch.setattr(nn, "_project", lambda model, pruned, w_cut: None)
     net, ref = Network(spec), Network(spec)
     if wct:
-        wct_train(net, train_set, wrong, w_cut=0.05)
+        pin_cutoff(monkeypatch, 0.05)
+        wct_train(net, train_set, wrong)
         oracle_wct(ref, train_set, config, w_cut=0.05)
     else:
         train(net, train_set, wrong)
@@ -697,7 +706,8 @@ def test_wct_keeps_every_sub_network_weight_within_the_cutoff(monkeypatch):
     net = Network(spec)
     config = TrainConfig(epochs=1, seed=1, pattern=gen_mask_cf(spec, 0.5, seed=3),
                          wct=WctConfig(epochs=2))
-    wct_train(net, small_data()[0], config, w_cut=w_cut)
+    pin_cutoff(monkeypatch, w_cut)
+    wct_train(net, small_data()[0], config)
     assert len(largest) == 4
     assert max(largest) <= w_cut
     assert max(float(np.abs(w).max()) for w in net.unrolled_weights().values()) <= w_cut
@@ -715,10 +725,10 @@ def test_the_float32_cutoff_is_the_largest_float32_not_above_it(w_cut, expected)
         assert float(np.nextafter(np.float32(cut), np.float32(np.inf))) > w_cut
 
 
-def test_a_cutoff_below_every_float32_zeroes_the_trained_weights():
+def test_a_cutoff_below_every_float32_zeroes_the_trained_weights(monkeypatch):
+    pin_cutoff(monkeypatch, 1e-50)
     net = Network(tiny_model_spec(init_seed=2))
-    wct_train(net, small_data()[0], TrainConfig(epochs=1, wct=WctConfig(epochs=1)),
-              w_cut=1e-50)
+    wct_train(net, small_data()[0], TrainConfig(epochs=1, wct=WctConfig(epochs=1)))
     assert all(np.all(w == 0.0) for w in net.unrolled_weights().values())
 
 
@@ -858,25 +868,36 @@ def test_wct_keeps_every_weight_within_cutoff():
         assert np.all(np.abs(w) <= w_cut)
 
 
-@pytest.mark.parametrize("w_cut", [np.nan, np.inf, -np.inf, 0.0, -0.1])
-def test_wct_clamp_rejects_a_cutoff_that_is_not_finite_and_positive(w_cut):
-    with pytest.raises(ValueError, match="w_cut"):
-        wct_clamp(np.ones(3), w_cut)
-
-
 @pytest.mark.parametrize("w_cut", [np.nan, np.inf, 0.0])
 @pytest.mark.parametrize("make_pattern", [
     lambda spec: gen_mask_cf(spec, 0.5, seed=3),
     lambda spec: gen_mask_xcs(spec, 0.5, 8, seed=3),
     lambda spec: None,
 ], ids=["cf", "xcs", "dense"])
-def test_wct_train_rejects_a_cutoff_that_is_not_finite_and_positive(w_cut, make_pattern):
+def test_wct_train_rejects_a_cutoff_that_is_not_finite_and_positive(monkeypatch, w_cut,
+                                                                    make_pattern):
+    pin_cutoff(monkeypatch, w_cut)
     spec = tiny_model_spec(init_seed=3)
     pattern = make_pattern(spec)
     net = Network(spec)
     before = {k: w.copy() for k, w in net.unrolled_weights().items()}
-    with pytest.raises(ValueError, match="w_cut"):
-        wct_train(net, small_data()[0], TrainConfig(epochs=1, pattern=pattern), w_cut=w_cut)
+    with pytest.raises(ValueError, match="WCT cutoff"):
+        wct_train(net, small_data()[0], TrainConfig(epochs=1, pattern=pattern))
+    for name, w in net.unrolled_weights().items():
+        assert w.tobytes() == before[name].tobytes()
+
+
+def test_wct_train_names_the_zeros_that_make_its_cutoff_zero():
+    # cf@0.75 leaves 93.5 % of the reference net's He weights zero, more
+    # than the 90 % below the default percentile: the cutoff is 0.0
+    spec = reference_model_spec(init_seed=0)
+    pattern = gen_mask_cf(spec, 0.75, seed=0)
+    net = masked_net(spec, pattern)
+    before = {k: w.copy() for k, w in net.unrolled_weights().items()}
+    assert nn.wct_cutoff(net, 90.0) == 0.0
+    with pytest.raises(ValueError, match=r"percentile 90 is 0\.0: 93\.5% of the weights "
+                                         r"are zero, and WCT needs fewer than 90 %"):
+        wct_train(net, small_data()[0], TrainConfig(epochs=1, pattern=pattern))
     for name, w in net.unrolled_weights().items():
         assert w.tobytes() == before[name].tobytes()
 
@@ -1137,9 +1158,9 @@ def test_evaluate_holds_one_layers_working_set_at_a_time(monkeypatch):
 
 
 def test_taps_are_cached_as_immutable_tuples():
-    out, taps = nn._taps(7, 3, 2, 1)
-    assert nn._taps(7, 3, 2, 1)[1] is taps
-    assert out == 4 and isinstance(taps, tuple)
+    out, taps = nn._taps(7, 3, 1)
+    assert nn._taps(7, 3, 1)[1] is taps
+    assert out == 7 and isinstance(taps, tuple)
     assert all(isinstance(pair, tuple) for pair in taps)
 
 
@@ -1307,13 +1328,10 @@ def test_train_rejects_an_empty_dataset():
      "in_ch must be an integer >= 1"),
     (lambda: ModelSpec((ConvSpec(1, 2, 0),)), "kernel must be an integer >= 1"),
     (lambda: ModelSpec((ConvSpec(1, 2, -3),)), "kernel must be an integer >= 1"),
-    (lambda: ModelSpec((ConvSpec(1, 2, 3, stride=0),)), "stride must be an integer >= 1"),
     (lambda: ModelSpec((DenseSpec(64, 0),)), "dense out_features must be an integer >= 1"),
     (lambda: ModelSpec((ConvSpec(1, 2, 3),), input_shape=(1, 0, 8)), "input_shape"),
     (lambda: ModelSpec((ConvSpec(1, 2, 3), PoolSpec(), PoolSpec(), PoolSpec(),
                         DenseSpec(2, 4)), input_shape=(1, 4, 4)), "empty output shape"),
-    (lambda: ModelSpec((ConvSpec(1, 2, 5, padding=0), DenseSpec(2, 4)),
-                       input_shape=(1, 3, 3)), "empty output shape"),
     # an (n, 8.0, 8) spec once built a net whose forward raised TypeError,
     # an (n, 8.5, 8) one a net no image fits
     (lambda: ModelSpec((ConvSpec(1, 2, 3), DenseSpec(128, 4)), input_shape=(1, 8.0, 8)),
@@ -1330,12 +1348,13 @@ def test_train_rejects_an_empty_dataset():
      "input_shape must be three integer sizes"),
     # the output must be logits: training once read a conv map's height
     # axis as the classes
-    (lambda: ModelSpec((ConvSpec(2, 3, 3, stride=2), ReluSpec()), input_shape=(2, 7, 5)),
+    (lambda: ModelSpec((ConvSpec(2, 3, 3), ReluSpec()), input_shape=(2, 7, 5)),
      "must end in a dense head"),
-    (lambda: ModelSpec((ConvSpec(1, 4, 8, padding=0),)), "must end in a dense head"),
+    (lambda: ModelSpec((ConvSpec(1, 4, 1),), input_shape=(1, 1, 1)),
+     "must end in a dense head"),
 ], ids=["pool-after-dense", "conv-after-dense", "zero-out-channels", "zero-in-channels",
-        "zero-kernel", "negative-kernel", "zero-stride", "zero-dense-outputs",
-        "empty-input", "pools-to-0x0", "kernel-wider-than-input", "float-input-size",
+        "zero-kernel", "negative-kernel", "zero-dense-outputs",
+        "empty-input", "pools-to-0x0", "float-input-size",
         "fractional-input-size", "bool-input-channels", "two-input-sizes",
         "four-input-sizes", "flat-input-size", "conv-only", "conv-to-1x1"])
 def test_model_spec_rejects_shapes_it_cannot_run(build, reason):
@@ -1344,21 +1363,14 @@ def test_model_spec_rejects_shapes_it_cannot_run(build, reason):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: ConvSpec(1, 4, 3, padding=-3),
-    lambda: ConvSpec(1, 4, 3, padding=-2),
-    lambda: ConvSpec(1, 4, 3, stride=True),
-    lambda: ConvSpec(1, 4, 3, padding=False),
     lambda: ConvSpec(1, 4, 3.0),
     lambda: ConvSpec(2.0, 4, 3),
     lambda: ConvSpec(1, np.float64(4), 3),
-    lambda: ConvSpec(1, 4, 3, stride=1.5),
-    lambda: ConvSpec(1, 4, 3, padding=0.5),
     lambda: DenseSpec(2.5, 4),
     lambda: DenseSpec(2, True),
     lambda: DenseSpec(2, "4"),
-], ids=["padding-3", "padding-2", "bool-stride", "bool-padding", "float-kernel",
-        "float-in-ch", "numpy-float-out-ch", "fractional-stride", "fractional-padding",
-        "float-dense-in", "bool-dense-out", "str-dense-out"])
+], ids=["float-kernel", "float-in-ch", "numpy-float-out-ch", "float-dense-in",
+        "bool-dense-out", "str-dense-out"])
 def test_layer_specs_reject_sizes_that_are_not_integers_in_range(build):
     with pytest.raises(ValueError, match="conv|dense"):
         build()
@@ -1377,9 +1389,12 @@ def test_model_spec_stores_any_sequence_of_three_sizes_as_a_tuple(input_shape):
 
 
 def test_layer_specs_take_numpy_integers_and_same_padding():
-    conv = ConvSpec(np.int64(1), np.int32(4), np.int64(5), np.int64(2), np.int64(-1))
-    assert conv.pad() == 2
-    assert ConvSpec(1, 4, 3, padding=0).pad() == 0
+    # a conv holds its channels and kernel only: stride 1, padded by
+    # kernel // 2, so an odd kernel keeps the map and an even one grows it
+    conv = ConvSpec(np.int64(1), np.int32(4), np.int64(5))
+    assert [field.name for field in dataclasses.fields(conv)] == ["in_ch", "out_ch", "kernel"]
+    spec = ModelSpec((conv, ConvSpec(4, 2, 2), DenseSpec(2 * 9 * 9, 2)))
+    assert [shape for _, shape in spec.shape_walk()] == [(1, 8, 8), (4, 8, 8), (2, 9, 9)]
     assert DenseSpec(np.int64(3), np.int16(2)) == DenseSpec(3, 2)
 
 

@@ -397,6 +397,27 @@ def test_tile_counts_reject_a_size_that_is_not_an_integer_above_zero(n):
             call()
 
 
+@pytest.mark.parametrize("size", [True, 2.5, -3, 0])
+def test_tile_count_unpruned_rejects_the_sizes_of_no_nonempty_matrix(size):
+    # (True, 5, 4) and (2.5, 5, 4) once counted 2 tiles, (-3, 5, 4) none
+    with pytest.raises(ValueError, match="rows must be an integer >= 1"):
+        tile_count_unpruned(size, 5, 4)
+    with pytest.raises(ValueError, match="cols must be an integer >= 1"):
+        tile_count_unpruned(5, size, 4)
+
+
+@pytest.mark.parametrize("method", ["cf", "xcs", "xrs"])
+def test_compression_rate_counts_no_tile_for_an_all_zero_mask(method):
+    model = FakeModel([
+        FakeLayer("fc", rows=64, cols=64, rows_per_channel=1, in_channels=64),
+        FakeLayer("dense1", rows=64, cols=8, rows_per_channel=1, in_channels=64),
+    ])
+    pat = SparsityPattern(method, 0.75, 0, None if method == "cf" else 32,
+                          {"fc": np.zeros((64, 64))})
+    # (4 + 2) unpruned tiles against none for fc and 2 for dense1
+    assert compression_rate(model, pat, 32) == pytest.approx(3.0)
+
+
 def test_tile_counts_take_numpy_integer_sizes():
     model = wide_model()
     assert tile_count_unpruned(576, 128, np.int64(32)) == 18 * 4

@@ -1,0 +1,63 @@
+"""Print one digest line per benchmark workload and seed, to compare two
+checkouts' results with diff.
+
+    cd <checkout> && python3 <this file> 0 1 > fingerprints.txt
+
+Run from the root of a source checkout. For every workload of that
+checkout's benchmark and every seed given (default 0) it runs
+``perfbench/run.py --workload W --seconds 1 --seed S`` and prints
+
+    <workload> seed <S> failed <failed checks> <SHA-256 of the fingerprint>
+
+where the digest is taken over the ``record`` line's fingerprint as JSON
+with sorted keys. Two checkouts compute the same numbers where their
+outputs are identical; a run that exits non-zero stops the script with
+its exit status.
+"""
+
+import argparse
+import hashlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+RUN = Path("perfbench") / "run.py"
+
+
+def workloads() -> list[str]:
+    """The workload names of the checkout in the current directory."""
+    listing = ("import sys; sys.path[:0] = ['src', '.']; "
+               "from perfbench.workloads import WORKLOADS; print(*WORKLOADS)")
+    return subprocess.run([sys.executable, "-c", listing], check=True, capture_output=True,
+                          text=True).stdout.split()
+
+
+def digest(workload: str, seed: int) -> str:
+    """The line for one run of `workload` at `seed`."""
+    proc = subprocess.run([sys.executable, str(RUN), "--workload", workload, "--seconds", "1",
+                           "--seed", str(seed)], capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stdout + proc.stderr)
+        sys.exit(proc.returncode)
+    lines = proc.stdout.splitlines()
+    record = json.loads(next(line for line in lines if line.startswith("record "))[7:])
+    failed = json.loads(lines[-1])["failed"]
+    fingerprint = json.dumps(record["fingerprint"], sort_keys=True).encode()
+    return f"{workload} seed {seed} failed {failed} {hashlib.sha256(fingerprint).hexdigest()}"
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("seeds", type=int, nargs="*", default=[0])
+    args = parser.parse_args(argv)
+    if not RUN.is_file():
+        parser.error(f"{RUN} not found: run from the root of a source checkout")
+    for workload in workloads():
+        for seed in args.seeds:
+            print(digest(workload, seed), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
