@@ -8,19 +8,26 @@ lists them directly, so after the tiles are encoded, simulated and
 decoded one scatter reassembles the non-ideal weight matrix; no
 transform has to be inverted.
 
-``simulate_layer`` is the one tile loop. Every tile gets one parasitic
-network and one factorization, which leaves its port admittance: the
-sense currents under all-ones inputs, read off it, give the tile's
-non-ideality factor (NF), and its effective conductances give the
-decoded weights. No node voltage is solved. ``layer_nf`` is the NF half
-of its result. A large enough layer runs its tiles on every CPU this
-process may use, by ``_parallel._fork_map``: this process takes the first
-contiguous chunk of placements and a persistent pool worker each other
-one, sent its tiles and placements with ``_simulate_tile``. Every tile's
-variation is seeded from its identity, so the results are bitwise those
-of a serial run. See ``_parallel`` for the CPU count, what a worker
-holds, and callers that run the package in worker processes of their
-own.
+``simulate_layer`` is the tile loop of a full simulation. Every tile gets
+one parasitic network and one factorization, which leaves its port
+admittance: the sense currents under all-ones inputs, read off it, give
+the tile's non-ideality factor (NF), and its effective conductances give
+the decoded weights. No node voltage is solved. A large enough layer
+runs its tiles on every CPU this process may use, by
+``_parallel._fork_map``: this process takes the first contiguous chunk
+of placements and a persistent pool worker each other one, sent its
+tiles and placements with ``_simulate_tile``. Every tile's variation is
+seeded from its identity, so the results are bitwise those of a serial
+run. See ``_parallel`` for the CPU count, what a worker holds, and
+callers that run the package in worker processes of their own.
+
+``layer_nf`` screens a layer's NF without decoding any weight, so it
+needs the sense currents of one input per tile and no port admittance.
+It places, encodes and varies the same tiles as ``simulate_layer``, then
+solves every tile's currents under all-ones inputs in one batch by
+conjugate gradients (``circuit._sense_currents``), in this process and
+without a factorization. Its NFs agree with ``simulate_layer``'s to 1e-9
+relative, or 1e-12 where an NF lies that close to 0.
 
 Signed weights are encoded as magnitude-to-conductance with a digitally
 tracked sign applied at decode time, so a single crossbar per tile
@@ -40,6 +47,7 @@ from .circuit import (
     CrossbarParams,
     CrossbarSystem,
     NfReport,
+    _sense_currents,
     _topology,
     apply_device_variation,
     ideal_mac,
@@ -279,6 +287,24 @@ def _simulate_tile(tile: np.ndarray, pl: TilePlacement, w_scale: float,
 PARALLEL_MIN_CELLS = 6 * 32 ** 2
 
 
+def _placed_tiles(w, params, rearrange, rearrange_order, compaction,
+                  master_seed, layer_index):
+    """Check the arguments of `simulate_layer` and `layer_nf`, then place
+    and gather the layer's tiles; returns (tiles, record)."""
+    if not isinstance(rearrange, (bool, np.bool_)):
+        raise ValueError(f"rearrange must be a bool, got {rearrange!r}")
+    check_int("master_seed", master_seed, 0)
+    check_int("layer_index", layer_index, 0)
+    if params.n_rows != params.n_cols:
+        raise ValueError("layer simulation uses square tiles; params must have "
+                         "n_rows == n_cols")
+    if rearrange_order not in REARRANGE_ORDERS:
+        raise ValueError(f"rearrange_order must be one of {REARRANGE_ORDERS}, "
+                         f"got {rearrange_order!r}")
+    return partition(w, params.n_rows, order=rearrange_order if rearrange else None,
+                     compaction=compaction)
+
+
 def simulate_layer(w: np.ndarray, params: CrossbarParams, *,
                    rearrange: bool = False, rearrange_order: str = "ascending",
                    compaction: object | None = None, master_seed: int = 0,
@@ -298,17 +324,8 @@ def simulate_layer(w: np.ndarray, params: CrossbarParams, *,
     when the worker was forked. The results are bitwise those of a serial
     run. A caller that runs this in worker processes of its own should
     narrow each worker's CPU affinity."""
-    check_int("master_seed", master_seed, 0)
-    check_int("layer_index", layer_index, 0)
-    if params.n_rows != params.n_cols:
-        raise ValueError("layer simulation uses square tiles; params must have "
-                         "n_rows == n_cols")
-    if rearrange_order not in REARRANGE_ORDERS:
-        raise ValueError(f"rearrange_order must be one of {REARRANGE_ORDERS}, "
-                         f"got {rearrange_order!r}")
-    tiles, record = partition(w, params.n_rows,
-                              order=rearrange_order if rearrange else None,
-                              compaction=compaction)
+    tiles, record = _placed_tiles(w, params, rearrange, rearrange_order, compaction,
+                                  master_seed, layer_index)
     # built here, so that a pool worker forked by this call inherits it;
     # one forked earlier builds its own on its first tile and keeps it
     _topology(params)
@@ -328,7 +345,20 @@ def layer_nf(w: np.ndarray, params: CrossbarParams, *,
              rearrange: bool = False, rearrange_order: str = "ascending",
              compaction: object | None = None, master_seed: int = 0,
              layer_index: int = 0) -> LayerNfReport:
-    """The NF report of `simulate_layer`, for an NF screen."""
-    return simulate_layer(w, params, rearrange=rearrange,
-                          rearrange_order=rearrange_order, compaction=compaction,
-                          master_seed=master_seed, layer_index=layer_index).nf
+    """The NF report of a layer's tiles, for an NF screen: the tiles of
+    `simulate_layer`, encoded and varied alike, with the sense currents
+    under all-ones inputs solved in one batch by conjugate gradients
+    (``circuit._sense_currents``). No ``CrossbarSystem`` is built and no
+    weight decoded. Every NF agrees with ``simulate_layer(...).nf`` to
+    1e-9 relative (1e-12 where it lies that close to 0), and bitwise where
+    a parasitic is 0 ohm or a tile takes the LU path. Runs in this
+    process."""
+    tiles, record = _placed_tiles(w, params, rearrange, rearrange_order, compaction,
+                                  master_seed, layer_index)
+    g = [weights_to_conductances(tile, record.w_scale, params)[0] for tile in tiles]
+    g_var = np.stack([apply_device_variation(gt, params.sigma_dev,
+                                             _tile_rng(master_seed, layer_index, pl))
+                      for gt, pl in zip(g, record.tile_placements)])
+    ones = np.full(params.n_rows, params.v_read)
+    return aggregate_nf([nonideality_factor(ideal_mac(gt, ones), currents)
+                         for gt, currents in zip(g, _sense_currents(g_var, params, ones))])

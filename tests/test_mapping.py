@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xbarprune import _parallel, mapping
+from xbarprune import _parallel, circuit, mapping
 from xbarprune.circuit import (
     CrossbarParams,
     CrossbarSystem,
@@ -351,26 +351,132 @@ def test_simulate_layer_nf_matches_direct_recomputation():
     assert res.nf.mean_nf == pytest.approx(np.mean(expected), rel=1e-15)
 
 
-@pytest.mark.parametrize("layout", ["dense", "cf-ascending", "xcs"])
-def test_layer_nf_agrees_with_simulate_layer(layout):
-    mask = np.ones((48, 24))
-    if layout == "cf-ascending":
-        mask[:, [2, 5, 11]] = 0.0
-        mask[20:30, :] = 0.0
-    elif layout == "xcs":
-        mask[:16, [1, 4]] = 0.0
-        mask[32:, 7:20] = 0.0
-    w = np.random.default_rng(9).normal(size=(48, 24)) * mask
-    p = CrossbarParams(16, 16)
+def screen_case(layout, n, seed=9):
+    """(w, kwargs) of a layer of a few n x n tiles under ``layout``; a dense
+    layer's first tile holds only zero weights."""
+    rows, cols = 2 * n + 1, n + 1
+    rng = np.random.default_rng(seed)
+    mask = np.ones((rows, cols))
+    if layout != "dense":
+        mask[:, rng.choice(cols, cols // 3, replace=False)] = 0.0
+        mask[rng.choice(rows, rows // 4, replace=False), :] = 0.0
+    w = rng.normal(size=(rows, cols)) * mask
+    if layout == "dense":
+        w[:n, :n] = 0.0
     kwargs = {"dense": {},
-              "cf-ascending": {"compaction": cf_compaction(mask), "rearrange": True,
-                               "rearrange_order": "ascending"},
-              "xcs": {"compaction": compact_xcs(w, 16, mask=mask)}}[layout]
+              "cf-ascending": {"compaction": cf_compaction(mask), "rearrange": True},
+              "cf-center_out": {"compaction": cf_compaction(mask), "rearrange": True,
+                                "rearrange_order": "center_out"},
+              "xcs": {"compaction": compact_xcs(w, n, mask=mask)}}[layout]
+    return w, kwargs
+
+
+def assert_nf_close(a, b, rtol=1e-9, atol=1e-12):
+    """Every per-tile mean, every per-column NF and the mean agree to rtol,
+    or to atol where an NF lies within atol / rtol of 0. The LU currents
+    are themselves within about 1e-12 of a long-double refined solve, so
+    no NF can be checked more finely than that. Where a column's device
+    variation cancels its IR drop, its NF lies near 0: in the t = 0.05
+    regime one reads -8.5e-5, and there LU's NF is 2.0e-13 from the
+    refined one and CG's 2.5e-14."""
+    np.testing.assert_allclose(a.per_tile_mean, b.per_tile_mean, rtol=rtol, atol=atol)
+    np.testing.assert_allclose(a.per_column, b.per_column, rtol=rtol, atol=atol)
+    assert a.mean_nf == pytest.approx(b.mean_nf, rel=rtol, abs=atol)
+
+
+def assert_nf_bitwise(a, b):
+    assert a.per_tile_mean.tobytes() == b.per_tile_mean.tobytes()
+    assert a.per_column.tobytes() == b.per_column.tobytes()
+    assert a.mean_nf == b.mean_nf
+
+
+@pytest.mark.parametrize("sigma_dev", [0.0, 0.3])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+@pytest.mark.parametrize("layout", ["dense", "cf-ascending", "cf-center_out", "xcs"])
+def test_layer_nf_agrees_with_simulate_layer(layout, n, sigma_dev):
+    # layer_nf solves the sense currents by conjugate gradients, so it
+    # agrees with the LU of simulate_layer to the solver's tolerance, not
+    # bitwise
+    w, kwargs = screen_case(layout, n)
+    p = CrossbarParams(n, n, sigma_dev=sigma_dev)
     full = simulate_layer(w, p, master_seed=3, layer_index=2, **kwargs).nf
-    nf_only = layer_nf(w, p, master_seed=3, layer_index=2, **kwargs)
-    assert full.mean_nf == nf_only.mean_nf
-    assert full.per_tile_mean.tobytes() == nf_only.per_tile_mean.tobytes()
-    assert full.per_column.tobytes() == nf_only.per_column.tobytes()
+    assert_nf_close(layer_nf(w, p, master_seed=3, layer_index=2, **kwargs), full)
+
+
+REGIMES = {
+    **{f"t={t}": dict(r_driver=1e3 * t, r_sense=1e3 * t, r_wire_row=5.0 * t,
+                      r_wire_col=5.0 * t) for t in (0.05, 0.5, 1.0, 1.5, 2.0)},
+    "wire-dominated": dict(r_driver=1.0, r_sense=1.0, r_wire_row=50.0, r_wire_col=50.0),
+    "10-ohm-interfaces": dict(r_driver=10.0, r_sense=10.0),
+    "1-megohm-interfaces": dict(r_driver=1e6, r_sense=1e6, r_wire_row=1e3,
+                                r_wire_col=1e3),
+}
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_layer_nf_agrees_with_simulate_layer_in_every_parasitic_regime(regime):
+    w, kwargs = screen_case("dense", 64)
+    p = CrossbarParams(64, 64, **REGIMES[regime])
+    assert_nf_close(layer_nf(w, p, master_seed=1, **kwargs),
+                    simulate_layer(w, p, master_seed=1, **kwargs).nf)
+
+
+@pytest.mark.parametrize("zero", ["r_driver", "r_wire_row", "r_wire_col", "r_sense", None])
+def test_layer_nf_takes_the_lu_path_bitwise_where_cg_cannot_run(zero, monkeypatch):
+    # a zero-ohm parasitic merges nodes, so there are no wire lines; with
+    # no zero-ohm parasitic, an iteration cap of 1 stops every tile short
+    w, kwargs = screen_case("cf-ascending", 8)
+    if zero is None:
+        monkeypatch.setattr(circuit, "CG_MAX_ITERATIONS", 1)
+        p = CrossbarParams(8, 8)
+    else:
+        p = CrossbarParams(8, 8, **{zero: 0.0})
+    assert_nf_bitwise(layer_nf(w, p, master_seed=4, **kwargs),
+                      simulate_layer(w, p, master_seed=4, **kwargs).nf)
+
+
+@pytest.mark.parametrize("layout, n", [("dense", 8), ("xcs", 16), ("dense", 128)])
+def test_every_tile_solves_alone_as_in_its_layer(layout, n, monkeypatch):
+    # tiles that converge at different iterations leave the batch one by
+    # one; chunks of one tile solve each tile alone. At n = 128 a sum by
+    # np.einsum over a batch would differ from one over a single tile
+    w, kwargs = screen_case(layout, n)
+    p = CrossbarParams(n, n)
+    batches = []
+    dpttrs = circuit.dpttrs
+
+    def spy(d, l, r):
+        batches.append(r.size // (2 * n * n))
+        return dpttrs(d, l, r)
+
+    monkeypatch.setattr(circuit, "dpttrs", spy)
+    monkeypatch.setattr(circuit, "CG_CHUNK_UNKNOWNS", 2 ** 30)
+    together = layer_nf(w, p, master_seed=6, **kwargs)
+    tiles = len(together.per_tile_mean)
+    assert batches[0] == tiles and min(batches) < tiles
+    for chunk in (1, 4):
+        monkeypatch.setattr(circuit, "CG_CHUNK_UNKNOWNS", chunk * 2 * n * n)
+        batches.clear()
+        assert_nf_bitwise(layer_nf(w, p, master_seed=6, **kwargs), together)
+        assert max(batches) == min(chunk, tiles)
+
+
+@pytest.mark.parametrize("rearrange", ["center_out", "no", 1, 0, None])
+@pytest.mark.parametrize("run", [simulate_layer, layer_nf])
+def test_a_rearrange_that_is_not_a_bool_is_rejected(run, rearrange):
+    # checked before any tile is placed: the all-zero matrix would fail later
+    with pytest.raises(ValueError, match="rearrange must be a bool"):
+        run(np.zeros((4, 4)), CrossbarParams(4, 4), rearrange=rearrange)
+
+
+def test_a_numpy_bool_rearrange_runs_as_the_python_bool():
+    w = np.random.default_rng(21).normal(size=(6, 5))
+    p = CrossbarParams(4, 4)
+    for flag in (False, True):
+        assert_bitwise_equal(simulate_layer(w, p, rearrange=np.bool_(flag)),
+                             simulate_layer(w, p, rearrange=flag))
+        assert_nf_bitwise(layer_nf(w, p, rearrange=np.bool_(flag)),
+                          layer_nf(w, p, rearrange=flag))
 
 
 @pytest.mark.parametrize("kind", ["xcs", "xrs"])
@@ -557,9 +663,7 @@ def assert_only_idle_workers_left():
 
 def assert_bitwise_equal(a, b):
     assert a.w_nonideal.tobytes() == b.w_nonideal.tobytes()
-    assert a.nf.per_tile_mean.tobytes() == b.nf.per_tile_mean.tobytes()
-    assert a.nf.per_column.tobytes() == b.nf.per_column.tobytes()
-    assert a.nf.mean_nf == b.nf.mean_nf
+    assert_nf_bitwise(a.nf, b.nf)
 
 
 def patch_simulate_tile(monkeypatch, before):

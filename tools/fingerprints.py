@@ -1,4 +1,4 @@
-"""Print one digest line per benchmark workload and seed, to compare two
+"""Print digest lines per benchmark workload and seed, to compare two
 checkouts' results with diff.
 
     cd <checkout> && python3 <this file> 0 1 > fingerprints.txt
@@ -7,12 +7,16 @@ Run from the root of a source checkout. For every workload of that
 checkout's benchmark and every seed given (default 0) it runs
 ``perfbench/run.py --workload W --seconds 1 --seed S`` and prints
 
-    <workload> seed <S> failed <failed checks> <SHA-256 of the fingerprint>
+    <workload> seed <S> failed <failed checks>
+    <workload> seed <S> <field> <SHA-256 of the field>
 
-where the digest is taken over the ``record`` line's fingerprint as JSON
-with sorted keys. Two checkouts compute the same numbers where their
-outputs are identical; a run that exits non-zero stops the script with
-its exit status.
+with one digest line for every top-level field of the ``record`` line's
+fingerprint, and one for each layer of its ``layers`` field
+(``layers/<config>/<layer>``): ``kcl_worst``, and ``screen_nf_mean`` and
+``accuracy`` where the workload has them. Each digest is taken over the
+field as JSON with sorted keys, so diff names the fields that moved. Two
+checkouts compute the same numbers where their outputs are identical; a
+run that exits non-zero stops the script with its exit status.
 """
 
 import argparse
@@ -33,8 +37,12 @@ def workloads() -> list[str]:
                           text=True).stdout.split()
 
 
-def digest(workload: str, seed: int) -> str:
-    """The line for one run of `workload` at `seed`."""
+def sha256(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+def digests(workload: str, seed: int) -> list[str]:
+    """The lines for one run of `workload` at `seed`."""
     proc = subprocess.run([sys.executable, str(RUN), "--workload", workload, "--seconds", "1",
                            "--seed", str(seed)], capture_output=True, text=True)
     if proc.returncode != 0:
@@ -43,8 +51,11 @@ def digest(workload: str, seed: int) -> str:
     lines = proc.stdout.splitlines()
     record = json.loads(next(line for line in lines if line.startswith("record "))[7:])
     failed = json.loads(lines[-1])["failed"]
-    fingerprint = json.dumps(record["fingerprint"], sort_keys=True).encode()
-    return f"{workload} seed {seed} failed {failed} {hashlib.sha256(fingerprint).hexdigest()}"
+    fields = dict(record["fingerprint"])
+    fields.update({f"layers/{key}": value for key, value in fields.pop("layers").items()})
+    head = f"{workload} seed {seed}"
+    return [f"{head} failed {failed}"] + [f"{head} {name} {sha256(fields[name])}"
+                                          for name in sorted(fields)]
 
 
 def main(argv: list[str]) -> int:
@@ -55,7 +66,7 @@ def main(argv: list[str]) -> int:
         parser.error(f"{RUN} not found: run from the root of a source checkout")
     for workload in workloads():
         for seed in args.seeds:
-            print(digest(workload, seed), flush=True)
+            print(*digests(workload, seed), sep="\n", flush=True)
     return 0
 
 
