@@ -9,7 +9,8 @@ Two patterns, both on forked processes:
   worker, gathered in order. ``run`` must be a module-level function and
   the arguments must pickle: each worker's chunk travels to it as one
   standard pickle, ``run`` by its import path. ``mapping.simulate_layer``
-  splits a layer's tiles with it and ``nn.evaluate`` a test set's
+  splits a layer's tiles with it, ``mapping.layer_nf`` a layer's tiles
+  cut into chunks by ``_bounds``, and ``nn.evaluate`` a test set's
   batches.
 * ``_partner`` forks one partner per fit that works in lockstep with
   this process: the two exchange one short pipe message each way per
@@ -221,6 +222,13 @@ def _forget_pool() -> None:
 os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _bounds(count: int, split: bool) -> list[int]:
+    """Bounds of contiguous chunks of `count` items: one chunk per usable
+    CPU but no more than there are items, if `split`; else one."""
+    parts = max(1, min(_usable_cpus(), count)) if split else 1
+    return [count * k // parts for k in range(parts + 1)]
+
+
 def _fork_map(run, args: list, split: bool) -> list:
     """[run(*a) for a in args], on the usable CPUs if `split`: contiguous
     chunks, the first in this process and each other one in a pool
@@ -229,10 +237,10 @@ def _fork_map(run, args: list, split: bool) -> list:
     this process's mask is restored after. A worker's exception is raised
     here. When this returns, every worker is idle; when it raises, the
     pool has been shut down."""
-    workers = min(_usable_cpus(), len(args)) if split else 1
+    bounds = _bounds(len(args), split)
+    workers = len(bounds) - 1
     if workers < 2 or not _pool_busy.acquire(blocking=False):
         return [run(*a) for a in args]
-    bounds = [len(args) * k // workers for k in range(workers + 1)]
     gathered = False
     try:
         with _one_blas_thread(), _pinned() as cpus:

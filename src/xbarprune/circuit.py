@@ -24,14 +24,16 @@ are solved only when a SolveResult's ``v_row`` or ``v_col`` is first
 read, and that read factorizes the network again.
 
 ``_sense_currents`` solves the sense currents of a stack of tiles under
-one input without any factorization, for ``mapping.layer_nf``:
-conjugate gradients (Hestenes and Stiefel, J. Res. NBS 1952) on the row-
-and column-node voltages, with the sources held at v and the sense
-terminals at 0 V, in one numpy batch. It is preconditioned by the exact
-tridiagonal solve along every row wire and every column wire, factorized
-once per tile. Its oracle is the LU of ``CrossbarSystem``: the table at
-``CG_TOL`` gives both solvers' errors against the LU solve refined in long
-double, and the tests hold the NFs of ``layer_nf`` to 1e-9 of those of
+one input without any sparse factorization, for ``mapping.layer_nf``:
+conjugate gradients (Hestenes and Stiefel, J. Res. NBS 1952) on the
+column-node voltages alone, with the sources held at v and the sense
+terminals at 0 V, in one numpy batch. Every row wire is a tridiagonal
+line that is eliminated exactly, so CG runs on the Schur complement of
+the row nodes, preconditioned by the exact tridiagonal solve along every
+column wire; both sets of lines are factorized once per tile by LAPACK.
+Its oracle is the LU of ``CrossbarSystem``: the table at ``CG_TOL`` gives
+both solvers' errors against the LU solve refined in long double, and
+the tests hold the NFs of ``layer_nf`` to 1e-9 of those of
 ``mapping.simulate_layer``. A network with a zero-ohm parasitic has
 merged nodes and no wire lines, and takes the LU path, as does a tile
 not converged within ``CG_MAX_ITERATIONS``; their currents are bitwise
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.linalg import splu
 
 from ._checks import check_int, check_real
@@ -126,12 +128,13 @@ SPLU_RELAX = 1
 SPLU_PANEL_SIZE = 2
 
 # Stop rule, cap and chunk size of _sense_currents (see the module
-# docstring). A tile has converged when, on the true residual, every
+# docstring). A tile has converged when, on the true residual of the
+# whole network, with the row voltages solved from the column ones, every
 # node's net current is at most CG_TOL times its diagonal conductance
 # times |its voltage|: the diagonal part of kcl_residual's scale, so the
 # backward error is CG_TOL or less. Measured on 8 random tiles per row
 # (70 % of cells programmed, sigma_dev = 0.1 unless stated, all-ones
-# input; fewer tiles at n = 256): CG iterations per tile; the largest
+# input; 3 tiles at n = 256): CG iterations per tile; the largest
 # relative error of a sense current, of CG and of LU, against the LU solve
 # refined in long double; the largest relative difference of a column's
 # NF between CG and LU; time per tile of CG in one batch and of a
@@ -140,31 +143,33 @@ SPLU_PANEL_SIZE = 2
 # is the driver and sense resistance, "wire" each wire segment's:
 #
 #   regime                   n    iter   CG err   LU err   NF diff  CG ms  LU ms
-#   t = 0.05                 64   6      2.1e-12  1.4e-12  1.3e-11  3.2    13.3
-#   t = 0.5                  64   10     1.5e-12  8.6e-13  1.4e-12  2.9    13.1
-#   t = 1 (default)          64   12     9.1e-13  7.5e-13  3.8e-13  3.7    16.8
-#   t = 1.5                  64   13     5.0e-13  5.5e-13  1.2e-13  4.9    15.2
-#   t = 2                    64   14     4.5e-13  5.2e-13  1.0e-13  4.0    14.5
-#   default                  1    1      3.3e-16  2.2e-16  7.5e-15  0.05   0.27
-#   default                  8    8-9    1.8e-12  2.0e-13  5.8e-12  0.17   0.33
-#   default                  32   10     1.2e-12  5.8e-13  8.4e-13  0.85   2.3
-#   default                  128  14-15  2.6e-12  8.9e-13  4.3e-13  20     73
-#   default                  256  20     1.5e-12  1.4e-12  1.0e-13  104    446
-#   iface 1 Ohm, wire 50     64   17     5.3e-14  6.6e-14  2.9e-14  4.6    17.8
-#   iface 10 Ohm             64   9      1.5e-13  1.7e-13  8.5e-13  2.6    15.4
-#   iface 1 MOhm, wire 1 k   64   54-56  4.3e-13  3.2e-13  2.2e-16  11.9   15.4
-#   iface 1 MOhm, wire 1 k   256  182    3.6e-13  9.2e-13  2.2e-16  657    398
-#   1 mOhm everywhere        64   3      1.1e-13  1.9e-13  4.4e-09  1.5    15.9
-#   sigma_dev = 0.3          64   12     1.1e-12  6.8e-13  4.1e-13  3.5    15.6
+#   t = 0.05                 64   3      2.1e-12  1.5e-12  1.4e-11  0.98   14.0
+#   t = 0.5                  64   5      2.0e-12  8.2e-13  1.8e-12  1.04   13.0
+#   t = 1 (default)          64   6      6.7e-13  6.9e-13  3.1e-13  1.12   12.4
+#   t = 1.5                  64   7      3.6e-13  4.5e-13  1.3e-13  1.40   12.5
+#   t = 2                    64   7      5.0e-13  4.8e-13  1.1e-13  1.43   12.8
+#   default                  1    1      3.5e-16  2.6e-16  2.8e-14  0.02   0.17
+#   default                  8    4-5    1.4e-12  2.2e-13  4.5e-12  0.07   0.26
+#   default                  32   5      1.3e-12  4.4e-13  9.7e-13  0.27   2.2
+#   default                  128  7-8    2.2e-12  1.1e-12  3.7e-13  8.4    58.7
+#   default                  256  10     8.5e-13  1.6e-12  1.2e-13  37.7   349
+#   iface 1 Ohm, wire 50     64   9      5.0e-14  4.9e-14  2.6e-14  1.48   10.2
+#   iface 10 Ohm             64   5      1.0e-13  1.4e-13  5.6e-13  1.08   10.2
+#   iface 1 MOhm, wire 1 k   64   28     4.8e-13  4.4e-13  2.2e-16  4.35   10.5
+#   iface 1 MOhm, wire 1 k   128  48-50  3.6e-13  4.1e-13  2.2e-16  35.1   57.5
+#   iface 1 MOhm, wire 1 k   256  91     4.9e-13  5.6e-13  2.2e-16  260    318
+#   1 mOhm everywhere        64   2      9.3e-14  2.2e-13  1.7e-09  0.62   9.5
+#   sigma_dev = 0.3          64   6      8.4e-13  7.8e-13  4.1e-13  1.25   10.5
 #
-# At 1 mOhm both solvers' currents are right to 2e-13, CG's the closer:
-# their NFs differ by 4.4e-9 relative only because the smallest NF there
-# is 1.9e-5, beside which current rounding is large. Stopping at a
+# At 1 mOhm both solvers' currents are right to 3e-13, CG's the closer:
+# their NFs differ by 1.7e-9 relative only because the smallest NF there
+# is 6.3e-5, beside which current rounding is large. Stopping at a
 # backward error of 1e-12 instead left sense-current errors of up to
 # 3.7e-10. A tile not converged after CG_MAX_ITERATIONS takes the LU path;
-# the slowest regime above needs 182 at n = 256. Tiles are solved in
-# chunks of at most CG_CHUNK_UNKNOWNS unknowns (2 n^2 a tile): a full chunk
-# peaks at about 20 arrays of 8 bytes an unknown, 20 MB (tracemalloc).
+# the slowest regime above needs 91 at n = 256. Tiles are solved in
+# chunks of at most CG_CHUNK_UNKNOWNS unknowns of the network (2 n^2 a
+# tile): a full chunk peaks at 10.6-12.2 MB (tracemalloc, n = 32 to 256),
+# about 11 arrays of 8 bytes an unknown.
 CG_TOL = 1e-14
 CG_MAX_ITERATIONS = 200
 CG_CHUNK_UNKNOWNS = 2 ** 17
@@ -542,94 +547,125 @@ class CrossbarSystem:
         return float(np.max(np.abs(net[free]) / denom))
 
 
-def _line_factors(diag: np.ndarray, off: float):
-    """LDL^T factors (d, l) of tridiagonal lines, one per row of ``diag``,
-    every line coupling its neighbours by ``off``: the ``dpttrf`` form that
-    ``dpttrs`` reads. l's last column is 0, so lines laid end to end stay
+def _lines(dev: np.ndarray, wire: float, end: float, at: int):
+    """Diagonal and off-diagonal of tridiagonal lines along the last axis
+    of ``dev``, each node's device conductance: every node is joined to
+    its neighbours by ``wire`` and the node at ``at`` to its port by
+    ``end``. off[..., t] couples nodes t and t + 1 and is 0 at a line's
+    end; it is the same for every tile."""
+    off = np.full(dev.shape[1:], -wire)
+    off[..., -1] = 0.0
+    diag = dev - off
+    diag[..., 1:] -= off[..., :-1]
+    diag[..., at] += end
+    return diag, off
+
+
+def _line_product(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The lines' matrix times x, line by line along the last axis."""
+    q = diag * x
+    q[..., 1:] += off[..., :-1] * x[..., :-1]
+    q[..., :-1] += off[..., :-1] * x[..., 1:]
+    return q
+
+
+def _lapack_off(l: np.ndarray) -> np.ndarray:
+    """Lines' off-diagonal, laid end to end, as LAPACK's ``dpt*`` routines
+    take it: one shorter than the diagonal, but one long where there is
+    one unknown, as f2py's bounds ask."""
+    return l.reshape(-1)[:max(l.size - 1, 1)]
+
+
+def _line_factors(diag: np.ndarray, off: np.ndarray):
+    """LDL^T factors (d, l) of the lines by ``dpttrf``, laid end to end:
+    off is 0 at every line's end, so l is too, and the lines stay
     independent under ``dpttrs``."""
-    d = diag.copy()
-    l = np.zeros_like(diag)
-    for k in range(diag.shape[1] - 1):
-        l[:, k] = off / d[:, k]
-        d[:, k + 1] -= l[:, k] * off
-    return d, l
+    l = np.broadcast_to(off, diag.shape).copy()
+    d, e, _ = dpttrf(diag.ravel(), _lapack_off(l))
+    l.reshape(-1)[:-1] = e[:l.size - 1]
+    return d.reshape(diag.shape), l
+
+
+def _line_solve(d: np.ndarray, l: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Solve every line's system for the right-hand side r, of d's shape."""
+    x, _ = dpttrs(d.ravel(), _lapack_off(l), r.reshape(-1, 1))
+    return x.reshape(d.shape)
 
 
 def _cg_tiles(g: np.ndarray, params: CrossbarParams, v: np.ndarray) -> list:
     """Sense currents of the tiles g (k, m, n) under input v by
-    preconditioned conjugate gradients, in one numpy batch, with the LU
-    currents of ``CrossbarSystem`` for each tile that did not converge.
+    preconditioned conjugate gradients on the column nodes, in one numpy
+    batch, with the LU currents of ``CrossbarSystem`` for each tile that
+    did not converge.
 
-    A tile's unknowns are its row nodes row by row, then its column nodes
-    column by column, so that every wire is a contiguous tridiagonal line;
-    the sources and sense terminals are held at v and 0 V. The nodal
-    matrix is the lines' matrix less the devices' coupling of row node
-    (i, j) with column node (i, j), and the lines' matrix preconditions.
-    A tile takes part only in elementwise operations and in sums over its
-    own axis, and leaves the batch once converged, so its currents do not
-    depend on the other tiles."""
+    The row nodes of a tile, row by row, and its column nodes, column by
+    column, each form tridiagonal lines: D_r, with the sources held at v
+    through the drivers, and D_c, with the sense terminals at 0 V. The
+    devices couple row node (i, j) with column node (i, j) alone, a
+    diagonal G. Every row line is eliminated exactly, and CG runs on the
+    Schur complement S = D_c - G D_r^-1 G, preconditioned by D_c: one
+    product with S is one row-line solve and elementwise products, and
+    the row voltages are one row-line solve from the column ones. Solved
+    on both node sets at once, the system is two-cyclic, and CG would
+    zero one set's residual each step and need twice the iterations
+    (Hageman and Young, Applied Iterative Methods, 1981). A tile takes
+    part only in elementwise operations, line solves and sums over its
+    own axis, and leaves the batch once converged, so its currents do
+    not depend on the other tiles."""
     k, m, n = g.shape
-    mn = m * n
-    row_wire, col_wire = -1.0 / params.r_wire_row, -1.0 / params.r_wire_col
-    # off[:, u] couples unknowns u and u + 1: a wire, or 0 at a line's end
-    off = np.concatenate([np.full((k, mn), row_wire), np.full((k, mn), col_wire)], axis=1)
-    off[:, n - 1:mn:n] = 0.0
-    off[:, mn + m - 1::m] = 0.0
     g_t = np.ascontiguousarray(g.transpose(0, 2, 1))
-    diag = np.concatenate([g.reshape(k, mn), g_t.reshape(k, mn)], axis=1) - off
-    diag[:, 1:] -= off[:, :-1]
-    diag[:, :mn:n] += 1.0 / params.r_driver
-    diag[:, mn + m - 1::m] += 1.0 / params.r_sense
-    rhs = np.zeros((k, 2 * mn))
-    rhs[:, :mn:n] = np.asarray(v, dtype=float) / params.r_driver
-    d_row, l_row = _line_factors(diag[:, :mn].reshape(k * m, n), row_wire)
-    d_col, l_col = _line_factors(diag[:, mn:].reshape(k * n, m), col_wire)
-    d = np.concatenate([d_row.reshape(k, mn), d_col.reshape(k, mn)], axis=1)
-    l = np.concatenate([l_row.reshape(k, mn), l_col.reshape(k, mn)], axis=1)
+    diag_r, off_r = _lines(g, 1.0 / params.r_wire_row, 1.0 / params.r_driver, 0)
+    diag_c, off_c = _lines(g_t, 1.0 / params.r_wire_col, 1.0 / params.r_sense, -1)
+    d_r, l_r = _line_factors(diag_r, off_r)
+    d_c, l_c = _line_factors(diag_c, off_c)
+    b_r = np.zeros((m, n))
+    b_r[:, 0] = np.asarray(v, dtype=float) / params.r_driver
 
-    def product(x, diag, off, g, g_t):
-        q = diag * x
-        q[:, 1:] += off[:, :-1] * x[:, :-1]
-        q[:, :-1] += off[:, :-1] * x[:, 1:]
-        b = x.shape[0]
-        q_row, q_col = q[:, :mn].reshape(b, m, n), q[:, mn:].reshape(b, n, m)
-        q_row -= g * x[:, mn:].reshape(b, n, m).transpose(0, 2, 1)
-        q_col -= g_t * x[:, :mn].reshape(b, m, n).transpose(0, 2, 1)
-        return q
+    def schur_product(p):       # over the live tiles
+        coupled = _line_solve(d_r, l_r, g * p.transpose(0, 2, 1))
+        return _line_product(diag_c, off_c, p) - g_t * coupled.transpose(0, 2, 1)
 
     def converged(r, x, diag):
-        return np.all(np.abs(r) <= CG_TOL * (diag * np.abs(x)), axis=1)
+        return np.all((np.abs(r) <= CG_TOL * (diag * np.abs(x))).reshape(len(x), -1), axis=1)
 
-    def precondition(r):
-        z, _ = dpttrs(d.ravel(), l.ravel()[:-1], r.reshape(-1, 1))
-        return z.reshape(r.shape)
+    def dot(a, b):
+        return np.add.reduce((a * b).reshape(len(a), -1), axis=1)
 
     currents = [None] * k
     live = np.arange(k)
-    x, r = np.zeros_like(rhs), rhs.copy()
-    p = precondition(r)
-    rz = np.add.reduce(r * p, axis=1)
+    x = np.zeros_like(g_t)
+    r = g_t * _line_solve(d_r, l_r, np.broadcast_to(b_r, g.shape)).transpose(0, 2, 1)
+    p = _line_solve(d_c, l_c, r)
+    rz = dot(r, p)
     for _ in range(CG_MAX_ITERATIONS):
-        q = product(p, diag, off, g, g_t)
-        alpha = (rz / np.add.reduce(p * q, axis=1))[:, None]
+        q = schur_product(p)
+        alpha = (rz / dot(p, q))[:, None, None]
         x += alpha * p
         r -= alpha * q
-        done = converged(r, x, diag)
+        done = converged(r, x, diag_c)
         if done.any():
-            # the recurred residual drifts from the true one: confirm on
-            # the true one, and go on from it where it fails
-            r[done] = rhs[done] - product(x[done], diag[done], off[done], g[done], g_t[done])
-            done[done] = converged(r[done], x[done], diag[done])
+            # the recurred residual drifts from the true one: recover the
+            # row voltages, confirm on the whole network's true residual,
+            # and go on from the column nodes' where it fails
+            xd = x[done]
+            fed = b_r + g[done] * xd.transpose(0, 2, 1)
+            x_r = _line_solve(d_r[done], l_r[done], fed)
+            r_r = fed - _line_product(diag_r[done], off_r, x_r)
+            r[done] = (g_t[done] * x_r.transpose(0, 2, 1)
+                       - _line_product(diag_c[done], off_c, xd))
+            done[done] = (converged(r_r, x_r, diag_r[done])
+                          & converged(r[done], xd, diag_c[done]))
             for t, xt in zip(live[done], x[done]):
-                currents[t] = xt[mn + m - 1::m] / params.r_sense
+                currents[t] = xt[:, -1] / params.r_sense
             keep = ~done
             live, x, r, p, rz = live[keep], x[keep], r[keep], p[keep], rz[keep]
-            diag, off, g, g_t, d, l, rhs = (a[keep] for a in (diag, off, g, g_t, d, l, rhs))
+            g, g_t, diag_r, diag_c, d_r, l_r, d_c, l_c = (
+                a[keep] for a in (g, g_t, diag_r, diag_c, d_r, l_r, d_c, l_c))
             if not live.size:
                 return currents
-        z = precondition(r)
-        rz_next = np.add.reduce(r * z, axis=1)
-        p = z + (rz_next / rz)[:, None] * p
+        z = _line_solve(d_c, l_c, r)
+        rz_next = dot(r, z)
+        p = z + (rz_next / rz)[:, None, None] * p
         rz = rz_next
     for t, gt in zip(live, g):
         currents[t] = CrossbarSystem(gt, params).solve(v).currents

@@ -24,10 +24,14 @@ callers that run the package in worker processes of their own.
 ``layer_nf`` screens a layer's NF without decoding any weight, so it
 needs the sense currents of one input per tile and no port admittance.
 It places, encodes and varies the same tiles as ``simulate_layer``, then
-solves every tile's currents under all-ones inputs in one batch by
-conjugate gradients (``circuit._sense_currents``), in this process and
-without a factorization. Its NFs agree with ``simulate_layer``'s to 1e-9
-relative, or 1e-12 where an NF lies that close to 0.
+solves every tile's currents under all-ones inputs by conjugate gradients
+(``circuit._sense_currents``), without a sparse factorization, one batch
+per contiguous chunk of tiles. A layer that ``simulate_layer`` would
+split is cut into one chunk per usable CPU, and the chunks run by
+``_parallel._fork_map`` as its tiles do; a tile's currents do not depend
+on its batch, so the NFs are bitwise those of a serial run. They agree
+with ``simulate_layer``'s to 1e-9 relative, or 1e-12 where an NF lies
+that close to 0.
 
 Signed weights are encoded as magnitude-to-conductance with a digitally
 tracked sign applied at decode time, so a single crossbar per tile
@@ -284,6 +288,13 @@ def _simulate_tile(tile: np.ndarray, pl: TilePlacement, w_scale: float,
 # counts the spans of this process only: below it, the small traced runs
 # of perfbench/tests would split and read half their tiles' solves. Lower
 # it to 256 once traced runs count the workers' tiles too.
+#
+# layer_nf splits by the same rule, and breaks even near it: median of 25
+# interleaved rounds, default tiles, serial against split over this
+# process and one warm worker, read -1 % at 6 tiles of n = 32, +3 % at 24
+# of n = 16 and +6 % at 96 of n = 8 (all 6144 cells), and -8 % at 2 tiles
+# of n = 64, -23 % at 12 of n = 32, -31 % at 4 of n = 64 and -42 % at 2
+# of n = 128 (3.4, 7.3, 6.4 and 19.8 ms serially).
 PARALLEL_MIN_CELLS = 6 * 32 ** 2
 
 
@@ -347,12 +358,17 @@ def layer_nf(w: np.ndarray, params: CrossbarParams, *,
              layer_index: int = 0) -> LayerNfReport:
     """The NF report of a layer's tiles, for an NF screen: the tiles of
     `simulate_layer`, encoded and varied alike, with the sense currents
-    under all-ones inputs solved in one batch by conjugate gradients
+    under all-ones inputs solved by conjugate gradients
     (``circuit._sense_currents``). No ``CrossbarSystem`` is built and no
     weight decoded. Every NF agrees with ``simulate_layer(...).nf`` to
     1e-9 relative (1e-12 where it lies that close to 0), and bitwise where
-    a parasitic is 0 ohm or a tile takes the LU path. Runs in this
-    process."""
+    a parasitic is 0 ohm or a tile takes the LU path.
+
+    A layer of at least ``PARALLEL_MIN_CELLS`` cells is cut into
+    contiguous chunks of tiles, one per CPU in this process's affinity
+    mask, solved by this process and the pool workers of
+    `simulate_layer`; a chunk's tiles are solved in one batch, and the
+    report is bitwise that of a serial run."""
     tiles, record = _placed_tiles(w, params, rearrange, rearrange_order, compaction,
                                   master_seed, layer_index)
     g = [weights_to_conductances(tile, record.w_scale, params)[0] for tile in tiles]
@@ -360,5 +376,10 @@ def layer_nf(w: np.ndarray, params: CrossbarParams, *,
                                              _tile_rng(master_seed, layer_index, pl))
                       for gt, pl in zip(g, record.tile_placements)])
     ones = np.full(params.n_rows, params.v_read)
+    split = len(tiles) * params.n_rows ** 2 >= PARALLEL_MIN_CELLS
+    bounds = _parallel._bounds(len(tiles), split)
+    chunks = _parallel._fork_map(
+        _sense_currents, [(g_var[start:stop], params, ones)
+                          for start, stop in zip(bounds, bounds[1:])], split)
     return aggregate_nf([nonideality_factor(ideal_mac(gt, ones), currents)
-                         for gt, currents in zip(g, _sense_currents(g_var, params, ones))])
+                         for gt, currents in zip(g, (c for chunk in chunks for c in chunk))])

@@ -157,14 +157,16 @@ def test_solve_single_zero_parasitic_consistent_with_near_zero(zero):
     np.testing.assert_allclose(exact, tiny, rtol=1e-6)
 
 
+@pytest.mark.parametrize("tiles", [1, 3])
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (4, 1), (3, 7), (7, 3), (8, 8)])
-def test_batched_sense_currents_match_the_dense_oracle(m, n, monkeypatch):
-    # every tile converges by conjugate gradients: nothing is factorized
+def test_batched_sense_currents_match_the_dense_oracle(m, n, tiles, monkeypatch):
+    # every tile converges by conjugate gradients: nothing is factorized.
+    # One 1 x 1 tile is one unknown per line solve
     factorized = splu_spy(monkeypatch)
     rng = np.random.default_rng(200 + m * 10 + n)
     rd, rr, rc, rs = rng.uniform(1.0, 2e3, 4)
     p = CrossbarParams(m, n, r_driver=rd, r_wire_row=rr, r_wire_col=rc, r_sense=rs)
-    g = rng.uniform(5e-6, 5e-5, (3, m, n))
+    g = rng.uniform(5e-6, 5e-5, (tiles, m, n))
     v = rng.uniform(0.2, 1.0, m)
     for tile, currents in zip(g, circuit._sense_currents(g, p, v)):
         np.testing.assert_allclose(currents, dense_mna_currents(tile, rd, rr, rc, rs, v),

@@ -439,14 +439,17 @@ def test_layer_nf_takes_the_lu_path_bitwise_where_cg_cannot_run(zero, monkeypatc
 def test_every_tile_solves_alone_as_in_its_layer(layout, n, monkeypatch):
     # tiles that converge at different iterations leave the batch one by
     # one; chunks of one tile solve each tile alone. At n = 128 a sum by
-    # np.einsum over a batch would differ from one over a single tile
+    # np.einsum over a batch would differ from one over a single tile.
+    # Every line solve, of the row lines or of the column lines, carries
+    # n^2 unknowns per tile. One CPU keeps the whole layer in one chunk
     w, kwargs = screen_case(layout, n)
     p = CrossbarParams(n, n)
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 1)
     batches = []
     dpttrs = circuit.dpttrs
 
     def spy(d, l, r):
-        batches.append(r.size // (2 * n * n))
+        batches.append(r.size // (n * n))
         return dpttrs(d, l, r)
 
     monkeypatch.setattr(circuit, "dpttrs", spy)
@@ -711,6 +714,47 @@ def test_split_tiles_are_bitwise_the_serial_result(workers, count, layout,
     workers(count)
     split = simulate_layer(w, p, master_seed=4, layer_index=3, **kwargs)
     assert_bitwise_equal(split, serial)
+    assert_only_idle_workers_left()
+
+
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("layout", ["dense", "cf-ascending", "xcs"])
+def test_a_split_screen_is_bitwise_the_serial_screen(workers, count, layout):
+    # every tile solves alone as in any batch, so the chunks change no bit
+    w, kwargs = parallel_case(layout, row_blocks=7, cols=12)
+    p = CrossbarParams(8, 8)
+    workers(1)
+    serial = layer_nf(w, p, master_seed=4, layer_index=3, **kwargs)
+    workers(count)
+    assert_nf_bitwise(layer_nf(w, p, master_seed=4, layer_index=3, **kwargs), serial)
+    assert len(_parallel._pool) == count - 1
+    assert_only_idle_workers_left()
+
+
+def test_a_screen_below_the_threshold_stays_in_this_process(workers, monkeypatch):
+    workers(2)
+    w, kwargs = parallel_case("dense", row_blocks=7, cols=12)
+    cells = 14 * 8 * 8
+    monkeypatch.setattr(mapping, "PARALLEL_MIN_CELLS", cells + 1)
+    layer_nf(w, CrossbarParams(8, 8), **kwargs)
+    assert _parallel._pool == []
+    monkeypatch.setattr(mapping, "PARALLEL_MIN_CELLS", cells)
+    layer_nf(w, CrossbarParams(8, 8), **kwargs)
+    assert len(_parallel._pool) == 1
+    assert_only_idle_workers_left()
+
+
+def test_a_screen_tile_on_the_lu_path_gives_its_lu_currents_from_a_worker(workers,
+                                                                          monkeypatch):
+    # patched before the pool forks, so that the worker's chunk stops
+    # short too; CG currents would not match the LU ones bitwise
+    monkeypatch.setattr(circuit, "CG_MAX_ITERATIONS", 1)
+    workers(2)
+    w, kwargs = parallel_case("cf-ascending", row_blocks=7, cols=12)
+    p = CrossbarParams(8, 8)
+    screen = layer_nf(w, p, master_seed=4, **kwargs)
+    assert len(_parallel._pool) == 1
+    assert_nf_bitwise(screen, simulate_layer(w, p, master_seed=4, **kwargs).nf)
     assert_only_idle_workers_left()
 
 

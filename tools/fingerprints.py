@@ -14,9 +14,12 @@ with one digest line for every top-level field of the ``record`` line's
 fingerprint, and one for each layer of its ``layers`` field
 (``layers/<config>/<layer>``): ``kcl_worst``, and ``screen_nf_mean`` and
 ``accuracy`` where the workload has them. Each digest is taken over the
-field as JSON with sorted keys, so diff names the fields that moved. Two
-checkouts compute the same numbers where their outputs are identical; a
-run that exits non-zero stops the script with its exit status.
+field as JSON with sorted keys, so diff names the fields that moved. The
+``screen_nf_mean`` line also lists every value, ``<order>/<layer>=<NF>``
+to 9 significant digits, so that a move in the last bits, which changes
+only the digest, reads apart from a real one. Two checkouts compute the
+same numbers where their outputs are identical; a run that exits
+non-zero stops the script with its exit status.
 """
 
 import argparse
@@ -41,6 +44,15 @@ def sha256(value) -> str:
     return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
 
 
+def leaves(value, path: str = "") -> list[str]:
+    """``<path>=<value>`` of every leaf of nested dicts, keys sorted and
+    joined by /, numbers to 9 significant digits."""
+    if isinstance(value, dict):
+        return [leaf for key in sorted(value) for leaf in leaves(value[key], f"{path}{key}/")]
+    shown = f"{value:.9g}" if isinstance(value, float) else json.dumps(value)
+    return [f"{path[:-1]}={shown}"]
+
+
 def digests(workload: str, seed: int) -> list[str]:
     """The lines for one run of `workload` at `seed`."""
     proc = subprocess.run([sys.executable, str(RUN), "--workload", workload, "--seconds", "1",
@@ -54,8 +66,13 @@ def digests(workload: str, seed: int) -> list[str]:
     fields = dict(record["fingerprint"])
     fields.update({f"layers/{key}": value for key, value in fields.pop("layers").items()})
     head = f"{workload} seed {seed}"
-    return [f"{head} failed {failed}"] + [f"{head} {name} {sha256(fields[name])}"
-                                          for name in sorted(fields)]
+    lines = [f"{head} failed {failed}"]
+    for name in sorted(fields):
+        line = f"{head} {name} {sha256(fields[name])}"
+        if name == "screen_nf_mean":
+            line = " ".join([line, *leaves(fields[name])])
+        lines.append(line)
+    return lines
 
 
 def main(argv: list[str]) -> int:
