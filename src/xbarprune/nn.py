@@ -45,10 +45,11 @@ run in two processes: where this process may use two CPUs and a fit is
 large enough, a forked partner pinned to the second CPU computes every
 second half in lockstep (see `_sgd_epochs`), and on one CPU the two halves
 run here one after the other, with bitwise the same result. `evaluate`
-runs whole batches, each in one process. Every GEMM sees its operands in
-one fixed K order (the rows of the weight matrix for the forward and
-weight-gradient GEMMs, the output channels for the input-gradient GEMM),
-and every scattered sum adds its terms in one fixed order.
+runs whole chunks of images, each in one process. Every GEMM sees its
+operands in one fixed K order (the rows of the weight matrix for the
+forward and weight-gradient GEMMs, the output channels for the
+input-gradient GEMM), and every scattered sum adds its terms in one fixed
+order.
 
 Training and evaluation both run the live sub-network: a channel whose
 producing column or consuming row group is all zero adds exactly zero to
@@ -75,9 +76,13 @@ keeps what backward reads: a convolution its im2col matrix and input
 shape, a ReLU its mask, a max pool its argmax index and input shape,
 each held until the layer's next forward. `evaluate` runs the same layer
 code with none of it kept, so its logits are bitwise the training
-forward's while a batch holds one layer's working set at a time; a
-backward after such a forward raises rather than read an earlier batch's
-state.
+forward's while it holds one layer's working set at a time; a backward
+after such a forward raises rather than read an earlier chunk's state.
+`evaluate` sizes its chunks to that working set: the most images whose
+largest layer (float64 input, im2col matrix and output) fits in
+`EVAL_WORKING_SET_BYTES`, which is below one core's L2 cache, so that its
+memory does not grow with the test set and a layer's operands stay in
+cache.
 """
 
 from __future__ import annotations
@@ -821,23 +826,38 @@ def _second_halves(model, dataset, epochs, lr, pruned, w_cut, link, shared):
             _step(model, summed, lr, pruned, w_cut)
 
 
+def _trainable_geometry(spec: ModelSpec):
+    """(info, input size, output positions) of every trainable layer for
+    one image: its `UnrolledLayerInfo`, the number of values it reads, and
+    the number of rows its im2col matrix has (1 for a dense layer)."""
+    walk = spec.shape_walk()
+    infos = iter(spec.unrolled_layers())
+    for (layer, incoming), (_, outgoing) in zip(walk, walk[1:] + [(None, None)]):
+        if isinstance(layer, (ConvSpec, DenseSpec)):
+            size = math.prod(incoming) if isinstance(incoming, tuple) else incoming
+            positions = outgoing[1] * outgoing[2] if isinstance(layer, ConvSpec) else 1
+            yield next(infos), size, positions
+
+
 def _multiply_adds(spec: ModelSpec) -> int:
     """Multiply-adds of one image's forward pass: every trainable layer's
     rows x columns, times its output positions for a convolution."""
-    walk = spec.shape_walk()
-    infos = iter(spec.unrolled_layers())
-    total = 0
-    for (layer, _), (_, outgoing) in zip(walk, walk[1:] + [(None, None)]):
-        if isinstance(layer, (ConvSpec, DenseSpec)):
-            info = next(infos)
-            positions = outgoing[1] * outgoing[2] if isinstance(layer, ConvSpec) else 1
-            total += info.rows * info.cols * positions
-    return total
+    return sum(info.rows * info.cols * positions
+               for info, _, positions in _trainable_geometry(spec))
+
+
+def _chunk_images(spec: ModelSpec) -> int:
+    """The most images, at least one, for which the largest working set of
+    one trainable layer in `evaluate` fits in `EVAL_WORKING_SET_BYTES`:
+    the layer's float64 input, im2col matrix and output."""
+    per_image = 8 * max(size + positions * (info.rows + info.cols)
+                        for info, size, positions in _trainable_geometry(spec))
+    return max(1, EVAL_WORKING_SET_BYTES // per_image)
 
 
 # Fewest forward multiply-adds (`_multiply_adds` of the live net x images,
 # x epochs for a fit) for which a fit runs its second halves in a partner
-# process and `evaluate` splits its batches over processes; a smaller call
+# process and `evaluate` splits its chunks over processes; a smaller call
 # runs in this process alone, as fork, join and the per-step messages cost
 # more than the second CPU saves. Training rows: one epoch of `train` at
 # batch 32 (float32, as every fit trains), on 1 and on 2 usable CPUs, from
@@ -873,25 +893,71 @@ def _multiply_adds(spec: ModelSpec) -> int:
 # (float64) and 84-104 against 101-112 (float32), so the two CPUs do not
 # share their vector units on this host; the lockstep costs the rest.
 #
-# `evaluate` (float64) splits over warm pool workers, which it pays no fork
-# for. An earlier series (25 rounds, batch 256) gained 9-45 % on every row
-# of 4 to 16 batches, down to 5 M multiply-adds. Two and three batches,
-# measured the same way (images / batch size):
+# `evaluate` (float64) splits its chunks (see `EVAL_WORKING_SET_BYTES`)
+# over warm pool workers, which it pays no fork for. Measured as above,
+# but in a fresh process (images / chunks):
 #
-#   evaluate   tiny       512 / 256   3          3.2 ms     2.7 ms    -17 %
-#   evaluate   tiny       768 / 256   4          4.4        4.5        +3 %
-#   evaluate   ref-cf     512 / 256 236         34.3       20.2       -41 %
-#   evaluate   ref-cf     768 / 256 355         47.2       35.8       -24 %
-#   evaluate   tiny        96 / 32    0.3        1.2        1.2        -1 %
-#   evaluate   ref-cf      96 / 32   44          5.8        5.9        +1 %
-#   evaluate   tiny         2 / 1     0          0.3        0.7       +87 %
-#   evaluate   ref-cf       2 / 1     1          1.2        2.0       +65 %
+#   evaluate   tiny       171 /  2    0.9        2.4 ms     2.9 ms   +30, +58, +20 %
+#   evaluate   tiny       512 /  4    2.6        5.4        4.2      -10,  -2, -23 %
+#   evaluate   tiny      1024 /  7    5.2       10.6        6.8      -17,  -8, -36 %
+#   evaluate   tiny      2048 / 13   10         20.9       12.1      -18, -23, -42 %
+#   evaluate   ref-cf      33 /  2   15          5.3        5.6      +26, +28,  +5 %
+#   evaluate   ref-cf      96 /  3   44         11.3        9.4       -2,  +5, -17 %
+#   evaluate   ref-cf     256 /  8  118         25.3       15.2      -36, -33, -40 %
+#   evaluate   ref-cf     512 / 16  237         48.8       27.8      -39, -34, -43 %
+#   evaluate   ref-cf     768 / 24  355         73.8       41.1      -42, -34, -44 %
 #
-# A batch too small to cover a worker's round trip loses, whatever the
-# multiply-adds, so splitting from two batches on would slow small calls,
-# and `evaluate` keeps this one constant; its calls from 400 M down to
-# about 140 M, which would gain, run in one process.
+# Two chunks lose in every series: a chunk too small to cover a worker's
+# round trip loses, whatever the multiply-adds. Three are mixed, and from
+# four chunks on the split gains in every series, down to 2.6 M
+# multiply-adds on the tiny net and 118 M on ref-cf. `evaluate` keeps this
+# one constant all the same, so its calls from 400 M down to about 118 M,
+# which would gain, run in one process; the benchmark's (1000 images of
+# ref-cf, 462 M) split.
 PARALLEL_MIN_MULTIPLY_ADDS = 400 * 10 ** 6
+
+# Most bytes of one layer's working set (its float64 input, im2col matrix
+# and output) that one `evaluate` chunk may take: `_chunk_images` is the
+# most images that fit, at least one. One `evaluate` of 1000 images per
+# chunk size c, cut as `evaluate` cuts them, on 1 and split over 2 usable
+# CPUs (host as above), medians of 15 interleaved rounds under the
+# benchmark's fixed 4 MiB glibc mmap threshold and under glibc's defaults;
+# the peak is tracemalloc's on 1 CPU, with the live net that `evaluate`
+# builds (ref's peak is that net at c <= 16). One image's working set is
+# 9.0 KiB (tiny, conv1), 96 KiB (ref, conv2) and 48 KiB (ref-cf, conv2):
+#
+#   net      c     c images'     4 MiB threshold      glibc defaults     peak
+#                  working set   1 CPU     2 CPUs     1 CPU     2 CPUs
+#   tiny       8    0.07 MiB     17.0 ms   11.8 ms    16.3 ms   14.2 ms   0.13 MiB
+#   tiny      16    0.14          9.7       7.2       13.6       9.1      0.16
+#   tiny      32    0.28          6.9       5.1        9.4       6.7      0.29
+#   tiny      64    0.56          7.1       4.9        7.3       5.4      0.54
+#   tiny     128    1.13          5.7       4.3        6.8       5.1      1.05
+#   tiny     256    2.25          6.0       4.6        7.5       5.7      2.09
+#   tiny    1000    8.79         11.6      10.9       10.6      10.6      8.31
+#   ref        8    0.75        165.2     112.2      196.7     121.1      3.44
+#   ref       16    1.50        149.0      94.8      161.4     109.7      3.44
+#   ref       32    3.00        191.5     119.5      172.3     115.1      4.74
+#   ref       64    6.00        199.1     124.5      187.6     118.7      7.64
+#   ref      128   12.0         224.7     141.8      201.9     124.8     13.45
+#   ref      256   24.0         240.0     146.5      247.7     137.3     25.17
+#   ref     1000   93.8         278.7     261.0      309.3     297.8     95.48
+#   ref-cf     8    0.38         66.3      47.0       75.6      57.0      0.88
+#   ref-cf    16    0.75         56.3      37.7       73.4      46.1      1.22
+#   ref-cf    32    1.50         51.1      31.6       66.3      44.2      1.96
+#   ref-cf    64    3.00         59.6      40.4       65.0      44.1      3.41
+#   ref-cf   128    6.00         75.8      49.1       81.0      49.9      6.31
+#   ref-cf   256   12.0          95.3      58.3       79.7      53.5     12.17
+#   ref-cf  1000   46.9         121.7     123.6      121.1     121.7     47.32
+#
+# (c = 1000 is one chunk, which never splits.) Working sets well past one
+# core's 2 MiB L2 cache run slower; below about 0.5 MiB the per-chunk
+# Python cost shows. 1.5 MiB gives chunks of 32 images on ref-cf, the
+# fastest in two columns and within 2 % of the fastest in the other two,
+# 16 on ref, the fastest in all four, and 170 on tiny, between 128, the
+# fastest, and 256. Chunks of 256, as `evaluate` ran before, are 1.2-1.9x
+# slower on ref-cf and ref, and hold 6-7x the memory.
+EVAL_WORKING_SET_BYTES = 3 * 2 ** 19
 
 
 def _sgd_epochs(model, dataset, config, epochs, pruned, w_cut, rng):
@@ -978,12 +1044,16 @@ def train(model: Network, dataset: Dataset, config: TrainConfig):
 
 
 def wct_cutoff(model: Network, percentile: float) -> float:
-    """Nearest-rank percentile of |w| pooled over all trainable weights."""
+    """Nearest-rank percentile of |w| pooled over all trainable weights:
+    the element a sort would put at that rank, selected in place on the
+    pooled copy without sorting the rest."""
     check_real("percentile", percentile, *_PERCENTILE_RANGE)
     if not model.trainable:
         raise ValueError("model has no trainable layers")
-    v = np.sort(np.abs(np.concatenate([layer.w.ravel() for _, layer in model.trainable])))
+    v = np.concatenate([layer.w.ravel() for _, layer in model.trainable])
+    np.abs(v, out=v)
     rank = math.ceil(percentile / 100.0 * v.size)
+    v.partition(rank - 1)
     return float(v[rank - 1])
 
 
@@ -1006,7 +1076,7 @@ def wct_train(model: Network, dataset: Dataset, config: TrainConfig):
     return model, w_cut
 
 
-def evaluate(model: Network, dataset: Dataset, batch_size: int = 256) -> float:
+def evaluate(model: Network, dataset: Dataset) -> float:
     """Fraction of argmax-correct predictions.
 
     The forward pass runs a fresh network of the live channels only (see
@@ -1015,17 +1085,18 @@ def evaluate(model: Network, dataset: Dataset, batch_size: int = 256) -> float:
     dead channel adds exactly zero to the logits and dropping it changes
     them only by the rounding of a shorter GEMM. `model` is not run. The
     fresh network runs the state-free forward: no layer keeps an im2col
-    matrix, mask or pool index, each activation is freed once the next
-    layer has read it, and a batch's peak memory is the largest working
-    set of one layer (its input, im2col matrix and output), not the sum
-    of every layer's training state. The logits are bitwise those of the
-    training forward. A call of at least `PARALLEL_MIN_MULTIPLY_ADDS`
-    forward multiply-adds splits its batches over the usable CPUs
-    (`_parallel._fork_map`): this process runs the first contiguous chunk
-    and a persistent pool worker each other one, sent the live network
-    and its chunk's images with `_correct`. Each batch runs whole in one
-    process, so the accuracy does not depend on the split."""
-    check_int("batch_size", batch_size, 1)
+    matrix, mask or pool index, and each activation is freed once the
+    next layer has read it. The dataset is cut into the fewest contiguous
+    chunks of at most `_chunk_images` images, their sizes differing by at
+    most one, and each chunk runs whole: the peak memory is one layer's
+    working set of one chunk, about `EVAL_WORKING_SET_BYTES`, whatever
+    the size of the dataset. The logits are bitwise those of the training
+    forward. A call of at least `PARALLEL_MIN_MULTIPLY_ADDS` forward
+    multiply-adds splits its chunks over the usable CPUs
+    (`_parallel._fork_map`): this process runs the first contiguous run of
+    chunks and a persistent pool worker each other one, sent the live
+    network and its chunks' images with `_correct`. Each chunk runs whole
+    in one process, so the accuracy does not depend on the split."""
     n = len(dataset)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -1033,10 +1104,12 @@ def evaluate(model: Network, dataset: Dataset, batch_size: int = 256) -> float:
     full = model.unrolled_weights()
     sub, _ = _narrowed(model.spec, full, _live_channels(model.spec, full))
 
-    batches = [slice(start, start + batch_size) for start in range(0, n, batch_size)]
+    chunks = math.ceil(n / _chunk_images(sub.spec))
+    bounds = [n * k // chunks for k in range(chunks + 1)]
     split = n * _multiply_adds(sub.spec) >= PARALLEL_MIN_MULTIPLY_ADDS
     return sum(_parallel._fork_map(
-        _correct, [(sub, dataset.images[b], dataset.labels[b]) for b in batches],
+        _correct, [(sub, dataset.images[a:b], dataset.labels[a:b])
+                   for a, b in zip(bounds, bounds[1:])],
         split)) / n
 
 

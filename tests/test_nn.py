@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import math
 import multiprocessing
 import os
 import tracemalloc
@@ -902,6 +901,18 @@ def test_wct_train_names_the_zeros_that_make_its_cutoff_zero():
         assert w.tobytes() == before[name].tobytes()
 
 
+@pytest.mark.parametrize("percentile", [1e-9, 10.0, 74.0, 75.0, 80.0, 90.0, 99.99, 100.0])
+def test_wct_cutoff_is_the_sorted_nearest_rank(percentile):
+    # cf@0.5 leaves about 75 % pruned zeros, and rounding to multiples of
+    # 0.01 ties most of the rest, across signs too
+    spec = reference_model_spec(init_seed=5)
+    net = masked_net(spec, gen_mask_cf(spec, 0.5, seed=5))
+    net.set_unrolled_weights({name: np.round(w, 2) for name, w in net.unrolled_weights().items()})
+    w = np.concatenate([w.ravel() for w in net.unrolled_weights().values()])
+    assert 0.7 < np.mean(w == 0) < 0.8 and len(np.unique(np.abs(w))) < 100
+    assert nn.wct_cutoff(net, percentile) == nearest_rank_cutoff(net, percentile)
+
+
 @pytest.mark.parametrize("kwargs, reason", [
     (dict(lr=np.nan), "lr"),
     (dict(lr=np.inf), "lr"),
@@ -1132,29 +1143,81 @@ def test_backward_after_a_state_free_forward_raises():
             layer.backward(np.ones((4, 1, 1, 4)))
 
 
-def test_evaluate_holds_one_layers_working_set_at_a_time(monkeypatch):
-    # at batch 256 the reference net's widest layer, conv2, reads a 2.1 MB
-    # input, unrolls it to an 18.9 MB im2col matrix and writes a 4.2 MB
-    # output; the training forward's state of all layers adds up to more
-    spec = reference_model_spec(init_seed=1)
-    net, n = Network(spec), 256
-    probe = net.copy()
-    probe.forward(np.zeros((n, *spec.input_shape)))
-    working = max(cols.nbytes + 8 * (math.prod(shape) + cols.shape[0] * layer.w.shape[1])
-                  for _, layer in probe.trainable for cols, shape in [layer._state])
-    kept = sum(a.nbytes for layer in probe.layers for name, a in _arrays(layer) if name != "w")
-    weights = sum(w.nbytes for w in net.unrolled_weights().values())
-    bound = working + weights + 2 ** 20
-    assert bound < kept
-    _, test_set = gen_synthetic_dataset(1, 8, 3 * n)
-    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 1)   # no child to miss
+def _evaluate_peak(net, test_set):
+    """tracemalloc's peak over one `evaluate` of `test_set` in this process."""
     tracemalloc.start()
     try:
-        evaluate(net, test_set, batch_size=n)
-        peak = tracemalloc.get_traced_memory()[1]
+        evaluate(net, test_set)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= bound
+
+
+@pytest.mark.parametrize("spec_fn", [reference_model_spec, tiny_model_spec])
+def test_evaluate_peak_memory_does_not_grow_with_the_test_set(monkeypatch, spec_fn):
+    # every chunk holds at most c images, and one layer's working set of
+    # them at a time: 8c images peak no higher than c images do
+    net = Network(spec_fn(init_seed=1))
+    c = nn._chunk_images(net.spec)
+    weights = sum(w.nbytes for w in net.unrolled_weights().values())
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 1)   # no child to miss
+    one, eight = (_evaluate_peak(net, gen_synthetic_dataset(1, 8, k * c)[1]) for k in (1, 8))
+    assert eight <= nn.EVAL_WORKING_SET_BYTES + weights + 2 ** 20
+    assert abs(eight - one) <= 2 ** 20
+
+
+def spy_chunk_logits(monkeypatch, tmp_path, images):
+    """From now on, in this process and in any forked after, save the
+    logits of every state-free forward as `<first>-<pid>.npy`, `first`
+    being the index in `images` of the forward's first image."""
+    first = {image.tobytes(): i for i, image in enumerate(images)}
+    forward = Network._forward
+
+    def spy(self, x, keep):
+        out = forward(self, x, keep)
+        if not keep:
+            np.save(tmp_path / f"{first[x[0].tobytes()]}-{os.getpid()}.npy", out)
+        return out
+
+    monkeypatch.setattr(Network, "_forward", spy)
+
+
+def cf_net(spec):
+    return masked_net(spec, gen_mask_cf(spec, 0.5, seed=1))
+
+
+@pytest.mark.parametrize("count", [1, 2], ids=["one-cpu", "split"])
+@pytest.mark.parametrize("chunks", [1, 2, "many"],
+                         ids=["one-chunk", "two-chunks", "many-chunks-plus-one-image"])
+@pytest.mark.parametrize("spec_fn, make_net", [
+    (tiny_model_spec, Network), (reference_model_spec, Network),
+    (reference_model_spec, cf_net),
+], ids=["tiny", "ref", "ref-cf"])
+def test_chunked_evaluation_matches_one_whole_set_forward(
+        cpus, monkeypatch, tmp_path, spec_fn, make_net, chunks, count):
+    # c, c + 1 and 8c + 1 images: cut into c-image chunks and the rest,
+    # the last two would end in a one-image chunk, whose GEMMs OpenBLAS
+    # rounds differently; near-equal chunks keep every one large
+    net = make_net(spec_fn(init_seed=1))
+    full = net.unrolled_weights()
+    sub, _ = _narrowed(net.spec, full, _live_channels(net.spec, full))
+    c = nn._chunk_images(sub.spec)
+    n = {1: c, 2: c + 1, "many": 8 * c + 1}[chunks]
+    _, test_set = gen_synthetic_dataset(1, 8, n)
+    whole = sub._forward(test_set.images, False)
+    cpus(count)
+    spy_chunk_logits(monkeypatch, tmp_path, test_set.images)
+    accuracy = evaluate(net, test_set)
+    assert accuracy == np.mean(whole.argmax(axis=1) == test_set.labels)
+    saved = sorted((tuple(map(int, path.stem.split("-"))), np.load(path))
+                   for path in tmp_path.iterdir())
+    starts = [first for (first, _), _ in saved]
+    sizes = [len(logits) for _, logits in saved]
+    assert starts == list(np.cumsum([0] + sizes[:-1]))
+    assert sum(sizes) == n and max(sizes) <= c and max(sizes) - min(sizes) <= 1
+    assert len(sizes) == {1: 1, 2: 2, "many": 9}[chunks]
+    assert len({pid for (_, pid), _ in saved}) == min(count, len(sizes))
+    assert same_bits(np.concatenate([logits for _, logits in saved]), whole)
 
 
 def test_taps_are_cached_as_immutable_tuples():
@@ -1241,21 +1304,15 @@ def test_live_subnet_matches_the_full_width_oracle(spec, zero, layer, index):
 
 @pytest.mark.parametrize("dead", [("conv1", "conv2", "conv3", "dense1"), ("conv2",)],
                          ids=["all-zero", "one-dead-layer"])
-def test_evaluate_with_no_live_channel_predicts_class_zero(dead):
-    # every logit is +-0, and argmax picks the first of equal entries
+def test_evaluate_with_no_live_channel_predicts_class_zero(monkeypatch, dead):
+    # every logit is +-0, and argmax picks the first of equal entries; a
+    # one-byte budget leaves chunks of one image, the smallest there are
+    monkeypatch.setattr(nn, "EVAL_WORKING_SET_BYTES", 1)
     net = Network(reference_model_spec(init_seed=3))
     net.set_unrolled_weights({name: np.zeros_like(w) if name in dead else w
                               for name, w in net.unrolled_weights().items()})
     _, test_set = gen_synthetic_dataset(3, 8, 50)
-    assert evaluate(net, test_set, batch_size=16) == np.mean(test_set.labels == 0)
-
-
-@pytest.mark.parametrize("batch_size", [0, -1, 2.5, 32.0, True])
-def test_evaluate_rejects_batch_size_below_one(batch_size):
-    _, test_set = gen_synthetic_dataset(1, 8, 16)
-    with pytest.raises(ValueError, match="batch_size"):
-        evaluate(Network(tiny_model_spec(init_seed=1)), test_set, batch_size=batch_size)
-
+    assert evaluate(net, test_set) == np.mean(test_set.labels == 0)
 
 
 def run_all(net, data):
@@ -1482,7 +1539,8 @@ def assert_only_idle_workers_left(mask):
 def cpu_count_run(spec, pattern, data, test_set, batch_size):
     """train (two epochs, so that a short last batch is not the last step)
     and wct_train, then evaluate, from a fresh net: every trained weight,
-    the losses, w_cut and the accuracy."""
+    the losses, w_cut and the accuracy. Evaluation runs in chunks of one
+    image (see the caller), so that every CPU gets some."""
     net = Network(spec)
     config = TrainConfig(epochs=2, batch_size=batch_size, seed=3, pattern=pattern,
                          wct=WctConfig(epochs=1))
@@ -1490,7 +1548,7 @@ def cpu_count_run(spec, pattern, data, test_set, batch_size):
     trained = {k: w.tobytes() for k, w in net.unrolled_weights().items()}
     _, w_cut = wct_train(net, data, config)
     return (trained, losses, w_cut, {k: w.tobytes() for k, w in net.unrolled_weights().items()},
-            evaluate(net, test_set, batch_size=4))
+            evaluate(net, test_set))
 
 
 # On 5 samples, a batch size of 1 leaves every second half empty, 3 makes
@@ -1499,7 +1557,8 @@ def cpu_count_run(spec, pattern, data, test_set, batch_size):
 @pytest.mark.parametrize("method, batch_size", [
     (None, 1), (None, 3), ("cf", 2), ("xcs", 3), ("xrs", 2),
 ], ids=["dense-one", "dense-odd", "cf-short-last", "xcs-odd", "xrs-short-last"])
-def test_results_do_not_depend_on_the_cpu_count(cpus, method, batch_size):
+def test_results_do_not_depend_on_the_cpu_count(cpus, monkeypatch, method, batch_size):
+    monkeypatch.setattr(nn, "EVAL_WORKING_SET_BYTES", 1)
     spec = reference_model_spec(init_seed=6)
     pattern = None if method is None else make_pattern(method, spec, seed=6)
     data, test_set = gen_synthetic_dataset(6, 5, 11)
@@ -1556,19 +1615,22 @@ def test_second_halves_run_in_a_partner_pinned_to_another_cpu(cpus, monkeypatch,
 def test_a_fit_and_an_evaluation_below_the_break_even_stay_in_this_process(
         monkeypatch, tmp_path):
     monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
-    forward = Network.forward
+    forward = Network._forward
 
-    def logged(self, x):
+    def logged(self, x, keep):
         (tmp_path / str(os.getpid())).touch()
-        return forward(self, x)
+        return forward(self, x, keep)
 
-    monkeypatch.setattr(Network, "forward", logged)
+    # the training and the state-free forward both run Network._forward
+    monkeypatch.setattr(Network, "_forward", logged)
+    # chunks of one image: many chunks do not split a call below the break-even
+    monkeypatch.setattr(nn, "EVAL_WORKING_SET_BYTES", 1)
     spec = tiny_model_spec(init_seed=1)
     data, test_set = gen_synthetic_dataset(1, 64, 64)
     assert 64 * nn._multiply_adds(spec) < nn.PARALLEL_MIN_MULTIPLY_ADDS
     net = Network(spec)
     train(net, data, TrainConfig(epochs=1))
-    evaluate(net, test_set, batch_size=8)
+    evaluate(net, test_set)
     assert [path.name for path in tmp_path.iterdir()] == [str(os.getpid())]
 
 

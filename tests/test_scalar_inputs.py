@@ -31,7 +31,6 @@ from xbarprune.nn import (
     Network,
     TrainConfig,
     WctConfig,
-    evaluate,
     gen_synthetic_dataset,
     reference_model_spec,
     tiny_model_spec,
@@ -50,7 +49,6 @@ from xbarprune.pruning import (
 
 SPEC = tiny_model_spec(init_seed=0)
 NET = Network(SPEC)
-_, TEST_SET = gen_synthetic_dataset(0, 4, 8)
 P2, P4 = CrossbarParams(2, 2), CrossbarParams(4, 4)
 W = np.random.default_rng(0).normal(size=(6, 5))
 
@@ -93,7 +91,6 @@ INTEGER = [
     ("TrainConfig.epochs", lambda v: TrainConfig(epochs=v), "epochs", 3),
     ("TrainConfig.seed", lambda v: TrainConfig(seed=v), "seed", 2),
     ("WctConfig.epochs", lambda v: WctConfig(epochs=v), "wct epochs", 1),
-    ("evaluate.batch_size", lambda v: evaluate(NET, TEST_SET, batch_size=v), "batch_size", 4),
     ("gen_synthetic_dataset.seed", lambda v: gen_synthetic_dataset(v, 2, 2), "seed", 2),
     ("gen_synthetic_dataset.n_train", lambda v: gen_synthetic_dataset(0, v, 2), "n_train", 2),
     ("gen_synthetic_dataset.n_test", lambda v: gen_synthetic_dataset(0, 2, v), "n_test", 2),
