@@ -82,7 +82,8 @@ after such a forward raises rather than read an earlier chunk's state.
 largest layer (float64 input, im2col matrix and output) fits in
 `EVAL_WORKING_SET_BYTES`, which is below one core's L2 cache, so that its
 memory does not grow with the test set and a layer's operands stay in
-cache.
+cache, and splits them over the usable CPUs where there are at least two
+per CPU.
 """
 
 from __future__ import annotations
@@ -135,7 +136,8 @@ class PoolSpec:
 
 @dataclass(frozen=True)
 class UnrolledLayerInfo:
-    """Shape facts about one trainable layer's unrolled weight matrix."""
+    """Shape facts about one trainable layer: its unrolled weight matrix,
+    and the geometry of the `Conv2d` that runs it for one image."""
 
     name: str
     kind: str                  # "conv" | "dense"
@@ -143,6 +145,10 @@ class UnrolledLayerInfo:
     cols: int                  # output units
     rows_per_channel: int      # rows per input channel group
     in_channels: int
+    window: tuple[int, int]    # the Conv2d's (kh, kw)
+    padding: int               # the Conv2d's zeros on each side
+    positions: int             # im2col rows per image
+    in_size: int               # values one image feeds the layer
 
 
 @dataclass(frozen=True)
@@ -205,26 +211,29 @@ class ModelSpec:
         return out
 
     def unrolled_layers(self) -> list[UnrolledLayerInfo]:
+        """The info of every trainable layer, in order, from one pass over
+        `shape_walk`, a flat size f read as the (f, 1, 1) map: a conv is
+        the k x k window padded by k // 2, a dense layer the unpadded
+        window over its whole input map."""
         infos = []
         counts = {"conv": 0, "dense": 0}
         for spec, incoming in self.shape_walk():
+            if not isinstance(spec, (ConvSpec, DenseSpec)):
+                continue
+            c, h, w = incoming if isinstance(incoming, tuple) else (incoming, 1, 1)
             if isinstance(spec, ConvSpec):
-                counts["conv"] += 1
-                infos.append(UnrolledLayerInfo(
-                    name=f"conv{counts['conv']}", kind="conv",
-                    rows=spec.in_ch * spec.kernel ** 2, cols=spec.out_ch,
-                    rows_per_channel=spec.kernel ** 2, in_channels=spec.in_ch))
-            elif isinstance(spec, DenseSpec):
-                counts["dense"] += 1
-                if isinstance(incoming, tuple):
-                    c, h, w = incoming
-                    rpc, in_ch = h * w, c
-                else:
-                    rpc, in_ch = 1, spec.in_features
-                infos.append(UnrolledLayerInfo(
-                    name=f"dense{counts['dense']}", kind="dense",
-                    rows=spec.in_features, cols=spec.out_features,
-                    rows_per_channel=rpc, in_channels=in_ch))
+                kind, cols = "conv", spec.out_ch
+                window, padding = (spec.kernel, spec.kernel), spec.kernel // 2
+            else:
+                kind, cols = "dense", spec.out_features
+                window, padding = (h, w), 0
+            counts[kind] += 1
+            area = window[0] * window[1]
+            infos.append(UnrolledLayerInfo(
+                name=f"{kind}{counts[kind]}", kind=kind, rows=c * area, cols=cols,
+                rows_per_channel=area, in_channels=c, window=window, padding=padding,
+                positions=(h + 2 * padding - window[0] + 1) * (w + 2 * padding - window[1] + 1),
+                in_size=c * h * w))
         return infos
 
 
@@ -505,17 +514,13 @@ class Network:
         self.layers = []
         self.trainable: list[tuple[str, Conv2d]] = []
         infos = iter(spec.unrolled_layers())
-        for layer_spec, incoming in spec.shape_walk():
+        for layer_spec in spec.layers:
             if isinstance(layer_spec, (ReluSpec, PoolSpec)):
                 self.layers.append(ReLU() if isinstance(layer_spec, ReluSpec) else MaxPool2())
                 continue
-            if isinstance(layer_spec, ConvSpec):
-                k = layer_spec.kernel
-                geometry = (k, k), k // 2
-            else:
-                geometry = (incoming[1:] if isinstance(incoming, tuple) else (1, 1)), 0
             info = next(infos)
-            self.trainable.append((info.name, Conv2d(*geometry, _own_copy(info, matrices))))
+            self.trainable.append((info.name, Conv2d(info.window, info.padding,
+                                                     _own_copy(info, matrices))))
             self.layers.append(self.trainable[-1][1])
         for i in range(len(self.layers) - 1):
             if isinstance(self.layers[i], ReLU) and isinstance(self.layers[i + 1], MaxPool2):
@@ -826,60 +831,46 @@ def _second_halves(model, dataset, epochs, lr, pruned, w_cut, link, shared):
             _step(model, summed, lr, pruned, w_cut)
 
 
-def _trainable_geometry(spec: ModelSpec):
-    """(info, input size, output positions) of every trainable layer for
-    one image: its `UnrolledLayerInfo`, the number of values it reads, and
-    the number of rows its im2col matrix has (1 for a dense layer)."""
-    walk = spec.shape_walk()
-    infos = iter(spec.unrolled_layers())
-    for (layer, incoming), (_, outgoing) in zip(walk, walk[1:] + [(None, None)]):
-        if isinstance(layer, (ConvSpec, DenseSpec)):
-            size = math.prod(incoming) if isinstance(incoming, tuple) else incoming
-            positions = outgoing[1] * outgoing[2] if isinstance(layer, ConvSpec) else 1
-            yield next(infos), size, positions
-
-
 def _multiply_adds(spec: ModelSpec) -> int:
     """Multiply-adds of one image's forward pass: every trainable layer's
-    rows x columns, times its output positions for a convolution."""
-    return sum(info.rows * info.cols * positions
-               for info, _, positions in _trainable_geometry(spec))
+    rows x columns x im2col rows."""
+    return sum(info.rows * info.cols * info.positions for info in spec.unrolled_layers())
 
 
 def _chunk_images(spec: ModelSpec) -> int:
     """The most images, at least one, for which the largest working set of
     one trainable layer in `evaluate` fits in `EVAL_WORKING_SET_BYTES`:
     the layer's float64 input, im2col matrix and output."""
-    per_image = 8 * max(size + positions * (info.rows + info.cols)
-                        for info, size, positions in _trainable_geometry(spec))
+    per_image = 8 * max(info.in_size + info.positions * (info.rows + info.cols)
+                        for info in spec.unrolled_layers())
     return max(1, EVAL_WORKING_SET_BYTES // per_image)
 
 
-# Fewest forward multiply-adds (`_multiply_adds` of the live net x images,
-# x epochs for a fit) for which a fit runs its second halves in a partner
-# process and `evaluate` splits its chunks over processes; a smaller call
-# runs in this process alone, as fork, join and the per-step messages cost
-# more than the second CPU saves. Training rows: one epoch of `train` at
-# batch 32 (float32, as every fit trains), on 1 and on 2 usable CPUs, from
-# a 150 MB parent (numpy 2.4, Python 3.11, 2-vCPU Xeon, one OpenBLAS
-# thread), three series of 21 interleaved rounds; the times are series 3's
-# medians, the changes those of series 1, 2 and 3. ref is
+# Fewest forward multiply-adds (`_multiply_adds` of the live net x images
+# x epochs) for which a fit runs its second halves in a partner process; a
+# smaller fit runs in this process alone, as fork, join and the per-step
+# messages cost more than the second CPU saves. (`evaluate` splits by its
+# own rule, measured next to `EVAL_WORKING_SET_BYTES`.) Rows: one epoch of
+# `train` at batch 32 (float32, as every fit trains), on 1 and on 2 usable
+# CPUs, from a 150 MB parent (numpy 2.4, Python 3.11, 2-vCPU Xeon, one
+# OpenBLAS thread), three series of 21 interleaved rounds; the times are
+# series 3's medians, the changes those of series 1, 2 and 3. ref is
 # `reference_model_spec`, ref-cf its cf@0.5 live net (the benchmark's),
 # tiny `tiny_model_spec`:
 #
-#   call       net      images   M mult-adds   1 CPU      2 CPUs   change
-#   train      ref-cf     128        59         22.6 ms    28.1 ms   +74, +35, +24 %
-#   train      ref-cf     256       118         29.0       36.2      +11,  +8, +25 %
-#   train      ref-cf     384       177         47.0       45.9      -14, +23,  -2 %
-#   train      ref-cf     512       236         56.1       54.6      -10,  +4,  -3 %
-#   train      ref-cf    1024       473        110.3       79.8      -23, -26, -28 %
-#   train      ref         64       116         33.5       41.2      +19, +32, +23 %
-#   train      ref        128       231         45.7       45.9       +2, +29,  +1 %
-#   train      ref        160       289         52.5       52.5      +21,  +8,   0 %
-#   train      ref        192       347         60.2       56.4      +10,  -9,  -6 %
-#   train      ref        256       463         82.7       70.3      -11, -13, -15 %
-#   train      tiny      1024         5         30.9       34.0      +17,  +8, +10 %
-#   train      tiny      4096        21        120.8       86.1      -22, -15, -29 %
+#   net      images   M mult-adds   1 CPU      2 CPUs   change
+#   ref-cf     128        59         22.6 ms    28.1 ms   +74, +35, +24 %
+#   ref-cf     256       118         29.0       36.2      +11,  +8, +25 %
+#   ref-cf     384       177         47.0       45.9      -14, +23,  -2 %
+#   ref-cf     512       236         56.1       54.6      -10,  +4,  -3 %
+#   ref-cf    1024       473        110.3       79.8      -23, -26, -28 %
+#   ref         64       116         33.5       41.2      +19, +32, +23 %
+#   ref        128       231         45.7       45.9       +2, +29,  +1 %
+#   ref        160       289         52.5       52.5      +21,  +8,   0 %
+#   ref        192       347         60.2       56.4      +10,  -9,  -6 %
+#   ref        256       463         82.7       70.3      -11, -13, -15 %
+#   tiny      1024         5         30.9       34.0      +17,  +8, +10 %
+#   tiny      4096        21        120.8       86.1      -22, -15, -29 %
 #
 # In float32 a one-CPU epoch takes about 0.6 of its float64 time, while
 # the fork and the per-step exchange cost the same, so the reference nets'
@@ -892,28 +883,6 @@ def _chunk_images(spec: ModelSpec) -> int:
 # at 32-44 GFLOP/s per CPU with both CPUs busy against 38-45 alone
 # (float64) and 84-104 against 101-112 (float32), so the two CPUs do not
 # share their vector units on this host; the lockstep costs the rest.
-#
-# `evaluate` (float64) splits its chunks (see `EVAL_WORKING_SET_BYTES`)
-# over warm pool workers, which it pays no fork for. Measured as above,
-# but in a fresh process (images / chunks):
-#
-#   evaluate   tiny       171 /  2    0.9        2.4 ms     2.9 ms   +30, +58, +20 %
-#   evaluate   tiny       512 /  4    2.6        5.4        4.2      -10,  -2, -23 %
-#   evaluate   tiny      1024 /  7    5.2       10.6        6.8      -17,  -8, -36 %
-#   evaluate   tiny      2048 / 13   10         20.9       12.1      -18, -23, -42 %
-#   evaluate   ref-cf      33 /  2   15          5.3        5.6      +26, +28,  +5 %
-#   evaluate   ref-cf      96 /  3   44         11.3        9.4       -2,  +5, -17 %
-#   evaluate   ref-cf     256 /  8  118         25.3       15.2      -36, -33, -40 %
-#   evaluate   ref-cf     512 / 16  237         48.8       27.8      -39, -34, -43 %
-#   evaluate   ref-cf     768 / 24  355         73.8       41.1      -42, -34, -44 %
-#
-# Two chunks lose in every series: a chunk too small to cover a worker's
-# round trip loses, whatever the multiply-adds. Three are mixed, and from
-# four chunks on the split gains in every series, down to 2.6 M
-# multiply-adds on the tiny net and 118 M on ref-cf. `evaluate` keeps this
-# one constant all the same, so its calls from 400 M down to about 118 M,
-# which would gain, run in one process; the benchmark's (1000 images of
-# ref-cf, 462 M) split.
 PARALLEL_MIN_MULTIPLY_ADDS = 400 * 10 ** 6
 
 # Most bytes of one layer's working set (its float64 input, im2col matrix
@@ -957,6 +926,29 @@ PARALLEL_MIN_MULTIPLY_ADDS = 400 * 10 ** 6
 # 16 on ref, the fastest in all four, and 170 on tiny, between 128, the
 # fastest, and 256. Chunks of 256, as `evaluate` ran before, are 1.2-1.9x
 # slower on ref-cf and ref, and hold 6-7x the memory.
+#
+# `evaluate` splits its chunks over warm pool workers, which it pays no
+# fork for, where there are at least two chunks per usable CPU. One
+# `evaluate` (float64) on 1 and on 2 usable CPUs, with its multiply-adds,
+# measured as the training rows above `PARALLEL_MIN_MULTIPLY_ADDS` but in
+# a fresh process:
+#
+#   net      images / chunks   M mult-adds   1 CPU      2 CPUs   change
+#   tiny       171 /  2            0.9         2.4 ms     2.9 ms   +30, +58, +20 %
+#   tiny       512 /  4            2.6         5.4        4.2      -10,  -2, -23 %
+#   tiny      1024 /  7            5.2        10.6        6.8      -17,  -8, -36 %
+#   tiny      2048 / 13           10          20.9       12.1      -18, -23, -42 %
+#   ref-cf      33 /  2           15           5.3        5.6      +26, +28,  +5 %
+#   ref-cf      96 /  3           44          11.3        9.4       -2,  +5, -17 %
+#   ref-cf     256 /  8          118          25.3       15.2      -36, -33, -40 %
+#   ref-cf     512 / 16          237          48.8       27.8      -39, -34, -43 %
+#   ref-cf     768 / 24          355          73.8       41.1      -42, -34, -44 %
+#
+# Two chunks lose in every series: a chunk too small to cover a worker's
+# round trip loses, whatever the multiply-adds. Three are mixed, and from
+# four chunks on the split gains in every series, down to 2.6 M
+# multiply-adds on the tiny net. The benchmark's evaluations (1000 images
+# of ref-cf, 32 chunks) split.
 EVAL_WORKING_SET_BYTES = 3 * 2 ** 19
 
 
@@ -1091,12 +1083,13 @@ def evaluate(model: Network, dataset: Dataset) -> float:
     most one, and each chunk runs whole: the peak memory is one layer's
     working set of one chunk, about `EVAL_WORKING_SET_BYTES`, whatever
     the size of the dataset. The logits are bitwise those of the training
-    forward. A call of at least `PARALLEL_MIN_MULTIPLY_ADDS` forward
-    multiply-adds splits its chunks over the usable CPUs
-    (`_parallel._fork_map`): this process runs the first contiguous run of
-    chunks and a persistent pool worker each other one, sent the live
-    network and its chunks' images with `_correct`. Each chunk runs whole
-    in one process, so the accuracy does not depend on the split."""
+    forward. A dataset cut into at least two chunks per usable CPU splits
+    its chunks over the usable CPUs (`_parallel._fork_map`; the measured
+    break-even sits above `EVAL_WORKING_SET_BYTES`): this process runs the
+    first contiguous run of chunks and a persistent pool worker each other
+    one, sent the live network and its chunks' images with `_correct`.
+    Each chunk runs whole in one process, so the accuracy does not depend
+    on the split."""
     n = len(dataset)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -1106,7 +1099,7 @@ def evaluate(model: Network, dataset: Dataset) -> float:
 
     chunks = math.ceil(n / _chunk_images(sub.spec))
     bounds = [n * k // chunks for k in range(chunks + 1)]
-    split = n * _multiply_adds(sub.spec) >= PARALLEL_MIN_MULTIPLY_ADDS
+    split = chunks >= 2 * _parallel._usable_cpus()
     return sum(_parallel._fork_map(
         _correct, [(sub, dataset.images[a:b], dataset.labels[a:b])
                    for a, b in zip(bounds, bounds[1:])],

@@ -1216,7 +1216,8 @@ def test_chunked_evaluation_matches_one_whole_set_forward(
     assert starts == list(np.cumsum([0] + sizes[:-1]))
     assert sum(sizes) == n and max(sizes) <= c and max(sizes) - min(sizes) <= 1
     assert len(sizes) == {1: 1, 2: 2, "many": 9}[chunks]
-    assert len({pid for (_, pid), _ in saved}) == min(count, len(sizes))
+    # the chunks split only where there are at least two per CPU
+    assert len({pid for (_, pid), _ in saved}) == (count if len(sizes) >= 2 * count else 1)
     assert same_bits(np.concatenate([logits for _, logits in saved]), whole)
 
 
@@ -1455,6 +1456,62 @@ def test_layer_specs_take_numpy_integers_and_same_padding():
     assert DenseSpec(np.int64(3), np.int16(2)) == DenseSpec(3, 2)
 
 
+def vgg11_shaped_spec(width):
+    """VGG11's layout (Simonyan and Zisserman, ICLR 2015) on 3 x 32 x 32
+    inputs: 8 3 x 3 convs of width x (1, 2, 4, 4, 8, 8, 8, 8) channels,
+    pools after convs 1, 2, 4, 6 and 8; then one 2 x 2 conv, which grows
+    the 1 x 1 map to 2 x 2, and a two-layer dense head."""
+    channels = [3] + [width * k for k in (1, 2, 4, 4, 8, 8, 8, 8)]
+    layers = []
+    for i, (cin, cout) in enumerate(zip(channels, channels[1:]), start=1):
+        layers += [ConvSpec(cin, cout, 3), ReluSpec()]
+        if i in (1, 2, 4, 6, 8):
+            layers.append(PoolSpec())
+    layers += [ConvSpec(8 * width, 4 * width, 2), ReluSpec(),
+               DenseSpec(4 * width * 4, 8 * width), ReluSpec(), DenseSpec(8 * width, 10)]
+    return ModelSpec(tuple(layers), input_shape=(3, 32, 32))
+
+
+# the hand-worked geometry of vgg11_shaped_spec(2): incoming map (c, h, w),
+# then every UnrolledLayerInfo field after name and kind
+VGG_GEOMETRY = [
+    # name     incoming      rows cols rpc in_ch window padding positions in_size
+    ("conv1", (3, 32, 32), 27, 2, 9, 3, (3, 3), 1, 1024, 3072),
+    ("conv2", (2, 16, 16), 18, 4, 9, 2, (3, 3), 1, 256, 512),
+    ("conv3", (4, 8, 8), 36, 8, 9, 4, (3, 3), 1, 64, 256),
+    ("conv4", (8, 8, 8), 72, 8, 9, 8, (3, 3), 1, 64, 512),
+    ("conv5", (8, 4, 4), 72, 16, 9, 8, (3, 3), 1, 16, 128),
+    ("conv6", (16, 4, 4), 144, 16, 9, 16, (3, 3), 1, 16, 256),
+    ("conv7", (16, 2, 2), 144, 16, 9, 16, (3, 3), 1, 4, 64),
+    ("conv8", (16, 2, 2), 144, 16, 9, 16, (3, 3), 1, 4, 64),
+    ("conv9", (16, 1, 1), 64, 8, 4, 16, (2, 2), 1, 4, 16),
+    ("dense1", (8, 2, 2), 32, 16, 4, 8, (2, 2), 0, 1, 32),
+    ("dense2", 16, 16, 10, 1, 16, (1, 1), 0, 1, 16),
+]
+
+
+def test_a_vgg_shaped_spec_has_the_hand_worked_geometry():
+    spec = vgg11_shaped_spec(2)
+    trainable = [shape for layer, shape in spec.shape_walk()
+                 if isinstance(layer, (ConvSpec, DenseSpec))]
+    assert trainable == [incoming for _, incoming, *_ in VGG_GEOMETRY]
+    fields = [(info.name, info.rows, info.cols, info.rows_per_channel, info.in_channels,
+               info.window, info.padding, info.positions, info.in_size)
+              for info in spec.unrolled_layers()]
+    assert fields == [(name, *rest) for name, _, *rest in VGG_GEOMETRY]
+    assert [info.kind for info in spec.unrolled_layers()] == ["conv"] * 9 + ["dense"] * 2
+    # rows x cols x positions: 55296 + 18432 + 18432 + 36864 + 18432 +
+    # 36864 + 9216 + 9216 + 2048 + 512 + 160
+    assert nn._multiply_adds(spec) == 205_472
+    # the largest working set is conv1's float64 input, im2col matrix and
+    # output: 8 x (3072 + 1024 x (27 + 2)) bytes per image
+    assert nn._chunk_images(spec) == nn.EVAL_WORKING_SET_BYTES // (8 * (3072 + 1024 * 29))
+    net = Network(spec)
+    assert [(name, layer.window, layer.padding) for name, layer in net.trainable] == [
+        (name, window, padding) for name, *_, window, padding, _, _ in VGG_GEOMETRY]
+    assert net.forward(np.zeros((2, 3, 32, 32))).shape == (2, 10)
+
+
 # ------------------------------------------------------------ determinism
 
 
@@ -1514,9 +1571,10 @@ def test_training_and_wct_bit_identical_for_seed():
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Pin the CPU helper to a count and split every fit and evaluation.
-    Each pin shuts the worker pool down, and so does the end of the test,
-    so that no later test meets a worker forked under this one's patches."""
+    """Pin the CPU helper to a count and split every fit; an evaluation
+    splits by its chunk count alone (see `evaluate`). Each pin shuts the
+    worker pool down, and so does the end of the test, so that no later
+    test meets a worker forked under this one's patches."""
     def pin(count):
         monkeypatch.setattr(_parallel, "_usable_cpus", lambda: count)
         monkeypatch.setattr(nn, "PARALLEL_MIN_MULTIPLY_ADDS", 0)
@@ -1623,15 +1681,36 @@ def test_a_fit_and_an_evaluation_below_the_break_even_stay_in_this_process(
 
     # the training and the state-free forward both run Network._forward
     monkeypatch.setattr(Network, "_forward", logged)
-    # chunks of one image: many chunks do not split a call below the break-even
+    # chunks of one image: three chunks are fewer than two per CPU
     monkeypatch.setattr(nn, "EVAL_WORKING_SET_BYTES", 1)
     spec = tiny_model_spec(init_seed=1)
-    data, test_set = gen_synthetic_dataset(1, 64, 64)
+    data, test_set = gen_synthetic_dataset(1, 64, 3)
     assert 64 * nn._multiply_adds(spec) < nn.PARALLEL_MIN_MULTIPLY_ADDS
     net = Network(spec)
     train(net, data, TrainConfig(epochs=1))
     evaluate(net, test_set)
     assert [path.name for path in tmp_path.iterdir()] == [str(os.getpid())]
+
+
+@pytest.mark.parametrize("chunks, processes", [(3, 1), (4, 2)])
+def test_an_evaluation_splits_from_two_chunks_per_cpu(cpus, monkeypatch, tmp_path,
+                                                       chunks, processes):
+    # on two CPUs, three chunks lose to the split and four gain (the table
+    # above nn.EVAL_WORKING_SET_BYTES)
+    net = cf_net(reference_model_spec(init_seed=1))
+    full = net.unrolled_weights()
+    sub, _ = _narrowed(net.spec, full, _live_channels(net.spec, full))
+    _, test_set = gen_synthetic_dataset(1, 8, chunks * nn._chunk_images(sub.spec))
+    cpus(1)
+    alone = evaluate(net, test_set)
+    cpus(2)
+    spy_chunk_logits(monkeypatch, tmp_path, test_set.images)
+    mask = os.sched_getaffinity(0)
+    assert evaluate(net, test_set) == alone
+    assert_only_idle_workers_left(mask)
+    saved = [path.stem.split("-") for path in tmp_path.iterdir()]
+    assert len(saved) == chunks
+    assert len({pid for _, pid in saved}) == processes
 
 
 def nan_in_a_second_half(data, batch_size, seed):

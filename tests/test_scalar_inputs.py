@@ -180,7 +180,9 @@ GEOMETRY = "receives the geometry that Network derives from a checked ModelSpec"
 EXEMPT = {
     **dict.fromkeys(["NfReport.mean_nf", "LayerNfReport.mean_nf", "MappingRecord.w_scale",
                      "SegmentPacking.n", "UnrolledLayerInfo.rows", "UnrolledLayerInfo.cols",
-                     "UnrolledLayerInfo.rows_per_channel", "UnrolledLayerInfo.in_channels"],
+                     "UnrolledLayerInfo.rows_per_channel", "UnrolledLayerInfo.in_channels",
+                     "UnrolledLayerInfo.padding", "UnrolledLayerInfo.positions",
+                     "UnrolledLayerInfo.in_size"],
                     COMPUTED),
     **dict.fromkeys(["im2col.padding", "col2im.padding", "Conv2d.padding"], GEOMETRY),
 }

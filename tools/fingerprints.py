@@ -15,9 +15,10 @@ fingerprint, and one for each layer of its ``layers`` field
 (``layers/<config>/<layer>``): ``kcl_worst``, and ``screen_nf_mean`` and
 ``accuracy`` where the workload has them. Each digest is taken over the
 field as JSON with sorted keys, so diff names the fields that moved. The
-``screen_nf_mean`` line also lists every value, ``<order>/<layer>=<NF>``
-to 9 significant digits, so that a move in the last bits, which changes
-only the digest, reads apart from a real one. Two checkouts compute the
+``screen_nf_mean`` and ``accuracy`` lines also list every value of their
+field, ``<order>/<layer>=<NF>`` and ``<net>=<accuracy>``, to 9
+significant digits, so that a move in the last bits, which changes only
+the digest, reads apart from a real one. Two checkouts compute the
 same numbers where their outputs are identical; a run that exits
 non-zero stops the script with its exit status.
 """
@@ -30,6 +31,8 @@ import sys
 from pathlib import Path
 
 RUN = Path("perfbench") / "run.py"
+# the fields whose values their line lists after the digest
+SHOWN = ("screen_nf_mean", "accuracy")
 
 
 def workloads() -> list[str]:
@@ -62,14 +65,19 @@ def digests(workload: str, seed: int) -> list[str]:
         sys.exit(proc.returncode)
     lines = proc.stdout.splitlines()
     record = json.loads(next(line for line in lines if line.startswith("record "))[7:])
-    failed = json.loads(lines[-1])["failed"]
-    fields = dict(record["fingerprint"])
+    return fingerprint_lines(f"{workload} seed {seed}", record["fingerprint"],
+                             json.loads(lines[-1])["failed"])
+
+
+def fingerprint_lines(head: str, fingerprint: dict, failed: int) -> list[str]:
+    """The lines for one run's `fingerprint` and count of failed checks,
+    each starting with `head`."""
+    fields = dict(fingerprint)
     fields.update({f"layers/{key}": value for key, value in fields.pop("layers").items()})
-    head = f"{workload} seed {seed}"
     lines = [f"{head} failed {failed}"]
     for name in sorted(fields):
         line = f"{head} {name} {sha256(fields[name])}"
-        if name == "screen_nf_mean":
+        if name in SHOWN:
             line = " ".join([line, *leaves(fields[name])])
         lines.append(line)
     return lines
