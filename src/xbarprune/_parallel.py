@@ -9,9 +9,9 @@ Two patterns, both on forked processes:
   worker, gathered in order. ``run`` must be a module-level function and
   the arguments must pickle: each worker's chunk travels to it as one
   standard pickle, ``run`` by its import path. ``mapping.simulate_layer``
-  splits a layer's tiles with it, ``mapping.layer_nf`` a layer's tiles
-  cut into chunks by ``_bounds``, and ``nn.evaluate`` the chunks of a
-  test set cut into at least two chunks per usable CPU.
+  and ``mapping.layer_nf`` split a layer's tile stack with it, cut into
+  chunks by ``_bounds`` and one task each, and ``nn.evaluate`` the chunks
+  of a test set cut into at least two chunks per usable CPU.
 * ``_partner`` forks one partner per fit that works in lockstep with
   this process: the two exchange one short pipe message each way per
   step and share one anonymous ``mmap`` for the bulk data. ``nn``'s

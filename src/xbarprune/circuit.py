@@ -24,7 +24,8 @@ are solved only when a SolveResult's ``v_row`` or ``v_col`` is first
 read, and that read factorizes the network again.
 
 ``_sense_currents`` solves the sense currents of a stack of tiles under
-one input without any sparse factorization, for ``mapping.layer_nf``:
+one input without any sparse factorization, for ``mapping.layer_nf``,
+which calls it once per chunk of a layer's tiles:
 conjugate gradients (Hestenes and Stiefel, J. Res. NBS 1952) on the
 column-node voltages alone, with the sources held at v and the sense
 terminals at 0 V, in one numpy batch. Every row wire is a tridiagonal
@@ -90,9 +91,10 @@ _SIGMA_DEV_RANGE = (0.0, 1.0 / 3.0, "[)")
 
 # Largest accepted tile side, set by a budget of 0.5 GB per tile in each
 # process: mapping.simulate_layer factorizes one tile at a time in every
-# process it splits a layer over, so a layer can hold one such tile per
-# usable CPU. A built CrossbarSystem keeps no factor, so the peak is that
-# of one factorization however many systems are alive. One 256 x 256 tile
+# process it splits a layer over (mapping._solve_chunk), so a layer can
+# hold one such tile per usable CPU. A built CrossbarSystem keeps no
+# factor, so the peak is that of one factorization however many systems
+# are alive. One 256 x 256 tile
 # factorizes to 6.8 M LU non-zeros. Building default tiles in a fresh
 # process (one BLAS thread, numpy 2.4, scipy 1.17, Python 3.11) peaks at
 # 106 MB resident at n = 128 and 269 MB at n = 256, from 59 MB after the
@@ -238,14 +240,6 @@ class SolveResult:
         return self._voltages
 
 
-@dataclass
-class NfReport:
-    """Per-column non-ideality factor (I_ideal - I_nonideal) / I_ideal."""
-
-    per_column_nf: np.ndarray           # NaN where the ideal current is ~0
-    mean_nf: float | None               # mean of the defined NFs; None if none is
-
-
 def _check_tile(g: np.ndarray, params: CrossbarParams) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape != (params.n_rows, params.n_cols):
@@ -259,14 +253,15 @@ def _check_tile(g: np.ndarray, params: CrossbarParams) -> np.ndarray:
 
 
 def ideal_mac(g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Ideal column currents I_j = sum_i G_ij * V_i (plain dot product)."""
+    """Ideal column currents I_j = sum_i G_ij * V_i (plain dot product) of a
+    tile (m, n), or of each tile of a stack (..., m, n), bitwise its own."""
     g = np.asarray(g, dtype=float)
     v = np.asarray(v, dtype=float)
-    if g.ndim != 2 or v.shape != (g.shape[0],):
+    if g.ndim < 2 or v.shape != (g.shape[-2],):
         raise ValueError(f"input length {v.shape} does not match tile rows {g.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("input voltages must be finite")
-    return g.T @ v
+    return np.swapaxes(g, -1, -2) @ v
 
 
 @dataclass(frozen=True)
@@ -706,19 +701,18 @@ def apply_device_variation(g: np.ndarray, sigma_dev: float,
     return g * (1.0 + eps)
 
 
-def nonideality_factor(i_ideal: np.ndarray, i_nonideal: np.ndarray) -> NfReport:
-    """Per-column NF = (I_ideal - I_nonideal) / I_ideal.
+def nonideality_factor(i_ideal: np.ndarray, i_nonideal: np.ndarray) -> np.ndarray:
+    """Per-column NF = (I_ideal - I_nonideal) / I_ideal, of one tile's
+    currents (n,) or of any stack of them (..., n).
 
-    A column with |I_ideal| < DEFAULT_NF_EPSILON has no NF: it reads NaN
-    and stays out of the mean, which is None if no column has one.
+    A column with |I_ideal| < DEFAULT_NF_EPSILON has no NF: it reads NaN.
     """
     i_ideal = np.asarray(i_ideal, dtype=float)
     i_nonideal = np.asarray(i_nonideal, dtype=float)
-    if i_ideal.shape != i_nonideal.shape or i_ideal.ndim != 1:
-        raise ValueError(f"current vectors must be 1-D and equal length, "
-                         f"got {i_ideal.shape} vs {i_nonideal.shape}")
+    if i_ideal.shape != i_nonideal.shape or i_ideal.ndim == 0:
+        raise ValueError(f"current arrays must have one shape of at least one "
+                         f"axis, got {i_ideal.shape} vs {i_nonideal.shape}")
     keep = ~(np.abs(i_ideal) < DEFAULT_NF_EPSILON)
     nf = np.full(i_ideal.shape, np.nan)
     nf[keep] = (i_ideal[keep] - i_nonideal[keep]) / i_ideal[keep]
-    mean = float(np.mean(nf[keep])) if keep.any() else None
-    return NfReport(per_column_nf=nf, mean_nf=mean)
+    return nf

@@ -1,37 +1,33 @@
 """Layer weights to crossbar tiles and back.
 
 ``partition`` is the one placement step. It turns every layout into a
-list of TilePlacements: the rows and columns of the original weight
-matrix that fill each padded n x n tile. C/F compaction T and column
-rearrangement R only choose those indices, and XCS/XRS segment packing
-lists them directly, so after the tiles are encoded, simulated and
-decoded one scatter reassembles the non-ideal weight matrix; no
-transform has to be inverted.
+list of TilePlacements, the rows and columns of the original weight
+matrix that fill each padded n x n tile, and gathers the tiles into one
+(k, n, n) stack. C/F compaction T and column rearrangement R only choose
+those indices, and XCS/XRS segment packing lists them directly, so one
+scatter (``recombine``) reassembles the decoded stack; no transform has
+to be inverted.
 
-``simulate_layer`` is the tile loop of a full simulation. Every tile gets
-one parasitic network and one factorization, which leaves its port
-admittance: the sense currents under all-ones inputs, read off it, give
-the tile's non-ideality factor (NF), and its effective conductances give
-the decoded weights. No node voltage is solved. A large enough layer
-runs its tiles on every CPU this process may use, by
-``_parallel._fork_map``: this process takes the first contiguous chunk
-of placements and a persistent pool worker each other one, sent its
-tiles and placements with ``_simulate_tile``. Every tile's variation is
-seeded from its identity, so the results are bitwise those of a serial
-run. See ``_parallel`` for the CPU count, what a worker holds, and
-callers that run the package in worker processes of their own.
+``simulate_layer`` and ``layer_nf`` share one pipeline: encode the stack
+once, cut it into contiguous chunks, and in each chunk's process vary
+every tile from its identity seed and solve it under all-ones inputs
+(``_solve_chunk``); then compute every tile's non-ideality factor (NF)
+at once from the stacked ideal and sense currents. ``simulate_layer``
+gives each tile one parasitic network and one factorization, whose port
+admittance yields the sense currents and the effective conductances,
+decoded once for the whole stack; no node voltage is solved.
+``layer_nf`` screens the NF alone and solves a chunk's currents in one
+conjugate-gradient batch (``circuit._sense_currents``) with no sparse
+factorization; its NFs agree with ``simulate_layer``'s to 1e-9
+relative, or 1e-12 where an NF lies that close to 0.
 
-``layer_nf`` screens a layer's NF without decoding any weight, so it
-needs the sense currents of one input per tile and no port admittance.
-It places, encodes and varies the same tiles as ``simulate_layer``, then
-solves every tile's currents under all-ones inputs by conjugate gradients
-(``circuit._sense_currents``), without a sparse factorization, one batch
-per contiguous chunk of tiles. A layer that ``simulate_layer`` would
-split is cut into one chunk per usable CPU, and the chunks run by
-``_parallel._fork_map`` as its tiles do; a tile's currents do not depend
-on its batch, so the NFs are bitwise those of a serial run. They agree
-with ``simulate_layer``'s to 1e-9 relative, or 1e-12 where an NF lies
-that close to 0.
+A large enough layer runs its chunks on every CPU this process may use,
+by ``_parallel._fork_map``: this process takes the first and a
+persistent pool worker each other one. A tile's variation is seeded
+from its identity and its solve does not depend on its chunk, so the
+results are bitwise those of a serial run. See ``_parallel`` for the CPU
+count, what a worker holds, and callers that run the package in worker
+processes of their own.
 
 Signed weights are encoded as magnitude-to-conductance with a digitally
 tracked sign applied at decode time, so a single crossbar per tile
@@ -50,7 +46,6 @@ from . import _parallel
 from .circuit import (
     CrossbarParams,
     CrossbarSystem,
-    NfReport,
     _sense_currents,
     _topology,
     apply_device_variation,
@@ -94,8 +89,8 @@ class LayerSimResult:
 
 def weights_to_conductances(w_tile: np.ndarray, w_scale: float,
                             params: CrossbarParams):
-    """Affine magnitude encoding G = g_min + |W| / w_scale * (g_max - g_min),
-    returning the conductance tile and the sign matrix."""
+    """Affine magnitude encoding G = g_min + |W| / w_scale * (g_max - g_min)
+    of a tile or a stack, returning the conductances and the signs."""
     w_tile = np.asarray(w_tile, dtype=float)
     check_real("w_scale", w_scale, 0.0, np.inf)
     if np.any(np.abs(w_tile) > w_scale):
@@ -122,12 +117,6 @@ def conductances_to_weights(g_eff: np.ndarray, signs: np.ndarray,
 # ------------------------------------------------------------ tiling
 
 
-def _gather_tile(mat: np.ndarray, pl: TilePlacement, n: int) -> np.ndarray:
-    tile = np.zeros((n, n))
-    tile[:pl.rows.size, :pl.cols.size] = mat[np.ix_(pl.rows, pl.cols)]
-    return tile
-
-
 def _grid(rows: np.ndarray, cols: np.ndarray, n: int) -> list[TilePlacement]:
     """Cut the source row and column indices into n-sized chunks: one
     placement per (row chunk, column chunk), row-major."""
@@ -139,9 +128,10 @@ def _grid(rows: np.ndarray, cols: np.ndarray, n: int) -> list[TilePlacement]:
 def partition(w: np.ndarray, n: int, *, order: str | None = None,
               compaction: object | None = None):
     """Place every tile in the original matrix and gather the zero-padded
-    n x n tiles; returns (tiles, record). The tiles cut the matrix, or the
-    rows and columns a CfCompaction keeps, row-major after rearranging the
-    columns into ``order``; a SegmentPacking lists its tiles itself."""
+    n x n tiles into one C-contiguous (k, n, n) float64 stack; returns
+    (tiles, record). The tiles cut the matrix, or the rows and columns a
+    CfCompaction keeps, row-major after rearranging the columns into
+    ``order``; a SegmentPacking lists its tiles itself."""
     check_int("tile size", n, 1)
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.size == 0:
@@ -174,13 +164,16 @@ def partition(w: np.ndarray, n: int, *, order: str | None = None,
             _, perm = rearrange_columns(w[np.ix_(rows, cols)], order)
             cols = cols[perm]
         placements = _grid(rows, cols, n)
-    record = MappingRecord(w_scale, w.shape, placements)
-    return [_gather_tile(w, pl, n) for pl in placements], record
+    tiles = np.zeros((len(placements), n, n))
+    for tile, pl in zip(tiles, placements):
+        tile[:pl.rows.size, :pl.cols.size] = w[np.ix_(pl.rows, pl.cols)]
+    return tiles, MappingRecord(w_scale, w.shape, placements)
 
 
-def recombine(tiles: list[np.ndarray], record: MappingRecord) -> np.ndarray:
-    """Strip padding and scatter every tile to its recorded source indices;
-    entries no tile covers (pruned rows and columns) come back zero."""
+def recombine(tiles: np.ndarray, record: MappingRecord) -> np.ndarray:
+    """Strip padding and scatter every tile of a (k, n, n) stack to its
+    recorded source indices; entries no tile covers (pruned rows and
+    columns) come back zero."""
     if len(tiles) != len(record.tile_placements):
         raise ValueError(f"{len(tiles)} tiles for {len(record.tile_placements)} "
                          "recorded placements")
@@ -232,31 +225,36 @@ def _tile_rng(master_seed: int, layer_index: int, pl: TilePlacement) -> np.rando
     return np.random.default_rng([master_seed, layer_index, pl.row_block, pl.col_block])
 
 
-def aggregate_nf(reports: list[NfReport]) -> LayerNfReport:
-    per_tile = np.array([np.nan if r.mean_nf is None else r.mean_nf for r in reports])
-    defined = per_tile[~np.isnan(per_tile)]
-    columns = [r.per_column_nf[~np.isnan(r.per_column_nf)] for r in reports]
-    return LayerNfReport(
-        per_tile_mean=per_tile,
-        per_column=np.concatenate(columns) if columns else np.empty(0),
-        mean_nf=float(defined.mean()) if defined.size else None,
-    )
+def _nf_report(nf: np.ndarray) -> LayerNfReport:
+    """The report of a layer's (k, n) per-column NFs, NaN where a column
+    has none."""
+    defined = ~np.isnan(nf)
+    per_tile = np.array([row[ok].mean() if ok.any() else np.nan
+                         for row, ok in zip(nf, defined)])
+    means = per_tile[~np.isnan(per_tile)]
+    return LayerNfReport(per_tile_mean=per_tile, per_column=nf[defined],
+                         mean_nf=float(means.mean()) if means.size else None)
 
 
-def _simulate_tile(tile: np.ndarray, pl: TilePlacement, w_scale: float,
-                   params: CrossbarParams, master_seed: int, layer_index: int):
-    """Encode -> device variation -> parasitic network -> (decoded tile,
-    NF report) for one placed tile. The NF compares the ideal currents
-    under all-ones inputs with the sense currents ``solve`` reads off the
-    port admittance; the node voltages are never read, so never solved."""
-    g, signs = weights_to_conductances(tile, w_scale, params)
-    g_var = apply_device_variation(g, params.sigma_dev,
-                                   _tile_rng(master_seed, layer_index, pl))
-    system = CrossbarSystem(g_var, params)
+def _solve_chunk(g: np.ndarray, placements: list[TilePlacement], params: CrossbarParams,
+                 master_seed: int, layer_index: int, decode: bool):
+    """Vary every tile of the encoded chunk g (k, n, n) from its identity
+    seed and solve it under all-ones inputs: (sense currents (k, n), G_eff
+    (k, n, n) if `decode` else None). With `decode` each tile gets one
+    CrossbarSystem, solved and read for G_eff once; without, the chunk's
+    currents come from one ``_sense_currents`` batch."""
+    varied = [apply_device_variation(gt, params.sigma_dev,
+                                     _tile_rng(master_seed, layer_index, pl))
+              for gt, pl in zip(g, placements)]
     ones = np.full(params.n_rows, params.v_read)
-    report = nonideality_factor(ideal_mac(g, ones), system.solve(ones).currents)
-    return conductances_to_weights(system.effective_conductance(), signs,
-                                   w_scale, params), report
+    if not decode:
+        return np.stack(_sense_currents(np.stack(varied), params, ones)), None
+    currents, g_eff = [], []
+    for gt in varied:
+        system = CrossbarSystem(gt, params)
+        currents.append(system.solve(ones).currents)
+        g_eff.append(system.effective_conductance())
+    return np.stack(currents), np.stack(g_eff)
 
 
 # Fewest crossbar cells (tiles x n^2) in a layer for which its tiles are
@@ -289,19 +287,30 @@ def _simulate_tile(tile: np.ndarray, pl: TilePlacement, w_scale: float,
 # of perfbench/tests would split and read half their tiles' solves. Lower
 # it to 256 once traced runs count the workers' tiles too.
 #
-# layer_nf splits by the same rule, and breaks even near it: median of 25
-# interleaved rounds, default tiles, serial against split over this
-# process and one warm worker, read -1 % at 6 tiles of n = 32, +3 % at 24
-# of n = 16 and +6 % at 96 of n = 8 (all 6144 cells), and -8 % at 2 tiles
-# of n = 64, -23 % at 12 of n = 32, -31 % at 4 of n = 64 and -42 % at 2
-# of n = 128 (3.4, 7.3, 6.4 and 19.8 ms serially).
+# layer_nf splits by the same rule, and breaks even near it, though each
+# process now varies its own chunk's tiles as well as solving them.
+# Medians of three series of interleaved rounds (25, 41 and 41), default
+# tiles, serial against split over this process and one warm worker, from
+# a 150 MB parent on the same host, whose other load spreads the rounds:
+#
+#   n     t   t x n^2   serial          change
+#   8    96    6144      6.9-10.9 ms    +35,  +5,  -2 %
+#   16   24    6144      3.8-5.5        +40,  +9,  +4 %
+#   32    6    6144      3.6-4.5         +7, +14,  +8 %
+#   64    2    8192      4.2-5.2         -7,  +3,  -7 %
+#   32   12   12288      6.2-8.7        -16, -21, -34 %
+#   64    4   16384      7.6-10.4       -26, -24, -32 %
+#   128   2   32768     20.7-24.6       -44, -38, -45 %
+#
+# The stacked encode and NF made the serial screen faster too: 96 tiles of
+# n = 8 took 12.6-14.5 ms serially when only the solve split.
 PARALLEL_MIN_CELLS = 6 * 32 ** 2
 
 
-def _placed_tiles(w, params, rearrange, rearrange_order, compaction,
-                  master_seed, layer_index):
-    """Check the arguments of `simulate_layer` and `layer_nf`, then place
-    and gather the layer's tiles; returns (tiles, record)."""
+def _run_layer(w, params, rearrange, rearrange_order, compaction, master_seed,
+               layer_index, decode):
+    """`simulate_layer` (`decode`) and `layer_nf` with their argument checks:
+    (non-ideal weights if `decode` else None, NF report, record)."""
     if not isinstance(rearrange, (bool, np.bool_)):
         raise ValueError(f"rearrange must be a bool, got {rearrange!r}")
     check_int("master_seed", master_seed, 0)
@@ -312,8 +321,26 @@ def _placed_tiles(w, params, rearrange, rearrange_order, compaction,
     if rearrange_order not in REARRANGE_ORDERS:
         raise ValueError(f"rearrange_order must be one of {REARRANGE_ORDERS}, "
                          f"got {rearrange_order!r}")
-    return partition(w, params.n_rows, order=rearrange_order if rearrange else None,
-                     compaction=compaction)
+    tiles, record = partition(w, params.n_rows, compaction=compaction,
+                              order=rearrange_order if rearrange else None)
+    g, signs = weights_to_conductances(tiles, record.w_scale, params)
+    if decode:
+        # built here, so that a pool worker forked by this call inherits it;
+        # one forked earlier builds its own on its first tile and keeps it
+        _topology(params)
+    split = len(tiles) * params.n_rows ** 2 >= PARALLEL_MIN_CELLS
+    bounds = _parallel._bounds(len(tiles), split)
+    chunks = _parallel._fork_map(
+        _solve_chunk, [(g[start:stop], record.tile_placements[start:stop], params,
+                        master_seed, layer_index, decode)
+                       for start, stop in zip(bounds, bounds[1:])], split)
+    ideal = ideal_mac(g, np.full(params.n_rows, params.v_read))
+    nf = _nf_report(nonideality_factor(ideal, np.concatenate([c for c, _ in chunks])))
+    if not decode:
+        return None, nf, record
+    g_eff = np.concatenate([g_eff for _, g_eff in chunks])
+    return recombine(conductances_to_weights(g_eff, signs, record.w_scale, params),
+                     record), nf, record
 
 
 def simulate_layer(w: np.ndarray, params: CrossbarParams, *,
@@ -321,65 +348,35 @@ def simulate_layer(w: np.ndarray, params: CrossbarParams, *,
                    compaction: object | None = None, master_seed: int = 0,
                    layer_index: int = 0) -> LayerSimResult:
     """The per-layer pipeline on square tiles: place them (T and R choose
-    the source indices) and gather, then per tile encode -> device
-    variation -> parasitic network -> NF from the sense currents under
-    all-ones inputs and decoded effective conductances, both off the port
-    admittance, then recombine (one scatter back to the
-    original matrix).
+    the source indices) and encode the stack, then per tile device
+    variation -> parasitic network -> sense currents under all-ones inputs
+    and effective conductances, both off the port admittance; then every
+    NF, one decode of the stack and one scatter back to the original
+    matrix.
 
-    The tiles of a layer of at least ``PARALLEL_MIN_CELLS`` cells run
-    on every CPU in this process's affinity mask: this process runs the
-    first chunk and a persistent pool worker, forked by the first such
-    call and idle between calls, each other one, with OpenBLAS on one
-    thread in each process. A worker runs ``_simulate_tile`` as it was
-    when the worker was forked. The results are bitwise those of a serial
-    run. A caller that runs this in worker processes of its own should
-    narrow each worker's CPU affinity."""
-    tiles, record = _placed_tiles(w, params, rearrange, rearrange_order, compaction,
-                                  master_seed, layer_index)
-    # built here, so that a pool worker forked by this call inherits it;
-    # one forked earlier builds its own on its first tile and keeps it
-    _topology(params)
-    results = _parallel._fork_map(
-        _simulate_tile,
-        [(tile, pl, record.w_scale, params, master_seed, layer_index)
-         for tile, pl in zip(tiles, record.tile_placements)],
-        len(tiles) * params.n_rows ** 2 >= PARALLEL_MIN_CELLS)
-    return LayerSimResult(
-        w_nonideal=recombine([tile for tile, _ in results], record),
-        nf=aggregate_nf([report for _, report in results]),
-        record=record,
-    )
+    A layer of at least ``PARALLEL_MIN_CELLS`` cells runs on every CPU in
+    this process's affinity mask: this process runs the first chunk and a
+    persistent pool worker, forked by the first such call and idle
+    between calls, each other one, with OpenBLAS on one thread in each
+    process. A worker runs ``_solve_chunk`` as it was when the worker was
+    forked. The results are bitwise those of a serial run. A caller that
+    runs this in worker processes of its own should narrow each worker's
+    CPU affinity."""
+    return LayerSimResult(*_run_layer(w, params, rearrange, rearrange_order, compaction,
+                                      master_seed, layer_index, decode=True))
 
 
 def layer_nf(w: np.ndarray, params: CrossbarParams, *,
              rearrange: bool = False, rearrange_order: str = "ascending",
              compaction: object | None = None, master_seed: int = 0,
              layer_index: int = 0) -> LayerNfReport:
-    """The NF report of a layer's tiles, for an NF screen: the tiles of
-    `simulate_layer`, encoded and varied alike, with the sense currents
-    under all-ones inputs solved by conjugate gradients
-    (``circuit._sense_currents``). No ``CrossbarSystem`` is built and no
-    weight decoded. Every NF agrees with ``simulate_layer(...).nf`` to
-    1e-9 relative (1e-12 where it lies that close to 0), and bitwise where
-    a parasitic is 0 ohm or a tile takes the LU path.
-
-    A layer of at least ``PARALLEL_MIN_CELLS`` cells is cut into
-    contiguous chunks of tiles, one per CPU in this process's affinity
-    mask, solved by this process and the pool workers of
-    `simulate_layer`; a chunk's tiles are solved in one batch, and the
-    report is bitwise that of a serial run."""
-    tiles, record = _placed_tiles(w, params, rearrange, rearrange_order, compaction,
-                                  master_seed, layer_index)
-    g = [weights_to_conductances(tile, record.w_scale, params)[0] for tile in tiles]
-    g_var = np.stack([apply_device_variation(gt, params.sigma_dev,
-                                             _tile_rng(master_seed, layer_index, pl))
-                      for gt, pl in zip(g, record.tile_placements)])
-    ones = np.full(params.n_rows, params.v_read)
-    split = len(tiles) * params.n_rows ** 2 >= PARALLEL_MIN_CELLS
-    bounds = _parallel._bounds(len(tiles), split)
-    chunks = _parallel._fork_map(
-        _sense_currents, [(g_var[start:stop], params, ones)
-                          for start, stop in zip(bounds, bounds[1:])], split)
-    return aggregate_nf([nonideality_factor(ideal_mac(gt, ones), currents)
-                         for gt, currents in zip(g, (c for chunk in chunks for c in chunk))])
+    """The NF report of a layer's tiles, for an NF screen: the tiles and
+    chunks of `simulate_layer`, encoded and varied alike, with each
+    chunk's sense currents under all-ones inputs solved in one batch by
+    conjugate gradients (``circuit._sense_currents``). No
+    ``CrossbarSystem`` is built and no weight decoded. Every NF agrees
+    with ``simulate_layer(...).nf`` to 1e-9 relative (1e-12 where it lies
+    that close to 0), and bitwise where a parasitic is 0 ohm or a tile
+    takes the LU path. The report is bitwise that of a serial run."""
+    return _run_layer(w, params, rearrange, rearrange_order, compaction,
+                      master_seed, layer_index, decode=False)[1]

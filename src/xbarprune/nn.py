@@ -79,7 +79,8 @@ code with none of it kept, so its logits are bitwise the training
 forward's while it holds one layer's working set at a time; a backward
 after such a forward raises rather than read an earlier chunk's state.
 `evaluate` sizes its chunks to that working set: the most images whose
-largest layer (float64 input, im2col matrix and output) fits in
+largest layer (a trainable layer's float64 input, im2col matrix and
+output, or a max pool's input, output and temporaries) fits in
 `EVAL_WORKING_SET_BYTES`, which is below one core's L2 cache, so that its
 memory does not grow with the test set and a layer's operands stay in
 cache, and splits them over the usable CPUs where there are at least two
@@ -839,11 +840,17 @@ def _multiply_adds(spec: ModelSpec) -> int:
 
 def _chunk_images(spec: ModelSpec) -> int:
     """The most images, at least one, for which the largest working set of
-    one trainable layer in `evaluate` fits in `EVAL_WORKING_SET_BYTES`:
-    the layer's float64 input, im2col matrix and output."""
-    per_image = 8 * max(info.in_size + info.positions * (info.rows + info.cols)
-                        for info in spec.unrolled_layers())
-    return max(1, EVAL_WORKING_SET_BYTES // per_image)
+    one layer in `evaluate` fits in `EVAL_WORKING_SET_BYTES`: a trainable
+    layer's float64 input, im2col matrix and output, or a max pool's input,
+    output and the temporaries of its forward, about four outputs (the
+    masks and comparisons of `MaxPool2._forward`)."""
+    sizes = [info.in_size + info.positions * (info.rows + info.cols)
+             for info in spec.unrolled_layers()]
+    for layer, shape in spec.shape_walk():
+        if isinstance(layer, PoolSpec):
+            c, h, w = shape
+            sizes.append(c * h * w + 5 * c * (h // 2) * (w // 2))
+    return max(1, EVAL_WORKING_SET_BYTES // (8 * max(sizes)))
 
 
 # Fewest forward multiply-adds (`_multiply_adds` of the live net x images
@@ -885,15 +892,16 @@ def _chunk_images(spec: ModelSpec) -> int:
 # share their vector units on this host; the lockstep costs the rest.
 PARALLEL_MIN_MULTIPLY_ADDS = 400 * 10 ** 6
 
-# Most bytes of one layer's working set (its float64 input, im2col matrix
-# and output) that one `evaluate` chunk may take: `_chunk_images` is the
-# most images that fit, at least one. One `evaluate` of 1000 images per
-# chunk size c, cut as `evaluate` cuts them, on 1 and split over 2 usable
-# CPUs (host as above), medians of 15 interleaved rounds under the
-# benchmark's fixed 4 MiB glibc mmap threshold and under glibc's defaults;
-# the peak is tracemalloc's on 1 CPU, with the live net that `evaluate`
-# builds (ref's peak is that net at c <= 16). One image's working set is
-# 9.0 KiB (tiny, conv1), 96 KiB (ref, conv2) and 48 KiB (ref-cf, conv2):
+# Most bytes of one layer's working set (see `_chunk_images`) that one
+# `evaluate` chunk may take: `_chunk_images` is the most images that
+# fit, at least one. One `evaluate` of 1000 images per chunk size c, cut
+# as `evaluate` cuts them, on 1 and split over 2 usable CPUs (host as
+# above), medians of 15 interleaved rounds under the benchmark's fixed
+# 4 MiB glibc mmap threshold and under glibc's defaults; the peak is
+# tracemalloc's on 1 CPU, with the live net that `evaluate` builds
+# (ref's peak is that net at c <= 16). One image's working set is
+# 9.0 KiB (tiny, conv1 and pool1 alike), 96 KiB (ref, conv2) and 48 KiB
+# (ref-cf, conv2):
 #
 #   net      c     c images'     4 MiB threshold      glibc defaults     peak
 #                  working set   1 CPU     2 CPUs     1 CPU     2 CPUs

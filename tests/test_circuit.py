@@ -614,32 +614,49 @@ def test_variation_rejects_bad_sigma():
 
 def test_nf_zero_when_equal():
     i = np.array([1e-4, 2e-4])
-    rep = nonideality_factor(i, i.copy())
-    assert np.all(rep.per_column_nf == 0.0)
-    assert rep.mean_nf == 0.0
-    assert not np.isnan(rep.per_column_nf).any()
+    nf = nonideality_factor(i, i.copy())
+    assert np.all(nf == 0.0)
+    assert not np.isnan(nf).any()
 
 
 def test_nf_one_cell_series_value():
-    rep = nonideality_factor(np.array([1e-4]), np.array([1.0 / 12000.0]))
-    assert rep.mean_nf == pytest.approx(1.0 / 6.0, rel=1e-9)
+    nf = nonideality_factor(np.array([1e-4]), np.array([1.0 / 12000.0]))
+    assert nf[0] == pytest.approx(1.0 / 6.0, rel=1e-9)
 
 
 def test_nf_excludes_small_ideal_currents():
-    rep = nonideality_factor(np.array([0.0, 1e-4]), np.array([0.0, 9e-5]))
-    assert np.isnan(rep.per_column_nf).tolist() == [True, False]
-    assert rep.mean_nf == pytest.approx(0.1)
+    nf = nonideality_factor(np.array([0.0, 1e-4]), np.array([0.0, 9e-5]))
+    assert np.isnan(nf).tolist() == [True, False]
+    assert nf[1] == pytest.approx(0.1)
 
 
-def test_nf_all_excluded_mean_undefined():
-    rep = nonideality_factor(np.zeros(3), np.zeros(3))
-    assert rep.mean_nf is None
-    assert np.isnan(rep.per_column_nf).all()
+def test_nf_all_excluded_reads_nan():
+    assert np.isnan(nonideality_factor(np.zeros(3), np.zeros(3))).all()
 
 
 def test_nf_rejects_length_mismatch():
     with pytest.raises(ValueError):
         nonideality_factor(np.zeros(2), np.zeros(3))
+    with pytest.raises(ValueError):
+        nonideality_factor(np.float64(1e-4), np.float64(9e-5))
+
+
+def test_a_stack_of_tiles_gives_every_tiles_own_currents_and_nfs():
+    # ideal_mac and nonideality_factor on a (2, 3, m, n) stack give each
+    # tile's own result bit for bit, NaN columns included
+    rng = np.random.default_rng(4)
+    g = rng.uniform(5e-6, 5e-5, (2, 3, 16, 16))
+    g[1, 2, :, 5] = 0.0
+    v = rng.uniform(0.0, 1.0, 16)
+    ideal = ideal_mac(g, v)
+    non = ideal * rng.uniform(0.5, 1.0, ideal.shape)
+    nf = nonideality_factor(ideal, non)
+    assert ideal.shape == nf.shape == (2, 3, 16)
+    for a in range(2):
+        for b in range(3):
+            assert ideal[a, b].tobytes() == ideal_mac(g[a, b], v).tobytes()
+            assert nf[a, b].tobytes() == nonideality_factor(ideal[a, b], non[a, b]).tobytes()
+    assert np.isnan(nf).sum() == 1 and np.isnan(nf[1, 2, 5])
 
 
 # --------------------------------------------------- qualitative NF trends
@@ -656,7 +673,7 @@ def test_nf_grows_with_tile_size_smoke():
             p = CrossbarParams(size, size, sigma_dev=0.0)
             ideal = ideal_mac(g, np.ones(size))
             non = CrossbarSystem(g, p).solve(np.ones(size)).currents
-            per_seed.append(nonideality_factor(ideal, non).mean_nf)
+            per_seed.append(nonideality_factor(ideal, non).mean())
         means[size] = np.mean(per_seed)
     assert means[32] > means[16] > means[8] > 0
 
@@ -673,6 +690,6 @@ def test_nf_drops_with_low_conductance_fraction_smoke():
             g[mask] = p.g_min
             ideal = ideal_mac(g, np.ones(16))
             non = CrossbarSystem(g, p).solve(np.ones(16)).currents
-            per_seed.append(nonideality_factor(ideal, non).mean_nf)
+            per_seed.append(nonideality_factor(ideal, non).mean())
         means.append(np.mean(per_seed))
     assert all(a > b for a, b in zip(means, means[1:]))

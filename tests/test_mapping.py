@@ -172,20 +172,14 @@ def test_partition_rejects_empty():
         partition(np.empty((0, 3)), 2)
 
 
-def test_recombine_round_trip_bitwise():
-    w = np.random.default_rng(2).normal(size=(13, 29))
-    tiles, record = partition(w, 8)
-    np.testing.assert_array_equal(recombine(tiles, record), w)
-
-
 LAYOUTS = [("dense", None), ("dense", "ascending"), ("cf", None), ("cf", "ascending"),
            ("cf", "center_out"), ("xcs", None), ("xrs", None)]
 
 
-@pytest.mark.parametrize("layout,order", LAYOUTS)
-def test_every_layout_recombines_to_the_masked_matrix(layout, order):
-    # 21 x 19 at n = 8: every layout has padded edge tiles
-    n, mask = 8, np.ones((21, 19))
+def layout_case(layout):
+    """(w, compaction) of a 21 x 19 matrix masked for `layout`; at n = 8
+    every layout has padded edge tiles."""
+    mask = np.ones((21, 19))
     if layout == "cf":
         mask[[2, 9, 10], :] = 0.0
         mask[:, [0, 5, 17]] = 0.0
@@ -200,7 +194,31 @@ def test_every_layout_recombines_to_the_masked_matrix(layout, order):
     if layout == "cf":
         compaction = cf_compaction(mask)
     elif layout in ("xcs", "xrs"):
-        compaction = (compact_xcs if layout == "xcs" else compact_xrs)(w, n, mask=mask)
+        compaction = (compact_xcs if layout == "xcs" else compact_xrs)(w, 8, mask=mask)
+    return w, compaction
+
+
+@pytest.mark.parametrize("layout,order", LAYOUTS)
+def test_recombine_round_trip_bitwise(layout, order):
+    # one C-contiguous float64 (k, n, n) stack, padded with +0.0 alone
+    w, compaction = layout_case(layout)
+    tiles, record = partition(w, 8, order=order, compaction=compaction)
+    assert tiles.dtype == np.float64 and tiles.flags.c_contiguous
+    assert tiles.shape == (len(record.tile_placements), 8, 8)
+    padding = np.ones(tiles.shape, dtype=bool)
+    for pad, pl in zip(padding, record.tile_placements):
+        pad[:pl.rows.size, :pl.cols.size] = False
+    assert padding.any()
+    assert np.all(tiles[padding] == 0.0) and not np.signbit(tiles[padding]).any()
+    np.testing.assert_array_equal(recombine(tiles, record), w)
+    dense = np.random.default_rng(2).normal(size=(13, 29))
+    np.testing.assert_array_equal(recombine(*partition(dense, 8)), dense)
+
+
+@pytest.mark.parametrize("layout,order", LAYOUTS)
+def test_every_layout_recombines_to_the_masked_matrix(layout, order):
+    n = 8
+    w, compaction = layout_case(layout)
     tiles, record = partition(w, n, order=order, compaction=compaction)
     assert all(t.shape == (n, n) for t in tiles)
     np.testing.assert_array_equal(recombine(tiles, record), w)
@@ -344,9 +362,9 @@ def test_simulate_layer_nf_matches_direct_recomputation():
         rng = np.random.default_rng([5, 1, pl.row_block, pl.col_block])
         g_var = apply_device_variation(g, p.sigma_dev, rng)
         ones = np.full(32, p.v_read)
-        rep = nonideality_factor(ideal_mac(g, ones),
-                                 CrossbarSystem(g_var, p).solve(ones).currents)
-        expected.append(rep.mean_nf)
+        nf = nonideality_factor(ideal_mac(g, ones),
+                                CrossbarSystem(g_var, p).solve(ones).currents)
+        expected.append(float(np.mean(nf)))
     assert res.nf.per_tile_mean.tolist() == expected
     assert res.nf.mean_nf == pytest.approx(np.mean(expected), rel=1e-15)
 
@@ -669,25 +687,26 @@ def assert_bitwise_equal(a, b):
     assert_nf_bitwise(a.nf, b.nf)
 
 
-def patch_simulate_tile(monkeypatch, before):
-    """Run before(pl, master_seed) ahead of every tile from now on. The
-    patch keeps `_simulate_tile`'s name, so that a split call can send it
-    by reference; a worker forked after the patch resolves it to the
-    patch."""
-    simulate_tile = mapping._simulate_tile
+def patch_solve_chunk(monkeypatch, before):
+    """Run before(pl, master_seed) for every tile of a chunk, ahead of the
+    chunk's solve, from now on. The patch keeps `_solve_chunk`'s name, so
+    that a split call can send it by reference; a worker forked after the
+    patch resolves it to the patch."""
+    solve_chunk = mapping._solve_chunk
 
-    @functools.wraps(simulate_tile)
-    def patched(tile, pl, w_scale, params, master_seed, layer_index):
-        before(pl, master_seed)
-        return simulate_tile(tile, pl, w_scale, params, master_seed, layer_index)
+    @functools.wraps(solve_chunk)
+    def patched(g, placements, params, master_seed, layer_index, decode):
+        for pl in placements:
+            before(pl, master_seed)
+        return solve_chunk(g, placements, params, master_seed, layer_index, decode)
 
-    monkeypatch.setattr(mapping, "_simulate_tile", patched)
+    monkeypatch.setattr(mapping, "_solve_chunk", patched)
 
 
 def log_runners(monkeypatch, log):
     """Mark every tile from now on with a file "seed-row_block-pid" in
     `log`, and return {seed: {row_block: pid}} of the files so far."""
-    patch_simulate_tile(monkeypatch, lambda pl, seed: (
+    patch_solve_chunk(monkeypatch, lambda pl, seed: (
         log / f"{seed}-{pl.row_block}-{os.getpid()}").touch())
 
     def runners():
@@ -728,6 +747,29 @@ def test_a_split_screen_is_bitwise_the_serial_screen(workers, count, layout):
     workers(count)
     assert_nf_bitwise(layer_nf(w, p, master_seed=4, layer_index=3, **kwargs), serial)
     assert len(_parallel._pool) == count - 1
+    assert_only_idle_workers_left()
+
+
+def test_a_split_screen_varies_its_tiles_in_every_process(workers, monkeypatch, tmp_path):
+    # each process varies the tiles of its own chunk, and the report is
+    # bitwise the one-CPU report
+    w, kwargs = parallel_case("dense", row_blocks=7, cols=12)
+    p = CrossbarParams(8, 8)
+    workers(1)
+    serial = layer_nf(w, p, master_seed=4, layer_index=3, **kwargs)
+    vary = mapping.apply_device_variation
+
+    def spy(g, sigma_dev, rng):
+        with open(tmp_path / str(os.getpid()), "a") as log:
+            log.write("+")
+        return vary(g, sigma_dev, rng)
+
+    monkeypatch.setattr(mapping, "apply_device_variation", spy)
+    workers(2)
+    assert_nf_bitwise(layer_nf(w, p, master_seed=4, layer_index=3, **kwargs), serial)
+    (worker, _), = _parallel._pool
+    varied = {int(path.name): len(path.read_text()) for path in tmp_path.iterdir()}
+    assert varied == {os.getpid(): 7, worker.pid: 7}
     assert_only_idle_workers_left()
 
 
@@ -788,7 +830,7 @@ def test_split_tiles_run_openblas_on_one_thread_per_process(workers, monkeypatch
     def counts():
         return [get() for get, _ in _parallel._openblas_threads()]
 
-    patch_simulate_tile(monkeypatch, lambda pl, seed: (
+    patch_solve_chunk(monkeypatch, lambda pl, seed: (
         tmp_path / f"{pl.row_block}-{os.getpid()}").write_text(repr(counts())))
     workers(2)
     before = counts()
@@ -838,7 +880,7 @@ def test_an_error_in_this_process_leaves_no_stale_answer(workers, monkeypatch):
         if seed == 1 and os.getpid() == parent:
             raise ZeroDivisionError("this process's chunk")
 
-    patch_simulate_tile(monkeypatch, fail_here_at_seed_1)
+    patch_solve_chunk(monkeypatch, fail_here_at_seed_1)
     workers(2)
     with pytest.raises(ZeroDivisionError, match="this process's chunk"):
         simulate_layer(w, p, master_seed=1)
@@ -857,7 +899,7 @@ def test_a_worker_that_dies_without_sending_is_reported(workers, monkeypatch, tm
             os._exit(3)
         (tmp_path / f"{seed}-{pl.row_block}-{os.getpid()}").touch()
 
-    patch_simulate_tile(monkeypatch, die_at_seed_1)
+    patch_solve_chunk(monkeypatch, die_at_seed_1)
     workers(2)
     simulate_layer(w, p, master_seed=0)
     dead = _parallel._pool[0][0].pid

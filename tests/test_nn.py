@@ -1512,6 +1512,37 @@ def test_a_vgg_shaped_spec_has_the_hand_worked_geometry():
     assert net.forward(np.zeros((2, 3, 32, 32))).shape == (2, 10)
 
 
+def per_image_values(info):
+    """Values of one image in a trainable layer's working set: its input,
+    im2col matrix and output."""
+    return info.in_size + info.positions * (info.rows + info.cols)
+
+
+@pytest.mark.parametrize("make_net, images", [(cf_net, 32), (Network, 16)],
+                         ids=["ref-cf", "ref"])
+def test_the_benchmark_nets_keep_their_evaluation_chunks(make_net, images):
+    # conv2's working set still dominates: its input, im2col matrix and
+    # output outweigh pool1's input, output and four outputs of temporaries
+    net = make_net(reference_model_spec(init_seed=1))
+    full = net.unrolled_weights()
+    sub, _ = _narrowed(net.spec, full, _live_channels(net.spec, full))
+    conv2 = sub.spec.unrolled_layers()[1]
+    assert nn._chunk_images(sub.spec) == images
+    assert images == nn.EVAL_WORKING_SET_BYTES // (8 * per_image_values(conv2))
+
+
+def test_a_pool_that_dominates_the_working_set_gets_fewer_images():
+    # a 1x1 conv widens the 16x16 input to 16 channels, and the pool on
+    # that map holds 4096 + 5 x 1024 values per image against the conv's
+    # 256 + 256 x 17 and the head's 1024 + 1028
+    spec = ModelSpec(layers=(ConvSpec(1, 16, 1), PoolSpec(), DenseSpec(1024, 4)),
+                     input_shape=(1, 16, 16))
+    trainable = max(per_image_values(info) for info in spec.unrolled_layers())
+    assert trainable == 256 + 256 * 17
+    assert nn._chunk_images(spec) == nn.EVAL_WORKING_SET_BYTES // (8 * (4096 + 5 * 1024))
+    assert nn._chunk_images(spec) < nn.EVAL_WORKING_SET_BYTES // (8 * trainable)
+
+
 # ------------------------------------------------------------ determinism
 
 

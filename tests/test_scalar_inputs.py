@@ -178,8 +178,8 @@ def test_a_real_parameter_takes_numpy_floats(label, call, name, valid):
 COMPUTED = "a field of a result or record that the package fills, not an input"
 GEOMETRY = "receives the geometry that Network derives from a checked ModelSpec"
 EXEMPT = {
-    **dict.fromkeys(["NfReport.mean_nf", "LayerNfReport.mean_nf", "MappingRecord.w_scale",
-                     "SegmentPacking.n", "UnrolledLayerInfo.rows", "UnrolledLayerInfo.cols",
+    **dict.fromkeys(["LayerNfReport.mean_nf", "MappingRecord.w_scale", "SegmentPacking.n",
+                     "UnrolledLayerInfo.rows", "UnrolledLayerInfo.cols",
                      "UnrolledLayerInfo.rows_per_channel", "UnrolledLayerInfo.in_channels",
                      "UnrolledLayerInfo.padding", "UnrolledLayerInfo.positions",
                      "UnrolledLayerInfo.in_size"],
