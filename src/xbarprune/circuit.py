@@ -1,6 +1,6 @@
 """Exact resistive-network model of one memristive crossbar tile.
 
-A tile is a plain (n_rows, n_cols) float array of synapse conductances in
+A tile is a plain (n, n) float array of synapse conductances in
 siemens. Every cell (i, j) has its own row node and column node joined by
 the synapse conductance; row wires run left to right between adjacent row
 nodes, column wires top to bottom between adjacent column nodes. Row i is
@@ -13,9 +13,9 @@ Zero-valued parasitics are handled exactly by merging the nodes that a
 zero-ohm segment would join (no epsilon resistances), so the ideal limit
 reproduces the plain dot product bitwise.
 
-The sources and sense terminals are the tile's m + n ports. They are
+The sources and sense terminals are the tile's 2n ports. They are
 unknowns of the nodal matrix like every other node (only ground is
-pinned) and are eliminated last, so the trailing (m+n)^2 block of the
+pinned) and are eliminated last, so the trailing (2n)^2 block of the
 tile's LU factors is the network Kron-reduced to its ports (Dorfler and
 Bullo, IEEE TCAS-I 2013). A tile keeps only that port admittance: G_eff
 and the sense currents of any input are read off it without a solve, and
@@ -44,7 +44,7 @@ those of ``CrossbarSystem.solve``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -179,10 +179,10 @@ CG_CHUNK_UNKNOWNS = 2 ** 17
 
 @dataclass(frozen=True)
 class CrossbarParams:
-    """Tile dimensions plus every circuit and device parameter."""
+    """Tile side n plus every circuit and device parameter."""
 
-    n_rows: int
-    n_cols: int
+    n: int
+    _: KW_ONLY
     r_driver: float = DEFAULT_R_DRIVER
     r_wire_row: float = DEFAULT_R_WIRE
     r_wire_col: float = DEFAULT_R_WIRE
@@ -193,8 +193,7 @@ class CrossbarParams:
     v_read: float = DEFAULT_V_READ
 
     def __post_init__(self):
-        for name in ("n_rows", "n_cols"):
-            check_int(name, getattr(self, name), 1, MAX_TILE_DIM)
+        check_int("n", self.n, 1, MAX_TILE_DIM)
         for name in ("r_driver", "r_wire_row", "r_wire_col", "r_sense"):
             check_real(name, getattr(self, name), 0.0, np.inf, "[)")
         check_real("g_min", self.g_min, 0.0, np.inf)
@@ -205,7 +204,7 @@ class CrossbarParams:
 
 def default_params(n: int, **overrides) -> CrossbarParams:
     """An n x n tile with the default values, except the overrides."""
-    return CrossbarParams(n, n, **overrides)
+    return CrossbarParams(n, **overrides)
 
 
 class SolveResult:
@@ -219,18 +218,18 @@ class SolveResult:
     """
 
     def __init__(self, currents: np.ndarray, solve_voltages):
-        self.currents = currents                # (n_cols,)
+        self.currents = currents                # (n,)
         self._solve_voltages = solve_voltages   # () -> (v_row, v_col), until read
         self._voltages = None
 
     @property
     def v_row(self) -> np.ndarray:
-        """(n_rows, n_cols) row-node voltages."""
+        """(n, n) row-node voltages."""
         return self._node_voltages()[0]
 
     @property
     def v_col(self) -> np.ndarray:
-        """(n_rows, n_cols) column-node voltages."""
+        """(n, n) column-node voltages."""
         return self._node_voltages()[1]
 
     def _node_voltages(self) -> tuple[np.ndarray, np.ndarray]:
@@ -242,9 +241,9 @@ class SolveResult:
 
 def _check_tile(g: np.ndarray, params: CrossbarParams) -> np.ndarray:
     g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape != (params.n_rows, params.n_cols):
+    if g.shape != (params.n, params.n):
         raise ValueError(f"tile shape {g.shape} does not match params "
-                         f"{params.n_rows}x{params.n_cols}")
+                         f"{params.n}x{params.n}")
     if not np.all(np.isfinite(g)):
         raise ValueError("tile contains non-finite conductances")
     if np.any(g < 0):
@@ -269,10 +268,10 @@ class _Topology:
     """What every tile of one CrossbarParams shares.
 
     Physical node ids: row(i, j) = 2(i*n + j), col(i, j) = row(i, j) + 1,
-    source i = 2mn + i, sense terminal j = 2mn + m + j, ground = 2mn + m + n.
+    source i = 2n^2 + i, sense terminal j = 2n^2 + n + j, ground = 2n^2 + 2n.
     Unknown ids order the nodal matrix and are its elimination order:
     interior roots in the nested-dissection order of ``_dissection``, then
-    the n sense terminals, then the m sources. A root that merges several
+    the n sense terminals, then the n sources. A root that merges several
     physical nodes takes the place of its last member. At n = 128 with the
     default parasitics the LU holds 1.44 M non-zeros, against 1.75 M under
     SuperLU's minimum degree (MMD_AT_PLUS_A).
@@ -283,15 +282,15 @@ class _Topology:
     branch_b: np.ndarray
     fixed_g: np.ndarray       # conductances of the branches after the devices
     interior: np.ndarray      # physical ids of the interior roots, in order
-    row_unknown: np.ndarray   # (m, n) unknown id of every row node
-    col_unknown: np.ndarray   # (m, n) unknown id of every column node
+    row_unknown: np.ndarray   # (n, n) unknown id of every row node
+    col_unknown: np.ndarray   # (n, n) unknown id of every column node
     indices: np.ndarray       # CSC pattern of the nodal matrix
     indptr: np.ndarray
     to_data: sp.csr_matrix    # CSC data = to_data @ branch conductances
 
 
-def _dissection(m: int, n: int) -> np.ndarray:
-    """Physical ids of the 2mn cell nodes of an m x n tile in nested-dissection
+def _dissection(n: int) -> np.ndarray:
+    """Physical ids of the 2n^2 cell nodes of an n x n tile in nested-dissection
     order (George, SIAM J. Numer. Anal. 1973).
 
     A block of cells is cut at the middle line across its longer side; both
@@ -300,7 +299,7 @@ def _dissection(m: int, n: int) -> np.ndarray:
     nodes and lines cut earlier, so they go just before the row nodes as a
     chain. A row line swaps the roles. Blocks of at most 4 cells are leaves,
     ordered cell by cell."""
-    rows = 2 * np.arange(m * n).reshape(m, n)
+    rows = 2 * np.arange(n * n).reshape(n, n)
     order = []
 
     def visit(block):
@@ -324,13 +323,13 @@ def _dissection(m: int, n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _topology(params: CrossbarParams) -> _Topology:
-    m, n = params.n_rows, params.n_cols
-    mn = m * n
-    rows = 2 * np.arange(mn).reshape(m, n)
+    n = params.n
+    cells = n * n
+    rows = 2 * np.arange(cells).reshape(n, n)
     cols = rows + 1
-    src = 2 * mn + np.arange(m)
-    term = 2 * mn + m + np.arange(n)
-    gnd = 2 * mn + m + n
+    src = 2 * cells + np.arange(n)
+    term = 2 * cells + n + np.arange(n)
+    gnd = 2 * cells + 2 * n
 
     # collapse zero-ohm segments
     root = np.arange(gnd + 1)
@@ -366,16 +365,16 @@ def _topology(params: CrossbarParams) -> _Topology:
     b = np.concatenate([e[1] for e in ends])
 
     # interior roots in nested-dissection order, a merged node at the place
-    # of its last member; the ports, ids from 2mn on, come after them all
-    last_first = root[_dissection(m, n)][::-1]
+    # of its last member; the ports, ids from 2n^2 on, come after them all
+    last_first = root[_dissection(n)][::-1]
     interior = last_first[np.sort(np.unique(last_first, return_index=True)[1])][::-1]
-    interior = interior[interior < 2 * mn]
+    interior = interior[interior < 2 * cells]
     n_int = interior.size
-    size = n_int + n + m
+    size = n_int + 2 * n
     unknown = np.full(gnd + 1, -1)
     unknown[interior] = np.arange(n_int)
     unknown[term] = n_int + np.arange(n)
-    unknown[src] = n_int + n + np.arange(m)
+    unknown[src] = n_int + n + np.arange(n)
 
     # nodal-matrix stamps (row, col, branch, sign); ground is not an unknown
     ua, ub = unknown[root[a]], unknown[root[b]]
@@ -418,9 +417,9 @@ def _trailing_block(factor, first: int) -> np.ndarray:
 class CrossbarSystem:
     """Port admittance of one tile's parasitic network.
 
-    Only ground is pinned. The m sources and the n sense terminals (the
+    Only ground is pinned. The n sources and the n sense terminals (the
     ports) are unknowns tied to ground through ``g_max``, and they are
-    eliminated last, so the trailing (m+n)^2 blocks of the tile's LU
+    eliminated last, so the trailing (2n)^2 blocks of the tile's LU
     factorization multiply to the network Kron-reduced to its ports.
     Its source columns Y give the current to inject at each port to hold
     the sources at v and the sense terminals at 0 V. The sense currents
@@ -445,14 +444,14 @@ class CrossbarSystem:
         self.g = _check_tile(g, params)
         self.params = params
         self._topo = topo = _topology(params)
-        m, n = params.n_rows, params.n_cols
+        n = params.n
         size = topo.indptr.size - 1
-        if size == m + n:
+        if size == 2 * n:
             # every node merged into a port: the network is ideal
             self._port_y = None
             return
         lu = self._factorize()
-        first = size - m - n
+        first = size - 2 * n
         tail = np.arange(first, size)
         if not (np.array_equal(lu.perm_c[first:], tail)
                 and np.array_equal(lu.perm_r[first:], tail)):
@@ -480,9 +479,9 @@ class CrossbarSystem:
         admittance; the result solves its node voltages when they are
         first read."""
         v = np.asarray(v, dtype=float)
-        m, n = self.params.n_rows, self.params.n_cols
-        if v.shape != (m,):
-            raise ValueError(f"input length {v.shape} does not match {m} rows")
+        n = self.params.n
+        if v.shape != (n,):
+            raise ValueError(f"input length {v.shape} does not match {n} rows")
         if not np.all(np.isfinite(v)):
             raise ValueError("input voltages must be finite")
         held = np.concatenate([np.zeros(n), v])
@@ -510,7 +509,7 @@ class CrossbarSystem:
         port admittance without a solve."""
         if self._port_y is None:
             return self.g.copy()
-        return -self._port_y[:self.params.n_cols].T
+        return -self._port_y[:self.params.n].T
 
     def kcl_residual(self, v: np.ndarray, result: SolveResult) -> float:
         """Worst, over the interior supernodes, of the net current into the
@@ -520,11 +519,11 @@ class CrossbarSystem:
         current, such as one under a row of 0 S devices, reads the rounding
         of its voltages, not 1."""
         topo = self._topo
-        mn = self.g.size
+        cells = self.g.size
         pot = np.zeros(topo.root.size)
-        pot[0:2 * mn:2] = result.v_row.ravel()
-        pot[1:2 * mn:2] = result.v_col.ravel()
-        pot[2 * mn:2 * mn + self.params.n_rows] = np.asarray(v, dtype=float)
+        pot[0:2 * cells:2] = result.v_row.ravel()
+        pot[1:2 * cells:2] = result.v_col.ravel()
+        pot[2 * cells:2 * cells + self.params.n] = np.asarray(v, dtype=float)
         a, b = topo.branch_a, topo.branch_b
         g = np.concatenate([self.g.ravel(), topo.fixed_g])
         cur = g * (pot[a] - pot[b])
@@ -587,11 +586,13 @@ def _line_solve(d: np.ndarray, l: np.ndarray, r: np.ndarray) -> np.ndarray:
     return x.reshape(d.shape)
 
 
-def _cg_tiles(g: np.ndarray, params: CrossbarParams, v: np.ndarray) -> list:
-    """Sense currents of the tiles g (k, m, n) under input v by
+def _cg_tiles(g: np.ndarray, params: CrossbarParams, v: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+    """Sense currents of the tiles g (k, n, n) under input v by
     preconditioned conjugate gradients on the column nodes, in one numpy
-    batch, with the LU currents of ``CrossbarSystem`` for each tile that
-    did not converge.
+    batch, written to the rows of ``out`` (k, n); returns the indices of
+    the tiles not converged within ``CG_MAX_ITERATIONS``, whose rows it
+    leaves as they were.
 
     The row nodes of a tile, row by row, and its column nodes, column by
     column, each form tridiagonal lines: D_r, with the sources held at v
@@ -607,13 +608,13 @@ def _cg_tiles(g: np.ndarray, params: CrossbarParams, v: np.ndarray) -> list:
     part only in elementwise operations, line solves and sums over its
     own axis, and leaves the batch once converged, so its currents do
     not depend on the other tiles."""
-    k, m, n = g.shape
+    k, _, n = g.shape
     g_t = np.ascontiguousarray(g.transpose(0, 2, 1))
     diag_r, off_r = _lines(g, 1.0 / params.r_wire_row, 1.0 / params.r_driver, 0)
     diag_c, off_c = _lines(g_t, 1.0 / params.r_wire_col, 1.0 / params.r_sense, -1)
     d_r, l_r = _line_factors(diag_r, off_r)
     d_c, l_c = _line_factors(diag_c, off_c)
-    b_r = np.zeros((m, n))
+    b_r = np.zeros((n, n))
     b_r[:, 0] = np.asarray(v, dtype=float) / params.r_driver
 
     def schur_product(p):       # over the live tiles
@@ -626,7 +627,6 @@ def _cg_tiles(g: np.ndarray, params: CrossbarParams, v: np.ndarray) -> list:
     def dot(a, b):
         return np.add.reduce((a * b).reshape(len(a), -1), axis=1)
 
-    currents = [None] * k
     live = np.arange(k)
     x = np.zeros_like(g_t)
     r = g_t * _line_solve(d_r, l_r, np.broadcast_to(b_r, g.shape)).transpose(0, 2, 1)
@@ -650,34 +650,37 @@ def _cg_tiles(g: np.ndarray, params: CrossbarParams, v: np.ndarray) -> list:
                        - _line_product(diag_c[done], off_c, xd))
             done[done] = (converged(r_r, x_r, diag_r[done])
                           & converged(r[done], xd, diag_c[done]))
-            for t, xt in zip(live[done], x[done]):
-                currents[t] = xt[:, -1] / params.r_sense
+            out[live[done]] = x[done, :, -1] / params.r_sense
             keep = ~done
             live, x, r, p, rz = live[keep], x[keep], r[keep], p[keep], rz[keep]
             g, g_t, diag_r, diag_c, d_r, l_r, d_c, l_c = (
                 a[keep] for a in (g, g_t, diag_r, diag_c, d_r, l_r, d_c, l_c))
             if not live.size:
-                return currents
+                break
         z = _line_solve(d_c, l_c, r)
         rz_next = dot(r, z)
         p = z + (rz_next / rz)[:, None, None] * p
         rz = rz_next
-    for t, gt in zip(live, g):
-        currents[t] = CrossbarSystem(gt, params).solve(v).currents
-    return currents
+    return live
 
 
-def _sense_currents(g: np.ndarray, params: CrossbarParams, v: np.ndarray) -> list:
-    """Sense currents of every tile of g (k, m, n) under one input v:
-    ``CrossbarSystem(tile, params).solve(v).currents``, to within the
+def _sense_currents(g: np.ndarray, params: CrossbarParams, v: np.ndarray) -> np.ndarray:
+    """Sense currents (k, n) of every tile of g (k, n, n) under one input
+    v: ``CrossbarSystem(tile, params).solve(v).currents``, to within the
     accuracy of ``CG_TOL``, by ``_cg_tiles`` on chunks of at most
-    ``CG_CHUNK_UNKNOWNS`` unknowns. A network with a zero-ohm parasitic
-    merges nodes and has no wire lines; it takes the LU path throughout."""
-    if min(params.r_driver, params.r_wire_row, params.r_wire_col, params.r_sense) == 0:
-        return [CrossbarSystem(tile, params).solve(v).currents for tile in g]
-    chunk = max(1, CG_CHUNK_UNKNOWNS // (2 * params.n_rows * params.n_cols))
-    return [i for start in range(0, len(g), chunk)
-            for i in _cg_tiles(g[start:start + chunk], params, v)]
+    ``CG_CHUNK_UNKNOWNS`` unknowns, and exactly that for every tile CG
+    does not solve. A network with a zero-ohm parasitic merges nodes and
+    has no wire lines, so CG solves none of its tiles."""
+    currents = np.empty(g.shape[:2])
+    unsolved = range(len(g))
+    if min(params.r_driver, params.r_wire_row, params.r_wire_col, params.r_sense) > 0:
+        chunk = max(1, CG_CHUNK_UNKNOWNS // (2 * params.n ** 2))
+        unsolved = [start + t for start in range(0, len(g), chunk)
+                    for t in _cg_tiles(g[start:start + chunk], params, v,
+                                       currents[start:start + chunk])]
+    for t in unsolved:
+        currents[t] = CrossbarSystem(g[t], params).solve(v).currents
+    return currents
 
 
 def apply_device_variation(g: np.ndarray, sigma_dev: float,

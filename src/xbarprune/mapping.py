@@ -109,7 +109,10 @@ def conductances_to_weights(g_eff: np.ndarray, signs: np.ndarray,
     signs = np.asarray(signs, dtype=float)
     if g_eff.shape != signs.shape:
         raise ValueError(f"shape mismatch: {g_eff.shape} vs signs {signs.shape}")
-    w = (g_eff - params.g_min) / (params.g_max - params.g_min) * w_scale * signs
+    w = g_eff - params.g_min
+    w /= params.g_max - params.g_min
+    w *= w_scale
+    w *= signs
     w[signs == 0] = 0.0
     return w
 
@@ -243,18 +246,18 @@ def _solve_chunk(g: np.ndarray, placements: list[TilePlacement], params: Crossba
     (k, n, n) if `decode` else None). With `decode` each tile gets one
     CrossbarSystem, solved and read for G_eff once; without, the chunk's
     currents come from one ``_sense_currents`` batch."""
-    varied = [apply_device_variation(gt, params.sigma_dev,
+    varied = (apply_device_variation(gt, params.sigma_dev,
                                      _tile_rng(master_seed, layer_index, pl))
-              for gt, pl in zip(g, placements)]
-    ones = np.full(params.n_rows, params.v_read)
+              for gt, pl in zip(g, placements))
+    ones = np.full(params.n, params.v_read)
     if not decode:
-        return np.stack(_sense_currents(np.stack(varied), params, ones)), None
-    currents, g_eff = [], []
-    for gt in varied:
+        return _sense_currents(np.stack(list(varied)), params, ones), None
+    currents, g_eff = np.empty(g.shape[:2]), np.empty(g.shape)
+    for t, gt in enumerate(varied):
         system = CrossbarSystem(gt, params)
-        currents.append(system.solve(ones).currents)
-        g_eff.append(system.effective_conductance())
-    return np.stack(currents), np.stack(g_eff)
+        currents[t] = system.solve(ones).currents
+        g_eff[t] = system.effective_conductance()
+    return currents, g_eff
 
 
 # Fewest crossbar cells (tiles x n^2) in a layer for which its tiles are
@@ -315,32 +318,37 @@ def _run_layer(w, params, rearrange, rearrange_order, compaction, master_seed,
         raise ValueError(f"rearrange must be a bool, got {rearrange!r}")
     check_int("master_seed", master_seed, 0)
     check_int("layer_index", layer_index, 0)
-    if params.n_rows != params.n_cols:
-        raise ValueError("layer simulation uses square tiles; params must have "
-                         "n_rows == n_cols")
     if rearrange_order not in REARRANGE_ORDERS:
         raise ValueError(f"rearrange_order must be one of {REARRANGE_ORDERS}, "
                          f"got {rearrange_order!r}")
-    tiles, record = partition(w, params.n_rows, compaction=compaction,
+    tiles, record = partition(w, params.n, compaction=compaction,
                               order=rearrange_order if rearrange else None)
     g, signs = weights_to_conductances(tiles, record.w_scale, params)
+    del tiles
     if decode:
         # built here, so that a pool worker forked by this call inherits it;
         # one forked earlier builds its own on its first tile and keeps it
         _topology(params)
-    split = len(tiles) * params.n_rows ** 2 >= PARALLEL_MIN_CELLS
-    bounds = _parallel._bounds(len(tiles), split)
+    split = len(g) * params.n ** 2 >= PARALLEL_MIN_CELLS
+    bounds = _parallel._bounds(len(g), split)
     chunks = _parallel._fork_map(
         _solve_chunk, [(g[start:stop], record.tile_placements[start:stop], params,
                         master_seed, layer_index, decode)
                        for start, stop in zip(bounds, bounds[1:])], split)
-    ideal = ideal_mac(g, np.full(params.n_rows, params.v_read))
-    nf = _nf_report(nonideality_factor(ideal, np.concatenate([c for c, _ in chunks])))
+    ideal = ideal_mac(g, np.full(params.n, params.v_read))
+    del g
+    nf = _nf_report(nonideality_factor(ideal, _joined([c for c, _ in chunks])))
     if not decode:
         return None, nf, record
-    g_eff = np.concatenate([g_eff for _, g_eff in chunks])
+    g_eff = _joined([g_eff for _, g_eff in chunks])
+    del chunks
     return recombine(conductances_to_weights(g_eff, signs, record.w_scale, params),
                      record), nf, record
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The chunks' stacks as one: the only one as is, else concatenated."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def simulate_layer(w: np.ndarray, params: CrossbarParams, *,

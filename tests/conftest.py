@@ -11,9 +11,9 @@ from xbarprune.circuit import CrossbarParams
 
 @pytest.fixture
 def params_16():
-    return CrossbarParams(16, 16)
+    return CrossbarParams(16)
 
 
-def random_tile(n_rows, n_cols, seed, g_min=5e-6, g_max=5e-5):
+def random_tile(n, seed, g_min=5e-6, g_max=5e-5):
     rng = np.random.default_rng(seed)
-    return rng.uniform(g_min, g_max, size=(n_rows, n_cols))
+    return rng.uniform(g_min, g_max, size=(n, n))

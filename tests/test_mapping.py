@@ -30,12 +30,19 @@ from xbarprune.mapping import (
     layer_nf,
     weights_to_conductances,
 )
+from xbarprune.nn import Network, reference_model_spec
 from xbarprune.pruning import (
     CfCompaction,
     SparsityPattern,
+    apply_mask,
     cf_compaction,
     compact_xcs,
     compact_xrs,
+    compression_rate,
+    gen_mask_cf,
+    gen_mask_xcs,
+    gen_mask_xrs,
+    tile_count_unpruned,
 )
 
 IDEAL = dict(r_driver=0.0, r_wire_row=0.0, r_wire_col=0.0, r_sense=0.0, sigma_dev=0.0)
@@ -54,27 +61,27 @@ def crafted_alternating(seed, rows=32, cols=64):
 
 
 def test_encode_zero_maps_to_gmin():
-    p = CrossbarParams(2, 2)
+    p = CrossbarParams(2)
     g, signs = weights_to_conductances(np.zeros((2, 2)), 1.0, p)
     assert np.all(g == p.g_min)
     assert np.all(signs == 0.0)
 
 
 def test_encode_extremes_map_to_gmax_with_sign():
-    p = CrossbarParams(1, 2)
+    p = CrossbarParams(2)
     g, signs = weights_to_conductances(np.array([[0.7, -0.7]]), 0.7, p)
     np.testing.assert_allclose(g, p.g_max, rtol=1e-15)
     assert signs.tolist() == [[1.0, -1.0]]
 
 
 def test_encode_midpoint_value():
-    p = CrossbarParams(1, 1, g_min=5e-6, g_max=5e-5)
+    p = CrossbarParams(1, g_min=5e-6, g_max=5e-5)
     g, _ = weights_to_conductances(np.array([[0.5]]), 1.0, p)
     assert g[0, 0] == pytest.approx(2.75e-5, rel=1e-12)
 
 
 def test_encode_rejects_bad_scale_and_overflow():
-    p = CrossbarParams(1, 1)
+    p = CrossbarParams(1)
     with pytest.raises(ValueError):
         weights_to_conductances(np.array([[0.1]]), 0.0, p)
     with pytest.raises(ValueError):
@@ -83,7 +90,7 @@ def test_encode_rejects_bad_scale_and_overflow():
 
 @pytest.mark.parametrize("w_scale", [np.nan, np.inf, -np.inf, 0.0, -1.0])
 def test_encode_and_decode_reject_a_scale_that_is_not_finite_and_positive(w_scale):
-    p = CrossbarParams(1, 1)
+    p = CrossbarParams(1)
     with pytest.raises(ValueError, match="w_scale"):
         weights_to_conductances(np.array([[0.1]]), w_scale, p)
     with pytest.raises(ValueError, match="w_scale"):
@@ -91,7 +98,7 @@ def test_encode_and_decode_reject_a_scale_that_is_not_finite_and_positive(w_scal
 
 
 def test_decode_round_trip():
-    p = CrossbarParams(4, 4)
+    p = CrossbarParams(4)
     rng = np.random.default_rng(0)
     w = rng.uniform(-1, 1, (4, 4))
     w[0, 0] = 0.0
@@ -102,7 +109,7 @@ def test_decode_round_trip():
 
 
 def test_decode_sign_zero_forced_to_zero():
-    p = CrossbarParams(1, 1)
+    p = CrossbarParams(1)
     out = conductances_to_weights(np.array([[p.g_min]]), np.array([[0.0]]), 1.0, p)
     assert out[0, 0] == 0.0
 
@@ -110,7 +117,7 @@ def test_decode_sign_zero_forced_to_zero():
 def test_decode_below_gmin_shifts_magnitude():
     # from the 1x1 series case: G = 1e-4 with 1k driver and sense droops to
     # 1/12000 S; decode with matching g_max keeps the sign and shifts down
-    p = CrossbarParams(1, 1, r_driver=1e3, r_wire_row=0, r_wire_col=0,
+    p = CrossbarParams(1, r_driver=1e3, r_wire_row=0, r_wire_col=0,
                        r_sense=1e3, g_min=5e-6, g_max=1e-4, sigma_dev=0.0)
     w = np.array([[-1.0]])
     g, signs = weights_to_conductances(w, 1.0, p)
@@ -124,7 +131,7 @@ def test_decode_below_gmin_shifts_magnitude():
 @settings(max_examples=40, deadline=None)
 @given(st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
 def test_encode_decode_scale_invariance(w_scale, seed):
-    p = CrossbarParams(3, 3)
+    p = CrossbarParams(3)
     rng = np.random.default_rng(seed)
     frac = rng.uniform(-1, 1, (3, 3))
     frac[np.abs(frac) < 1e-6] = 0.0
@@ -248,6 +255,34 @@ def test_partition_recombine_property(rows, cols, n, seed):
     np.testing.assert_array_equal(recombine(tiles, record), w)
 
 
+@functools.cache
+def reference_weights():
+    return Network(reference_model_spec(0)).unrolled_weights()
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.9])
+@pytest.mark.parametrize("n", [8, 32, 64])
+@pytest.mark.parametrize("method", ["cf", "xcs", "xrs"])
+def test_compression_rate_counts_the_tiles_partition_places(method, n, s):
+    # pruning counts a pattern's tiles with code of its own, and mapping
+    # places them: the two counts must agree on every masked layer
+    spec = reference_model_spec(0)
+    if method == "cf":
+        pattern = gen_mask_cf(spec, s, 1)
+    else:
+        gen_mask, compact = {"xcs": (gen_mask_xcs, compact_xcs),
+                             "xrs": (gen_mask_xrs, compact_xrs)}[method]
+        pattern = gen_mask(spec, s, n, 1)
+    unpruned = placed = 0
+    for layer, w in reference_weights().items():
+        mask = pattern.masks[layer]
+        masked = apply_mask(w, mask)
+        compaction = cf_compaction(mask) if method == "cf" else compact(masked, n, mask)
+        unpruned += tile_count_unpruned(*w.shape, n)
+        placed += len(partition(masked, n, compaction=compaction)[1].tile_placements)
+    assert compression_rate(spec, pattern, n) == unpruned / placed
+
+
 # ----------------------------------------------------------- rearrangement
 
 
@@ -316,7 +351,7 @@ def test_rearrange_permutation_soundness(rows, cols, seed):
 
 def test_simulate_layer_ideal_pipeline():
     w = np.random.default_rng(5).normal(size=(20, 14))
-    p = CrossbarParams(8, 8, **IDEAL)
+    p = CrossbarParams(8, **IDEAL)
     res = simulate_layer(w, p)
     np.testing.assert_allclose(res.w_nonideal, w, rtol=1e-9, atol=1e-18)
     assert res.nf.mean_nf == 0.0
@@ -328,7 +363,7 @@ def test_simulate_layer_ideal_with_all_transform_combinations():
     mask[:, [3, 7]] = 0.0
     mask[5:10, :] = 0.0
     w = np.random.default_rng(6).normal(size=(20, 14)) * mask
-    p = CrossbarParams(8, 8, **IDEAL)
+    p = CrossbarParams(8, **IDEAL)
     comp = cf_compaction(mask)
     for rearrange in (False, True):
         for compaction in (None, comp):
@@ -338,7 +373,7 @@ def test_simulate_layer_ideal_with_all_transform_combinations():
 
 def test_simulate_layer_deterministic():
     w = np.random.default_rng(7).normal(size=(40, 40))
-    p = CrossbarParams(16, 16)
+    p = CrossbarParams(16)
     a = simulate_layer(w, p, master_seed=123, layer_index=2)
     b = simulate_layer(w, p, master_seed=123, layer_index=2)
     assert np.array_equal(a.w_nonideal, b.w_nonideal)
@@ -348,7 +383,7 @@ def test_simulate_layer_deterministic():
 
 def test_simulate_layer_nf_matches_direct_recomputation():
     w = np.random.default_rng(8).normal(size=(64, 64))
-    p = CrossbarParams(32, 32)
+    p = CrossbarParams(32)
     res = simulate_layer(w, p, master_seed=5, layer_index=1)
     assert res.nf.mean_nf > 0
 
@@ -416,7 +451,7 @@ def test_layer_nf_agrees_with_simulate_layer(layout, n, sigma_dev):
     # agrees with the LU of simulate_layer to the solver's tolerance, not
     # bitwise
     w, kwargs = screen_case(layout, n)
-    p = CrossbarParams(n, n, sigma_dev=sigma_dev)
+    p = CrossbarParams(n, sigma_dev=sigma_dev)
     full = simulate_layer(w, p, master_seed=3, layer_index=2, **kwargs).nf
     assert_nf_close(layer_nf(w, p, master_seed=3, layer_index=2, **kwargs), full)
 
@@ -434,7 +469,7 @@ REGIMES = {
 @pytest.mark.parametrize("regime", REGIMES)
 def test_layer_nf_agrees_with_simulate_layer_in_every_parasitic_regime(regime):
     w, kwargs = screen_case("dense", 64)
-    p = CrossbarParams(64, 64, **REGIMES[regime])
+    p = CrossbarParams(64, **REGIMES[regime])
     assert_nf_close(layer_nf(w, p, master_seed=1, **kwargs),
                     simulate_layer(w, p, master_seed=1, **kwargs).nf)
 
@@ -446,9 +481,9 @@ def test_layer_nf_takes_the_lu_path_bitwise_where_cg_cannot_run(zero, monkeypatc
     w, kwargs = screen_case("cf-ascending", 8)
     if zero is None:
         monkeypatch.setattr(circuit, "CG_MAX_ITERATIONS", 1)
-        p = CrossbarParams(8, 8)
+        p = CrossbarParams(8)
     else:
-        p = CrossbarParams(8, 8, **{zero: 0.0})
+        p = CrossbarParams(8, **{zero: 0.0})
     assert_nf_bitwise(layer_nf(w, p, master_seed=4, **kwargs),
                       simulate_layer(w, p, master_seed=4, **kwargs).nf)
 
@@ -461,7 +496,7 @@ def test_every_tile_solves_alone_as_in_its_layer(layout, n, monkeypatch):
     # Every line solve, of the row lines or of the column lines, carries
     # n^2 unknowns per tile. One CPU keeps the whole layer in one chunk
     w, kwargs = screen_case(layout, n)
-    p = CrossbarParams(n, n)
+    p = CrossbarParams(n)
     monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 1)
     batches = []
     dpttrs = circuit.dpttrs
@@ -487,12 +522,12 @@ def test_every_tile_solves_alone_as_in_its_layer(layout, n, monkeypatch):
 def test_a_rearrange_that_is_not_a_bool_is_rejected(run, rearrange):
     # checked before any tile is placed: the all-zero matrix would fail later
     with pytest.raises(ValueError, match="rearrange must be a bool"):
-        run(np.zeros((4, 4)), CrossbarParams(4, 4), rearrange=rearrange)
+        run(np.zeros((4, 4)), CrossbarParams(4), rearrange=rearrange)
 
 
 def test_a_numpy_bool_rearrange_runs_as_the_python_bool():
     w = np.random.default_rng(21).normal(size=(6, 5))
-    p = CrossbarParams(4, 4)
+    p = CrossbarParams(4)
     for flag in (False, True):
         assert_bitwise_equal(simulate_layer(w, p, rearrange=np.bool_(flag)),
                              simulate_layer(w, p, rearrange=flag))
@@ -512,7 +547,7 @@ def test_simulate_layer_xcs_packing_round_trip_ideal(kind):
         mask[[0, 2, 9], 8:] = 0.0
         compact = compact_xrs
     w = np.random.default_rng(10).normal(size=(24, 10)) * mask
-    p = CrossbarParams(8, 8, **IDEAL)
+    p = CrossbarParams(8, **IDEAL)
     packing = compact(w, 8, mask=mask)
     res = simulate_layer(w, p, compaction=packing)
     np.testing.assert_allclose(res.w_nonideal, w, rtol=1e-9, atol=1e-18)
@@ -520,7 +555,7 @@ def test_simulate_layer_xcs_packing_round_trip_ideal(kind):
 
 def test_simulate_layer_rejects_rearrange_with_packing():
     w = np.random.default_rng(11).normal(size=(16, 8))
-    p = CrossbarParams(8, 8)
+    p = CrossbarParams(8)
     packing = compact_xcs(w, 8)
     with pytest.raises(ValueError):
         simulate_layer(w, p, compaction=packing, rearrange=True)
@@ -535,12 +570,12 @@ def test_simulate_layer_rejects_rearrange_with_packing():
 def test_simulate_layer_rejects_bad_cf_compaction(compaction, rearrange):
     w = np.random.default_rng(14).normal(size=(12, 10))
     with pytest.raises(ValueError):
-        simulate_layer(w, CrossbarParams(8, 8), compaction=compaction,
+        simulate_layer(w, CrossbarParams(8), compaction=compaction,
                        rearrange=rearrange)
 
 
 def test_simulate_layer_rejects_all_zero_and_nonfinite():
-    p = CrossbarParams(8, 8)
+    p = CrossbarParams(8)
     with pytest.raises(ValueError):
         simulate_layer(np.zeros((8, 8)), p)
     bad = np.ones((8, 8))
@@ -561,7 +596,7 @@ NOT_A_LAYOUT = [
 def test_a_compaction_of_another_type_is_rejected(run, compaction):
     # each of these would otherwise be ignored and the dense matrix mapped
     w = np.random.default_rng(15).normal(size=(8, 8))
-    arg = 8 if run is partition else CrossbarParams(8, 8)
+    arg = 8 if run is partition else CrossbarParams(8)
     with pytest.raises(TypeError, match="compaction must be"):
         run(w, arg, compaction=compaction)
 
@@ -570,7 +605,7 @@ def test_a_compaction_of_another_type_is_rejected(run, compaction):
 def test_an_unknown_order_is_rejected_without_rearrangement(run):
     w = np.random.default_rng(16).normal(size=(8, 8))
     with pytest.raises(ValueError, match="bogus"):
-        run(w, CrossbarParams(8, 8), rearrange=False, rearrange_order="bogus")
+        run(w, CrossbarParams(8), rearrange=False, rearrange_order="bogus")
 
 
 @pytest.mark.parametrize("compaction", [None, "cf", "xcs"])
@@ -594,7 +629,7 @@ def test_rearrangement_effect_on_crafted_matrices():
     # columns yields tiles dominated by low conductances whose decoded
     # weights are much closer to the originals, and whose NF is lower than
     # any mixed tile's
-    p = CrossbarParams(32, 32, sigma_dev=0.0)
+    p = CrossbarParams(32, sigma_dev=0.0)
     low_cols = np.arange(1, 64, 2)
     for seed in range(10):
         w = crafted_alternating(seed)
@@ -619,12 +654,12 @@ def test_partition_rejects_a_tile_size_that_is_not_an_integer_from_one(n):
 def test_layer_simulation_rejects_a_seed_that_is_not_an_integer_from_zero(run, arg, seed):
     # checked before any tile is placed: the all-zero matrix would fail later
     with pytest.raises(ValueError, match=f"{arg} must be an integer >= 0"):
-        run(np.zeros((4, 4)), CrossbarParams(4, 4), **{arg: seed})
+        run(np.zeros((4, 4)), CrossbarParams(4), **{arg: seed})
 
 
 def test_layer_simulation_takes_numpy_integer_seeds():
     w = np.random.default_rng(20).normal(size=(6, 5))
-    p = CrossbarParams(4, 4)
+    p = CrossbarParams(4)
     a = simulate_layer(w, p, master_seed=np.int64(3), layer_index=np.uint8(1))
     b = simulate_layer(w, p, master_seed=3, layer_index=1)
     assert a.w_nonideal.tobytes() == b.w_nonideal.tobytes()
@@ -726,7 +761,7 @@ def log_runners(monkeypatch, log):
 def test_split_tiles_are_bitwise_the_serial_result(workers, count, layout,
                                                    row_blocks, cols, tiles):
     w, kwargs = parallel_case(layout, row_blocks, cols)
-    p = CrossbarParams(8, 8)
+    p = CrossbarParams(8)
     workers(1)
     serial = simulate_layer(w, p, master_seed=4, layer_index=3, **kwargs)
     assert len(serial.record.tile_placements) == tiles
@@ -741,7 +776,7 @@ def test_split_tiles_are_bitwise_the_serial_result(workers, count, layout,
 def test_a_split_screen_is_bitwise_the_serial_screen(workers, count, layout):
     # every tile solves alone as in any batch, so the chunks change no bit
     w, kwargs = parallel_case(layout, row_blocks=7, cols=12)
-    p = CrossbarParams(8, 8)
+    p = CrossbarParams(8)
     workers(1)
     serial = layer_nf(w, p, master_seed=4, layer_index=3, **kwargs)
     workers(count)
@@ -754,7 +789,7 @@ def test_a_split_screen_varies_its_tiles_in_every_process(workers, monkeypatch, 
     # each process varies the tiles of its own chunk, and the report is
     # bitwise the one-CPU report
     w, kwargs = parallel_case("dense", row_blocks=7, cols=12)
-    p = CrossbarParams(8, 8)
+    p = CrossbarParams(8)
     workers(1)
     serial = layer_nf(w, p, master_seed=4, layer_index=3, **kwargs)
     vary = mapping.apply_device_variation
@@ -778,10 +813,10 @@ def test_a_screen_below_the_threshold_stays_in_this_process(workers, monkeypatch
     w, kwargs = parallel_case("dense", row_blocks=7, cols=12)
     cells = 14 * 8 * 8
     monkeypatch.setattr(mapping, "PARALLEL_MIN_CELLS", cells + 1)
-    layer_nf(w, CrossbarParams(8, 8), **kwargs)
+    layer_nf(w, CrossbarParams(8), **kwargs)
     assert _parallel._pool == []
     monkeypatch.setattr(mapping, "PARALLEL_MIN_CELLS", cells)
-    layer_nf(w, CrossbarParams(8, 8), **kwargs)
+    layer_nf(w, CrossbarParams(8), **kwargs)
     assert len(_parallel._pool) == 1
     assert_only_idle_workers_left()
 
@@ -793,11 +828,72 @@ def test_a_screen_tile_on_the_lu_path_gives_its_lu_currents_from_a_worker(worker
     monkeypatch.setattr(circuit, "CG_MAX_ITERATIONS", 1)
     workers(2)
     w, kwargs = parallel_case("cf-ascending", row_blocks=7, cols=12)
-    p = CrossbarParams(8, 8)
+    p = CrossbarParams(8)
     screen = layer_nf(w, p, master_seed=4, **kwargs)
     assert len(_parallel._pool) == 1
     assert_nf_bitwise(screen, simulate_layer(w, p, master_seed=4, **kwargs).nf)
     assert_only_idle_workers_left()
+
+
+def log_traced_calls(monkeypatch):
+    """From now on, log (name, object) for every call of a name the
+    benchmark's tracer wraps (perfbench/tracing.py): the system built by
+    ``CrossbarSystem``, under either module's name, the system whose
+    ``solve`` or ``effective_conductance`` runs, and None for the rest.
+    One CPU keeps every call in this process."""
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 1)
+    log = []
+
+    def build(g, params):
+        system = CrossbarSystem(g, params)
+        log.append(("build", system))
+        return system
+
+    def logged(owner, name, on_self):
+        original = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            log.append((name, args[0] if on_self else None))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, call)
+
+    monkeypatch.setattr(mapping, "CrossbarSystem", build)
+    monkeypatch.setattr(circuit, "CrossbarSystem", build)
+    for name in ("solve", "effective_conductance"):
+        logged(CrossbarSystem, name, True)
+    for name in ("weights_to_conductances", "conductances_to_weights", "recombine",
+                 "apply_device_variation"):
+        logged(mapping, name, False)
+    logged(circuit, "splu", False)
+    return log
+
+
+@pytest.mark.parametrize("layout", ["dense", "cf-ascending", "xcs"])
+def test_simulate_layer_builds_solves_and_reads_one_system_per_tile(layout, monkeypatch):
+    # the benchmark reads its per-tile figures, circuit.solves_per_tile
+    # among them, and its per-layer stage times off these calls
+    log = log_traced_calls(monkeypatch)
+    w, kwargs = parallel_case(layout)
+    tiles = len(simulate_layer(w, CrossbarParams(8), **kwargs).record.tile_placements)
+    names = [name for name, _ in log]
+    systems = [obj for name, obj in log if name == "build"]
+    assert len(systems) == len(set(map(id, systems))) == tiles
+    for name in ("solve", "effective_conductance"):
+        assert [obj for kind, obj in log if kind == name] == systems
+    assert names.count("apply_device_variation") == names.count("splu") == tiles
+    for name in ("weights_to_conductances", "conductances_to_weights", "recombine"):
+        assert names.count(name) == 1
+
+
+@pytest.mark.parametrize("layout", ["dense", "cf-ascending", "xcs"])
+def test_layer_nf_varies_every_tile_once_and_builds_no_system(layout, monkeypatch):
+    log = log_traced_calls(monkeypatch)
+    w, kwargs = parallel_case(layout)
+    tiles = len(layer_nf(w, CrossbarParams(8), **kwargs).per_tile_mean)
+    names = [name for name, _ in log]
+    assert names.count("apply_device_variation") == tiles
+    assert names.count("weights_to_conductances") == 1
+    assert set(names) == {"apply_device_variation", "weights_to_conductances"}
 
 
 def test_layers_split_into_contiguous_chunks_one_per_worker(workers, monkeypatch,
@@ -805,7 +901,7 @@ def test_layers_split_into_contiguous_chunks_one_per_worker(workers, monkeypatch
     runners = log_runners(monkeypatch, tmp_path)
     workers(3)
     w, _ = parallel_case("dense", row_blocks=7, cols=8)
-    simulate_layer(w, CrossbarParams(8, 8))
+    simulate_layer(w, CrossbarParams(8))
     pids = [runners()[0][row_block] for row_block in range(7)]
     assert pids == [os.getpid()] * 2 + [pids[2]] * 2 + [pids[4]] * 3
     assert len(set(pids)) == 3
@@ -816,7 +912,7 @@ def test_one_worker_serves_consecutive_split_calls(workers, monkeypatch, tmp_pat
     runners = log_runners(monkeypatch, tmp_path)
     workers(2)
     for seed in (1, 2):
-        simulate_layer(np.ones((56, 8)), CrossbarParams(8, 8), master_seed=seed)
+        simulate_layer(np.ones((56, 8)), CrossbarParams(8), master_seed=seed)
     (worker, _), = _parallel._pool
     for seed in (1, 2):
         pids = [runners()[seed][row_block] for row_block in range(7)]
@@ -834,7 +930,7 @@ def test_split_tiles_run_openblas_on_one_thread_per_process(workers, monkeypatch
         tmp_path / f"{pl.row_block}-{os.getpid()}").write_text(repr(counts())))
     workers(2)
     before = counts()
-    simulate_layer(np.ones((56, 8)), CrossbarParams(8, 8))
+    simulate_layer(np.ones((56, 8)), CrossbarParams(8))
     assert counts() == before
     logs = {path.name.split("-")[1]: path.read_text() for path in tmp_path.iterdir()}
     assert len(logs) == 2
@@ -846,7 +942,7 @@ def test_a_layer_below_the_threshold_stays_in_this_process(monkeypatch, tmp_path
     monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
     n = 8
     tiles = mapping.PARALLEL_MIN_CELLS // n ** 2 - 1
-    simulate_layer(np.ones((n * tiles, n)), CrossbarParams(n, n))
+    simulate_layer(np.ones((n * tiles, n)), CrossbarParams(n))
     assert set(runners()[0].values()) == {os.getpid()}
 
 
@@ -863,14 +959,14 @@ def test_an_error_on_one_tile_is_raised_by_the_parent(workers, monkeypatch, mark
     w = np.random.default_rng(2).uniform(-0.4, 0.4, size=(56, 8))
     w[8 * marked, 0] = 1.0
     with pytest.raises(ZeroDivisionError, match="tile with g\\[0, 0\\] = 5e-05"):
-        simulate_layer(w, CrossbarParams(8, 8, sigma_dev=0.0))
+        simulate_layer(w, CrossbarParams(8, sigma_dev=0.0))
     assert_only_idle_workers_left()
 
 
 def test_an_error_in_this_process_leaves_no_stale_answer(workers, monkeypatch):
     # the worker's answer to the failed call is never read: its pool is
     # shut down, and the next call's worker runs that call's tiles
-    w, p = np.random.default_rng(3).uniform(-1, 1, size=(56, 8)), CrossbarParams(8, 8)
+    w, p = np.random.default_rng(3).uniform(-1, 1, size=(56, 8)), CrossbarParams(8)
     workers(1)
     serial = simulate_layer(w, p, master_seed=0)
     assert serial.w_nonideal.tobytes() != simulate_layer(w, p, master_seed=1).w_nonideal.tobytes()
@@ -890,7 +986,7 @@ def test_an_error_in_this_process_leaves_no_stale_answer(workers, monkeypatch):
 
 
 def test_a_worker_that_dies_without_sending_is_reported(workers, monkeypatch, tmp_path):
-    w, p = np.ones((56, 8)), CrossbarParams(8, 8)
+    w, p = np.ones((56, 8)), CrossbarParams(8)
     workers(1)
     serial = simulate_layer(w, p, master_seed=0)
 
@@ -914,7 +1010,7 @@ def test_a_worker_that_dies_without_sending_is_reported(workers, monkeypatch, tm
 
 
 def test_a_worker_that_died_while_idle_is_replaced(workers):
-    w, p = np.ones((56, 8)), CrossbarParams(8, 8)
+    w, p = np.ones((56, 8)), CrossbarParams(8)
     serial = simulate_layer(w, p)
     workers(2)
     simulate_layer(w, p)
@@ -932,7 +1028,7 @@ def test_an_os_fork_child_that_exits_leaves_its_parents_worker_alone(workers):
     # multiprocessing's exit handler terminates every child it lists; a
     # child made by os.fork still lists its parent's workers unless the
     # pool drops them at the fork
-    w, p = np.ones((56, 8)), CrossbarParams(8, 8)
+    w, p = np.ones((56, 8)), CrossbarParams(8)
     workers(2)
     simulate_layer(w, p)
     (worker, _), = _parallel._pool
@@ -969,7 +1065,7 @@ def _split_and_save(w, p, out):
 
 
 def test_a_forked_child_does_not_use_its_parents_worker(workers, monkeypatch, tmp_path):
-    w, p = np.ones((56, 8)), CrossbarParams(8, 8)
+    w, p = np.ones((56, 8)), CrossbarParams(8)
     serial = simulate_layer(w, p, master_seed=2).w_nonideal.tobytes()
     log = tmp_path / "log"
     log.mkdir()
@@ -1008,7 +1104,7 @@ from xbarprune import _parallel, mapping
 from xbarprune.circuit import CrossbarParams
 _parallel._usable_cpus = lambda: 2
 mapping.PARALLEL_MIN_CELLS = 0
-mapping.simulate_layer(np.ones((56, 8)), CrossbarParams(8, 8))
+mapping.simulate_layer(np.ones((56, 8)), CrossbarParams(8))
 (worker, _), = _parallel._pool
 print(worker.pid, flush=True)
 if sys.argv[1] == "os._exit":

@@ -49,14 +49,13 @@ from xbarprune.pruning import (
 
 SPEC = tiny_model_spec(init_seed=0)
 NET = Network(SPEC)
-P2, P4 = CrossbarParams(2, 2), CrossbarParams(4, 4)
+P2, P4 = CrossbarParams(2), CrossbarParams(4)
 W = np.random.default_rng(0).normal(size=(6, 5))
 
 # (label, call with the value in place, name that starts the message, valid value)
 INTEGER = [
-    ("CrossbarParams.n_rows", lambda v: CrossbarParams(v, 4), "n_rows", 4),
-    ("CrossbarParams.n_cols", lambda v: CrossbarParams(4, v), "n_cols", 4),
-    ("default_params.n", lambda v: default_params(v), "n_rows", 4),
+    ("CrossbarParams.n", lambda v: CrossbarParams(v), "n", 4),
+    ("default_params.n", lambda v: default_params(v), "n", 4),
     ("partition.n", lambda v: partition(W, v), "tile size", 4),
     ("simulate_layer.master_seed", lambda v: simulate_layer(W, P4, master_seed=v),
      "master_seed", 3),
@@ -100,7 +99,7 @@ CIRCUIT_VALUES = dict(r_driver=1e3, r_wire_row=5.0, r_wire_col=5.0, r_sense=1e3,
                       g_min=5e-6, g_max=5e-5, sigma_dev=0.1, v_read=1.0)
 
 REAL = [
-    *[(f"CrossbarParams.{name}", lambda v, name=name: CrossbarParams(4, 4, **{name: v}),
+    *[(f"CrossbarParams.{name}", lambda v, name=name: CrossbarParams(4, **{name: v}),
        name, valid) for name, valid in CIRCUIT_VALUES.items()],
     *[(f"default_params.{name}", lambda v, name=name: default_params(4, **{name: v}),
        name, valid) for name, valid in CIRCUIT_VALUES.items()],
