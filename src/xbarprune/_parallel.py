@@ -13,9 +13,12 @@ Two patterns, both on forked processes:
   chunks by ``_bounds`` and one task each, and ``nn.evaluate`` the chunks
   of a test set cut into at least two chunks per usable CPU.
 * ``_partner`` forks one partner per fit that works in lockstep with
-  this process: the two exchange one short pipe message each way per
-  step and share one anonymous ``mmap`` for the bulk data. ``nn``'s
-  training computes the second half of every minibatch in it.
+  this process: the two share one anonymous ``mmap`` for the data of a
+  step and hand each step over through two semaphores, spinning rather
+  than sleeping until the other side has released its own (``_spin``).
+  Their pipe carries only the partner's exception and the EOF of either
+  end. ``nn``'s training computes the second half of every minibatch in
+  it.
 
 The pool's first split call forks one daemonic worker per extra usable
 CPU (more if a later call has more chunks), and later calls reuse them,
@@ -258,16 +261,40 @@ def _fork_map(run, args: list, split: bool) -> list:
         _pool_busy.release()
 
 
+def _spin(semaphore, link) -> bool:
+    """Acquire `semaphore` without sleeping: try it again and again,
+    giving up the CPU between tries, since the other side may share this
+    one (an affinity mask of one CPU), and check `link` every 64 failed
+    tries. Returns True once acquired, or False as soon as `link` has
+    something to read: a message, or the EOF of a process that has gone."""
+    tries = 0
+    while not semaphore.acquire(False):
+        tries += 1
+        if tries % 64 == 0 and link.poll():
+            return False
+        os.sched_yield()
+    return True
+
+
 class Partner:
     """This process's end of a `_partner`: `shared` is the anonymous
-    shared mmap, `send` sends the partner one message and `receive`
-    returns its next one."""
+    shared mmap, `wait` returns once the partner has released `done` (its
+    part of a step is in `shared`), and `go` releases the partner's `go`
+    (this process's part is there)."""
 
-    def __init__(self, link, process, shared: mmap.mmap):
+    def __init__(self, link, process, shared: mmap.mmap, done, go):
         self._link, self._process, self.shared = link, process, shared
+        self._done, self._go = done, go
 
-    def send(self, message) -> None:
-        self._link.send(message)
+    def wait(self) -> None:
+        """Spin until the partner has handed its part over (`_spin`); an
+        exception it sent is raised here, and a partner that exits first
+        raises RuntimeError."""
+        while not _spin(self._done, self._link):
+            self.receive()
+
+    def go(self) -> None:
+        self._go.release()
 
     def receive(self):
         """The partner's next message; an exception it sent is raised
@@ -275,12 +302,15 @@ class Partner:
         return _receive(self._link, self._process, "the partner process")
 
 
-def _run_partner(link, body, shared: mmap.mmap, cpu: int) -> None:
-    """A partner's body: pin itself to `cpu`, then run body(link, shared)
-    and send the exception that stops it, if any."""
+def _run_partner(link, other_end, body, shared: mmap.mmap, cpu: int, done, go) -> None:
+    """A partner's body: close its copy of the parent's end of the pipe,
+    so that the parent's exit reaches `link` as EOF, pin itself to `cpu`,
+    then run body(link, shared, done, go) and send the exception that
+    stops it, if any."""
+    other_end.close()
     try:
         os.sched_setaffinity(0, {cpu})
-        body(link, shared)
+        body(link, shared, done, go)
     except Exception as exc:            # re-raised by the parent
         _send_outcome(link, exc)
     link.close()
@@ -288,27 +318,31 @@ def _run_partner(link, body, shared: mmap.mmap, cpu: int) -> None:
 
 @contextmanager
 def _partner(body, size: int):
-    """Run body(link, shared) in a forked partner process and yield this
-    process's `Partner`. `link` is the partner's end of a two-way pipe,
-    and `shared` an anonymous mmap of `size` bytes that both processes
-    see. For the duration, this process is pinned to the first CPU of its
-    affinity mask and the partner to the second (the first too, where the
-    mask holds one), and both run OpenBLAS on one thread. On exit this
-    process restores its affinity mask and joins the partner, which must
-    have returned; on an error it terminates the partner first."""
+    """Run body(link, shared, done, go) in a forked partner process and
+    yield this process's `Partner`. `link` is the partner's end of a
+    two-way pipe, `shared` an anonymous mmap of `size` bytes that both
+    processes see, and `done` and `go` the handoff's two semaphores (see
+    `Partner`), both at 0. The partner takes `go` with `_spin`, which
+    returns False once this process's end of the pipe has closed. For
+    the duration, this process is pinned to the first CPU of its affinity
+    mask and the partner to the second (the first too, where the mask
+    holds one), and both run OpenBLAS on one thread. On exit this process
+    restores its affinity mask and joins the partner, which must have
+    returned; on an error it terminates the partner first."""
     shared = mmap.mmap(-1, size)
     fork = multiprocessing.get_context("fork")
+    done, go = fork.Semaphore(0), fork.Semaphore(0)
     mine, theirs = fork.Pipe()
     finished = False
     with _one_blas_thread(), _pinned() as cpus:
         process = fork.Process(target=_run_partner,
-                               args=(theirs, body, shared, cpus[1 % len(cpus)]))
+                               args=(theirs, mine, body, shared, cpus[1 % len(cpus)], done, go))
         try:
             try:
                 process.start()
             finally:
                 theirs.close()
-            yield Partner(mine, process, shared)
+            yield Partner(mine, process, shared, done, go)
             finished = True
         finally:
             if process.pid is not None:     # the fork succeeded

@@ -765,14 +765,17 @@ def _step(model, grads, lr, pruned, w_cut):
 
 
 def _gradient_slots(model, shared):
-    """Two gradient-shaped sets of views into the partner's shared buffer,
-    in the weights' dtype (float32, as a fit trains its sub-network): the
-    partner's second-half gradients and the summed ones."""
+    """Views into the partner's shared buffer: a one-element float64 slot
+    for the summed loss of the partner's second half, at its start, then
+    two gradient-shaped sets in the weights' dtype (float32, as a fit
+    trains its sub-network), the partner's second-half gradients and the
+    summed ones."""
     shapes = [layer.w.shape for _, layer in model.trainable] * 2
-    flat = np.frombuffer(shared, dtype=model.trainable[0][1].w.dtype)
+    loss = np.frombuffer(shared, dtype=np.float64, count=1)
+    flat = np.frombuffer(shared, dtype=model.trainable[0][1].w.dtype, offset=loss.nbytes)
     ends = np.cumsum([0] + [math.prod(shape) for shape in shapes])
     views = [flat[lo:hi].reshape(shape) for lo, hi, shape in zip(ends, ends[1:], shapes)]
-    return views[:len(model.trainable)], views[len(model.trainable):]
+    return loss, views[:len(model.trainable)], views[len(model.trainable):]
 
 
 def _descend(model, dataset, epochs, lr, pruned, w_cut, partner=None):
@@ -781,12 +784,16 @@ def _descend(model, dataset, epochs, lr, pruned, w_cut, partner=None):
     half's plus its second half's (`_halves`), added in that order, and
     its loss the two halves' summed losses added the same way; the second
     half is skipped where it is empty. The second halves run here after
-    the first, or in `partner`, which writes their gradients into its
-    shared buffer, receives this process's go once the sum is there, and
-    steps its own copy of the weights by the same sum."""
+    the first, or in `partner`, which writes their losses and gradients
+    into its shared buffer (`_gradient_slots`) and hands them over
+    (`Partner.wait`), then waits for this process's go once the sum is
+    there and steps its own copy of the weights by the same sum. Both
+    sides see from the batch sizes where a second half is empty; the
+    partner hands over every step all the same, as it must be done
+    reading the previous sum before this process writes the next."""
     summed = [None] * len(model.trainable)      # fresh sums, unless shared
     if partner is not None:
-        theirs, summed = _gradient_slots(model, partner.shared)
+        their_loss, theirs, summed = _gradient_slots(model, partner.shared)
     losses = []
     for batches in epochs:
         total = 0.0
@@ -794,7 +801,8 @@ def _descend(model, dataset, epochs, lr, pruned, w_cut, partner=None):
             first, second = _halves(batch)
             loss, grads = _half_gradient(model, dataset, first, batch.size)
             if partner is not None:
-                loss2, grads2 = partner.receive(), theirs
+                partner.wait()
+                loss2, grads2 = float(their_loss[0]), theirs
             elif second.size:
                 loss2, grads2 = _half_gradient(model, dataset, second, batch.size)
             if second.size:
@@ -806,29 +814,30 @@ def _descend(model, dataset, epochs, lr, pruned, w_cut, partner=None):
                 if not second.size:             # the partner steps by `summed`
                     for g1, out in zip(grads, summed):
                         np.copyto(out, g1)
-                partner.send(None)
+                partner.go()
             _step(model, grads, lr, pruned, w_cut)
             total += loss
         losses.append(total / len(dataset))
     return losses
 
 
-def _second_halves(model, dataset, epochs, lr, pruned, w_cut, link, shared):
-    """The partner's side of `_descend`: for every minibatch, send the
-    second half's summed loss (None where the half is empty) with its
-    gradients in the shared buffer, wait for the go, and step by the sum
-    found there."""
-    theirs, summed = _gradient_slots(model, shared)
+def _second_halves(model, dataset, epochs, lr, pruned, w_cut, link, shared, done, go):
+    """The partner's side of `_descend`: for every minibatch, write the
+    second half's summed loss and its gradients into the shared buffer
+    (nothing where the half is empty), release `done`, spin until `go`
+    is released (`_parallel._spin`), and step by the sum found there.
+    Returns early once the parent's end of `link` has closed."""
+    their_loss, theirs, summed = _gradient_slots(model, shared)
     for batches in epochs:
         for batch in batches:
             _, second = _halves(batch)
-            loss = None
             if second.size:
-                loss, grads = _half_gradient(model, dataset, second, batch.size)
+                their_loss[0], grads = _half_gradient(model, dataset, second, batch.size)
                 for grad, out in zip(grads, theirs):
                     np.copyto(out, grad)
-            link.send(loss)
-            link.recv()
+            done.release()
+            if not _parallel._spin(go, link):
+                return
             _step(model, summed, lr, pruned, w_cut)
 
 
@@ -856,7 +865,7 @@ def _chunk_images(spec: ModelSpec) -> int:
 # Fewest forward multiply-adds (`_multiply_adds` of the live net x images
 # x epochs) for which a fit runs its second halves in a partner process; a
 # smaller fit runs in this process alone, as fork, join and the per-step
-# messages cost more than the second CPU saves. (`evaluate` splits by its
+# handoff cost more than the second CPU saves. (`evaluate` splits by its
 # own rule, measured next to `EVAL_WORKING_SET_BYTES`.) Rows: one epoch of
 # `train` at batch 32 (float32, as every fit trains), on 1 and on 2 usable
 # CPUs, from a 150 MB parent (numpy 2.4, Python 3.11, 2-vCPU Xeon, one
@@ -866,31 +875,32 @@ def _chunk_images(spec: ModelSpec) -> int:
 # tiny `tiny_model_spec`:
 #
 #   net      images   M mult-adds   1 CPU      2 CPUs   change
-#   ref-cf     128        59         22.6 ms    28.1 ms   +74, +35, +24 %
-#   ref-cf     256       118         29.0       36.2      +11,  +8, +25 %
-#   ref-cf     384       177         47.0       45.9      -14, +23,  -2 %
-#   ref-cf     512       236         56.1       54.6      -10,  +4,  -3 %
-#   ref-cf    1024       473        110.3       79.8      -23, -26, -28 %
-#   ref         64       116         33.5       41.2      +19, +32, +23 %
-#   ref        128       231         45.7       45.9       +2, +29,  +1 %
-#   ref        160       289         52.5       52.5      +21,  +8,   0 %
-#   ref        192       347         60.2       56.4      +10,  -9,  -6 %
-#   ref        256       463         82.7       70.3      -11, -13, -15 %
-#   tiny      1024         5         30.9       34.0      +17,  +8, +10 %
-#   tiny      4096        21        120.8       86.1      -22, -15, -29 %
+#   ref-cf     128        59         16.0 ms    25.9 ms   +38, +34, +62 %
+#   ref-cf     256       118         27.6       36.1      +11,  +9, +31 %
+#   ref-cf     384       177         45.3       43.4      -11, -14,  -4 %
+#   ref-cf     512       236         48.8       49.2      -16, -20,  +1 %
+#   ref-cf    1024       473        120.9       78.6      -29, -41, -35 %
+#   ref         64       116         28.7       36.7      +31, +28, +28 %
+#   ref        128       231         41.2       45.2      +12,  +4, +10 %
+#   ref        160       289         51.4       51.8       +7,  -1,  +1 %
+#   ref        192       347         56.6       55.4       -6,  -7,  -2 %
+#   ref        256       463         74.6       63.6      -16, -15, -15 %
+#   tiny      1024         5         26.4       29.3      +12,  -7, +11 %
+#   tiny      4096        21         90.5       69.6      -28, -36, -23 %
 #
-# In float32 a one-CPU epoch takes about 0.6 of its float64 time, while
-# the fork and the per-step exchange cost the same, so the reference nets'
-# break-even rose from 120-230 M to between 347 M (mixed) and 463 M (a gain
-# in every series); the constant sits between the two. The benchmark's fits
-# (2.8 G multiply-adds to train, 0.9 G for WCT) split. The tiny net, whose
-# time goes mostly to per-call overhead, gains from 21 M on but stays in
-# one process. The split gains 1.3-1.4x at most on training, against 2x
-# for the GEMM loop alone: a 256x288 by 288x64 GEMM loop, one per CPU, ran
-# at 32-44 GFLOP/s per CPU with both CPUs busy against 38-45 alone
-# (float64) and 84-104 against 101-112 (float32), so the two CPUs do not
-# share their vector units on this host; the lockstep costs the rest.
-PARALLEL_MIN_MULTIPLY_ADDS = 400 * 10 ** 6
+# The reference nets break even between 289 M (mixed) and 347 M (a gain
+# in every series); the constant sits between the two. The benchmark's
+# fits (2.8 G multiply-adds to train, 0.9 G for WCT) split. The tiny net,
+# whose time goes mostly to per-call overhead, gains from 21 M on but
+# stays in one process. The split gains 1.2-1.7x at most on training,
+# against 2x for the GEMM loop alone: a 256x288 by 288x64 GEMM loop, one
+# per CPU, ran at 32-44 GFLOP/s per CPU with both CPUs busy against 38-45
+# alone (float64) and 84-104 against 101-112 (float32), so the two CPUs
+# do not share their vector units on this host. The rest goes to the
+# fork, the serial sum and step, and the halves' imbalance: in the
+# benchmark's training the two sides' waits add up to 0.3-0.5 ms of each
+# 1.7-2.0 ms step.
+PARALLEL_MIN_MULTIPLY_ADDS = 320 * 10 ** 6
 
 # Most bytes of one layer's working set (see `_chunk_images`) that one
 # `evaluate` chunk may take: `_chunk_images` is the most images that
@@ -967,10 +977,11 @@ def _sgd_epochs(model, dataset, config, epochs, pruned, w_cut, rng):
     summed in float64. One permutation of the data per epoch, drawn up
     front, fixes the minibatches. The second halves run in a forked partner
     (`_parallel._partner`: this process and the partner pinned to one CPU
-    each, the mask restored after) when this process may use two CPUs,
-    the batch size is at least 2 and the fit makes at least
-    `PARALLEL_MIN_MULTIPLY_ADDS` forward multiply-adds; otherwise they run
-    here. Either way each half runs the same code on the same weights, so
+    each, the mask restored after, every step handed over through the
+    shared buffer and two semaphores, with no pipe message) when this
+    process may use two CPUs, the batch size is at least 2 and the fit
+    makes at least `PARALLEL_MIN_MULTIPLY_ADDS` forward multiply-adds;
+    otherwise they run here. Either way each half runs the same code on the same weights, so
     the result is bitwise the same. OpenBLAS runs on one thread in both
     paths, so it does not depend on the BLAS thread count either."""
     _project(model, pruned, w_cut)
@@ -983,8 +994,9 @@ def _sgd_epochs(model, dataset, config, epochs, pruned, w_cut, rng):
             or epochs * n * _multiply_adds(model.spec) < PARALLEL_MIN_MULTIPLY_ADDS):
         with _parallel._one_blas_thread():
             return _descend(*args)
-    # two copies of every weight, in its dtype: the partner's gradients, the sums
-    size = 2 * sum(layer.w.nbytes for _, layer in model.trainable)
+    # the partner's loss, then two copies of every weight, in its dtype:
+    # the partner's gradients and the sums
+    size = 8 + 2 * sum(layer.w.nbytes for _, layer in model.trainable)
     with _parallel._partner(partial(_second_halves, *args), size) as partner:
         return _descend(*args, partner)
 

@@ -1,8 +1,14 @@
 import dataclasses
 import json
+import mmap
 import multiprocessing
 import os
+import signal
+import time
 import tracemalloc
+from contextlib import contextmanager
+from functools import partial
+from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
@@ -1800,3 +1806,106 @@ def test_a_partner_that_dies_without_answering_is_reported(cpus, monkeypatch):
         train(Network(tiny_model_spec(init_seed=1)), small_data()[0],
               TrainConfig(epochs=1, batch_size=4))
     assert_only_idle_workers_left(mask)
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError here once the block has run for `seconds`, so
+    that a wait that never ends fails the test instead of holding it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_partner_that_dies_mid_fit_is_reported_while_this_process_waits(cpus, monkeypatch):
+    cpus(2)
+    parent, half_gradient = os.getpid(), nn._half_gradient
+    calls = []
+
+    def dying(model, dataset, half, b):
+        calls.append(half.size)
+        if os.getpid() != parent and len(calls) == 2:
+            time.sleep(0.05)            # this process is waiting by now
+            os._exit(3)
+        return half_gradient(model, dataset, half, b)
+
+    monkeypatch.setattr(nn, "_half_gradient", dying)
+    mask = os.sched_getaffinity(0)
+    with deadline(30), pytest.raises(RuntimeError, match="partner process exited with code 3"):
+        train(Network(tiny_model_spec(init_seed=1)), small_data()[0],
+              TrainConfig(epochs=1, batch_size=4))
+    # the partner answered the first step; this process waited in the second
+    assert calls == [2, 2]
+    assert_only_idle_workers_left(mask)
+
+
+def test_a_partner_stops_once_the_parent_end_of_its_link_closes():
+    fork = multiprocessing.get_context("fork")
+    model = Network(tiny_model_spec(init_seed=1))
+    data, _ = small_data()
+    shared = mmap.mmap(-1, 8 + 2 * sum(layer.w.nbytes for _, layer in model.trainable))
+    done, go = fork.Semaphore(0), fork.Semaphore(0)
+    mine, theirs = fork.Pipe()
+    body = partial(nn._second_halves, model, data, [[np.arange(4), np.arange(4, 8)]],
+                   0.1, {}, None)
+    # the partner's body closes its copy of `mine`, as every partner does
+    process = fork.Process(target=_parallel._run_partner,
+                           args=(theirs, mine, body, shared, min(os.sched_getaffinity(0)),
+                                 done, go))
+    process.start()
+    try:
+        theirs.close()
+        assert done.acquire(timeout=30)     # the partner handed its first step over
+        mine.close()                        # and waits for a go that never comes
+        process.join(timeout=30)
+        assert not process.is_alive()
+        assert process.exitcode == 0
+    finally:
+        if process.is_alive():
+            process.terminate()
+            process.join()
+
+
+def count_link_messages(monkeypatch, log):
+    """Record the process and the method of every message sent or received
+    on a pipe from now on, one file per call, in every process forked
+    after."""
+    for name in ("send", "recv", "send_bytes", "recv_bytes"):
+        def counted(self, *args, _method=getattr(Connection, name), _name=name, **kwargs):
+            (log / f"{os.getpid()}-{_name}-{time.perf_counter_ns()}").touch()
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(Connection, name, counted)
+
+
+def test_a_split_fit_sends_no_message_per_step(cpus, monkeypatch, tmp_path):
+    # 16 minibatches of 4 an epoch: a message per step would grow 3x
+    data, _ = small_data()
+    spec = tiny_model_spec(init_seed=1)
+    messages, halves = tmp_path / "messages", tmp_path / "halves"
+    messages.mkdir()
+    halves.mkdir()
+    count_link_messages(monkeypatch, messages)
+    log_halves(monkeypatch, halves)
+    runs, sent = {}, {}
+    for count in (1, 2):
+        cpus(count)
+        for epochs in (1, 3):
+            net = Network(spec)
+            _, losses = train(net, data, TrainConfig(epochs=epochs, batch_size=4, seed=5))
+            runs[count, epochs] = (losses, {k: w.tobytes() for k, w in net.unrolled_weights().items()})
+            sent[count, epochs] = sorted(path.name.split("-")[1] for path in messages.iterdir())
+            processes = {path.name.split("-")[0] for path in halves.iterdir()}
+            assert len(processes) == count      # the split fit ran in a partner
+            for path in [*messages.iterdir(), *halves.iterdir()]:
+                path.unlink()
+    assert sent[2, 1] == sent[2, 3] == []
+    assert runs[2, 1] == runs[1, 1]
+    assert runs[2, 3] == runs[1, 3]
