@@ -279,8 +279,9 @@ def _spin(semaphore, link) -> bool:
 class Partner:
     """This process's end of a `_partner`: `shared` is the anonymous
     shared mmap, `wait` returns once the partner has released `done` (its
-    part of a step is in `shared`), and `go` releases the partner's `go`
-    (this process's part is there)."""
+    part of a step is in `shared`) and reads the pipe only when the
+    partner has failed, and `go` releases the partner's `go` (this
+    process's part is there)."""
 
     def __init__(self, link, process, shared: mmap.mmap, done, go):
         self._link, self._process, self.shared = link, process, shared
@@ -291,15 +292,10 @@ class Partner:
         exception it sent is raised here, and a partner that exits first
         raises RuntimeError."""
         while not _spin(self._done, self._link):
-            self.receive()
+            _receive(self._link, self._process, "the partner process")
 
     def go(self) -> None:
         self._go.release()
-
-    def receive(self):
-        """The partner's next message; an exception it sent is raised
-        here, and a partner that exits first raises RuntimeError."""
-        return _receive(self._link, self._process, "the partner process")
 
 
 def _run_partner(link, other_end, body, shared: mmap.mmap, cpu: int, done, go) -> None:

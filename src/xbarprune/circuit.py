@@ -211,32 +211,32 @@ class SolveResult:
     """Sense currents for one input vector, and the internal node voltages
     behind them.
 
-    The voltages are solved on the first read of ``v_row`` or ``v_col``:
-    that read factorizes the tile's network again, solves once and keeps
-    both arrays here, so later reads return the same arrays and an edit
-    made in place stays visible. No factor is kept.
+    The result holds its system and its own copy of the input. The
+    voltages are solved on the first read of ``v_row`` or ``v_col``: that
+    read factorizes the tile's network again, solves once, keeps both
+    arrays here and lets the system go, so later reads return the same
+    arrays and an edit made in place stays visible. No factor is kept.
     """
 
-    def __init__(self, currents: np.ndarray, solve_voltages):
+    def __init__(self, currents: np.ndarray, system: CrossbarSystem, v: np.ndarray):
         self.currents = currents                # (n,)
-        self._solve_voltages = solve_voltages   # () -> (v_row, v_col), until read
-        self._voltages = None
+        self._system, self._v = system, v       # until the voltages are read
 
     @property
     def v_row(self) -> np.ndarray:
         """(n, n) row-node voltages."""
-        return self._node_voltages()[0]
+        return self._voltages[0]
 
     @property
     def v_col(self) -> np.ndarray:
         """(n, n) column-node voltages."""
-        return self._node_voltages()[1]
+        return self._voltages[1]
 
-    def _node_voltages(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._voltages is None:
-            self._voltages = self._solve_voltages()
-            self._solve_voltages = None     # lets the tile's system go
-        return self._voltages
+    @functools.cached_property
+    def _voltages(self) -> tuple[np.ndarray, np.ndarray]:
+        voltages = self._system._node_voltages(self._v)
+        del self._system, self._v
+        return voltages
 
 
 def _check_tile(g: np.ndarray, params: CrossbarParams) -> np.ndarray:
@@ -402,18 +402,6 @@ def _topology(params: CrossbarParams) -> _Topology:
     return topo
 
 
-def _trailing_block(factor, first: int) -> np.ndarray:
-    """Dense factor[first:, first:] of a square CSC factor."""
-    k = factor.shape[0] - first
-    start = factor.indptr[first]
-    rows = factor.indices[start:] - first
-    cols = np.repeat(np.arange(k), np.diff(factor.indptr[first:]))
-    keep = rows >= 0
-    block = np.zeros((k, k))
-    block[rows[keep], cols[keep]] = factor.data[start:][keep]
-    return block
-
-
 class CrossbarSystem:
     """Port admittance of one tile's parasitic network.
 
@@ -421,17 +409,17 @@ class CrossbarSystem:
     ports) are unknowns tied to ground through ``g_max``, and they are
     eliminated last, so the trailing (2n)^2 blocks of the tile's LU
     factorization multiply to the network Kron-reduced to its ports.
-    Its source columns Y give the current to inject at each port to hold
-    the sources at v and the sense terminals at 0 V. The sense currents
-    are -Y_sense v, so G_eff = -Y_sense^T. A system keeps Y and the tile,
-    nothing of the size of its factors: ``__init__`` factorizes once and
-    drops the factors, and ``solve`` returns the currents without a
-    triangular solve. The node voltages of a SolveResult are solved when
-    first read; each result that is read factorizes the network again,
-    with the same options, so the factors are bit for bit those of the
-    build. The node merging, branch list, elimination order and matrix
-    pattern are built once per CrossbarParams; a tile only fills in its
-    values.
+    Its source columns Y, L's trailing block times the source columns of
+    U's, give the current to inject at each port to hold the sources at v
+    and the sense terminals at 0 V. The sense currents are -Y_sense v, so
+    G_eff = -Y_sense^T. A system keeps Y and the tile, nothing of the size
+    of its factors: ``__init__`` factorizes once and drops the factors,
+    and ``solve`` returns the currents without a triangular solve. A
+    SolveResult holds its system until its node voltages are first read;
+    that read factorizes the network again, with the same options, so the
+    factors are bit for bit those of the build. The node merging, branch
+    list, elimination order and matrix pattern are built once per
+    CrossbarParams; a tile only fills in its values.
 
     SuperLU factorizes in the order given, with no relaxed supernodes
     (``SPLU_RELAX``) and panels of ``SPLU_PANEL_SIZE`` columns. Its
@@ -456,9 +444,7 @@ class CrossbarSystem:
         if not (np.array_equal(lu.perm_c[first:], tail)
                 and np.array_equal(lu.perm_r[first:], tail)):
             raise RuntimeError("the factorization did not eliminate the ports last")
-        lower = _trailing_block(lu.L, first)
-        upper = _trailing_block(lu.U, first)
-        self._port_y = lower @ upper[:, n:]
+        self._port_y = lu.L[first:, first:].toarray() @ lu.U[first:, first + n:].toarray()
 
     def _factorize(self):
         """SuperLU factors of the tile's nodal matrix."""
@@ -476,32 +462,29 @@ class CrossbarSystem:
 
     def solve(self, v: np.ndarray) -> SolveResult:
         """Sense currents for one input vector, read off the port
-        admittance; the result solves its node voltages when they are
-        first read."""
-        v = np.asarray(v, dtype=float)
+        admittance. The result keeps this system and a copy of v, and
+        solves its node voltages when they are first read."""
+        v = np.array(v, dtype=float)
         n = self.params.n
         if v.shape != (n,):
             raise ValueError(f"input length {v.shape} does not match {n} rows")
         if not np.all(np.isfinite(v)):
             raise ValueError("input voltages must be finite")
-        held = np.concatenate([np.zeros(n), v])
         if self._port_y is None:
-            return SolveResult(ideal_mac(self.g, v), lambda: self._node_voltages(held))
-        injected = self._port_y @ v
-        return SolveResult(-injected[:n], lambda: self._node_voltages(held, injected))
+            return SolveResult(ideal_mac(self.g, v), self, v)
+        return SolveResult(-(self._port_y @ v)[:n], self, v)
 
-    def _node_voltages(self, held: np.ndarray, injected: np.ndarray | None = None):
-        """(v_row, v_col) with the ports held at ``held`` (sense terminals,
-        then sources) by the port currents ``injected``; an ideal network,
-        every node a port, needs none."""
-        if injected is None:
-            pot = held
-        else:
+    def _node_voltages(self, v: np.ndarray):
+        """(v_row, v_col) under the input v: the sources held at v and the
+        sense terminals at 0 V by the port currents Y v, which take one
+        more factorization; an ideal network, every node a port, needs
+        none."""
+        pot = held = np.concatenate([np.zeros(v.size), v])
+        if self._port_y is not None:
             lu = self._factorize()
             rhs = np.zeros(lu.shape[0])
-            rhs[-held.size:] = injected
-            pot = lu.solve(rhs)
-            pot[-held.size:] = held
+            rhs[-held.size:] = self._port_y @ v
+            pot = np.concatenate([lu.solve(rhs)[:-held.size], held])
         return pot[self._topo.row_unknown], pot[self._topo.col_unknown]
 
     def effective_conductance(self) -> np.ndarray:

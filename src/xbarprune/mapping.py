@@ -208,15 +208,12 @@ def rearrange_columns(w: np.ndarray, order: str = "ascending"):
                          f"got shape {w.shape}")
     if order not in REARRANGE_ORDERS:
         raise ValueError(f"order must be one of {REARRANGE_ORDERS}, got {order!r}")
-    ascending = np.argsort(column_metrics(w), kind="stable")
-    if order == "ascending":
-        perm = ascending
-    else:
+    perm = np.argsort(column_metrics(w), kind="stable")
+    if order == "center_out":
         c = w.shape[1]
-        slots = sorted(range(c), key=lambda j: (abs(j - (c - 1) / 2), j))
-        perm = np.empty(c, dtype=int)
-        for rank, slot in enumerate(slots):
-            perm[slot] = ascending[rank]
+        # slots nearest the centre first, the left one of a tie first
+        slots = np.argsort(np.abs(np.arange(c) - (c - 1) / 2), kind="stable")
+        perm = perm[np.argsort(slots)]
     return w[:, perm], perm
 
 

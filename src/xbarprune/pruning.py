@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._checks import check_int, check_real
-from .nn import _unrolled_masks
+from .nn import _row_groups, _unrolled_masks
 
 METHODS = ("cf", "xcs", "xrs")
 
@@ -127,8 +127,7 @@ def gen_mask_cf(model_spec, s: float, seed: int) -> SparsityPattern:
             if info.in_channels != infos[idx - 1].cols or info.rows != info.in_channels * rpc:
                 raise ValueError(f"layer {info.name} does not compose with "
                                  f"{infos[idx - 1].name} for C/F pruning")
-            for c in pruned[idx - 1]:
-                keep_rows[c * rpc:(c + 1) * rpc] = False
+            keep_rows[_row_groups(pruned[idx - 1], rpc)] = False
         pattern.masks[info.name] = np.outer(keep_rows, keep_cols).astype(float)
     return pattern
 

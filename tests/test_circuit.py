@@ -1,6 +1,7 @@
 import gc
 import tracemalloc
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -300,6 +301,23 @@ def test_voltages_are_solved_once_and_kept(p, monkeypatch):
     other = system.solve(v)
     assert other.v_col is not v_col
     assert len(calls) == 3 * built
+
+
+@pytest.mark.parametrize("p", [CrossbarParams(7), ideal_params(7)],
+                         ids=["default", "ideal"])
+def test_a_result_keeps_its_own_input_and_lets_its_system_go(p):
+    g = random_tile(7, seed=36)
+    v = np.random.default_rng(37).uniform(0.1, 1.0, 7)
+    system = CrossbarSystem(g, p)
+    expected = system.solve(v.copy())
+    result = system.solve(v)
+    v[:] = 0.0
+    assert np.array_equal(result.currents, expected.currents)
+    assert np.array_equal(result.v_row, expected.v_row)
+    assert np.array_equal(result.v_col, expected.v_col)
+    alive = weakref.ref(system)
+    del system, expected
+    assert alive() is None
 
 
 def reachable(root, stop):

@@ -334,16 +334,40 @@ def test_rearrange_center_out_places_low_metrics_centrally():
     assert np.all(np.diff(metrics[order]) >= -1e-15)
 
 
+# column k is (0, levels[k]), whose metric is levels[k] / 2, so equal levels
+# tie. Worked by hand: the stable ascending order of the metrics fills the
+# slots from the centre out, the left one of two equidistant slots first.
+@pytest.mark.parametrize("levels, perm", [
+    ([3], [0]),
+    ([3, 1], [1, 0]),
+    ([2, 1, 1], [2, 1, 0]),
+    ([1, 3, 1, 2], [3, 0, 2, 1]),
+    ([2, 2, 0, 1, 1], [0, 3, 2, 4, 1]),
+    ([1, 1, 1, 0, 0, 0], [1, 5, 3, 4, 0, 2]),
+], ids=[f"c{c}" for c in range(1, 7)])
+def test_rearrange_center_out_order_by_hand(levels, perm):
+    w = np.array([np.zeros(len(levels)), levels])
+    out, got = rearrange_columns(w, order="center_out")
+    assert got.tolist() == perm
+    np.testing.assert_array_equal(out, w[:, perm])
+
+
+@pytest.mark.parametrize("order", mapping.REARRANGE_ORDERS)
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))
-def test_rearrange_permutation_soundness(rows, cols, seed):
+def test_rearrange_permutation_soundness(order, rows, cols, seed):
     w = np.random.default_rng(seed).normal(size=(rows, cols))
-    out, perm = rearrange_columns(w)
+    out, perm = rearrange_columns(w, order)
     assert sorted(perm.tolist()) == list(range(cols))
     restored = np.empty_like(out)
     restored[:, perm] = out
     np.testing.assert_array_equal(restored, w)
-    assert np.all(np.diff(column_metrics(out)) >= -1e-15)
+    # a column placed earlier (ascending) or nearer the centre (center_out)
+    # has no higher metric than one placed later or further out
+    slot = np.arange(cols) if order == "ascending" else np.abs(np.arange(cols) - (cols - 1) / 2)
+    metrics = column_metrics(out)
+    earlier = slot[:, None] < slot[None, :]
+    assert np.all(metrics[:, None] <= metrics[None, :] + 1e-15, where=earlier)
 
 
 # ------------------------------------------------------------ layer pipeline
